@@ -6,6 +6,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
+from .metrics import midranks
 
 
 @dataclass
@@ -77,27 +78,13 @@ def modality_aggregate(report, layout):
     return scores
 
 
-def _midranks(x):
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman_rank_correlation(a, b):
     """Spearman rho via Pearson correlation of midranks."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ContractError("spearman needs two equal-length vectors of size >= 2")
-    ra, rb = _midranks(a), _midranks(b)
+    ra, rb = midranks(a), midranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     denom = np.sqrt((ra**2).sum() * (rb**2).sum())

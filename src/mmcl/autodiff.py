@@ -227,6 +227,18 @@ class Tensor:
 
         return Tensor._result(a.values.reshape(*shape), (a,), backward)
 
+    def __getitem__(self, index):
+        """Copy of the indexed entries; backward scatters into zeros."""
+        a = self
+
+        def backward(g):
+            if a.requires_grad:
+                full = np.zeros_like(a.values)
+                np.add.at(full, index, g)
+                a._accumulate(full)
+
+        return Tensor._result(np.array(a.values[index]), (a,), backward)
+
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from . import harness
-from .errors import ConfigurationError, ContractError, DivergenceError
+from .errors import (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
+                     DivergenceError, DomainError)
 
 
 def _parse_seeds(text):
@@ -189,8 +190,9 @@ def main(argv=None):
     }
     try:
         handlers[args.verb](args)
-    except (ConfigurationError, ContractError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
+            DomainError) as exc:
+        print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc} "

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 
 FORMAT_VERSION = "mmcl-cohort v1"
 
@@ -79,7 +79,11 @@ class SyntheticCohort:
         return self.spec.num_patients
 
     def modality(self, name):
-        return next(m for m in self.spec.modalities if m.name == name)
+        for m in self.spec.modalities:
+            if m.name == name:
+                return m
+        roster = [m.name for m in self.spec.modalities]
+        raise ConfigurationError(f"unknown modality {name!r}; the cohort has {roster}")
 
 
 def spec_to_dict(spec):

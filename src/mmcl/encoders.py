@@ -50,34 +50,43 @@ def _activate(t, activation):
     return t.tanh() if activation == "tanh" else t.sigmoid()
 
 
-class MLPEncoder:
-    """Affine + activation stack with a final linear projection to n."""
+class _MLP:
+    """Affine + activation stack over `dims`, with no activation after the
+    last layer. Subclasses name the input width they check in `forward`."""
+
+    def __init__(self, dims, rng, name, activation):
+        self.name = name
+        self.activation = activation
+        self.layers = [(Parameter(f"{name}.w{li}", _init_weight(rng, din, (din, dout))),
+                        Parameter(f"{name}.b{li}", np.zeros(dout)))
+                       for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
+
+    def parameters(self):
+        return [p for w, b in self.layers for p in (w, b)]
+
+    def _stack(self, batch, width, what):
+        x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        if x.shape[1] != width:
+            raise DimensionError(f"{self.name}: expected {what} {width}, got {x.shape[1]}")
+        for li, (w, b) in enumerate(self.layers):
+            x = x @ w.tensor + b.tensor
+            if li < len(self.layers) - 1:
+                x = _activate(x, self.activation)
+        return x
+
+
+class MLPEncoder(_MLP):
+    """MLP over a static feature vector with a final linear projection to n."""
 
     def __init__(self, cfg, rng, name="mlp"):
         if cfg.modality_kind != "static_vector":
             raise ContractError("MLPEncoder requires a static_vector config")
         self.cfg = cfg
-        self.name = name
-        self.layers = []
         dims = [cfg.input_dim] + list(cfg.hidden_dims) + [cfg.embedding_dim]
-        for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            w = Parameter(f"{name}.w{li}", _init_weight(rng, din, (din, dout)))
-            b = Parameter(f"{name}.b{li}", np.zeros(dout))
-            self.layers.append((w, b))
-
-    def parameters(self):
-        return [p for w, b in self.layers for p in (w, b)]
+        super().__init__(dims, rng, name, cfg.activation)
 
     def forward(self, batch):
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
-        if x.shape[1] != self.cfg.input_dim:
-            raise DimensionError(
-                f"{self.name}: expected input_dim {self.cfg.input_dim}, got {x.shape[1]}")
-        for li, (w, b) in enumerate(self.layers):
-            x = x @ w.tensor + b.tensor
-            if li < len(self.layers) - 1:
-                x = _activate(x, self.cfg.activation)
-        return x
+        return self._stack(batch, self.cfg.input_dim, "input_dim")
 
 
 def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):

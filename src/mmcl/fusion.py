@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat
-from .encoders import _activate, _init_weight, lstm_gates
+from .autodiff import Tensor, concat
+from .encoders import _MLP, lstm_gates
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 SIMPLEX_TOL = 1e-6
@@ -83,34 +83,17 @@ class HeadConfig:
             raise ContractError("multilabel heads take no class weights")
 
 
-class ClassifierHead:
+class ClassifierHead(_MLP):
     """MLP from fused features to raw logits (no output activation)."""
 
     def __init__(self, cfg, input_dim, rng, name="head", activation="tanh"):
         self.cfg = cfg
-        self.name = name
-        self.activation = activation
         self.input_dim = input_dim
-        self.layers = []
-        dims = [input_dim] + list(cfg.hidden_dims) + [cfg.num_labels]
-        for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            w = Parameter(f"{name}.w{li}", _init_weight(rng, din, (din, dout)))
-            b = Parameter(f"{name}.b{li}", np.zeros(dout))
-            self.layers.append((w, b))
-
-    def parameters(self):
-        return [p for w, b in self.layers for p in (w, b)]
+        super().__init__([input_dim] + list(cfg.hidden_dims) + [cfg.num_labels],
+                         rng, name, activation)
 
     def forward(self, features):
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        if x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"{self.name}: expected feature width {self.input_dim}, got {x.shape[1]}")
-        for li, (w, b) in enumerate(self.layers):
-            x = x @ w.tensor + b.tensor
-            if li < len(self.layers) - 1:
-                x = _activate(x, self.activation)
-        return x
+        return self._stack(features, self.input_dim, "feature width")
 
 
 def _check_binary_targets(targets):

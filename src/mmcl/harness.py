@@ -12,7 +12,6 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .attribution import integrated_gradients, modality_aggregate
-from .autodiff import Tensor
 from .encoders import EncoderConfig, SequenceBatch, build_encoder, make_lstm_params
 from .errors import ConfigurationError, ContractError, DivergenceError
 from .fusion import (ClassifierHead, HeadConfig, ModalitySequence, class_weights_from_counts,
@@ -58,6 +57,8 @@ class RunConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
+        if len(set(self.modality_subset)) != len(self.modality_subset):
+            raise ConfigurationError(f"duplicate modalities in {list(self.modality_subset)}")
 
     def literal_lambdas(self):
         if not self.lambda_source.startswith("literal:"):
@@ -259,11 +260,6 @@ def _targets(cohort, config, indices):
     return cohort.multilabels[indices].astype(np.float64)
 
 
-def _score_batch(model_forward, indices):
-    logits = model_forward(indices)
-    return logits.values
-
-
 def _metrics_from_scores(scores, targets, task):
     """(AUROC, AUPRC); multilabel metrics are macro means over the labels
     with both classes present."""
@@ -374,7 +370,7 @@ def finetune(config, cohort, checkpoint=None):
             loss.backward()
             opt.step()
         epochs_run = epoch + 1
-        val_scores = _score_batch(forward, val_idx)
+        val_scores = forward(val_idx).values
         val_auroc, _ = _metrics_from_scores(val_scores, _targets(cohort, config, val_idx), config.task)
         if val_auroc > best_metric:
             best_metric = val_auroc
@@ -387,7 +383,7 @@ def finetune(config, cohort, checkpoint=None):
                 break
 
     _restore(trainable, best_snapshot)
-    test_scores = _score_batch(forward, test_idx)
+    test_scores = forward(test_idx).values
     test_auroc, test_auprc = _metrics_from_scores(
         test_scores, _targets(cohort, config, test_idx), config.task)
     record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
@@ -482,7 +478,8 @@ def sweep(base, cohort, subsets, regimes, seeds):
                 except Exception as exc:  # sweep isolation
                     rows.append(SweepRow("+".join(subset), regime, base.task, seed,
                                          float("nan"), float("nan"), float("nan"),
-                                         float("nan"), 0.0, status=f"error: {exc}"))
+                                         float("nan"), 0.0,
+                                         status=f"error: {type(exc).__name__}: {exc}"))
     return SweepResult(rows)
 
 
@@ -547,18 +544,6 @@ def load_rows(path):
     return rows
 
 
-def dump_embeddings(config, cohort, checkpoint, path, indices=None):
-    """Persist per-modality embeddings for external visualization."""
-    rng = np.random.default_rng(config.seed)
-    encoders = build_encoders(cohort, config, rng)
-    _load_into(_collect_params(encoders), checkpoint.params)
-    if indices is None:
-        indices = np.arange(cohort.num_patients)
-    emb_set = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
-    arrays = {f"emb:{name}": emb.values for name, emb in zip(emb_set.modalities, emb_set.embeddings)}
-    np.savez(path, patient_ids=indices, **arrays)
-
-
 # ---------------------------------------------------------------------------
 # attribution over the classifier input
 
@@ -583,10 +568,7 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     features = np.concatenate([e.values for e in emb_set.embeddings], axis=1)
 
     def model_fn(x):
-        logits = head.forward(x.reshape(1, -1))
-        col = np.zeros((num_labels, 1))
-        col[target_label, 0] = 1.0
-        return (logits @ Tensor(col)).sum()
+        return head.forward(x.reshape(1, -1))[0, target_label]
 
     n = config.embedding_dim
     layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]
@@ -595,5 +577,3 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
         report = integrated_gradients(model_fn, row, steps=steps)
         totals += modality_aggregate(report, layout)
     return totals / totals.sum()
-
-

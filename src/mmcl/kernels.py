@@ -1,36 +1,9 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
-
-Set MMCL_DISABLE_NUMBA=1 to force the numpy path (useful for debugging and
-for the benchmark in benchmarks/bench_kernels.py, which times both).
-Both paths implement identical formulas; they agree to float64 rounding.
-"""
-
-import os
+"""Hot numeric kernels on plain numpy arrays."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("MMCL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
 
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ACTIVE = True
-except ImportError:
-    NUMBA_ACTIVE = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-
-def _sigmoid_np(x):
+def sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -39,121 +12,21 @@ def _sigmoid_np(x):
     return out
 
 
-def _softplus_np(x):
+def softplus(x):
     # log(1 + e^x), stable for large |x|
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _logsumexp_rows_np(s):
+def logsumexp_rows(s):
     m = s.max(axis=1)
     return m + np.log(np.exp(s - m[:, None]).sum(axis=1))
 
 
-def _top5_same_patient_np(sim, patient_ids):
+def top5_same_patient(sim, patient_ids):
     """For each row of sim, take the 5 most similar other entries (stable
     ties: lower index wins) and count rows where any shares the patient id."""
     e = sim.shape[0]
-    hits = 0
-    for i in range(e):
-        order = np.argsort(-sim[i], kind="stable")
-        found = 0
-        ok = False
-        for j in order:
-            if j == i:
-                continue
-            if patient_ids[j] == patient_ids[i]:
-                ok = True
-                break
-            found += 1
-            if found == 5:
-                break
-        if ok:
-            hits += 1
-    return hits
-
-
-# ---------------------------------------------------------------------------
-# numba-jitted twins
-
-if NUMBA_ACTIVE:
-
-    @njit(cache=True)
-    def _sigmoid_nb(x):
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        for i in range(flat.size):
-            v = flat[i]
-            if v >= 0.0:
-                out[i] = 1.0 / (1.0 + np.exp(-v))
-            else:
-                e = np.exp(v)
-                out[i] = e / (1.0 + e)
-        return out.reshape(x.shape)
-
-    @njit(cache=True)
-    def _softplus_nb(x):
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        for i in range(flat.size):
-            v = flat[i]
-            out[i] = max(v, 0.0) + np.log1p(np.exp(-abs(v)))
-        return out.reshape(x.shape)
-
-    @njit(cache=True)
-    def _logsumexp_rows_nb(s):
-        n = s.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            m = s[i, 0]
-            for j in range(1, s.shape[1]):
-                if s[i, j] > m:
-                    m = s[i, j]
-            acc = 0.0
-            for j in range(s.shape[1]):
-                acc += np.exp(s[i, j] - m)
-            out[i] = m + np.log(acc)
-        return out
-
-    @njit(cache=True)
-    def _top5_same_patient_nb(sim, patient_ids):
-        e = sim.shape[0]
-        hits = 0
-        top_idx = np.empty(5, dtype=np.int64)
-        for i in range(e):
-            count = 0
-            for _ in range(5):
-                best = -1
-                best_val = -np.inf
-                for j in range(e):
-                    if j == i:
-                        continue
-                    taken = False
-                    for t in range(count):
-                        if top_idx[t] == j:
-                            taken = True
-                            break
-                    if taken:
-                        continue
-                    # strict > keeps the lowest index on ties
-                    if sim[i, j] > best_val:
-                        best_val = sim[i, j]
-                        best = j
-                if best < 0:
-                    break
-                top_idx[count] = best
-                count += 1
-            for t in range(count):
-                if patient_ids[top_idx[t]] == patient_ids[i]:
-                    hits += 1
-                    break
-        return hits
-
-    sigmoid = _sigmoid_nb
-    softplus = _softplus_nb
-    logsumexp_rows = _logsumexp_rows_nb
-    top5_same_patient = _top5_same_patient_nb
-else:
-    sigmoid = _sigmoid_np
-    softplus = _softplus_np
-    logsumexp_rows = _logsumexp_rows_np
-    top5_same_patient = _top5_same_patient_np
+    order = np.argsort(-sim, axis=1, kind="stable")
+    # drop each row's own index; masking keeps the remaining order per row
+    others = order[order != np.arange(e)[:, None]].reshape(e, e - 1)[:, :5]
+    return int((patient_ids[others] == patient_ids[:, None]).any(axis=1).sum())

@@ -83,9 +83,8 @@ def similarity_matrix(a, b, tau):
 def _directional_nce(a, b, tau):
     """Mean over k of -log softmax similarity of the matched pair (k, k)."""
     s = similarity_matrix(a, b, tau)
-    n = s.shape[0]
-    diag = (s * Tensor(np.eye(n))).sum(axis=1)
-    return (logsumexp_rows(s) - diag).mean()
+    k = np.arange(s.shape[0])
+    return (logsumexp_rows(s) - s[k, k]).mean()
 
 
 def infonce_pair_loss(a, b, tau):
@@ -97,6 +96,14 @@ def infonce_pair_loss(a, b, tau):
     return fwd + bwd, [fwd, bwd]
 
 
+def _left_sum(tensors):
+    """t0 + t1 + ... added left to right, so every caller rounds alike."""
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = total + t
+    return total
+
+
 def others_mean(emb_set, i):
     """Rowwise mean of every modality except i."""
     k = emb_set.num_modalities
@@ -105,23 +112,21 @@ def others_mean(emb_set, i):
     if not 0 <= i < k:
         raise ContractError(f"modality index {i} out of range for K={k}")
     rest = [e for j, e in enumerate(emb_set.embeddings) if j != i]
-    acc = rest[0]
-    for e in rest[1:]:
-        acc = acc + e
-    return acc * (1.0 / (k - 1))
+    return _left_sum(rest) * (1.0 / (k - 1))
+
+
+def _ovo_terms(emb_set, tau):
+    return [_directional_nce(e, others_mean(emb_set, i), tau)
+            for i, e in enumerate(emb_set.embeddings)]
 
 
 def ovo_loss(emb_set, tau):
     """One-vs-Others loss: each modality contrasted against the mean of the
     rest. Returns (total, per-modality terms); for K=2 each term equals the
     corresponding directional InfoNCE term."""
-    terms = []
-    for i in range(emb_set.num_modalities):
-        terms.append(_directional_nce(emb_set.embeddings[i], others_mean(emb_set, i), tau))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total, terms
+    terms = _ovo_terms(emb_set, tau)
+    return _left_sum(terms), terms
+
 
 def weighted_ovo_loss(emb_set, tau, lam):
     """OvO with each modality term scaled by its softmax importance weight.
@@ -130,14 +135,8 @@ def weighted_ovo_loss(emb_set, tau, lam):
     if lambdas.shape[0] != emb_set.num_modalities:
         raise ContractError(
             f"lambda length {lambdas.shape[0]} != K={emb_set.num_modalities}")
-    terms = []
-    for i in range(emb_set.num_modalities):
-        raw = _directional_nce(emb_set.embeddings[i], others_mean(emb_set, i), tau)
-        terms.append((lambdas * Tensor(np.eye(lambdas.shape[0])[i])).sum() * raw)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total, terms
+    terms = [lambdas[i] * raw for i, raw in enumerate(_ovo_terms(emb_set, tau))]
+    return _left_sum(terms), terms
 
 
 def loss_for_combination(emb_set, tau, lam=None):

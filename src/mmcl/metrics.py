@@ -26,6 +26,21 @@ def _as_arrays(scores, labels):
     return scores, labels
 
 
+def midranks(x):
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def auroc(scores, labels):
     """Mann-Whitney AUROC: probability a random positive outranks a random
     negative, ties counted 1/2."""
@@ -35,17 +50,7 @@ def auroc(scores, labels):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("AUROC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = ranks[pos].sum()
+    rank_sum = midranks(scores)[pos].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -176,6 +176,23 @@ def test_logsumexp_rows_matches_naive():
     np.testing.assert_allclose(out, np.log(np.exp(s).sum(axis=1)), rtol=1e-14)
 
 
+@pytest.mark.parametrize("index", [(1, 2), (np.arange(3), np.arange(3)), ([0, 0, 2], [1, 1, 3])],
+                         ids=["scalar", "diagonal", "repeated"])
+def test_getitem_gradient(index):
+    x = Tensor(np.random.default_rng(10).standard_normal((3, 4)))
+    assert grad_check(lambda: (x[index] * x[index]).sum(), x) < 1e-6
+
+
+def test_getitem_returns_copy():
+    x = Tensor(np.arange(4.0).reshape(2, 2))
+    k = np.arange(2)
+    diag = x[k, k]
+    np.testing.assert_array_equal(diag.values, [0.0, 3.0])
+    diag.values[0] = 9.0
+    assert x.values[0, 0] == 0.0
+    assert x[1, 0].values.shape == ()
+
+
 def test_concat_round_trip_and_gradient():
     rng = np.random.default_rng(9)
     parts = [Tensor(rng.standard_normal((3, w))) for w in (2, 4, 1)]

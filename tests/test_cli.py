@@ -123,3 +123,24 @@ def test_exit_code_4_on_missing_file(tmp_path, capsys):
                "--modalities", "text_a,text_b", "--out", str(tmp_path / "x.npz")])
     assert rc == 4
     assert "io error" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_unknown_modality(cohort_file, tmp_path, capsys):
+    rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,bogus",
+               "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "'bogus'" in err and "text_a" in err and "series" in err
+
+
+def test_exit_code_2_on_cohort_too_small_to_evaluate(tmp_path, capsys):
+    # 40 patients leave a 2-patient validation split with a single class
+    path = str(tmp_path / "small.txt")
+    assert main(["generate", "--num-patients", "40", "--seed", "0", "--out", path]) == 0
+    rc = main(["finetune", "--cohort", path, "--modalities", "text_a,text_b",
+               "--regime", "supervised_baseline", "--max-epochs", "1",
+               "--batch-size", "16", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "DegenerateInputError" in err

@@ -56,6 +56,8 @@ def test_run_config_validation():
         RunConfig(ALL, "mlstm", batch_size=0)
     with pytest.raises(ConfigurationError):
         RunConfig(ALL[:1], "mlstm")
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        RunConfig([ALL[0], ALL[0], ALL[1]], "contrastive_pretrain")
 
 
 def test_literal_lambdas_parse():
@@ -248,6 +250,7 @@ def test_sweep_isolates_cell_failures(small_cohort):
     statuses = [r.status for r in result.rows]
     assert statuses[0] == "ok"
     assert statuses[1].startswith("error:")
+    assert statuses[1] == "error: ConfigurationError: need at least 2 modalities"
     # failed cells are excluded from aggregation
     assert len(result.aggregates()) == 1
 
