@@ -17,6 +17,7 @@ from . import cohort as cohort_mod
 from . import harness
 from .errors import (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
                      DivergenceError, DomainError)
+from .optim import OPTIMIZERS
 
 
 def _parse_seeds(text):
@@ -34,7 +35,12 @@ def _config_from_args(args, modality_subset, regime):
     fields = {}
     if args.config:
         with open(args.config) as fh:
-            fields.update(json.load(fh))
+            try:
+                fields = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise ConfigurationError(f"{args.config}: expected a JSON object of RunConfig fields")
     for key in ("task", "optimizer", "learning_rate", "batch_size", "max_epochs",
                 "patience", "seed", "lambda_source", "embedding_dim", "pool_fraction",
                 "checkpoint_path", "output_dir"):
@@ -43,13 +49,16 @@ def _config_from_args(args, modality_subset, regime):
             fields[key] = value
     fields["modality_subset"] = modality_subset
     fields["regime"] = regime
-    return harness.RunConfig(**fields)
+    try:
+        return harness.RunConfig(**fields)
+    except TypeError as exc:  # an unknown field, or a value of the wrong type
+        raise ConfigurationError(f"bad RunConfig fields: {exc}") from exc
 
 
 def _add_run_flags(p):
     p.add_argument("--config", help="JSON file of RunConfig fields")
     p.add_argument("--task", choices=["binary", "multilabel"])
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
+    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS))
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
@@ -190,6 +199,9 @@ def main(argv=None):
     }
     try:
         handlers[args.verb](args)
+    except OSError as exc:  # first: a CorruptFileError is also a ContractError
+        print(f"io error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
             DomainError) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -198,9 +210,6 @@ def main(argv=None):
         print(f"numerical divergence: {exc} "
               f"(last finite loss {exc.last_finite_loss}, epoch {exc.epoch})", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, CorruptFileError
 
 FORMAT_VERSION = "mmcl-cohort v1"
 
@@ -230,16 +230,25 @@ def save_cohort(cohort, path):
 
 
 def load_cohort(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Read a cohort written by `save_cohort`. A file that is not one, or is
+    one with a missing section or an unparsable cell, raises CorruptFileError."""
+    try:
+        with open(path) as fh:
+            return _parse_cohort(fh.read().splitlines())
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CorruptFileError(
+            f"{path}: not a readable {FORMAT_VERSION} file ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_cohort(lines):
     if not lines or lines[0] != f"# {FORMAT_VERSION}":
-        raise ContractError(f"{path}: not a {FORMAT_VERSION} file")
+        raise ContractError(f"no '# {FORMAT_VERSION}' header")
     spec = None
     for line in lines[:3]:
         if line.startswith("# spec="):
             spec = spec_from_dict(json.loads(line[len("# spec="):]))
     if spec is None:
-        raise ContractError(f"{path}: missing spec header")
+        raise ContractError("missing spec header")
 
     blocks = {}
     current = None

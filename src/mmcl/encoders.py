@@ -27,20 +27,6 @@ class EncoderConfig:
             raise ContractError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class SequenceBatch:
-    values: np.ndarray  # N x T x d
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise DimensionError(f"sequence batch must be N x T x d, got {self.values.shape}")
-
-    @property
-    def steps(self):
-        return self.values.shape[1]
-
-
 def _init_weight(rng, fan_in, shape):
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -90,29 +76,26 @@ class MLPEncoder(_MLP):
 
 
 def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
-    """Per-gate input/recurrent weights and biases for one LSTM cell."""
-    params = {}
-    for gate in LSTM_GATES:
-        params[f"wx_{gate}"] = Parameter(
-            f"{name}.wx_{gate}", _init_weight(rng, input_dim, (input_dim, hidden_dim)))
-        params[f"wh_{gate}"] = Parameter(
-            f"{name}.wh_{gate}", _init_weight(rng, hidden_dim, (hidden_dim, hidden_dim)))
-        params[f"b_{gate}"] = Parameter(f"{name}.b_{gate}", np.zeros(hidden_dim))
-    return params
+    """Packed weights of one LSTM cell: `wx` (d x 4h), `wh` (h x 4h) and `b`
+    (4h), each holding the gate column blocks in LSTM_GATES order."""
+    # drawn one gate block at a time so a seed gives the same initial gate
+    # weights whatever the packing
+    wx, wh = [], []
+    for _ in LSTM_GATES:
+        wx.append(_init_weight(rng, input_dim, (input_dim, hidden_dim)))
+        wh.append(_init_weight(rng, hidden_dim, (hidden_dim, hidden_dim)))
+    return {"wx": Parameter(f"{name}.wx", np.hstack(wx)),
+            "wh": Parameter(f"{name}.wh", np.hstack(wh)),
+            "b": Parameter(f"{name}.b", np.zeros(len(LSTM_GATES) * hidden_dim))}
 
 
 def lstm_gates(params, x_t, h_prev):
-    """Gate pre-activations shared by the plain and modality-gated cells."""
-    pre = {}
-    for gate in LSTM_GATES:
-        pre[gate] = (x_t @ params[f"wx_{gate}"].tensor
-                     + h_prev @ params[f"wh_{gate}"].tensor
-                     + params[f"b_{gate}"].tensor)
-    i = pre["i"].sigmoid()
-    f = pre["f"].sigmoid()
-    g = pre["g"].tanh()
-    o = pre["o"].sigmoid()
-    return i, f, g, o
+    """Gate activations (i, f, g, o) shared by the plain and modality-gated
+    cells."""
+    pre = x_t @ params["wx"].tensor + h_prev @ params["wh"].tensor + params["b"].tensor
+    hid = pre.shape[1] // len(LSTM_GATES)
+    i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(len(LSTM_GATES)))
+    return i.sigmoid(), f.sigmoid(), g.tanh(), o.sigmoid()
 
 
 def lstm_cell(params, x_t, state):
@@ -143,20 +126,20 @@ class LSTMEncoder:
         return list(self.cell.values()) + [self.w_proj, self.b_proj]
 
     def forward(self, batch):
-        if isinstance(batch, SequenceBatch):
-            steps = [Tensor(batch.values[:, t, :]) for t in range(batch.steps)]
-        else:
-            steps = list(batch)  # pre-built step tensors (grad checks)
-        if not steps:
+        """Final embedding of an N x T x d batch; step t is `batch[:, t, :]`."""
+        x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        if x.ndim != 3:
+            raise DimensionError(f"{self.name}: sequence batch must be N x T x d, got {x.shape}")
+        n, steps, dim = x.shape
+        if steps < 1:
             raise DegenerateInputError(f"{self.name}: empty sequence")
-        n = steps[0].shape[0]
+        if dim != self.cfg.input_dim:
+            raise DimensionError(
+                f"{self.name}: expected per-step dim {self.cfg.input_dim}, got {dim}")
         c = Tensor(np.zeros((n, self.hidden_dim)))
         h = Tensor(np.zeros((n, self.hidden_dim)))
-        for x_t in steps:
-            if x_t.shape[1] != self.cfg.input_dim:
-                raise DimensionError(
-                    f"{self.name}: expected per-step dim {self.cfg.input_dim}, got {x_t.shape[1]}")
-            c, h = lstm_cell(self.cell, x_t, (c, h))
+        for t in range(steps):
+            c, h = lstm_cell(self.cell, x[:, t, :], (c, h))
         return h @ self.w_proj.tensor + self.b_proj.tensor
 
 

@@ -20,6 +20,11 @@ class ContractError(ValueError):
     """A documented precondition of an operation was violated."""
 
 
+class CorruptFileError(ContractError, OSError):
+    """A checkpoint or cohort file exists but cannot be parsed; the message
+    names the file. An `OSError`, so the CLI reports it as an IO error."""
+
+
 class ConfigurationError(ValueError):
     """A run configuration is inconsistent or missing prerequisites."""
 

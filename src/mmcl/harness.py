@@ -6,19 +6,21 @@ import csv
 import itertools
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import cohort as cohort_mod
 from .attribution import integrated_gradients, modality_aggregate
-from .encoders import EncoderConfig, SequenceBatch, build_encoder, make_lstm_params
-from .errors import ConfigurationError, ContractError, DivergenceError
+from .encoders import EncoderConfig, build_encoder, make_lstm_params
+from .errors import (ConfigurationError, ContractError, CorruptFileError,
+                     DegenerateInputError, DivergenceError)
 from .fusion import (ClassifierHead, HeadConfig, ModalitySequence, class_weights_from_counts,
                      concat_fuse, mlstm_forward, multilabel_ce, weighted_bce)
 from .losses import LambdaWeights, ModalityEmbeddingSet, Temperature, loss_for_combination
 from .metrics import AlignmentCorpus, MetricsRecord, auprc, auroc, top5_alignment_accuracy
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, make_optimizer
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
 
@@ -51,6 +53,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.task not in ("binary", "multilabel"):
             raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning rate must lie in (0, 1)")
         if self.batch_size < 1:
@@ -92,13 +96,20 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path):
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
-            params = {k[len("param:"):]: data[k].copy() for k in data.files if k.startswith("param:")}
-        lam = meta["lambdas"]
-        return cls(meta["config"], meta["seed"], params,
-                   None if lam is None else np.asarray(lam, dtype=np.float64),
-                   meta["tau"], meta["epoch"], meta["best_metric"], meta["modality_subset"])
+        """Read a checkpoint written by `save`; an unreadable file raises
+        CorruptFileError."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["__meta__"]))
+                params = {k[len("param:"):]: data[k].copy()
+                          for k in data.files if k.startswith("param:")}
+            lam = meta["lambdas"]
+            return cls(meta["config"], meta["seed"], params,
+                       None if lam is None else np.asarray(lam, dtype=np.float64),
+                       meta["tau"], meta["epoch"], meta["best_metric"], meta["modality_subset"])
+        except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+            raise CorruptFileError(
+                f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def enumerate_subsets(modalities):
@@ -134,11 +145,7 @@ def build_encoders(cohort, config, rng):
 
 
 def encode_batch(encoders, observations, indices, subset):
-    embeddings = []
-    for name in subset:
-        obs = observations[name][indices]
-        batch = SequenceBatch(obs) if obs.ndim == 3 else obs
-        embeddings.append(encoders[name].forward(batch))
+    embeddings = [encoders[name].forward(observations[name][indices]) for name in subset]
     return ModalityEmbeddingSet(subset, embeddings)
 
 
@@ -189,6 +196,10 @@ def pretrain(config, cohort, on_step=None):
 
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                        pool_fraction=config.pool_fraction)
+    if min(config.batch_size, pool.size) < 2:
+        raise DegenerateInputError(
+            f"no batch of 2 rows: batch_size {config.batch_size}, pre-training pool of "
+            f"{pool.size} patients; in-batch contrast needs at least 2")
     history = []
     last_finite = None
     for epoch in range(config.max_epochs):

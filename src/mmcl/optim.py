@@ -3,6 +3,7 @@
 import numpy as np
 
 from .autodiff import zero_grads
+from .errors import ConfigurationError
 
 
 class SGD:
@@ -50,9 +51,10 @@ class Adam:
         zero_grads(self.params)
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
 def make_optimizer(kind, params, lr):
-    if kind == "sgd":
-        return SGD(params, lr=lr)
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    raise ValueError(f"unknown optimizer kind: {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ConfigurationError(f"unknown optimizer kind: {kind!r}")
+    return OPTIMIZERS[kind](params, lr=lr)

@@ -144,3 +144,106 @@ def test_exit_code_2_on_cohort_too_small_to_evaluate(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "DegenerateInputError" in err
+
+
+def _write_text_checkpoint(path):
+    with open(path, "w") as fh:
+        fh.write("not a checkpoint\n")
+
+
+def _write_empty_checkpoint(path):
+    open(path, "wb").close()
+
+
+def _write_truncated_checkpoint(path):
+    Checkpoint({}, 0, {"w": np.arange(64.0)}, None, 1.0, 0, 0.0, ["a", "b"]).save(path)
+    with open(path, "rb") as fh:
+        head = fh.read()[:100]
+    with open(path, "wb") as fh:
+        fh.write(head)
+
+
+def _write_metaless_checkpoint(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"param:w": np.zeros(3)})
+
+
+@pytest.mark.parametrize("write", [_write_text_checkpoint, _write_empty_checkpoint,
+                                   _write_truncated_checkpoint, _write_metaless_checkpoint],
+                         ids=["text", "empty", "truncated", "no_meta"])
+def test_exit_code_4_on_corrupt_checkpoint(cohort_file, tmp_path, capsys, write):
+    path = str(tmp_path / "bad.npz")
+    write(path)
+    rc = main(["attribute", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--checkpoint", path, "--steps", "2", "--out", str(tmp_path / "attr.json")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and path in err
+
+
+def _drop_latents(text):
+    return text[:text.index("[latents]")]
+
+
+def _non_numeric_cell(text):
+    head, rest = text.split("[modality text_a]\n", 1)
+    return head + "[modality text_a]\nnan?," + rest.split(",", 1)[1]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_latents, _non_numeric_cell,
+                                     lambda text: "not a cohort\n"],
+                         ids=["no_latents", "non_numeric_cell", "foreign"])
+def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt):
+    path = str(tmp_path / "bad.txt")
+    with open(cohort_file) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(corrupt(text))
+    rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,text_b",
+               "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and path in err
+
+
+@pytest.mark.parametrize("body", ['{"max_epochs": 1, "no_such_field": 3}',
+                                  '{"max_epochs": 1,',
+                                  '{"optimizer": "rmsprop"}',
+                                  '[1, 2]',
+                                  '{"batch_size": "16"}'],
+                         ids=["unknown_field", "bad_json", "unknown_optimizer", "not_an_object",
+                              "wrong_type"])
+def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        fh.write(body)
+    rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--config", cfg_path, "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 2
+    assert "configuration error: ConfigurationError" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_pretrain_without_a_batch_of_two(cohort_file, tmp_path, capsys):
+    rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--max-epochs", "1", "--batch-size", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 2
+    assert "DegenerateInputError" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.npz")
+
+
+def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
+    # a checkpoint that stores the series LSTM one gate at a time
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,series",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    ckpt = Checkpoint.load(ckpt_path)
+    for kind in ("wx", "wh", "b"):
+        blocks = np.split(ckpt.params.pop(f"series.{kind}"), 4, axis=-1)
+        for gate, block in zip("ifgo", blocks):
+            ckpt.params[f"series.{kind}_{gate}"] = block
+    ckpt.save(ckpt_path)
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,series",
+               "--regime", "frozen_finetune", "--checkpoint", ckpt_path,
+               "--max-epochs", "1", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "checkpoint missing parameter 'series.wx'" in capsys.readouterr().err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mmcl.autodiff import Tensor, grad_check
-from mmcl.encoders import (EncoderConfig, LSTMEncoder, MLPEncoder, SequenceBatch,
-                           build_encoder, lstm_cell, lstm_gates, make_lstm_params)
+from mmcl.encoders import (LSTM_GATES, EncoderConfig, LSTMEncoder, MLPEncoder, build_encoder,
+                           lstm_cell, lstm_gates, make_lstm_params)
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 
 
@@ -77,6 +77,32 @@ def test_mlp_deterministic_init():
 # --------------------------------------------------------------------------
 # LSTM cell
 
+def _gate_pre(params, x, h):
+    """Per-gate pre-activations, each from its own column block."""
+    hid = params["wh"].values.shape[0]
+    return {gate: x @ params["wx"].values[:, k * hid:(k + 1) * hid]
+            + h @ params["wh"].values[:, k * hid:(k + 1) * hid]
+            + params["b"].values[k * hid:(k + 1) * hid]
+            for k, gate in enumerate(LSTM_GATES)}
+
+
+def test_make_lstm_params_packs_per_gate_init_draws():
+    gen = np.random.default_rng(3)
+    params = make_lstm_params(gen, 3, 5, name="cell")
+    assert {k: p.name for k, p in params.items()} == {
+        "wx": "cell.wx", "wh": "cell.wh", "b": "cell.b"}
+    # the draws of a per-gate layout: per gate, input then recurrent weights
+    rng = np.random.default_rng(3)
+    blocks = {"wx": [], "wh": []}
+    for _ in LSTM_GATES:
+        blocks["wx"].append(rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=(3, 5)))
+        blocks["wh"].append(rng.uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), size=(5, 5)))
+    np.testing.assert_array_equal(params["wx"].values, np.hstack(blocks["wx"]))
+    np.testing.assert_array_equal(params["wh"].values, np.hstack(blocks["wh"]))
+    np.testing.assert_array_equal(params["b"].values, np.zeros(20))
+    assert gen.random() == rng.random()  # later draws (projection, head) line up too
+
+
 def test_lstm_gates_zero_params_give_half_sigmoids():
     params = make_lstm_params(np.random.default_rng(0), 3, 5)
     for p in params.values():
@@ -109,8 +135,7 @@ def test_lstm_cell_matches_manual_unroll():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    pre = {g: x @ params[f"wx_{g}"].values + h0 @ params[f"wh_{g}"].values + params[f"b_{g}"].values
-           for g in ("i", "f", "g", "o")}
+    pre = _gate_pre(params, x, h0)
     c_ref = sig(pre["f"]) * c0 + sig(pre["i"]) * np.tanh(pre["g"])
     h_ref = sig(pre["o"]) * np.tanh(c_ref)
     c, h = lstm_cell(params, Tensor(x), (Tensor(c0), Tensor(h0)))
@@ -123,28 +148,33 @@ def test_lstm_cell_matches_manual_unroll():
 
 def test_lstm_encoder_output_shape():
     enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
-    batch = SequenceBatch(np.random.default_rng(1).standard_normal((6, 4, 3)))
+    batch = np.random.default_rng(1).standard_normal((6, 4, 3))
     assert enc.forward(batch).shape == (6, 4)
 
 
 def test_lstm_encoder_rejects_empty_sequence():
     enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
     with pytest.raises(DegenerateInputError):
-        enc.forward([])
+        enc.forward(np.zeros((2, 0, 3)))
 
 
 def test_lstm_encoder_step_dim_mismatch():
     enc = LSTMEncoder(_seq_cfg(din=3), np.random.default_rng(0))
-    with pytest.raises(DimensionError):
-        enc.forward([Tensor(np.zeros((2, 5)))])
+    with pytest.raises(DimensionError, match="per-step dim 3, got 5"):
+        enc.forward(np.zeros((2, 4, 5)))
+
+
+def test_lstm_encoder_rejects_2d_input():
+    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="N x T x d"):
+        enc.forward(np.zeros((4, 3)))
 
 
 def test_lstm_encoder_gradients_through_time():
     enc = LSTMEncoder(_seq_cfg(seq_len=3), np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    steps = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
-    tensors = [p.tensor for p in enc.parameters()] + steps
-    assert grad_check(lambda: (enc.forward(steps) * enc.forward(steps)).sum(),
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
+    tensors = [p.tensor for p in enc.parameters()] + [x]
+    assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(),
                       tensors, h=1e-5) < 1e-4
 
 
@@ -152,13 +182,13 @@ def test_lstm_encoder_batch_permutation_equivariant():
     enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
     data = np.random.default_rng(2).standard_normal((5, 4, 3))
     perm = np.random.default_rng(3).permutation(5)
-    out = enc.forward(SequenceBatch(data)).values
-    out_p = enc.forward(SequenceBatch(data[perm])).values
+    out = enc.forward(data).values
+    out_p = enc.forward(data[perm]).values
     np.testing.assert_allclose(out_p, out[perm], atol=1e-13)
 
 
 def test_lstm_encoder_deterministic():
-    batch = SequenceBatch(np.random.default_rng(1).standard_normal((4, 4, 3)))
+    batch = np.random.default_rng(1).standard_normal((4, 4, 3))
     outs = [LSTMEncoder(_seq_cfg(), np.random.default_rng(7)).forward(batch).values
             for _ in range(2)]
     np.testing.assert_array_equal(outs[0], outs[1])
@@ -178,8 +208,3 @@ def test_encoder_config_validation():
         EncoderConfig("audio", 4, [6], 3)
     with pytest.raises(ContractError):
         EncoderConfig("static_vector", 4, [6], 3, activation="relu")
-
-
-def test_sequence_batch_requires_3d():
-    with pytest.raises(DimensionError):
-        SequenceBatch(np.zeros((4, 3)))

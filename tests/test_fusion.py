@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmcl.autodiff import Tensor, grad_check
-from mmcl.encoders import lstm_cell, make_lstm_params
+from mmcl.encoders import LSTM_GATES, lstm_cell, make_lstm_params
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.fusion import (ClassifierHead, GatedCellState, HeadConfig,
                          ModalitySequence, class_weights_from_counts,
@@ -13,6 +13,15 @@ from mmcl.losses import ModalityEmbeddingSet
 
 def _params(rng, din, hid):
     return make_lstm_params(rng, din, hid)
+
+
+def _gate_pre(params, x, h):
+    """Per-gate pre-activations, each from its own column block."""
+    hid = params["wh"].values.shape[0]
+    return {gate: x @ params["wx"].values[:, k * hid:(k + 1) * hid]
+            + h @ params["wh"].values[:, k * hid:(k + 1) * hid]
+            + params["b"].values[k * hid:(k + 1) * hid]
+            for k, gate in enumerate(LSTM_GATES)}
 
 
 def _seq(mats, lambdas, order=None):
@@ -78,8 +87,7 @@ def test_mlstm_step_lambda_zero_suppresses_candidate():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    f = sig(x.values @ params["wx_f"].values + h0.values @ params["wh_f"].values
-            + params["b_f"].values)
+    f = sig(_gate_pre(params, x.values, h0.values)["f"])
     np.testing.assert_allclose(gated.c.values, f * c0.values, atol=1e-14)
 
 
@@ -92,8 +100,7 @@ def test_mlstm_write_magnitude_monotone_in_lambda():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    f = sig(x.values @ params["wx_f"].values + h0.values @ params["wh_f"].values
-            + params["b_f"].values)
+    f = sig(_gate_pre(params, x.values, h0.values)["f"])
     deltas = []
     for lam in (0.0, 0.25, 0.5, 1.0):
         state = mlstm_step(params, x, GatedCellState(c0, h0), lam)
@@ -115,8 +122,7 @@ def test_mlstm_forward_matches_reference_unroll():
     c = np.zeros((2, 4))
     h = np.zeros((2, 4))
     for x, lam in zip(mats, lambdas):
-        pre = {g: x @ params[f"wx_{g}"].values + h @ params[f"wh_{g}"].values
-               + params[f"b_{g}"].values for g in ("i", "f", "g", "o")}
+        pre = _gate_pre(params, x, h)
         c = sig(pre["f"]) * c + (sig(pre["i"]) * np.tanh(pre["g"])) * lam
         h = sig(pre["o"]) * np.tanh(c)
     np.testing.assert_allclose(out, h, atol=1e-13)

@@ -3,10 +3,11 @@ import pytest
 
 from mmcl import harness
 from mmcl.cohort import default_five_modality_spec, generate
-from mmcl.errors import ConfigurationError, ContractError
+from mmcl.errors import ConfigurationError, ContractError, DegenerateInputError
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
                           load_rows, pretrain, sweep)
+from mmcl.optim import make_optimizer
 
 ALL = ["text_a", "text_b", "image", "demo", "series"]
 
@@ -58,6 +59,10 @@ def test_run_config_validation():
         RunConfig(ALL[:1], "mlstm")
     with pytest.raises(ConfigurationError, match="duplicate"):
         RunConfig([ALL[0], ALL[0], ALL[1]], "contrastive_pretrain")
+    with pytest.raises(ConfigurationError, match="rmsprop"):
+        RunConfig(ALL, "mlstm", optimizer="rmsprop")
+    with pytest.raises(ConfigurationError, match="rmsprop"):
+        make_optimizer("rmsprop", [], 0.1)
 
 
 def test_literal_lambdas_parse():
@@ -104,6 +109,13 @@ def test_pretrain_reproducible(small_cohort):
 def test_pretrain_rejects_wrong_regime(small_cohort):
     with pytest.raises(ConfigurationError):
         pretrain(_cfg(ALL[:2], "mlstm"), small_cohort)
+
+
+@pytest.mark.parametrize("kwargs", [{"batch_size": 1}, {"pool_fraction": 0.01}],
+                         ids=["batch_of_one", "pool_of_one"])
+def test_pretrain_rejects_no_batch_of_two(small_cohort, kwargs):
+    with pytest.raises(DegenerateInputError, match="2 rows"):
+        pretrain(_cfg(ALL[:2], "contrastive_pretrain", **kwargs), small_cohort)
 
 
 # --------------------------------------------------------------------------
