@@ -51,7 +51,7 @@ def _config_from_args(args, modality_subset, regime):
     fields["regime"] = regime
     try:
         return harness.RunConfig(**fields)
-    except TypeError as exc:  # an unknown field, or a value of the wrong type
+    except TypeError as exc:  # an unknown field; RunConfig checks the values itself
         raise ConfigurationError(f"bad RunConfig fields: {exc}") from exc
 
 

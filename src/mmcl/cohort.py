@@ -9,6 +9,7 @@ signal_fraction for probes and contrastive alignment alike.
 """
 
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, CorruptFileError
 
-FORMAT_VERSION = "mmcl-cohort v1"
+FORMAT_VERSION = "mmcl-cohort v2"
 
 
 @dataclass
@@ -94,11 +95,6 @@ def spec_from_dict(d):
     d = dict(d)
     d["modalities"] = [ModalitySpec(**m) for m in d["modalities"]]
     return CohortSpec(**d)
-
-
-def spec_hash(spec):
-    blob = json.dumps(spec_to_dict(spec), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def generate(spec):
@@ -209,11 +205,15 @@ def _write_matrix(fh, arr):
         fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+def _checksum_line(body):
+    return "# sha256=" + hashlib.sha256(body.encode()).hexdigest()
+
+
 def save_cohort(cohort, path):
+    """Write a cohort as text: a version line, a `# sha256=` line over every
+    byte that follows it, the spec line and the data sections."""
     spec = cohort.spec
-    with open(path, "w") as fh:
-        fh.write(f"# {FORMAT_VERSION}\n")
-        fh.write(f"# hash={spec_hash(spec)} seed={spec.seed}\n")
+    with io.StringIO() as fh:
         fh.write("# spec=" + json.dumps(spec_to_dict(spec), sort_keys=True) + "\n")
         for mod in spec.modalities:
             fh.write(f"[modality {mod.name}]\n")
@@ -227,28 +227,34 @@ def save_cohort(cohort, path):
             fh.write(",".join(tags) + "\n")
         fh.write("[latents]\n")
         _write_matrix(fh, cohort.latents)
+        body = fh.getvalue()
+    with open(path, "w") as fh:
+        fh.write(f"# {FORMAT_VERSION}\n{_checksum_line(body)}\n")
+        fh.write(body)
 
 
 def load_cohort(path):
-    """Read a cohort written by `save_cohort`. A file that is not one, or is
-    one with a missing section or an unparsable cell, raises CorruptFileError."""
+    """Read a cohort written by `save_cohort`. A file that is not one, that
+    was changed after it was written, or that has a missing section or an
+    unparsable cell raises CorruptFileError."""
     try:
         with open(path) as fh:
-            return _parse_cohort(fh.read().splitlines())
+            return _parse_cohort(fh.read())
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"{path}: not a readable {FORMAT_VERSION} file ({type(exc).__name__}: {exc})") from exc
 
 
-def _parse_cohort(lines):
-    if not lines or lines[0] != f"# {FORMAT_VERSION}":
+def _parse_cohort(text):
+    version, checksum, body = (text.split("\n", 2) + ["", ""])[:3]
+    if version != f"# {FORMAT_VERSION}":
         raise ContractError(f"no '# {FORMAT_VERSION}' header")
-    spec = None
-    for line in lines[:3]:
-        if line.startswith("# spec="):
-            spec = spec_from_dict(json.loads(line[len("# spec="):]))
-    if spec is None:
+    if checksum != _checksum_line(body):
+        raise ContractError("contents do not match the sha256 header line")
+    lines = body.splitlines()
+    if not lines[0].startswith("# spec="):
         raise ContractError("missing spec header")
+    spec = spec_from_dict(json.loads(lines[0][len("# spec="):]))
 
     blocks = {}
     current = None

@@ -5,6 +5,7 @@ sweeps, and artifact persistence."""
 import csv
 import itertools
 import json
+import numbers
 import time
 import zipfile
 from dataclasses import dataclass, field, asdict
@@ -23,6 +24,31 @@ from .metrics import AlignmentCorpus, MetricsRecord, auprc, auroc, top5_alignmen
 from .optim import OPTIMIZERS, make_optimizer
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_list_of(value, is_item):
+    return isinstance(value, (list, tuple)) and all(is_item(item) for item in value)
+
+
+# every RunConfig field by the kind of value it must hold; a bool is neither
+# an int nor a real
+_FIELD_KINDS = (
+    ("an integer", _is_int,
+     ("batch_size", "max_epochs", "patience", "seed", "embedding_dim", "mlstm_hidden")),
+    ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+     ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
+    ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
+    ("a string or null", lambda v: v is None or isinstance(v, str),
+     ("checkpoint_path", "output_dir")),
+    ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
+     ("modality_subset",)),
+    ("a list of positive integers", lambda v: _is_list_of(v, lambda d: _is_int(d) and d >= 1),
+     ("encoder_hidden", "head_hidden")),
+)
 
 
 @dataclass
@@ -49,6 +75,17 @@ class RunConfig:
     output_dir: str = None
 
     def __post_init__(self):
+        for kind, holds, names in _FIELD_KINDS:
+            for name in names:
+                value = getattr(self, name)
+                if not holds(value):
+                    raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
+                            ("embedding_dim", 1), ("mlstm_hidden", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.encoder_hidden:
+            raise ConfigurationError("encoder_hidden must name at least one layer")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.task not in ("binary", "multilabel"):
@@ -57,8 +94,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning rate must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
@@ -230,7 +265,7 @@ def pretrain(config, cohort, on_step=None):
     ckpt = Checkpoint(
         config=asdict(config), seed=config.seed, params=_snapshot(params),
         lambdas=None if lam is None else lam.values(), tau=tau.tau,
-        epoch=config.max_epochs, best_metric=history[-1] if history else float("nan"),
+        epoch=config.max_epochs, best_metric=history[-1],
         modality_subset=list(config.modality_subset))
     return ckpt, history
 
@@ -341,6 +376,11 @@ def finetune(config, cohort, checkpoint=None):
     if config.regime == "frozen_finetune":
         _load_into(encoder_params, checkpoint.params)
         trainable = head.parameters()
+        # the encoders never change, so each patient the run uses is encoded once
+        used = np.concatenate([train_idx, val_idx, test_idx])
+        features = np.zeros((cohort.num_patients, head_input))
+        features[used] = concat_fuse(encode_batch(
+            encoders, cohort.observations, used, config.modality_subset)).values
     elif config.regime == "supervised_baseline":
         trainable = encoder_params + head.parameters()
     else:
@@ -348,6 +388,8 @@ def finetune(config, cohort, checkpoint=None):
     opt = make_optimizer(config.optimizer, trainable, config.learning_rate)
 
     def forward(indices):
+        if config.regime == "frozen_finetune":
+            return head.forward(features[indices])
         emb_set = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
         if config.regime == "mlstm":
             seq = ModalitySequence(config.modality_subset, emb_set.embeddings, lambdas)
@@ -454,21 +496,33 @@ class SweepResult:
         return out
 
 
-def run_cell(base, cohort, subset, regime, seed):
+def _pretrained(config, cohort, pretrains):
+    """(Checkpoint, history) of the contrastive pretrain for the config's
+    subset and seed, run only if `pretrains` does not hold it yet. Only a
+    success is stored, so a failed pretrain fails again in every cell. The
+    cells sharing a result only read it."""
+    key = (tuple(config.modality_subset), config.seed)
+    if key not in pretrains:
+        pre_cfg = RunConfig(**{**asdict(config), "regime": "contrastive_pretrain"})
+        pretrains[key] = pretrain(pre_cfg, cohort)
+    return pretrains[key]
+
+
+def run_cell(base, cohort, subset, regime, seed, pretrains):
+    """One sweep row. `pretrains` maps (subset, seed) to pretrain results
+    that cells of the same sweep share; the base config is the rest of the key."""
     config = RunConfig(**{**asdict(base), "modality_subset": list(subset),
                           "regime": regime, "seed": seed})
     t0 = time.perf_counter()
     if regime == "contrastive_pretrain":
-        ckpt, history = pretrain(config, cohort)
+        ckpt, history = _pretrained(config, cohort, pretrains)
         alignment = pool_alignment_accuracy(config, cohort, ckpt)
         return SweepRow("+".join(subset), regime, config.task, seed,
-                        float("nan"), float("nan"), alignment,
-                        history[-1] if history else float("nan"),
+                        float("nan"), float("nan"), alignment, history[-1],
                         time.perf_counter() - t0)
     checkpoint = None
     if regime == "frozen_finetune" or (regime == "mlstm" and config.lambda_source == "learned"):
-        pre_cfg = RunConfig(**{**asdict(config), "regime": "contrastive_pretrain"})
-        checkpoint, _ = pretrain(pre_cfg, cohort)
+        checkpoint, _ = _pretrained(config, cohort, pretrains)
     _, record, _ = finetune(config, cohort, checkpoint)
     return SweepRow("+".join(subset), regime, config.task, seed,
                     record.auroc, record.auprc, float("nan"), float("nan"),
@@ -477,15 +531,17 @@ def run_cell(base, cohort, subset, regime, seed):
 
 def sweep(base, cohort, subsets, regimes, seeds):
     """Cartesian product of (subset, regime, seed); per-cell failures are
-    recorded without aborting the sweep."""
+    recorded without aborting the sweep. The cells of one subset and seed
+    share one pretrain, kept until the sweep moves on to the next subset."""
     if not subsets or not regimes or not seeds:
         raise ConfigurationError("sweep axes must be nonempty")
     rows = []
     for subset in subsets:
+        pretrains = {}
         for regime in regimes:
             for seed in seeds:
                 try:
-                    rows.append(run_cell(base, cohort, subset, regime, seed))
+                    rows.append(run_cell(base, cohort, subset, regime, seed, pretrains))
                 except Exception as exc:  # sweep isolation
                     rows.append(SweepRow("+".join(subset), regime, base.task, seed,
                                          float("nan"), float("nan"), float("nan"),

@@ -185,14 +185,19 @@ def _drop_latents(text):
     return text[:text.index("[latents]")]
 
 
+def _tampered_row(text):
+    head, rest = text.split("[latents]\n", 1)
+    return head + "[latents]\n" + "0," + rest.split(",", 1)[1]
+
+
 def _non_numeric_cell(text):
     head, rest = text.split("[modality text_a]\n", 1)
     return head + "[modality text_a]\nnan?," + rest.split(",", 1)[1]
 
 
-@pytest.mark.parametrize("corrupt", [_drop_latents, _non_numeric_cell,
+@pytest.mark.parametrize("corrupt", [_drop_latents, _non_numeric_cell, _tampered_row,
                                      lambda text: "not a cohort\n"],
-                         ids=["no_latents", "non_numeric_cell", "foreign"])
+                         ids=["no_latents", "non_numeric_cell", "tampered_row", "foreign"])
 def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt):
     path = str(tmp_path / "bad.txt")
     with open(cohort_file) as fh:
@@ -247,3 +252,39 @@ def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
                "--max-epochs", "1", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "checkpoint missing parameter 'series.wx'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["pretrain", "--max-epochs", "0"],
+                                  ["finetune", "--max-epochs", "0"],
+                                  ["finetune", "--patience", "-1"],
+                                  ["pretrain", "--embedding-dim", "0"]],
+                         ids=["pretrain_no_epochs", "finetune_no_epochs", "negative_patience",
+                              "no_embedding_dim"])
+def test_exit_code_2_on_out_of_range_flag(cohort_file, tmp_path, capsys, args):
+    verb, flag, value = args
+    extra = ["--regime", "supervised_baseline"] if verb == "finetune" else []
+    out = str(tmp_path / "out")
+    rc = main([verb, "--cohort", cohort_file, "--modalities", "text_a,text_b", *extra,
+               "--batch-size", "16", flag, value, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err
+    assert flag[2:].replace("-", "_") in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("field,value", [("max_epochs", "2"), ("seed", 1.5), ("patience", True),
+                                         ("learning_rate", "fast"), ("encoder_hidden", [16, "8"]),
+                                         ("head_hidden", 16), ("pool_fraction", None),
+                                         ("lambda_source", 1)])
+def test_exit_code_2_on_wrong_typed_config_field(cohort_file, tmp_path, capsys, field, value):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"max_epochs": 1, "batch_size": 16, field: value}, fh)
+    out = str(tmp_path / "x.npz")
+    rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--config", cfg_path, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and field in err
+    assert not os.path.exists(out)

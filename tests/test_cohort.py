@@ -4,7 +4,7 @@ import pytest
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
                          generate, load_cohort, pretrain_pool, save_cohort,
                          split, subset_observations)
-from mmcl.errors import ContractError
+from mmcl.errors import ContractError, CorruptFileError
 from mmcl.metrics import auroc
 
 
@@ -195,3 +195,31 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text("not a cohort\n")
     with pytest.raises(ContractError):
         load_cohort(path)
+
+
+def _tamper_data_row(text):
+    head, rest = text.split("[modality text_a]\n", 1)
+    first, rest = rest.split(",", 1)
+    return head + "[modality text_a]\n" + repr(float(first) + 1.0) + "," + rest
+
+
+def _tamper_spec_line(text):
+    assert '"signal_fraction": 0.9' in text
+    return text.replace('"signal_fraction": 0.9', '"signal_fraction": 0.8', 1)
+
+
+def _tamper_checksum_line(text):
+    version, checksum, body = text.split("\n", 2)
+    flipped = checksum[:-1] + ("0" if checksum[-1] != "0" else "1")
+    return "\n".join([version, flipped, body])
+
+
+@pytest.mark.parametrize("tamper", [_tamper_data_row, _tamper_spec_line, _tamper_checksum_line],
+                         ids=["data_row", "spec_line", "checksum_line"])
+def test_load_rejects_tampered_file(tmp_path, tamper):
+    path = tmp_path / "cohort.txt"
+    save_cohort(generate(_spec(n=30, seed=15)), path)
+    path.write_text(tamper(path.read_text()))
+    with pytest.raises(CorruptFileError, match="sha256") as info:
+        load_cohort(path)
+    assert str(path) in str(info.value)

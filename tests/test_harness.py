@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from mmcl import harness
 from mmcl.cohort import default_five_modality_spec, generate
+from mmcl.encoders import LSTMEncoder, MLPEncoder
 from mmcl.errors import ConfigurationError, ContractError, DegenerateInputError
+from mmcl.fusion import ClassifierHead, HeadConfig, class_weights_from_counts, concat_fuse, weighted_bce
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
                           load_rows, pretrain, sweep)
@@ -65,6 +69,42 @@ def test_run_config_validation():
         make_optimizer("rmsprop", [], 0.1)
 
 
+@pytest.mark.parametrize("field,value", [("max_epochs", 0), ("patience", -1),
+                                         ("embedding_dim", 0), ("mlstm_hidden", 0)])
+def test_run_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        RunConfig(ALL, "contrastive_pretrain", **{field: value})
+
+
+WRONG_TYPES = [
+    ("max_epochs", "2"), ("max_epochs", 2.0), ("seed", True), ("batch_size", None),
+    ("patience", 1.5), ("embedding_dim", "8"), ("mlstm_hidden", None),
+    ("learning_rate", "0.01"), ("pool_fraction", False), ("lambda_entropy_coef", [0.1]),
+    ("encoder_hidden", 16), ("encoder_hidden", [16, "8"]), ("encoder_hidden", []),
+    ("head_hidden", [0]), ("head_hidden", [True]), ("modality_subset", "text_a,text_b"),
+    ("modality_subset", ["text_a", 2]), ("regime", ["mlstm"]), ("task", None),
+    ("optimizer", {"adam": 1}), ("lambda_source", 3), ("checkpoint_path", 1),
+    ("output_dir", ["out"])]
+
+
+@pytest.mark.parametrize("field,value", WRONG_TYPES)
+def test_run_config_rejects_wrong_types(field, value):
+    kwargs = {"modality_subset": ALL, "regime": "supervised_baseline", field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        RunConfig(**kwargs)
+
+
+def test_run_config_wrong_type_cases_cover_every_field():
+    covered = {case[0] for case in WRONG_TYPES}
+    assert covered == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_run_config_accepts_numpy_scalars_and_empty_head():
+    cfg = RunConfig(ALL, "supervised_baseline", seed=np.int64(3), learning_rate=np.float64(0.1),
+                    pool_fraction=1 / 3, max_epochs=np.int32(2), head_hidden=[])
+    assert cfg.seed == 3 and cfg.max_epochs == 2
+
+
 def test_literal_lambdas_parse():
     cfg = _cfg(ALL[:3], "mlstm", lambda_source="literal:[0.5, 0.3, 0.2]")
     np.testing.assert_allclose(cfg.literal_lambdas(), [0.5, 0.3, 0.2])
@@ -104,6 +144,12 @@ def test_pretrain_reproducible(small_cohort):
     assert ha == hb
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name])
+
+
+def test_pretrain_best_metric_is_last_epoch_loss(small_cohort):
+    ckpt, history = pretrain(_cfg(ALL[:2], "contrastive_pretrain", max_epochs=1), small_cohort)
+    assert len(history) == 1
+    assert ckpt.best_metric == history[-1]
 
 
 def test_pretrain_rejects_wrong_regime(small_cohort):
@@ -170,6 +216,92 @@ def test_frozen_finetune_keeps_encoders_bitwise(small_cohort):
     for name in encoder_names:
         np.testing.assert_array_equal(ckpt.params[name], pre.params[name])
     assert any(n.startswith("head.") for n in ckpt.params)
+
+
+def _frozen_finetune_oracle(config, cohort, checkpoint):
+    """The binary frozen regime with per-batch encoding: every batch and
+    evaluation split goes through the encoders."""
+    rng = np.random.default_rng(config.seed)
+    encoders = harness.build_encoders(cohort, config, rng)
+    harness._load_into(harness._collect_params(encoders), checkpoint.params)
+    _, train_idx, val_idx, test_idx = finetune_splits(cohort, config)
+    train_targets = harness._targets(cohort, config, train_idx)
+    n_pos = int(train_targets.sum())
+    weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
+    head = ClassifierHead(HeadConfig("binary", 1, list(config.head_hidden), weights),
+                          config.embedding_dim * len(config.modality_subset), rng)
+    params = head.parameters()
+    opt = make_optimizer(config.optimizer, params, config.learning_rate)
+
+    def forward(idx):
+        return head.forward(concat_fuse(harness.encode_batch(
+            encoders, cohort.observations, idx, config.modality_subset)))
+
+    def metrics(idx):
+        return harness._metrics_from_scores(
+            forward(idx).values, harness._targets(cohort, config, idx), "binary")
+
+    best, best_epoch, best_snapshot, stall = -np.inf, -1, harness._snapshot(params), 0
+    for epoch in range(config.max_epochs):
+        perm = train_idx[rng.permutation(train_idx.size)]
+        for start in range(0, perm.size, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            loss = weighted_bce(forward(idx), harness._targets(cohort, config, idx), weights)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        val_auroc, _ = metrics(val_idx)
+        if val_auroc > best:
+            best, best_epoch, best_snapshot, stall = val_auroc, epoch, harness._snapshot(params), 0
+        else:
+            stall += 1
+            if stall >= max(config.patience, 1):
+                break
+    harness._restore(params, best_snapshot)
+    return metrics(test_idx), best_epoch, harness._snapshot(params)
+
+
+@pytest.mark.parametrize("subset", [ALL[:2], ALL[2:]], ids=["mlp_only", "with_lstm"])
+def test_frozen_finetune_matches_per_batch_encoding(small_cohort, subset):
+    pre, _ = pretrain(_cfg(subset, "contrastive_pretrain"), small_cohort)
+    cfg = _cfg(subset, "frozen_finetune", max_epochs=8, patience=3)
+    ckpt, record, info = finetune(cfg, small_cohort, pre)
+    (auroc, auprc), best_epoch, head = _frozen_finetune_oracle(cfg, small_cohort, pre)
+    assert (record.auroc, record.auprc, info["best_epoch"]) == (auroc, auprc, best_epoch)
+    assert head
+    for name, values in head.items():
+        np.testing.assert_array_equal(ckpt.params[name], values)
+
+
+def test_frozen_finetune_encodes_once_whatever_the_epochs(small_cohort, monkeypatch):
+    subset = ["text_a", "series"]
+    pre, _ = pretrain(_cfg(subset, "contrastive_pretrain"), small_cohort)
+    calls = []
+    for cls in (MLPEncoder, LSTMEncoder):
+        def counted(self, batch, _forward=cls.forward):
+            calls.append(self.name)
+            return _forward(self, batch)
+        monkeypatch.setattr(cls, "forward", counted)
+    per_run = []
+    for epochs in (1, 4):
+        calls.clear()
+        finetune(_cfg(subset, "frozen_finetune", max_epochs=epochs, patience=epochs),
+                 small_cohort, pre)
+        per_run.append(sorted(calls))
+    assert per_run == [["series", "text_a"]] * 2
+
+
+def test_frozen_finetune_leaves_no_encoder_gradient(small_cohort, monkeypatch):
+    subset = ["text_a", "series"]
+    pre, _ = pretrain(_cfg(subset, "contrastive_pretrain"), small_cohort)
+    built = []
+    build = harness.build_encoders
+    monkeypatch.setattr(harness, "build_encoders",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    finetune(_cfg(subset, "frozen_finetune"), small_cohort, pre)
+    params = harness._collect_params(built[0])
+    assert params
+    assert [p.name for p in params if p.grad is not None] == []
 
 
 def test_frozen_finetune_requires_matching_checkpoint(small_cohort):
@@ -265,6 +397,58 @@ def test_sweep_isolates_cell_failures(small_cohort):
     assert statuses[1] == "error: ConfigurationError: need at least 2 modalities"
     # failed cells are excluded from aggregation
     assert len(result.aggregates()) == 1
+
+
+SWEEP_REGIMES = ["contrastive_pretrain", "frozen_finetune", "mlstm"]
+
+
+def _row_fields(rows):
+    return [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_time_s"}
+            for row in rows]
+
+
+def _one_cell_sweeps(base, cohort, subsets, regimes, seeds):
+    """Each cell in a sweep of its own, so no cell reuses another's pretrain."""
+    return [sweep(base, cohort, [subset], [regime], [seed]).rows[0]
+            for subset in subsets for regime in regimes for seed in seeds]
+
+
+def _count_pretrains(monkeypatch):
+    keys = []
+    original = harness.pretrain
+
+    def counted(config, cohort):
+        keys.append((tuple(config.modality_subset), config.seed))
+        return original(config, cohort)
+
+    monkeypatch.setattr(harness, "pretrain", counted)
+    return keys
+
+
+def test_sweep_pretrains_once_per_subset_and_seed(small_cohort, monkeypatch):
+    base = _cfg(ALL, "contrastive_pretrain", max_epochs=2)
+    subsets = [ALL[:2], ALL[2:]]
+    keys = _count_pretrains(monkeypatch)
+    rows = sweep(base, small_cohort, subsets, SWEEP_REGIMES, [0, 1]).rows
+    assert sorted(keys) == sorted((tuple(s), seed) for s in subsets for seed in (0, 1))
+    assert len(rows) == 12
+    # the learned-lambda mLSTM on 2 modalities fails after its pretrain
+    assert [r.status.startswith("error: ConfigurationError") for r in rows].count(True) == 2
+    np.testing.assert_equal(_row_fields(rows), _row_fields(
+        _one_cell_sweeps(base, small_cohort, subsets, SWEEP_REGIMES, [0, 1])))
+
+
+def test_sweep_repeats_a_failed_pretrain_in_every_cell(small_cohort, monkeypatch):
+    observations = dict(small_cohort.observations)
+    observations["text_a"] = np.full_like(observations["text_a"], np.nan)
+    cohort = dataclasses.replace(small_cohort, observations=observations)
+    base = _cfg(ALL, "contrastive_pretrain", max_epochs=1)
+    keys = _count_pretrains(monkeypatch)
+    rows = sweep(base, cohort, [ALL[:3]], SWEEP_REGIMES, [0]).rows
+    assert len(keys) == 3
+    assert [r.status for r in rows] == ["error: DivergenceError: contrastive loss diverged"] * 3
+    np.testing.assert_equal(_row_fields(rows), _row_fields(
+        _one_cell_sweeps(base, cohort, [ALL[:3]], SWEEP_REGIMES, [0])))
 
 
 def test_sweep_single_seed_std_is_empty(small_cohort):
