@@ -335,19 +335,6 @@ def logsumexp_rows(s):
     return Tensor._result(out_values, (s,), backward)
 
 
-def cosine_similarity(a, b):
-    """Cosine similarity of two 1-D tensors, differentiable in both."""
-    a, b = Tensor._lift(a), Tensor._lift(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(f"cosine_similarity expects matching vectors, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.values)
-    nb = np.linalg.norm(b.values)
-    if na <= EPS or nb <= EPS:
-        raise DegenerateInputError("cosine_similarity: zero-norm vector")
-    dot = (a * b).sum()
-    return dot / ((a * a).sum().sqrt() * (b * b).sum().sqrt())
-
-
 def row_normalize(x):
     """Scale each row of a 2-D tensor to unit L2 norm."""
     norms = np.linalg.norm(x.values, axis=1)

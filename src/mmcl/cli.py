@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 

@@ -55,6 +55,8 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.num_patients < 1:
+            raise ContractError(f"num_patients must be >= 1, got {self.num_patients}")
         if len(self.modalities) < 2:
             raise ContractError("need at least 2 modalities")
         if self.latent_dim < 1:
@@ -85,10 +87,6 @@ class SyntheticCohort:
                 return m
         roster = [m.name for m in self.spec.modalities]
         raise ConfigurationError(f"unknown modality {name!r}; the cohort has {roster}")
-
-
-def spec_to_dict(spec):
-    return asdict(spec)
 
 
 def spec_from_dict(d):
@@ -166,19 +164,6 @@ def _stratified_partition(labels, fractions, rng):
     return [np.sort(np.array(p, dtype=np.int64)) for p in parts]
 
 
-def split(cohort, fractions=(0.8, 0.1, 0.1), seed=0):
-    """Stratified 80/10/10-style split; returns index arrays."""
-    fractions = tuple(float(f) for f in fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"fractions must sum to 1, got {fractions}")
-    rng = np.random.default_rng(seed)
-    parts = _stratified_partition(cohort.binary_labels, fractions, rng)
-    for frac, part in zip(fractions, parts):
-        if frac > 0 and part.size < 1:
-            raise ContractError("a nonzero split fraction received no patients")
-    return tuple(parts)
-
-
 def pretrain_pool(cohort, seed=0, pool_fraction=0.5):
     """Partition the cohort into a contrastive pre-training pool and the
     remainder used for the fine-tuning split. Disjoint and exhaustive."""
@@ -188,12 +173,6 @@ def pretrain_pool(cohort, seed=0, pool_fraction=0.5):
     pool, rest = _stratified_partition(
         cohort.binary_labels, (pool_fraction, 1.0 - pool_fraction), rng)
     return pool, rest
-
-
-def subset_observations(cohort, indices, modality_names=None):
-    """Per-modality observation arrays restricted to `indices`."""
-    names = modality_names or [m.name for m in cohort.spec.modalities]
-    return {name: cohort.observations[name][indices] for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +193,7 @@ def save_cohort(cohort, path):
     byte that follows it, the spec line and the data sections."""
     spec = cohort.spec
     with io.StringIO() as fh:
-        fh.write("# spec=" + json.dumps(spec_to_dict(spec), sort_keys=True) + "\n")
+        fh.write("# spec=" + json.dumps(asdict(spec), sort_keys=True) + "\n")
         for mod in spec.modalities:
             fh.write(f"[modality {mod.name}]\n")
             _write_matrix(fh, cohort.observations[mod.name])
@@ -292,14 +271,16 @@ def default_five_modality_spec(num_patients, seed=0, latent_dim=8,
     """Five-modality roster shaped like the clinical setting: two text-style
     feature vectors, one image-style vector, one demographics vector, one
     sequence."""
-    sf, ns = signal_fractions, noise_sigmas
-    modalities = [
-        ModalitySpec("text_a", "static_vector", 12, signal_fraction=sf[0], noise_sigma=ns[0]),
-        ModalitySpec("text_b", "static_vector", 12, signal_fraction=sf[1], noise_sigma=ns[1]),
-        ModalitySpec("image", "static_vector", 16, signal_fraction=sf[2], noise_sigma=ns[2]),
-        ModalitySpec("demo", "static_vector", 4, signal_fraction=sf[3], noise_sigma=ns[3]),
-        ModalitySpec("series", "sequence", 3, seq_len=6, signal_fraction=sf[4], noise_sigma=ns[4]),
-    ]
+    roster = (("text_a", "static_vector", 12, 0), ("text_b", "static_vector", 12, 0),
+              ("image", "static_vector", 16, 0), ("demo", "static_vector", 4, 0),
+              ("series", "sequence", 3, 6))  # name, kind, obs_dim, seq_len
+    for what, values in (("signal_fractions", signal_fractions), ("noise_sigmas", noise_sigmas)):
+        if len(values) != len(roster):
+            raise ContractError(f"{what} needs {len(roster)} values, one each for "
+                                f"{', '.join(m[0] for m in roster)}; got {len(values)}")
+    modalities = [ModalitySpec(name, kind, dim, seq_len=steps, signal_fraction=sf, noise_sigma=ns)
+                  for (name, kind, dim, steps), sf, ns
+                  in zip(roster, signal_fractions, noise_sigmas)]
     return CohortSpec(
         num_patients=num_patients, latent_dim=latent_dim, modalities=modalities,
         binary_label_sparsity=binary_label_sparsity,

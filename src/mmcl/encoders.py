@@ -1,11 +1,12 @@
 """Toy modality encoders: MLPs for static feature vectors and an LSTM for
 sequences, all projecting into a shared n-dimensional embedding space."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor
+from . import kernels
+from .autodiff import Parameter, Tensor, _unbroadcast
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -17,14 +18,10 @@ class EncoderConfig:
     input_dim: int
     hidden_dims: list
     embedding_dim: int
-    activation: str = "tanh"
-    seq_len: int = 0  # sequences only
 
     def __post_init__(self):
         if self.modality_kind not in ("static_vector", "sequence"):
             raise ContractError(f"unknown modality_kind {self.modality_kind!r}")
-        if self.activation not in ("tanh", "sigmoid"):
-            raise ContractError(f"unknown activation {self.activation!r}")
 
 
 def _init_weight(rng, fan_in, shape):
@@ -32,17 +29,12 @@ def _init_weight(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _activate(t, activation):
-    return t.tanh() if activation == "tanh" else t.sigmoid()
-
-
 class _MLP:
-    """Affine + activation stack over `dims`, with no activation after the
-    last layer. Subclasses name the input width they check in `forward`."""
+    """Affine + tanh stack over `dims`, with no tanh after the last layer.
+    Subclasses name the input width they check in `forward`."""
 
-    def __init__(self, dims, rng, name, activation):
+    def __init__(self, dims, rng, name):
         self.name = name
-        self.activation = activation
         self.layers = [(Parameter(f"{name}.w{li}", _init_weight(rng, din, (din, dout))),
                         Parameter(f"{name}.b{li}", np.zeros(dout)))
                        for li, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))]
@@ -57,7 +49,7 @@ class _MLP:
         for li, (w, b) in enumerate(self.layers):
             x = x @ w.tensor + b.tensor
             if li < len(self.layers) - 1:
-                x = _activate(x, self.activation)
+                x = x.tanh()
         return x
 
 
@@ -69,7 +61,7 @@ class MLPEncoder(_MLP):
             raise ContractError("MLPEncoder requires a static_vector config")
         self.cfg = cfg
         dims = [cfg.input_dim] + list(cfg.hidden_dims) + [cfg.embedding_dim]
-        super().__init__(dims, rng, name, cfg.activation)
+        super().__init__(dims, rng, name)
 
     def forward(self, batch):
         return self._stack(batch, self.cfg.input_dim, "input_dim")
@@ -89,22 +81,43 @@ def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
             "b": Parameter(f"{name}.b", np.zeros(len(LSTM_GATES) * hidden_dim))}
 
 
-def lstm_gates(params, x_t, h_prev):
-    """Gate activations (i, f, g, o) shared by the plain and modality-gated
-    cells."""
-    pre = x_t @ params["wx"].tensor + h_prev @ params["wh"].tensor + params["b"].tensor
-    hid = pre.shape[1] // len(LSTM_GATES)
-    i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(len(LSTM_GATES)))
-    return i.sigmoid(), f.sigmoid(), g.tanh(), o.sigmoid()
+def lstm_step(params, x_t, state, lam=1.0):
+    """One LSTM step as a single graph node; returns the next state.
 
+    `state` is the packed N x 2h array [C | H]. The candidate write i*g is
+    scaled by `lam`: the modality weight of the gated LSTM, where 1 gives
+    the plain LSTM. `lam` may be a Tensor that requires a gradient."""
+    wx, wh, b = params["wx"].tensor, params["wh"].tensor, params["b"].tensor
+    hid = wh.shape[0]
+    x_t, state, lam = Tensor._lift(x_t), Tensor._lift(state), Tensor._lift(lam)
+    c_prev, h_prev = state.values[:, :hid], state.values[:, hid:]
+    pre = x_t.values @ wx.values + h_prev @ wh.values + b.values
+    sig = kernels.sigmoid(pre)
+    i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+    g = np.tanh(pre[:, 2 * hid:3 * hid])
+    ig = i * g
+    c = f * c_prev + ig * lam.values
+    tc = np.tanh(c)
 
-def lstm_cell(params, x_t, state):
-    """One standard LSTM step: returns the (C, H) pair."""
-    c_prev, h_prev = state
-    i, f, g, o = lstm_gates(params, x_t, h_prev)
-    c = f * c_prev + i * g
-    h = o * c.tanh()
-    return c, h
+    def backward(grad):
+        dh = grad[:, hid:]
+        dc = grad[:, :hid] + dh * o * (1.0 - tc * tc)
+        dig = dc * lam.values
+        # gate gradients through sigmoid / tanh, in LSTM_GATES column order
+        dpre = np.concatenate([dig * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                               dig * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        if x_t.requires_grad:
+            x_t._accumulate(dpre @ wx.values.T)
+        if state.requires_grad:
+            state._accumulate(np.concatenate([dc * f, dpre @ wh.values.T], axis=1))
+        wx._accumulate(x_t.values.T @ dpre)
+        wh._accumulate(h_prev.T @ dpre)
+        b._accumulate(dpre.sum(axis=0))
+        if lam.requires_grad:
+            lam._accumulate(_unbroadcast(dc * ig, lam.shape))
+
+    return Tensor._result(np.concatenate([c, o * tc], axis=1), (x_t, state, wx, wh, b, lam),
+                          backward)
 
 
 class LSTMEncoder:
@@ -136,11 +149,10 @@ class LSTMEncoder:
         if dim != self.cfg.input_dim:
             raise DimensionError(
                 f"{self.name}: expected per-step dim {self.cfg.input_dim}, got {dim}")
-        c = Tensor(np.zeros((n, self.hidden_dim)))
-        h = Tensor(np.zeros((n, self.hidden_dim)))
+        state = Tensor(np.zeros((n, 2 * self.hidden_dim)))
         for t in range(steps):
-            c, h = lstm_cell(self.cell, x[:, t, :], (c, h))
-        return h @ self.w_proj.tensor + self.b_proj.tensor
+            state = lstm_step(self.cell, x[:, t, :], state)
+        return state[:, self.hidden_dim:] @ self.w_proj.tensor + self.b_proj.tensor
 
 
 def build_encoder(cfg, rng, name):

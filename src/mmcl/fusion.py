@@ -1,21 +1,13 @@
 """Multimodal fusion (concatenation and the modality-gated LSTM) plus the
 classification heads and their training losses."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .encoders import _MLP, lstm_gates
+from .encoders import _MLP, lstm_step
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 SIMPLEX_TOL = 1e-6
-
-
-@dataclass
-class GatedCellState:
-    c: Tensor
-    h: Tensor
 
 
 class ModalitySequence:
@@ -48,49 +40,24 @@ def concat_fuse(emb_set):
     return concat(emb_set.embeddings, axis=1)
 
 
-def mlstm_step(params, x_t, state, lambda_t):
-    """Gated LSTM step: the candidate-memory contribution is scaled by the
-    step's modality weight. With lambda_t = 1 this is a plain LSTM step."""
-    i, f, g, o = lstm_gates(params, x_t, state.h)
-    lam = lambda_t if isinstance(lambda_t, Tensor) else Tensor(float(lambda_t))
-    c = f * state.c + (i * g) * lam
-    h = o * c.tanh()
-    return GatedCellState(c, h)
-
-
 def mlstm_forward(params, seq, hidden_dim):
-    """Iterate mlstm_step over modalities in fixed order; return final H."""
+    """Modality-gated LSTM: one `lstm_step` per modality in fixed order, with
+    the candidate write scaled by that modality's weight; returns final H."""
     if len(seq.order) < 2:
         raise ContractError("mLSTM fusion needs at least 2 modalities")
     n = seq.inputs[0].shape[0]
-    state = GatedCellState(Tensor(np.zeros((n, hidden_dim))), Tensor(np.zeros((n, hidden_dim))))
+    state = Tensor(np.zeros((n, 2 * hidden_dim)))
     for x_t, lam_t in zip(seq.inputs, seq.lambdas):
-        state = mlstm_step(params, x_t, state, lam_t)
-    return state.h
-
-
-@dataclass
-class HeadConfig:
-    task: str  # "binary" | "multilabel"
-    num_labels: int
-    hidden_dims: list = field(default_factory=list)
-    class_weights: tuple = None  # (w_pos, w_neg), binary only
-
-    def __post_init__(self):
-        if self.task not in ("binary", "multilabel"):
-            raise ContractError(f"unknown task {self.task!r}")
-        if self.task == "multilabel" and self.class_weights is not None:
-            raise ContractError("multilabel heads take no class weights")
+        state = lstm_step(params, x_t, state, lam_t)
+    return state[:, hidden_dim:]
 
 
 class ClassifierHead(_MLP):
     """MLP from fused features to raw logits (no output activation)."""
 
-    def __init__(self, cfg, input_dim, rng, name="head", activation="tanh"):
-        self.cfg = cfg
+    def __init__(self, input_dim, hidden_dims, num_labels, rng, name="head"):
         self.input_dim = input_dim
-        super().__init__([input_dim] + list(cfg.hidden_dims) + [cfg.num_labels],
-                         rng, name, activation)
+        super().__init__([input_dim] + list(hidden_dims) + [num_labels], rng, name)
 
     def forward(self, features):
         return self._stack(features, self.input_dim, "feature width")

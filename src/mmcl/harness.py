@@ -17,7 +17,7 @@ from .attribution import integrated_gradients, modality_aggregate
 from .encoders import EncoderConfig, build_encoder, make_lstm_params
 from .errors import (ConfigurationError, ContractError, CorruptFileError,
                      DegenerateInputError, DivergenceError)
-from .fusion import (ClassifierHead, HeadConfig, ModalitySequence, class_weights_from_counts,
+from .fusion import (ClassifierHead, ModalitySequence, class_weights_from_counts,
                      concat_fuse, mlstm_forward, multilabel_ce, weighted_bce)
 from .losses import LambdaWeights, ModalityEmbeddingSet, Temperature, loss_for_combination
 from .metrics import AlignmentCorpus, MetricsRecord, auprc, auroc, top5_alignment_accuracy
@@ -163,19 +163,13 @@ def enumerate_subsets(modalities):
 # model assembly
 
 
-def _encoder_config(mod_spec, config):
-    if mod_spec.kind == "sequence":
-        return EncoderConfig("sequence", mod_spec.obs_dim, list(config.encoder_hidden),
-                             config.embedding_dim, seq_len=mod_spec.seq_len)
-    return EncoderConfig("static_vector", mod_spec.obs_dim, list(config.encoder_hidden),
-                         config.embedding_dim)
-
-
 def build_encoders(cohort, config, rng):
     encoders = {}
     for name in config.modality_subset:
         mod_spec = cohort.modality(name)
-        encoders[name] = build_encoder(_encoder_config(mod_spec, config), rng, name)
+        cfg = EncoderConfig(mod_spec.kind, mod_spec.obs_dim, list(config.encoder_hidden),
+                            config.embedding_dim)
+        encoders[name] = build_encoder(cfg, rng, name)
     return encoders
 
 
@@ -360,8 +354,6 @@ def finetune(config, cohort, checkpoint=None):
     if config.task == "binary":
         n_pos = int(train_targets.sum())
         class_weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
-    head_cfg = HeadConfig(config.task, num_labels, list(config.head_hidden),
-                          class_weights if config.task == "binary" else None)
 
     mlstm_params = None
     lambdas = None
@@ -371,7 +363,7 @@ def finetune(config, cohort, checkpoint=None):
         head_input = config.mlstm_hidden
     else:
         head_input = config.embedding_dim * k
-    head = ClassifierHead(head_cfg, head_input, rng)
+    head = ClassifierHead(head_input, config.head_hidden, num_labels, rng)
 
     if config.regime == "frozen_finetune":
         _load_into(encoder_params, checkpoint.params)
@@ -596,18 +588,22 @@ def emit(result, out_dir, base_config=None):
 
 
 def load_rows(path):
-    """Round-trip reader for the row-level CSV."""
+    """Round-trip reader for the row-level CSV. A file without the sweep
+    columns, or with an unparsable cell, raises CorruptFileError."""
+    def real(text):
+        return float(text) if text else float("nan")
+
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(SweepRow(
-                rec["subset"], rec["regime"], rec["task"], int(rec["seed"]),
-                float(rec["auroc"]) if rec["auroc"] else float("nan"),
-                float(rec["auprc"]) if rec["auprc"] else float("nan"),
-                float(rec["alignment_top5"]) if rec["alignment_top5"] else float("nan"),
-                float(rec["final_loss"]) if rec["final_loss"] else float("nan"),
-                float(rec["wall_time_s"]) if rec["wall_time_s"] else float("nan"),
-                rec["status"]))
+        try:
+            for rec in csv.DictReader(fh):
+                rows.append(SweepRow(
+                    rec["subset"], rec["regime"], rec["task"], int(rec["seed"]),
+                    real(rec["auroc"]), real(rec["auprc"]), real(rec["alignment_top5"]),
+                    real(rec["final_loss"]), real(rec["wall_time_s"]), rec["status"]))
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise CorruptFileError(
+                f"{path}: not a sweep rows.csv ({type(exc).__name__}: {exc})") from exc
     return rows
 
 
@@ -625,8 +621,7 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     rng = np.random.default_rng(config.seed)
     encoders = build_encoders(cohort, config, rng)
     num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
-    head_cfg = HeadConfig(config.task, num_labels, list(config.head_hidden))
-    head = ClassifierHead(head_cfg, config.embedding_dim * k, rng)
+    head = ClassifierHead(config.embedding_dim * k, config.head_hidden, num_labels, rng)
     _load_into(_collect_params(encoders) + head.parameters(), checkpoint.params)
 
     _, _, _, test_idx = finetune_splits(cohort, config)

@@ -14,8 +14,6 @@ class MetricsRecord:
     auroc: float
     auprc: float
     seed: int
-    group_key: str = None
-    label_group: str = None
 
 
 def _as_arrays(scores, labels):

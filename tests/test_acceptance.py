@@ -11,15 +11,16 @@ from mmcl import harness
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
 from mmcl.autodiff import Tensor, grad_check
 from mmcl.cohort import default_five_modality_spec, generate
-from mmcl.encoders import lstm_cell, make_lstm_params
-from mmcl.fusion import (ClassifierHead, GatedCellState, HeadConfig,
-                         ModalitySequence, mlstm_forward, mlstm_step,
-                         multilabel_ce, weighted_bce)
+from mmcl.encoders import lstm_step, make_lstm_params
+from mmcl.fusion import (ClassifierHead, ModalitySequence, mlstm_forward, multilabel_ce,
+                         weighted_bce)
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
 from mmcl.losses import (LambdaWeights, ModalityEmbeddingSet, Temperature,
                          infonce_pair_loss, ovo_loss, weighted_ovo_loss)
 from mmcl.metrics import AlignmentCorpus, auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import SGD
+
+from lstm_oracle import composed_unroll
 
 ROSTER = ["text_a", "text_b", "image", "demo", "series"]
 
@@ -102,11 +103,10 @@ def test_criterion_02_gradient_fidelity():
     lam_vec = Tensor(np.array([0.5, 0.3, 0.2]))
 
     def mlstm_loss():
-        state = GatedCellState(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        state = Tensor(np.zeros((2, 6)))
         for t, x_t in enumerate(steps):
-            lam_t = (lam_vec * Tensor(np.eye(3)[t])).sum()
-            state = mlstm_step(params, x_t, state, lam_t)
-        return state.h.sum()
+            state = lstm_step(params, x_t, state, lam_vec[t])
+        return state[:, 3:].sum()
 
     errs["mlstm"] = grad_check(
         mlstm_loss, steps + [lam_vec] + [p.tensor for p in params.values()], h=1e-5)
@@ -138,10 +138,8 @@ def test_criterion_03_mlstm_reduces_to_lstm():
         seq = ModalitySequence.unchecked([f"m{t}" for t in range(steps)],
                                          [Tensor(m) for m in mats], np.ones(steps))
         gated = mlstm_forward(params, seq, hid).values
-        c, h = Tensor(np.zeros((3, hid))), Tensor(np.zeros((3, hid)))
-        for m in mats:
-            c, h = lstm_cell(params, Tensor(m), (c, h))
-        worst = max(worst, float(np.abs(gated - h.values).max()))
+        plain = composed_unroll(params, mats, hid).values
+        worst = max(worst, float(np.abs(gated - plain).max()))
     elapsed = time.perf_counter() - start
     _verdict(3, worst <= 1e-12 and elapsed < 10,
              f"max |gated - plain| = {worst:.2e} over 100 parameterizations "
@@ -280,7 +278,7 @@ def test_criterion_07_top5_alignment():
 def test_criterion_08_ig_completeness():
     rng = np.random.default_rng(0)
     # train a small MLP on a random binary problem
-    head = ClassifierHead(HeadConfig("binary", 1, [6]), input_dim=4, rng=rng)
+    head = ClassifierHead(4, [6], 1, rng)
     x_train = rng.standard_normal((64, 4))
     y_train = (x_train[:, 0] + 0.5 * x_train[:, 1] > 0).astype(float)
     opt = SGD(head.parameters(), lr=0.02)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import (Parameter, Tensor, concat, cosine_similarity, grad_check,
+from mmcl.autodiff import (Parameter, Tensor, concat, grad_check,
                            logsumexp_rows, softmax, zero_grads)
-from mmcl.errors import ContractError, DegenerateInputError, DimensionError, DomainError
+from mmcl.errors import ContractError, DimensionError, DomainError
 from mmcl.optim import SGD, Adam
 
 
@@ -94,28 +94,6 @@ def test_softmax_gradient():
     w = rng.standard_normal(5)
     err = grad_check(lambda: (softmax(x) * Tensor(w)).sum(), x)
     assert err < 1e-6
-
-
-def test_cosine_similarity_values():
-    assert cosine_similarity(Tensor([1.0, 0.0]), Tensor([1.0, 0.0])).item() == pytest.approx(1.0)
-    assert cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == pytest.approx(0.0)
-    assert cosine_similarity(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item() == pytest.approx(1 / np.sqrt(2))
-
-
-def test_cosine_similarity_symmetric_scale_invariant():
-    rng = np.random.default_rng(5)
-    a, b = rng.standard_normal(4), rng.standard_normal(4)
-    s1 = cosine_similarity(Tensor(a), Tensor(b)).item()
-    s2 = cosine_similarity(Tensor(b), Tensor(a)).item()
-    s3 = cosine_similarity(Tensor(2 * a), Tensor(b)).item()
-    assert abs(s1 - s2) <= 1e-12
-    assert abs(s1 - s3) <= 1e-12
-    assert -1.0 <= s1 <= 1.0
-
-
-def test_cosine_similarity_zero_norm():
-    with pytest.raises(DegenerateInputError):
-        cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
 
 
 def test_backward_sum_is_ones():

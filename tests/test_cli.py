@@ -288,3 +288,30 @@ def test_exit_code_2_on_wrong_typed_config_field(cohort_file, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "configuration error: ConfigurationError" in err and field in err
     assert not os.path.exists(out)
+
+
+def test_exit_code_4_on_rows_csv_without_sweep_columns(tmp_path, capsys):
+    path = str(tmp_path / "rows.csv")
+    with open(path, "w") as fh:
+        fh.write("a,b\n1,2\n")
+    out = str(tmp_path / "report")
+    rc = main(["report", "--rows", path, "--out", out])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args,field", [(["--num-patients", "0"], "num_patients"),
+                                        (["--signal-fractions", "0.9,0.8"], "signal_fractions"),
+                                        (["--noise-sigmas", "0.1"], "noise_sigmas")],
+                         ids=["no_patients", "two_signal_fractions", "one_noise_sigma"])
+def test_exit_code_2_on_bad_generate_sizes(tmp_path, capsys, args, field):
+    out = str(tmp_path / "cohort.txt")
+    rc = main(["generate", "--num-patients", "50", *args, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ContractError" in err and field in err
+    if field != "num_patients":
+        assert "text_a, text_b, image, demo, series" in err
+    assert not os.path.exists(out)

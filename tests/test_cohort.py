@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
-                         generate, load_cohort, pretrain_pool, save_cohort,
-                         split, subset_observations)
+                         generate, load_cohort, pretrain_pool, save_cohort)
 from mmcl.errors import ContractError, CorruptFileError
+from mmcl.harness import RunConfig, finetune_splits
 from mmcl.metrics import auroc
 
 
@@ -117,38 +117,32 @@ def test_probe_auroc_monotone_in_signal_fraction():
 # --------------------------------------------------------------------------
 # splits
 
+def _splits(cohort, seed):
+    """(pool, train, val, test) of a fine-tuning run with this seed."""
+    return finetune_splits(cohort, RunConfig(["text_a", "text_b"], "supervised_baseline",
+                                             seed=seed))
+
+
 def test_split_disjoint_exhaustive_stratified():
     cohort = generate(_spec(n=500, seed=8))
-    tr, va, te = split(cohort, (0.8, 0.1, 0.1), seed=0)
-    all_idx = np.concatenate([tr, va, te])
+    parts = _splits(cohort, 0)
+    all_idx = np.concatenate(parts)
     assert len(set(all_idx.tolist())) == 500
     assert all_idx.size == 500
     overall = cohort.binary_labels.mean()
-    for part in (tr, va, te):
+    for part in parts:
         assert abs(cohort.binary_labels[part].mean() - overall) < 0.05
-    assert abs(tr.size - 400) <= 2 and abs(va.size - 50) <= 2 and abs(te.size - 50) <= 2
+    assert all(abs(part.size - want) <= 2 for part, want in zip(parts, (250, 200, 25, 25)))
 
 
 def test_split_deterministic_and_seed_sensitive():
     cohort = generate(_spec(n=200, seed=9))
-    a = split(cohort, seed=4)
-    b = split(cohort, seed=4)
-    c = split(cohort, seed=5)
+    a = _splits(cohort, 4)
+    b = _splits(cohort, 4)
+    c = _splits(cohort, 5)
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa, pb)
     assert any(not np.array_equal(pa, pc) for pa, pc in zip(a, c))
-
-
-def test_split_fractions_must_sum_to_one():
-    cohort = generate(_spec(n=50, seed=10))
-    with pytest.raises(ContractError):
-        split(cohort, (0.5, 0.4, 0.2))
-
-
-def test_split_degenerate_fraction_rejected():
-    cohort = generate(_spec(n=20, seed=11))
-    with pytest.raises(ContractError):
-        split(cohort, (0.98, 0.01, 0.01))  # 1% of 20 patients rounds to nobody
 
 
 def test_pretrain_pool_disjoint_and_stratified():
@@ -161,15 +155,6 @@ def test_pretrain_pool_disjoint_and_stratified():
     assert abs(cohort.binary_labels[pool].mean() - overall) < 0.05
     with pytest.raises(ContractError):
         pretrain_pool(cohort, pool_fraction=1.0)
-
-
-def test_subset_observations():
-    cohort = generate(_spec(n=50, seed=13))
-    idx = np.array([0, 5, 7])
-    sub = subset_observations(cohort, idx, ["text_a", "series"])
-    assert set(sub) == {"text_a", "series"}
-    np.testing.assert_array_equal(sub["text_a"], cohort.observations["text_a"][idx])
-    assert sub["series"].shape == (3, 6, 3)
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, grad_check
+from mmcl.autodiff import Tensor, concat, grad_check
 from mmcl.encoders import (LSTM_GATES, EncoderConfig, LSTMEncoder, MLPEncoder, build_encoder,
-                           lstm_cell, lstm_gates, make_lstm_params)
+                           lstm_step, make_lstm_params)
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
+
+from lstm_oracle import composed_lstm_step, composed_unroll
 
 
 def _static_cfg(din=4, hidden=(6,), n=3):
     return EncoderConfig("static_vector", din, list(hidden), n)
 
 
-def _seq_cfg(din=3, hidden=(5,), n=4, seq_len=4):
-    return EncoderConfig("sequence", din, list(hidden), n, seq_len=seq_len)
+def _seq_cfg(din=3, hidden=(5,), n=4):
+    return EncoderConfig("sequence", din, list(hidden), n)
 
 
 def _zero_params(model):
@@ -103,15 +105,22 @@ def test_make_lstm_params_packs_per_gate_init_draws():
     assert gen.random() == rng.random()  # later draws (projection, head) line up too
 
 
+def _packed(c, h):
+    return Tensor(np.hstack([c, h]))
+
+
 def test_lstm_gates_zero_params_give_half_sigmoids():
+    # zero weights: i = f = o = sigmoid(0) = 0.5 and g = tanh(b_g), so
+    # C' = 0.5 C + 0.5 tanh(b_g) and H' = 0.5 tanh(C')
     params = make_lstm_params(np.random.default_rng(0), 3, 5)
     for p in params.values():
         p.tensor.values[...] = 0.0
-    i, f, g, o = lstm_gates(params, Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 5))))
-    np.testing.assert_allclose(i.values, 0.5)
-    np.testing.assert_allclose(f.values, 0.5)
-    np.testing.assert_allclose(g.values, 0.0)
-    np.testing.assert_allclose(o.values, 0.5)
+    params["b"].tensor.values[10:15] = 0.7
+    c0 = np.random.default_rng(1).standard_normal((2, 5))
+    out = lstm_step(params, Tensor(np.ones((2, 3))), _packed(c0, np.zeros((2, 5)))).values
+    c_want = 0.5 * c0 + 0.5 * np.tanh(0.7)
+    np.testing.assert_allclose(out[:, :5], c_want, atol=1e-14)
+    np.testing.assert_allclose(out[:, 5:], 0.5 * np.tanh(c_want), atol=1e-14)
 
 
 def test_lstm_cell_zero_params_halve_cell_state():
@@ -120,9 +129,9 @@ def test_lstm_cell_zero_params_halve_cell_state():
     for p in params.values():
         p.tensor.values[...] = 0.0
     c0 = np.random.default_rng(1).standard_normal((2, 4))
-    c, h = lstm_cell(params, Tensor(np.zeros((2, 3))), (Tensor(c0), Tensor(np.zeros((2, 4)))))
-    np.testing.assert_allclose(c.values, 0.5 * c0, atol=1e-14)
-    np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c0), atol=1e-14)
+    out = lstm_step(params, Tensor(np.zeros((2, 3))), _packed(c0, np.zeros((2, 4)))).values
+    np.testing.assert_allclose(out[:, :4], 0.5 * c0, atol=1e-14)
+    np.testing.assert_allclose(out[:, 4:], 0.5 * np.tanh(0.5 * c0), atol=1e-14)
 
 
 def test_lstm_cell_matches_manual_unroll():
@@ -138,9 +147,60 @@ def test_lstm_cell_matches_manual_unroll():
     pre = _gate_pre(params, x, h0)
     c_ref = sig(pre["f"]) * c0 + sig(pre["i"]) * np.tanh(pre["g"])
     h_ref = sig(pre["o"]) * np.tanh(c_ref)
-    c, h = lstm_cell(params, Tensor(x), (Tensor(c0), Tensor(h0)))
-    np.testing.assert_allclose(c.values, c_ref, atol=1e-14)
-    np.testing.assert_allclose(h.values, h_ref, atol=1e-14)
+    out = lstm_step(params, Tensor(x), _packed(c0, h0)).values
+    np.testing.assert_allclose(out[:, :4], c_ref, atol=1e-14)
+    np.testing.assert_allclose(out[:, 4:], h_ref, atol=1e-14)
+
+
+def _random_step(seed, n=3, din=4, hid=5):
+    rng = np.random.default_rng(seed)
+    params = make_lstm_params(rng, din, hid)
+    params["b"].tensor.values[...] = rng.standard_normal(4 * hid)
+    return params, rng.standard_normal((n, din)), rng.standard_normal((n, 2 * hid))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.37, np.float64(0.81)])
+def test_lstm_step_forward_bitwise_equals_composed_oracle(lam):
+    for seed in range(5):
+        params, x, state = _random_step(seed)
+        out = lstm_step(params, Tensor(x), Tensor(state), lam).values
+        c, h = composed_lstm_step(params, Tensor(x), Tensor(state[:, :5]),
+                                  Tensor(state[:, 5:]), None if lam == 1.0 else lam)
+        np.testing.assert_array_equal(out, np.hstack([c.values, h.values]))
+
+
+def test_lstm_step_gradients_on_all_six_inputs():
+    params, x, state = _random_step(11)
+    x, state, lam = Tensor(x), Tensor(state), Tensor(0.6)
+    # distinct weights on C and H so that both halves of the state matter
+    weight = np.random.default_rng(12).standard_normal(state.shape)
+
+    def loss():
+        return (lstm_step(params, x, state, lam) * weight).sum()
+
+    inputs = [x, state, lam] + [p.tensor for p in params.values()]
+    assert grad_check(loss, inputs, h=1e-5) < 1e-5
+
+
+def test_lstm_step_gradients_bitwise_equal_composed_oracle():
+    params, x, state = _random_step(13)
+    x, state, lam = Tensor(x), Tensor(state), Tensor(0.45)
+    weight = np.random.default_rng(14).standard_normal(state.shape)
+    inputs = [x, state, lam] + [p.tensor for p in params.values()]
+    for t in inputs:
+        t.requires_grad = True
+
+    def grads(step):
+        for t in inputs:
+            t.zero_grad()
+        (step() * weight).sum().backward()
+        return [t.grad.copy() for t in inputs]
+
+    fused = grads(lambda: lstm_step(params, x, state, lam))
+    composed = grads(lambda: concat(composed_lstm_step(
+        params, x, state[:, :5], state[:, 5:], lam), axis=1))
+    for got, want in zip(fused, composed):
+        np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -171,11 +231,19 @@ def test_lstm_encoder_rejects_2d_input():
 
 
 def test_lstm_encoder_gradients_through_time():
-    enc = LSTMEncoder(_seq_cfg(seq_len=3), np.random.default_rng(0))
+    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
     tensors = [p.tensor for p in enc.parameters()] + [x]
     assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(),
                       tensors, h=1e-5) < 1e-4
+
+
+def test_lstm_encoder_bitwise_equals_composed_unroll():
+    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    data = np.random.default_rng(4).standard_normal((5, 4, 3))
+    h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)], enc.hidden_dim)
+    want = h @ enc.w_proj.tensor + enc.b_proj.tensor
+    np.testing.assert_array_equal(enc.forward(data).values, want.values)
 
 
 def test_lstm_encoder_batch_permutation_equivariant():
@@ -206,5 +274,3 @@ def test_build_encoder_dispatch():
 def test_encoder_config_validation():
     with pytest.raises(ContractError):
         EncoderConfig("audio", 4, [6], 3)
-    with pytest.raises(ContractError):
-        EncoderConfig("static_vector", 4, [6], 3, activation="relu")

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from mmcl.autodiff import Tensor, grad_check
-from mmcl.encoders import LSTM_GATES, lstm_cell, make_lstm_params
+from mmcl.encoders import LSTM_GATES, lstm_step, make_lstm_params
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
-from mmcl.fusion import (ClassifierHead, GatedCellState, HeadConfig,
-                         ModalitySequence, class_weights_from_counts,
-                         concat_fuse, mlstm_forward, mlstm_step, multilabel_ce,
-                         weighted_bce)
+from mmcl.fusion import (ClassifierHead, ModalitySequence, class_weights_from_counts,
+                         concat_fuse, mlstm_forward, multilabel_ce, weighted_bce)
 from mmcl.losses import ModalityEmbeddingSet
+
+from lstm_oracle import composed_lstm_step, composed_unroll
 
 
 def _params(rng, din, hid):
@@ -22,6 +22,10 @@ def _gate_pre(params, x, h):
             + h @ params["wh"].values[:, k * hid:(k + 1) * hid]
             + params["b"].values[k * hid:(k + 1) * hid]
             for k, gate in enumerate(LSTM_GATES)}
+
+
+def _packed(c, h):
+    return Tensor(np.hstack([c.values, h.values]))
 
 
 def _seq(mats, lambdas, order=None):
@@ -70,10 +74,9 @@ def test_mlstm_step_lambda_one_matches_plain_lstm():
     params = _params(rng, 3, 4)
     x = Tensor(rng.standard_normal((2, 3)))
     c0, h0 = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
-    gated = mlstm_step(params, x, GatedCellState(c0, h0), 1.0)
-    c_ref, h_ref = lstm_cell(params, x, (c0, h0))
-    np.testing.assert_array_equal(gated.c.values, c_ref.values)
-    np.testing.assert_array_equal(gated.h.values, h_ref.values)
+    gated = lstm_step(params, x, _packed(c0, h0), 1.0)
+    c_ref, h_ref = composed_lstm_step(params, x, c0, h0)
+    np.testing.assert_array_equal(gated.values, np.hstack([c_ref.values, h_ref.values]))
 
 
 def test_mlstm_step_lambda_zero_suppresses_candidate():
@@ -82,13 +85,13 @@ def test_mlstm_step_lambda_zero_suppresses_candidate():
     params = _params(rng, 3, 4)
     x = Tensor(rng.standard_normal((2, 3)))
     c0, h0 = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
-    gated = mlstm_step(params, x, GatedCellState(c0, h0), 0.0)
+    gated = lstm_step(params, x, _packed(c0, h0), 0.0)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     f = sig(_gate_pre(params, x.values, h0.values)["f"])
-    np.testing.assert_allclose(gated.c.values, f * c0.values, atol=1e-14)
+    np.testing.assert_allclose(gated.values[:, :4], f * c0.values, atol=1e-14)
 
 
 def test_mlstm_write_magnitude_monotone_in_lambda():
@@ -103,8 +106,8 @@ def test_mlstm_write_magnitude_monotone_in_lambda():
     f = sig(_gate_pre(params, x.values, h0.values)["f"])
     deltas = []
     for lam in (0.0, 0.25, 0.5, 1.0):
-        state = mlstm_step(params, x, GatedCellState(c0, h0), lam)
-        deltas.append(np.linalg.norm(state.c.values - f * c0.values))
+        state = lstm_step(params, x, _packed(c0, h0), lam)
+        deltas.append(np.linalg.norm(state.values[:, :4] - f * c0.values))
     assert deltas[0] == pytest.approx(0.0, abs=1e-12)
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
@@ -137,10 +140,7 @@ def test_mlstm_forward_uniform_lambda_reduces_to_scaled_plain_lstm():
     seq = ModalitySequence.unchecked(["a", "b", "c"], [Tensor(m) for m in mats],
                                      np.ones(3))
     gated = mlstm_forward(params, seq, 4).values
-    c, h = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
-    for m in mats:
-        c, h = lstm_cell(params, Tensor(m), (c, h))
-    np.testing.assert_array_equal(gated, h.values)
+    np.testing.assert_array_equal(gated, composed_unroll(params, mats, 4).values)
 
 
 def test_mlstm_forward_rejects_single_modality():
@@ -157,13 +157,11 @@ def test_mlstm_gradients_including_lambdas():
     lam = Tensor(np.array([0.3, 0.25, 0.2, 0.15, 0.1]))
 
     def f():
-        seq = ModalitySequence.unchecked([f"m{i}" for i in range(5)], mats,
-                                         np.ones(5))
-        state = GatedCellState(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+        state = Tensor(np.zeros((2, 8)))
         for t, x_t in enumerate(mats):
-            lam_t = (lam * Tensor(np.eye(5)[t])).sum()
-            state = mlstm_step(params, x_t, state, lam_t)
-        return (state.h * state.h).sum()
+            state = lstm_step(params, x_t, state, lam[t])
+        h = state[:, 4:]
+        return (h * h).sum()
 
     tensors = mats + [lam] + [p.tensor for p in params.values()]
     assert grad_check(f, tensors, h=1e-5) < 1e-4
@@ -172,16 +170,8 @@ def test_mlstm_gradients_including_lambdas():
 # --------------------------------------------------------------------------
 # heads and losses
 
-def test_head_config_validation():
-    with pytest.raises(ContractError):
-        HeadConfig("regression", 1)
-    with pytest.raises(ContractError):
-        HeadConfig("multilabel", 25, class_weights=(2.0, 1.0))
-
-
 def test_head_output_shape_and_linearity():
-    cfg = HeadConfig("binary", 1)
-    head = ClassifierHead(cfg, input_dim=4, rng=np.random.default_rng(0))
+    head = ClassifierHead(4, [], 1, np.random.default_rng(0))
     w, b = head.layers[0]
     w.tensor.values[...] = np.array([[1.0], [0.0], [0.0], [0.0]])
     b.tensor.values[...] = 0.5
@@ -190,8 +180,7 @@ def test_head_output_shape_and_linearity():
 
 
 def test_head_feature_width_mismatch():
-    head = ClassifierHead(HeadConfig("binary", 1), input_dim=4,
-                          rng=np.random.default_rng(0))
+    head = ClassifierHead(4, [], 1, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         head.forward(np.zeros((2, 5)))
 

@@ -7,7 +7,7 @@ from mmcl import harness
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
 from mmcl.errors import ConfigurationError, ContractError, DegenerateInputError
-from mmcl.fusion import ClassifierHead, HeadConfig, class_weights_from_counts, concat_fuse, weighted_bce
+from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, weighted_bce
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
                           load_rows, pretrain, sweep)
@@ -228,8 +228,8 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
     train_targets = harness._targets(cohort, config, train_idx)
     n_pos = int(train_targets.sum())
     weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
-    head = ClassifierHead(HeadConfig("binary", 1, list(config.head_hidden), weights),
-                          config.embedding_dim * len(config.modality_subset), rng)
+    head = ClassifierHead(config.embedding_dim * len(config.modality_subset),
+                          config.head_hidden, 1, rng)
     params = head.parameters()
     opt = make_optimizer(config.optimizer, params, config.learning_rate)
 
