@@ -22,9 +22,13 @@ class AttributionReport:
 def integrated_gradients(model_fn, x, baseline=None, steps=256):
     """Path-integral attribution from baseline to x.
 
-    `model_fn` maps a Tensor of shape (f,) to a scalar Tensor (one logit).
-    Uses a right-endpoint Riemann sum over `steps` points; the completeness
-    residual |sum(attributions) - (f(x) - f(baseline))| is recorded."""
+    `model_fn` maps a Tensor of shape (S, f) to a Tensor of shape (S,), each
+    output depending only on its own row (one logit per row). The `steps`
+    right-endpoint path points, then x, then the baseline go through it as
+    one (steps + 2) x f batch, so one forward and one backward pass serve the
+    whole Riemann sum; memory grows as (steps + 2) * f per call. The
+    completeness residual |sum(attributions) - (f(x) - f(baseline))| is
+    recorded."""
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
     if x.shape != baseline.shape or x.ndim != 1:
@@ -32,24 +36,15 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
     if steps < 2:
         raise ContractError("integrated gradients needs steps >= 2")
 
-    def scalar_output(point):
-        t = Tensor(point, requires_grad=True)
-        out = model_fn(t)
-        if out.values.size != 1:
-            raise ContractError("attributed model output must be scalar")
-        return t, out
-
-    grad_sum = np.zeros_like(x)
-    for s in range(1, steps + 1):
-        point = baseline + (s / steps) * (x - baseline)
-        t, out = scalar_output(point)
-        out.backward()
-        grad_sum += t.grad
-    per_feature = (x - baseline) * grad_sum / steps
-
-    _, out_x = scalar_output(x)
-    _, out_b = scalar_output(baseline)
-    f_x, f_b = float(out_x.values), float(out_b.values)
+    alphas = np.arange(1, steps + 1)[:, None] / steps
+    t = Tensor(np.vstack([baseline + alphas * (x - baseline), x, baseline]), requires_grad=True)
+    out = model_fn(t)
+    if out.shape != (steps + 2,):
+        raise ContractError(f"attributed model output must have shape ({steps + 2},), "
+                            f"one logit per row; got {out.shape}")
+    out.sum().backward()
+    per_feature = (x - baseline) * t.grad[:steps].sum(axis=0) / steps
+    f_x, f_b = float(out.values[-2]), float(out.values[-1])
     residual = abs(per_feature.sum() - (f_x - f_b))
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)
 

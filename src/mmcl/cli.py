@@ -20,14 +20,20 @@ from .optim import OPTIMIZERS
 
 
 def _parse_seeds(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--seeds {text!r}: expected 'a,b,c' or 'lo..hi' integers") from exc
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _parse_floats(flag, text):
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag} {text!r}: expected comma-separated numbers") from exc
 
 
 def _config_from_args(args, modality_subset, regime):
@@ -121,8 +127,8 @@ def build_parser():
 def _cmd_generate(args):
     spec = cohort_mod.default_five_modality_spec(
         args.num_patients, seed=args.seed, latent_dim=args.latent_dim,
-        signal_fractions=_parse_floats(args.signal_fractions),
-        noise_sigmas=_parse_floats(args.noise_sigmas),
+        signal_fractions=_parse_floats("--signal-fractions", args.signal_fractions),
+        noise_sigmas=_parse_floats("--noise-sigmas", args.noise_sigmas),
         binary_label_sparsity=args.sparsity)
     cohort = cohort_mod.generate(spec)
     cohort_mod.save_cohort(cohort, args.out)

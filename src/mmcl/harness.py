@@ -617,10 +617,14 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     averaged over test samples."""
     if config.regime not in ("frozen_finetune", "supervised_baseline"):
         raise ConfigurationError("attribution runs on concatenation models")
+    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
+    if not _is_int(max_samples) or max_samples < 1:
+        raise ContractError(f"max_samples must be an integer >= 1, got {max_samples!r}")
+    if not _is_int(target_label) or not 0 <= target_label < num_labels:
+        raise ContractError(f"target_label {target_label!r} outside [0, {num_labels})")
     k = len(config.modality_subset)
     rng = np.random.default_rng(config.seed)
     encoders = build_encoders(cohort, config, rng)
-    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
     head = ClassifierHead(config.embedding_dim * k, config.head_hidden, num_labels, rng)
     _load_into(_collect_params(encoders) + head.parameters(), checkpoint.params)
 
@@ -630,7 +634,7 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     features = np.concatenate([e.values for e in emb_set.embeddings], axis=1)
 
     def model_fn(x):
-        return head.forward(x.reshape(1, -1))[0, target_label]
+        return head.forward(x)[:, target_label]
 
     n = config.embedding_dim
     layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]

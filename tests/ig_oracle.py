@@ -1,0 +1,35 @@
+"""Integrated gradients as a per-point loop: one graph for each of the
+`steps` path points and one each for the input and the baseline. The
+batched `attribution.integrated_gradients` is checked against it."""
+
+import numpy as np
+
+from mmcl.attribution import AttributionReport
+from mmcl.autodiff import Tensor
+
+
+def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256):
+    """Same report as `integrated_gradients`, from the same row-wise
+    `model_fn` ((S, f) -> (S,)) called on one-row batches."""
+    x = np.asarray(x, dtype=np.float64)
+    baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
+
+    def scalar_output(point):
+        t = Tensor(point, requires_grad=True)
+        out = model_fn(t.reshape(1, -1))
+        assert out.shape == (1,)
+        return t, out
+
+    grad_sum = np.zeros_like(x)
+    for s in range(1, steps + 1):
+        point = baseline + (s / steps) * (x - baseline)
+        t, out = scalar_output(point)
+        out.backward()
+        grad_sum += t.grad
+    per_feature = (x - baseline) * grad_sum / steps
+
+    _, out_x = scalar_output(x)
+    _, out_b = scalar_output(baseline)
+    f_x, f_b = float(out_x.values[0]), float(out_b.values[0])
+    residual = abs(per_feature.sum() - (f_x - f_b))
+    return AttributionReport(per_feature, baseline, residual, f_x, f_b)

@@ -288,7 +288,7 @@ def test_criterion_08_ig_completeness():
         opt.step()
 
     def model_fn(t):
-        return head.forward(t.reshape(1, -1)).sum()
+        return head.forward(t)[:, 0]
 
     x = rng.standard_normal(4)
     res_256 = integrated_gradients(model_fn, x, steps=256).completeness_residual
@@ -298,7 +298,7 @@ def test_criterion_08_ig_completeness():
     w = np.array([2.0, -1.0, 0.5])
     xl = np.array([1.0, 3.0, -2.0])
     wt = Tensor(w)
-    lin = integrated_gradients(lambda t: (t * wt).sum(), xl, steps=4)
+    lin = integrated_gradients(lambda t: (t * wt).sum(axis=1), xl, steps=4)
     lin_gap = float(np.abs(lin.per_feature - w * xl).max())
 
     _verdict(8, res_256 < 1e-3 and res_512 < res_8 and lin_gap <= 1e-12,

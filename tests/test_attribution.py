@@ -5,11 +5,15 @@ from mmcl.attribution import (AttributionReport, integrated_gradients,
                               modality_aggregate, spearman_rank_correlation)
 from mmcl.autodiff import Tensor
 from mmcl.errors import ContractError
+from mmcl.fusion import ClassifierHead, weighted_bce
+from mmcl.optim import SGD
+
+from ig_oracle import per_point_integrated_gradients
 
 
 def _linear_model(w):
     w = Tensor(np.asarray(w, float))
-    return lambda t: (t * w).sum()
+    return lambda t: (t * w).sum(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -25,7 +29,7 @@ def test_linear_model_is_exact():
 
 
 def test_constant_model_gives_zero():
-    report = integrated_gradients(lambda t: (t * Tensor(np.zeros(3))).sum() + Tensor(5.0),
+    report = integrated_gradients(lambda t: (t * Tensor(np.zeros(3))).sum(axis=1) + Tensor(5.0),
                                   np.array([1.0, 2.0, 3.0]), steps=8)
     np.testing.assert_allclose(report.per_feature, np.zeros(3), atol=1e-12)
     assert report.output_at_input == pytest.approx(5.0)
@@ -43,7 +47,7 @@ def test_nonzero_baseline():
 def test_completeness_residual_shrinks_with_steps():
     # nonlinear model: the Riemann sum error must fall as steps grow
     def model(t):
-        return (t.tanh() * t.tanh()).sum()
+        return (t.tanh() * t.tanh()).sum(axis=1)
 
     x = np.array([1.5, -2.0, 0.7])
     residuals = [integrated_gradients(model, x, steps=s).completeness_residual
@@ -54,7 +58,7 @@ def test_completeness_residual_shrinks_with_steps():
 
 def test_completeness_holds_approximately():
     def model(t):
-        return (t.sigmoid() * Tensor(np.array([1.0, -2.0, 0.5, 3.0]))).sum()
+        return (t.sigmoid() * Tensor(np.array([1.0, -2.0, 0.5, 3.0]))).sum(axis=1)
 
     x = np.array([0.4, -1.2, 2.0, 0.1])
     report = integrated_gradients(model, x, steps=512)
@@ -70,8 +74,63 @@ def test_ig_input_validation():
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0, 1.0]), np.array([1.0, 2.0]),
                              baseline=np.array([0.0]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError):  # (S, f): one output per feature
         integrated_gradients(lambda t: t * Tensor(np.ones(2)), np.array([1.0, 2.0]))
+    with pytest.raises(ContractError):  # (S, 1): a column, not one logit per row
+        integrated_gradients(lambda t: t.sum(axis=1, keepdims=True), np.array([1.0, 2.0]))
+    with pytest.raises(ContractError):  # scalar: the rows summed away
+        integrated_gradients(lambda t: t.sum(), np.array([1.0, 2.0]))
+
+
+def test_ig_calls_model_once():
+    calls = []
+
+    def model(t):
+        calls.append(t.shape)
+        return (t * t).sum(axis=1)
+
+    integrated_gradients(model, np.array([1.0, -2.0, 0.5]), steps=16)
+    assert calls == [(18, 3)]
+
+
+def _trained_head():
+    rng = np.random.default_rng(3)
+    head = ClassifierHead(4, [6], 1, rng)
+    x_train = rng.standard_normal((64, 4))
+    y_train = (x_train[:, 0] - 0.5 * x_train[:, 2] > 0).astype(float)
+    opt = SGD(head.parameters(), lr=0.05)
+    for _ in range(30):
+        opt.zero_grad()
+        weighted_bce(head.forward(x_train), y_train).backward()
+        opt.step()
+    return lambda t: head.forward(t)[:, 0]
+
+
+def _tanh_model():
+    return lambda t: (t.tanh() * t.tanh()).sum(axis=1)
+
+
+def _sigmoid_model():
+    w = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
+    return lambda t: (t.sigmoid() * w).sum(axis=1)
+
+
+@pytest.mark.parametrize("make_model", [_trained_head, _tanh_model, _sigmoid_model],
+                         ids=["trained_head", "tanh", "sigmoid"])
+@pytest.mark.parametrize("steps", [2, 64, 256])
+def test_batched_ig_matches_per_point_loop(make_model, steps):
+    model = make_model()
+    rng = np.random.default_rng(steps)
+    x = rng.standard_normal(4)
+    baseline = 0.3 * rng.standard_normal(4)
+    got = integrated_gradients(model, x, baseline=baseline, steps=steps)
+    want = per_point_integrated_gradients(model, x, baseline=baseline, steps=steps)
+    np.testing.assert_allclose(got.per_feature, want.per_feature, rtol=0, atol=1e-13)
+    assert got.output_at_input == pytest.approx(want.output_at_input, rel=0, abs=1e-13)
+    assert got.output_at_baseline == pytest.approx(want.output_at_baseline, rel=0, abs=1e-13)
+    assert got.completeness_residual == pytest.approx(want.completeness_residual,
+                                                      rel=0, abs=1e-13)
+    np.testing.assert_array_equal(got.baseline, baseline)
 
 
 # --------------------------------------------------------------------------

@@ -315,3 +315,27 @@ def test_exit_code_2_on_bad_generate_sizes(tmp_path, capsys, args, field):
     if field != "num_patients":
         assert "text_a, text_b, image, demo, series" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag,text", [("--signal-fractions", "a,b,c,d,e"),
+                                       ("--noise-sigmas", "0.1,0.1,x,0.1,0.1")],
+                         ids=["signal_fractions", "noise_sigmas"])
+def test_exit_code_2_on_non_numeric_generate_list(tmp_path, capsys, flag, text):
+    out = str(tmp_path / "cohort.txt")
+    rc = main(["generate", "--num-patients", "10", flag, text, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err
+    assert flag in err and repr(text) in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text", ["1..x", ",", "0..1..2"], ids=["range_word", "empty", "two_ranges"])
+def test_exit_code_2_on_bad_sweep_seeds(cohort_file, tmp_path, capsys, text):
+    out = str(tmp_path / "sweep")
+    rc = main(["sweep", "--cohort", cohort_file, "--seeds", text, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err
+    assert "--seeds" in err and repr(text) in err
+    assert not os.path.exists(out)

@@ -13,6 +13,8 @@ from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           load_rows, pretrain, sweep)
 from mmcl.optim import make_optimizer
 
+from ig_oracle import per_point_integrated_gradients
+
 ALL = ["text_a", "text_b", "image", "demo", "series"]
 
 
@@ -491,9 +493,15 @@ def test_sweep_rejects_empty_axes(small_cohort):
 # --------------------------------------------------------------------------
 # attribution plumbing
 
-def test_modality_attribution_scores_are_normalized(small_cohort):
+@pytest.fixture(scope="module")
+def attribution_run(small_cohort):
     cfg = _cfg(ALL[:3], "supervised_baseline", max_epochs=3)
     ckpt, _, _ = finetune(cfg, small_cohort)
+    return cfg, ckpt
+
+
+def test_modality_attribution_scores_are_normalized(small_cohort, attribution_run):
+    cfg, ckpt = attribution_run
     scores = harness.modality_attribution(cfg, small_cohort, ckpt, steps=8,
                                           max_samples=4)
     assert scores.shape == (3,)
@@ -506,3 +514,40 @@ def test_modality_attribution_rejects_mlstm_regime(small_cohort):
     ckpt, _, _ = finetune(cfg, small_cohort)
     with pytest.raises(ConfigurationError):
         harness.modality_attribution(cfg, small_cohort, ckpt)
+
+
+def test_modality_attribution_matches_per_point_oracle(small_cohort, attribution_run,
+                                                       monkeypatch):
+    cfg, ckpt = attribution_run
+    got = harness.modality_attribution(cfg, small_cohort, ckpt, steps=32, max_samples=6)
+    monkeypatch.setattr(harness, "integrated_gradients", per_point_integrated_gradients)
+    want = harness.modality_attribution(cfg, small_cohort, ckpt, steps=32, max_samples=6)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("max_samples", [1, 5, 10_000])
+def test_modality_attribution_one_ig_call_per_test_sample(small_cohort, attribution_run,
+                                                          monkeypatch, max_samples):
+    cfg, ckpt = attribution_run
+    calls = []
+    ig = harness.integrated_gradients
+
+    def counted(model_fn, x, **kwargs):
+        calls.append(x.shape)
+        return ig(model_fn, x, **kwargs)
+
+    monkeypatch.setattr(harness, "integrated_gradients", counted)
+    harness.modality_attribution(cfg, small_cohort, ckpt, steps=4, max_samples=max_samples)
+    test_size = finetune_splits(small_cohort, cfg)[3].size
+    assert calls == [(3 * cfg.embedding_dim,)] * min(max_samples, test_size)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_samples": 0}, {"max_samples": -1},
+                                    {"max_samples": 2.5}, {"target_label": 1},
+                                    {"target_label": -1}],
+                         ids=["no_samples", "negative_samples", "fractional_samples",
+                              "label_past_end", "negative_label"])
+def test_modality_attribution_rejects_bad_arguments(small_cohort, attribution_run, kwargs):
+    cfg, ckpt = attribution_run
+    with pytest.raises(ContractError, match=next(iter(kwargs))):
+        harness.modality_attribution(cfg, small_cohort, ckpt, steps=4, **kwargs)
