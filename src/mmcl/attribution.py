@@ -43,7 +43,9 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
         raise ContractError(f"attributed model output must have shape ({steps + 2},), "
                             f"one logit per row; got {out.shape}")
     out.sum().backward()
-    per_feature = (x - baseline) * t.grad[:steps].sum(axis=0) / steps
+    # an output that never reads its input leaves no gradient: all zeros
+    grad = np.zeros_like(t.values) if t.grad is None else t.grad
+    per_feature = (x - baseline) * grad[:steps].sum(axis=0) / steps
     f_x, f_b = float(out.values[-2]), float(out.values[-1])
     residual = abs(per_feature.sum() - (f_x - f_b))
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)

@@ -51,8 +51,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # adding 0.0 turns -0.0 into +0.0 as zeros-plus-add did; the
+            # buffer keeps the layout of `values`, so later matmuls round alike
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
 
     # -- graph construction -------------------------------------------------
 

@@ -18,6 +18,8 @@ class ModalitySequence:
         lambdas = np.asarray(lambdas, dtype=np.float64)
         if len(order) != len(inputs) or lambdas.shape != (len(order),):
             raise ContractError("order, inputs, and lambdas must align")
+        if not (np.isfinite(lambdas).all() and (lambdas >= 0.0).all()):
+            raise ContractError(f"lambdas must be finite and nonnegative, got {lambdas.tolist()}")
         total = lambdas.sum()
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"lambdas must sum to 1, got {total!r}")

@@ -30,6 +30,10 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_list_of(value, is_item):
     return isinstance(value, (list, tuple)) and all(is_item(item) for item in value)
 
@@ -39,8 +43,7 @@ def _is_list_of(value, is_item):
 _FIELD_KINDS = (
     ("an integer", _is_int,
      ("batch_size", "max_epochs", "patience", "seed", "embedding_dim", "mlstm_hidden")),
-    ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-     ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
+    ("a real number", _is_real, ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
     ("a string or null", lambda v: v is None or isinstance(v, str),
      ("checkpoint_path", "output_dir")),
@@ -98,11 +101,26 @@ class RunConfig:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
             raise ConfigurationError(f"duplicate modalities in {list(self.modality_subset)}")
+        self.literal_lambdas()  # raises on a malformed lambda_source
 
     def literal_lambdas(self):
-        if not self.lambda_source.startswith("literal:"):
+        """The weights of a `literal:` lambda_source, a JSON list of finite
+        numbers; None for `learned`. Any other source raises
+        ConfigurationError."""
+        source = self.lambda_source
+        if source == "learned":
             return None
-        return np.asarray(json.loads(self.lambda_source[len("literal:"):]), dtype=np.float64)
+        if source.startswith("literal:"):
+            try:
+                weights = json.loads(source[len("literal:"):])
+                if _is_list_of(weights, _is_real):
+                    weights = np.asarray(weights, dtype=np.float64)
+                    if np.isfinite(weights).all():
+                        return weights
+            except (ValueError, OverflowError):  # bad JSON, or an integer no float holds
+                pass
+        raise ConfigurationError(f"lambda_source must be 'learned' or 'literal:' and a JSON list "
+                                 f"of finite numbers, got {source!r}")
 
 
 @dataclass
@@ -324,11 +342,9 @@ def _resolve_lambdas(config, checkpoint, k):
         if literal.shape != (k,):
             raise ConfigurationError(f"literal lambdas must have length {k}")
         return literal
-    if config.lambda_source == "learned":
-        if checkpoint is None or checkpoint.lambdas is None:
-            raise ConfigurationError("lambda_source=learned requires a contrastive checkpoint with lambdas")
-        return checkpoint.lambdas
-    raise ConfigurationError(f"unknown lambda_source {config.lambda_source!r}")
+    if checkpoint is None or checkpoint.lambdas is None:
+        raise ConfigurationError("lambda_source=learned requires a contrastive checkpoint with lambdas")
+    return checkpoint.lambdas
 
 
 def finetune(config, cohort, checkpoint=None):

@@ -36,6 +36,14 @@ def test_constant_model_gives_zero():
     assert report.output_at_baseline == pytest.approx(5.0)
 
 
+def test_input_independent_model_gives_zero():
+    # the output never touches the input, so no gradient reaches it
+    report = integrated_gradients(lambda t: Tensor(np.ones(t.shape[0])), np.ones(3), steps=4)
+    np.testing.assert_array_equal(report.per_feature, np.zeros(3))
+    assert report.completeness_residual == 0.0
+    assert report.output_at_input == report.output_at_baseline == 1.0
+
+
 def test_nonzero_baseline():
     w = np.array([1.0, 2.0])
     x = np.array([3.0, 4.0])

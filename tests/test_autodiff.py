@@ -129,10 +129,45 @@ def test_backward_composite_graph_matches_finite_differences():
 def test_backward_accumulates_until_reset():
     x = Tensor([2.0], requires_grad=True)
     x.sum().backward()
+    first = x.grad
     x.sum().backward()
     np.testing.assert_array_equal(x.grad, [2.0])  # two passes accumulate
+    assert x.grad is first  # in place, after the first write
     x.zero_grad()
     assert x.grad is None
+
+
+def _layout(a):
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def test_first_gradient_takes_the_layout_of_values():
+    # matmul backward hands a C-ordered gradient to the F-ordered `.T` node
+    # and to an F-ordered leaf; each keeps the layout zeros_like gives it
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    f = Tensor(np.asfortranarray(rng.standard_normal((3, 4))), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)))
+    xt = x.T
+    ((xt @ w).sum() + (f @ w).sum()).backward()
+    for node in (xt, f, x):
+        assert _layout(node.grad) == _layout(np.zeros_like(node.values))
+    assert _layout(xt.grad) == _layout(f.grad) == (False, True)
+
+
+def test_first_gradient_does_not_alias_the_upstream_gradient():
+    # reshape's backward passes a view of the upstream gradient
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = x.reshape(6)
+    (y * Tensor(np.arange(6.0))).sum().backward()
+    y.grad[:] = 99.0
+    np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3))
+
+
+def test_negative_zero_first_gradient_becomes_positive_zero():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    (x * Tensor(-0.0)).sum().backward()
+    assert not np.signbit(x.grad).any()
 
 
 def test_shared_parameter_accumulates_across_terms():

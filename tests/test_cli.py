@@ -339,3 +339,32 @@ def test_exit_code_2_on_bad_sweep_seeds(cohort_file, tmp_path, capsys, text):
     assert "configuration error: ConfigurationError" in err
     assert "--seeds" in err and repr(text) in err
     assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def cohort_of_60(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data60") / "c.txt")
+    assert main(["generate", "--num-patients", "60", "--seed", "0", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("source,error", [("literal:[1,2", "ConfigurationError"),
+                                          ('literal:{"a":1}', "ConfigurationError"),
+                                          ("literal:[NaN,0.5,0.5]", "ConfigurationError"),
+                                          ("literal:[0.5,0.5,Infinity]", "ConfigurationError"),
+                                          ('literal:[0.5,0.5,"0"]', "ConfigurationError"),
+                                          ("literal:[true,0,0]", "ConfigurationError"),
+                                          ("learnt", "ConfigurationError"),
+                                          ("literal:[2,-1,0]", "ContractError")],
+                         ids=["truncated_json", "json_object", "nan", "infinity", "string_weight",
+                              "bool_weight", "unknown_source", "negative_weight"])
+def test_exit_code_2_on_bad_lambda_source(cohort_of_60, tmp_path, capsys, source, error):
+    out = str(tmp_path / "run")
+    rc = main(["finetune", "--cohort", cohort_of_60, "--modalities", "text_a,text_b,image",
+               "--regime", "mlstm", "--lambda-source", source, "--max-epochs", "1",
+               "--batch-size", "16", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {error}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)

@@ -55,6 +55,15 @@ def test_modality_sequence_simplex_enforced():
         _seq(mats, [0.9, 0.3])
 
 
+@pytest.mark.parametrize("lambdas", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [2.0, -1.0, 0.0],
+                                     [1.0 + 1e-7, -1e-7, 0.0]],
+                         ids=["nan", "inf", "negative_summing_to_one", "tiny_negative"])
+def test_modality_sequence_rejects_weights_off_the_simplex(lambdas):
+    mats = [np.zeros((2, 3))] * 3
+    with pytest.raises(ContractError, match="finite and nonnegative"):
+        _seq(mats, lambdas)
+
+
 def test_modality_sequence_absorbs_rounding():
     mats = [np.zeros((2, 3))] * 2
     seq = _seq(mats, [0.5 + 2e-7, 0.5])

@@ -3,7 +3,8 @@ import pytest
 
 import dataclasses
 
-from mmcl import harness
+from mmcl import harness, kernels
+from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
 from mmcl.errors import ConfigurationError, ContractError, DegenerateInputError
@@ -14,6 +15,7 @@ from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
 from mmcl.optim import make_optimizer
 
 from ig_oracle import per_point_integrated_gradients
+from kernel_oracle import assert_bitwise_equal, masked_sigmoid, zeros_plus_add_accumulate
 
 ALL = ["text_a", "text_b", "image", "demo", "series"]
 
@@ -354,6 +356,46 @@ def test_finetune_reproducible(small_cohort):
     _, b, _ = finetune(cfg, small_cohort)
     assert a.auroc == b.auroc
     assert a.auprc == b.auprc
+
+
+def _tiny_training_runs(cohort):
+    """A K=5 pretrain, a supervised baseline with the sequence encoder and a
+    learned-lambda mLSTM fine-tune; returns their checkpoints, the pretrain
+    loss history and the fine-tune records."""
+    pre, history = pretrain(_cfg(ALL, "contrastive_pretrain", max_epochs=2), cohort)
+    base, base_record, _ = finetune(_cfg(ALL[3:], "supervised_baseline"), cohort)
+    gated, gated_record, _ = finetune(_cfg(ALL, "mlstm", lambda_source="learned"), cohort, pre)
+    return [pre, base, gated], history, [base_record, gated_record]
+
+
+def test_training_is_bitwise_equal_to_oracle_kernels(small_cohort, monkeypatch):
+    shipped = _tiny_training_runs(small_cohort)
+    calls = {"sigmoid": 0, "accumulate": 0}
+
+    def counted_sigmoid(x):
+        calls["sigmoid"] += 1
+        return masked_sigmoid(x)
+
+    def counted_accumulate(self, g):
+        calls["accumulate"] += 1
+        zeros_plus_add_accumulate(self, g)
+
+    monkeypatch.setattr(kernels, "sigmoid", counted_sigmoid)
+    monkeypatch.setattr(Tensor, "_accumulate", counted_accumulate)
+    oracle = _tiny_training_runs(small_cohort)
+    assert calls["sigmoid"] > 0 and calls["accumulate"] > 0
+
+    for got, want in zip(shipped[0], oracle[0]):
+        assert sorted(got.params) == sorted(want.params)
+        for name in want.params:
+            assert_bitwise_equal(got.params[name], want.params[name])
+        if want.lambdas is not None:
+            assert_bitwise_equal(got.lambdas, want.lambdas)
+        # a fine-tune checkpoint stores tau as NaN
+        assert_bitwise_equal([got.tau, got.best_metric], [want.tau, want.best_metric])
+    assert shipped[1] == oracle[1]
+    for got, want in zip(shipped[2], oracle[2]):
+        assert (got.auroc, got.auprc) == (want.auroc, want.auprc)
 
 
 def test_multilabel_task_runs(small_cohort):

@@ -3,6 +3,8 @@ import pytest
 
 from mmcl import kernels
 
+from kernel_oracle import assert_bitwise_equal, masked_sigmoid
+
 
 def _top5_row_loop(sim, patient_ids):
     """Oracle for top5_same_patient: walk each row in stable descending
@@ -65,6 +67,33 @@ def test_sigmoid_softplus_closed_form(shape):
     assert sig.shape == soft.shape == shape
     np.testing.assert_allclose(sig, 1.0 / (1.0 + np.exp(-x)), rtol=1e-15, atol=1e-300)
     np.testing.assert_allclose(soft, np.log1p(np.exp(x)), rtol=1e-15, atol=1e-300)
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (32, 192), (15, 64), (64, 64), (32, 1)])
+def test_sigmoid_bitwise_matches_masked_oracle_at_workload_shapes(shape):
+    # LSTM pre-activations at the workload shapes, plus a wide tail
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for scale in (1.0, 10.0, 300.0):
+        x = rng.standard_normal(shape) * scale
+        assert_bitwise_equal(kernels.sigmoid(x), masked_sigmoid(x))
+
+
+def test_sigmoid_bitwise_matches_masked_oracle_at_special_values():
+    mags = [0.0, 1e-300, 36.0, 40.0, 709.0, 1000.0, np.inf]
+    x = np.array(mags + [-m for m in mags] + [np.nan])
+    out = kernels.sigmoid(x)
+    assert_bitwise_equal(out, masked_sigmoid(x))
+    assert out[0] == out[len(mags)] == 0.5  # both signed zeros
+    assert np.isnan(out[-1])
+
+
+@pytest.mark.parametrize("x", [np.array(-3.0), np.array(2.5),
+                               np.random.default_rng(3).standard_normal((2, 3, 4)) * 20,
+                               np.asfortranarray(np.random.default_rng(4).standard_normal((5, 7)) * 20)],
+                         ids=["0d_negative", "0d_positive", "3d", "f_order"])
+def test_sigmoid_bitwise_matches_masked_oracle_on_any_layout(x):
+    out = kernels.sigmoid(x)
+    assert_bitwise_equal(out, masked_sigmoid(x))
 
 
 def test_active_top5_matches_reference():
