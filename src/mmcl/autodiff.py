@@ -3,7 +3,7 @@
 Every trainable computation in the package runs through `Tensor`. Each
 operation records its parents and a closure that routes the upstream
 gradient; `backward()` walks the implicit tape in reverse topological
-order. Gradients accumulate into `.grad` until `zero_grads` resets them,
+order. Gradients accumulate into `.grad` until `Tensor.zero_grad` resets them,
 so a parameter appearing in several loss terms sums its contributions.
 """
 
@@ -347,26 +347,12 @@ def row_normalize(x):
     return x / (x * x).sum(axis=1, keepdims=True).sqrt()
 
 
-class Parameter:
-    """Named trainable tensor with per-parameter optimizer state."""
+class Parameter(Tensor):
+    """Named trainable tensor."""
 
     def __init__(self, name, values):
+        super().__init__(values, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(values, requires_grad=True)
-        self.optimizer_state = {}
-
-    @property
-    def values(self):
-        return self.tensor.values
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-
-def zero_grads(params):
-    for p in params:
-        p.tensor.zero_grad()
 
 
 def grad_check(f, inputs, h=1e-5):

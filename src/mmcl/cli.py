@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,10 +24,14 @@ def _parse_seeds(text):
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in text.split(",")]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in text.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"--seeds {text!r}: expected 'a,b,c' or 'lo..hi' integers") from exc
+    if any(seed < 0 for seed in seeds):
+        raise ConfigurationError(f"--seeds {text!r}: every seed must be >= 0")
+    return seeds
 
 
 def _parse_floats(flag, text):
@@ -46,12 +51,10 @@ def _config_from_args(args, modality_subset, regime):
                 raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise ConfigurationError(f"{args.config}: expected a JSON object of RunConfig fields")
-    for key in ("task", "optimizer", "learning_rate", "batch_size", "max_epochs",
-                "patience", "seed", "lambda_source", "embedding_dim", "pool_fraction",
-                "checkpoint_path", "output_dir"):
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(harness.RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            fields[key] = value
+            fields[f.name] = value
     fields["modality_subset"] = modality_subset
     fields["regime"] = regime
     try:

@@ -61,6 +61,8 @@ class CohortSpec:
             raise ContractError("need at least 2 modalities")
         if self.latent_dim < 1:
             raise ContractError("latent_dim must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.binary_label_sparsity < 1.0:
             raise ContractError("binary_label_sparsity must lie strictly in (0, 1)")
         names = [m.name for m in self.modalities]

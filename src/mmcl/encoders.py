@@ -47,7 +47,7 @@ class _MLP:
         if x.shape[1] != width:
             raise DimensionError(f"{self.name}: expected {what} {width}, got {x.shape[1]}")
         for li, (w, b) in enumerate(self.layers):
-            x = x @ w.tensor + b.tensor
+            x = x @ w + b
             if li < len(self.layers) - 1:
                 x = x.tanh()
         return x
@@ -87,7 +87,7 @@ def lstm_step(params, x_t, state, lam=1.0):
     `state` is the packed N x 2h array [C | H]. The candidate write i*g is
     scaled by `lam`: the modality weight of the gated LSTM, where 1 gives
     the plain LSTM. `lam` may be a Tensor that requires a gradient."""
-    wx, wh, b = params["wx"].tensor, params["wh"].tensor, params["b"].tensor
+    wx, wh, b = params["wx"], params["wh"], params["b"]
     hid = wh.shape[0]
     x_t, state, lam = Tensor._lift(x_t), Tensor._lift(state), Tensor._lift(lam)
     c_prev, h_prev = state.values[:, :hid], state.values[:, hid:]
@@ -152,7 +152,7 @@ class LSTMEncoder:
         state = Tensor(np.zeros((n, 2 * self.hidden_dim)))
         for t in range(steps):
             state = lstm_step(self.cell, x[:, t, :], state)
-        return state[:, self.hidden_dim:] @ self.w_proj.tensor + self.b_proj.tensor
+        return state[:, self.hidden_dim:] @ self.w_proj + self.b_proj
 
 
 def build_encoder(cfg, rng, name):

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import numbers
+import sys
 import time
 import zipfile
 from dataclasses import dataclass, field, asdict
@@ -83,7 +84,7 @@ class RunConfig:
                 value = getattr(self, name)
                 if not holds(value):
                     raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
-        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0),
                             ("embedding_dim", 1), ("mlstm_hidden", 1)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -97,6 +98,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning rate must lie in (0, 1)")
+        if not 0.0 <= self.lambda_entropy_coef <= sys.float_info.max:  # NaN fails both
+            raise ConfigurationError(f"lambda_entropy_coef must be a finite number >= 0, "
+                                     f"got {self.lambda_entropy_coef!r}")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
@@ -207,18 +211,13 @@ def _snapshot(params):
     return {p.name: p.values.copy() for p in params}
 
 
-def _restore(params, snapshot):
-    for p in params:
-        p.tensor.values[...] = snapshot[p.name]
-
-
 def _load_into(params, stored):
     for p in params:
         if p.name not in stored:
             raise ConfigurationError(f"checkpoint missing parameter {p.name!r}")
         if stored[p.name].shape != p.values.shape:
             raise ConfigurationError(f"checkpoint shape mismatch for {p.name!r}")
-        p.tensor.values[...] = stored[p.name]
+        p.values[...] = stored[p.name]
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +442,14 @@ def finetune(config, cohort, checkpoint=None):
             if stall >= max(config.patience, 1):
                 break
 
-    _restore(trainable, best_snapshot)
+    _load_into(trainable, best_snapshot)
     test_scores = forward(test_idx).values
     test_auroc, test_auprc = _metrics_from_scores(
         test_scores, _targets(cohort, config, test_idx), config.task)
     record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
 
-    all_params = {p.name: p.values.copy() for p in trainable + (
-        encoder_params if config.regime == "frozen_finetune" else [])}
+    all_params = _snapshot(trainable + (
+        encoder_params if config.regime == "frozen_finetune" else []))
     ckpt = Checkpoint(config=asdict(config), seed=config.seed, params=all_params,
                       lambdas=lambdas, tau=float("nan"), epoch=best_epoch,
                       best_metric=best_metric, modality_subset=list(config.modality_subset))

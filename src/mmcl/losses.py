@@ -48,7 +48,7 @@ class Temperature:
         return float(np.exp(self.log_tau.values))
 
     def inverse(self):
-        return (-self.log_tau.tensor).exp()
+        return (-self.log_tau).exp()
 
     def parameters(self):
         return [self.log_tau]
@@ -64,7 +64,7 @@ class LambdaWeights:
         self.logits = Parameter("lambda_logits", logits)
 
     def lambdas(self):
-        return softmax(self.logits.tensor)
+        return softmax(self.logits)
 
     def values(self):
         return softmax(Tensor(self.logits.values)).values

@@ -11,7 +11,7 @@ from mmcl.encoders import LSTM_GATES
 def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
     """(C, H) after one step. With `lam` the candidate write i*g is scaled
     by it, as in the modality-gated LSTM; without it this is the plain LSTM."""
-    pre = x_t @ params["wx"].tensor + h_prev @ params["wh"].tensor + params["b"].tensor
+    pre = x_t @ params["wx"] + h_prev @ params["wh"] + params["b"]
     hid = pre.shape[1] // len(LSTM_GATES)
     i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(len(LSTM_GATES)))
     i, f, g, o = i.sigmoid(), f.sigmoid(), g.tanh(), o.sigmoid()

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
+from mmcl import cli
 from mmcl.cli import main
 from mmcl.harness import Checkpoint
 
@@ -215,9 +217,13 @@ def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt)
                                   '{"max_epochs": 1,',
                                   '{"optimizer": "rmsprop"}',
                                   '[1, 2]',
-                                  '{"batch_size": "16"}'],
+                                  '{"batch_size": "16"}',
+                                  '{"lambda_entropy_coef": -5.0}',
+                                  '{"lambda_entropy_coef": NaN}',
+                                  '{"lambda_entropy_coef": Infinity}'],
                          ids=["unknown_field", "bad_json", "unknown_optimizer", "not_an_object",
-                              "wrong_type"])
+                              "wrong_type", "negative_entropy_coef", "nan_entropy_coef",
+                              "infinite_entropy_coef"])
 def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -339,6 +345,48 @@ def test_exit_code_2_on_bad_sweep_seeds(cohort_file, tmp_path, capsys, text):
     assert "configuration error: ConfigurationError" in err
     assert "--seeds" in err and repr(text) in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb,args,error", [
+    ("generate", ["--num-patients", "50", "--seed", "-1"], "ContractError"),
+    ("pretrain", ["--modalities", "text_a,text_b", "--seed", "-1"], "ConfigurationError"),
+    ("sweep", ["--seeds=-1..0"], "ConfigurationError"),
+    ("sweep", ["--seeds=0,-2"], "ConfigurationError")],
+    ids=["generate", "pretrain", "sweep_range", "sweep_list"])
+def test_exit_code_2_on_negative_seed(cohort_file, tmp_path, capsys, verb, args, error):
+    out = str(tmp_path / "out")
+    cohort = [] if verb == "generate" else ["--cohort", cohort_file]
+    rc = main([verb, *cohort, *args, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {error}" in err and "seed" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+# every `_add_run_flags` flag but --config: its text and the value it parses to
+RUN_FLAGS = {"--task": ("multilabel", "multilabel"), "--optimizer": ("sgd", "sgd"),
+             "--learning-rate": ("0.05", 0.05), "--batch-size": ("7", 7),
+             "--max-epochs": ("3", 3), "--patience": ("4", 4), "--seed": ("5", 5),
+             "--lambda-source": ("literal:[0.25,0.75]", "literal:[0.25,0.75]"),
+             "--embedding-dim": ("6", 6), "--pool-fraction": ("0.4", 0.4)}
+
+
+def test_every_run_flag_reaches_the_config():
+    flags = argparse.ArgumentParser()
+    cli._add_run_flags(flags)
+    dests = {a.option_strings[0]: a.dest for a in flags._actions
+             if a.option_strings[0] not in ("-h", "--config")}
+    assert set(dests) == set(RUN_FLAGS)
+    argv = [part for flag, (text, _) in RUN_FLAGS.items() for part in (flag, text)]
+    args = cli.build_parser().parse_args(
+        ["finetune", "--cohort", "c.txt", "--modalities", "text_a,text_b", "--regime", "mlstm",
+         "--checkpoint", "ckpt.npz", "--out", "run", *argv])
+    config = cli._config_from_args(args, ["text_a", "text_b"], "mlstm")
+    for flag, (_, value) in RUN_FLAGS.items():
+        assert getattr(config, dests[flag]) == value, flag
+    assert config.checkpoint_path == "ckpt.npz" and config.output_dir is None
+    assert config.modality_subset == ["text_a", "text_b"] and config.regime == "mlstm"
 
 
 @pytest.fixture(scope="module")

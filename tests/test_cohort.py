@@ -71,6 +71,8 @@ def test_spec_validation():
     mods = [ModalitySpec("a", "static_vector", 4), ModalitySpec("a", "static_vector", 4)]
     with pytest.raises(ContractError):
         CohortSpec(10, 4, mods)
+    with pytest.raises(ContractError, match="seed"):
+        CohortSpec(10, 4, mods[:1] + [ModalitySpec("b", "static_vector", 4)], seed=-1)
 
 
 # --------------------------------------------------------------------------

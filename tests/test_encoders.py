@@ -19,7 +19,7 @@ def _seq_cfg(din=3, hidden=(5,), n=4):
 
 def _zero_params(model):
     for p in model.parameters():
-        p.tensor.values[...] = 0.0
+        p.values[...] = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -42,8 +42,8 @@ def test_mlp_no_hidden_layer_is_affine():
     cfg = EncoderConfig("static_vector", 3, [], 3)
     enc = MLPEncoder(cfg, np.random.default_rng(0))
     w, b = enc.layers[0]
-    w.tensor.values[...] = np.eye(3)
-    b.tensor.values[...] = [1.0, 2.0, 3.0]
+    w.values[...] = np.eye(3)
+    b.values[...] = [1.0, 2.0, 3.0]
     x = np.random.default_rng(1).standard_normal((4, 3))
     np.testing.assert_allclose(enc.forward(x).values, x + [1.0, 2.0, 3.0])
 
@@ -57,7 +57,7 @@ def test_mlp_input_dim_mismatch():
 def test_mlp_gradients():
     enc = MLPEncoder(_static_cfg(), np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
-    tensors = [p.tensor for p in enc.parameters()] + [x]
+    tensors = enc.parameters() + [x]
     assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(), tensors) < 1e-5
 
 
@@ -114,8 +114,8 @@ def test_lstm_gates_zero_params_give_half_sigmoids():
     # C' = 0.5 C + 0.5 tanh(b_g) and H' = 0.5 tanh(C')
     params = make_lstm_params(np.random.default_rng(0), 3, 5)
     for p in params.values():
-        p.tensor.values[...] = 0.0
-    params["b"].tensor.values[10:15] = 0.7
+        p.values[...] = 0.0
+    params["b"].values[10:15] = 0.7
     c0 = np.random.default_rng(1).standard_normal((2, 5))
     out = lstm_step(params, Tensor(np.ones((2, 3))), _packed(c0, np.zeros((2, 5)))).values
     c_want = 0.5 * c0 + 0.5 * np.tanh(0.7)
@@ -127,7 +127,7 @@ def test_lstm_cell_zero_params_halve_cell_state():
     # with all-zero parameters: f = 0.5, g = 0 => C' = 0.5 C, H' = 0.5 tanh(C')
     params = make_lstm_params(np.random.default_rng(0), 3, 4)
     for p in params.values():
-        p.tensor.values[...] = 0.0
+        p.values[...] = 0.0
     c0 = np.random.default_rng(1).standard_normal((2, 4))
     out = lstm_step(params, Tensor(np.zeros((2, 3))), _packed(c0, np.zeros((2, 4)))).values
     np.testing.assert_allclose(out[:, :4], 0.5 * c0, atol=1e-14)
@@ -155,7 +155,7 @@ def test_lstm_cell_matches_manual_unroll():
 def _random_step(seed, n=3, din=4, hid=5):
     rng = np.random.default_rng(seed)
     params = make_lstm_params(rng, din, hid)
-    params["b"].tensor.values[...] = rng.standard_normal(4 * hid)
+    params["b"].values[...] = rng.standard_normal(4 * hid)
     return params, rng.standard_normal((n, din)), rng.standard_normal((n, 2 * hid))
 
 
@@ -178,7 +178,7 @@ def test_lstm_step_gradients_on_all_six_inputs():
     def loss():
         return (lstm_step(params, x, state, lam) * weight).sum()
 
-    inputs = [x, state, lam] + [p.tensor for p in params.values()]
+    inputs = [x, state, lam] + list(params.values())
     assert grad_check(loss, inputs, h=1e-5) < 1e-5
 
 
@@ -186,7 +186,7 @@ def test_lstm_step_gradients_bitwise_equal_composed_oracle():
     params, x, state = _random_step(13)
     x, state, lam = Tensor(x), Tensor(state), Tensor(0.45)
     weight = np.random.default_rng(14).standard_normal(state.shape)
-    inputs = [x, state, lam] + [p.tensor for p in params.values()]
+    inputs = [x, state, lam] + list(params.values())
     for t in inputs:
         t.requires_grad = True
 
@@ -233,7 +233,7 @@ def test_lstm_encoder_rejects_2d_input():
 def test_lstm_encoder_gradients_through_time():
     enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
-    tensors = [p.tensor for p in enc.parameters()] + [x]
+    tensors = enc.parameters() + [x]
     assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(),
                       tensors, h=1e-5) < 1e-4
 
@@ -242,7 +242,7 @@ def test_lstm_encoder_bitwise_equals_composed_unroll():
     enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
     data = np.random.default_rng(4).standard_normal((5, 4, 3))
     h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)], enc.hidden_dim)
-    want = h @ enc.w_proj.tensor + enc.b_proj.tensor
+    want = h @ enc.w_proj + enc.b_proj
     np.testing.assert_array_equal(enc.forward(data).values, want.values)
 
 

@@ -172,7 +172,7 @@ def test_mlstm_gradients_including_lambdas():
         h = state[:, 4:]
         return (h * h).sum()
 
-    tensors = mats + [lam] + [p.tensor for p in params.values()]
+    tensors = mats + [lam] + list(params.values())
     assert grad_check(f, tensors, h=1e-5) < 1e-4
 
 
@@ -182,8 +182,8 @@ def test_mlstm_gradients_including_lambdas():
 def test_head_output_shape_and_linearity():
     head = ClassifierHead(4, [], 1, np.random.default_rng(0))
     w, b = head.layers[0]
-    w.tensor.values[...] = np.array([[1.0], [0.0], [0.0], [0.0]])
-    b.tensor.values[...] = 0.5
+    w.values[...] = np.array([[1.0], [0.0], [0.0], [0.0]])
+    b.values[...] = 0.5
     x = np.array([[2.0, 9.0, 9.0, 9.0], [-1.0, 0.0, 0.0, 0.0]])
     np.testing.assert_allclose(head.forward(x).values, [[2.5], [-0.5]])
 

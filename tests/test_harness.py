@@ -74,7 +74,12 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [("max_epochs", 0), ("patience", -1),
-                                         ("embedding_dim", 0), ("mlstm_hidden", 0)])
+                                         ("embedding_dim", 0), ("mlstm_hidden", 0), ("seed", -1),
+                                         ("lambda_entropy_coef", -5.0),
+                                         ("lambda_entropy_coef", float("nan")),
+                                         ("lambda_entropy_coef", float("inf")),
+                                         pytest.param("lambda_entropy_coef", 10**400,
+                                                      id="lambda_entropy_coef-huge_int")])
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
         RunConfig(ALL, "contrastive_pretrain", **{field: value})
@@ -261,7 +266,7 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
             stall += 1
             if stall >= max(config.patience, 1):
                 break
-    harness._restore(params, best_snapshot)
+    harness._load_into(params, best_snapshot)
     return metrics(test_idx), best_epoch, harness._snapshot(params)
 
 

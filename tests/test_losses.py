@@ -96,7 +96,7 @@ def test_infonce_gradients():
     ta, tb = Tensor(a), Tensor(b)
     tau = Temperature(0.5)
     err = grad_check(lambda: infonce_pair_loss(ta, tb, tau)[0],
-                     [ta, tb, tau.log_tau.tensor])
+                     [ta, tb, tau.log_tau])
     assert err < 1e-5
 
 
@@ -184,7 +184,7 @@ def test_weighted_ovo_joint_gradients():
     lam = LambdaWeights(3, initial_logits=[0.3, -0.2, 0.1])
     emb = ModalityEmbeddingSet(["a", "b", "c"], tensors)
     err = grad_check(lambda: weighted_ovo_loss(emb, tau, lam)[0],
-                     tensors + [tau.log_tau.tensor, lam.logits.tensor])
+                     tensors + [tau.log_tau, lam.logits])
     assert err < 1e-5
 
 
