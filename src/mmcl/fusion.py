@@ -7,49 +7,23 @@ from .autodiff import Tensor, concat
 from .encoders import _MLP, lstm_step
 from .errors import ContractError, DegenerateInputError, DimensionError
 
-SIMPLEX_TOL = 1e-6
-
-
-class ModalitySequence:
-    """Fixed-order sequence of per-modality embeddings with importance
-    weights on the simplex, consumed one modality per step by the mLSTM."""
-
-    def __init__(self, order, inputs, lambdas):
-        lambdas = np.asarray(lambdas, dtype=np.float64)
-        if len(order) != len(inputs) or lambdas.shape != (len(order),):
-            raise ContractError("order, inputs, and lambdas must align")
-        if not (np.isfinite(lambdas).all() and (lambdas >= 0.0).all()):
-            raise ContractError(f"lambdas must be finite and nonnegative, got {lambdas.tolist()}")
-        total = lambdas.sum()
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ContractError(f"lambdas must sum to 1, got {total!r}")
-        self.order = list(order)
-        self.inputs = list(inputs)
-        self.lambdas = lambdas / total  # absorb serialization rounding
-
-    @classmethod
-    def unchecked(cls, order, inputs, lambdas):
-        """Test-only constructor that skips the simplex check."""
-        seq = cls.__new__(cls)
-        seq.order = list(order)
-        seq.inputs = list(inputs)
-        seq.lambdas = np.asarray(lambdas, dtype=np.float64)
-        return seq
-
 
 def concat_fuse(emb_set):
     """Rowwise concatenation in the fixed modality order (width n*m)."""
     return concat(emb_set.embeddings, axis=1)
 
 
-def mlstm_forward(params, seq, hidden_dim):
-    """Modality-gated LSTM: one `lstm_step` per modality in fixed order, with
-    the candidate write scaled by that modality's weight; returns final H."""
-    if len(seq.order) < 2:
+def mlstm_forward(params, inputs, lambdas, hidden_dim):
+    """Modality-gated LSTM: one `lstm_step` per modality embedding in fixed
+    order, with the candidate write scaled by that modality's weight;
+    returns final H. The weights are used as given."""
+    if len(inputs) < 2:
         raise ContractError("mLSTM fusion needs at least 2 modalities")
-    n = seq.inputs[0].shape[0]
+    if len(lambdas) != len(inputs):
+        raise ContractError(f"{len(inputs)} modality inputs but {len(lambdas)} lambdas")
+    n = inputs[0].shape[0]
     state = Tensor(np.zeros((n, 2 * hidden_dim)))
-    for x_t, lam_t in zip(seq.inputs, seq.lambdas):
+    for x_t, lam_t in zip(inputs, lambdas):
         state = lstm_step(params, x_t, state, lam_t)
     return state[:, hidden_dim:]
 

@@ -9,7 +9,7 @@ import numbers
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .attribution import integrated_gradients, modality_aggregate
 from .encoders import EncoderConfig, build_encoder, make_lstm_params
 from .errors import (ConfigurationError, ContractError, CorruptFileError,
                      DegenerateInputError, DivergenceError)
-from .fusion import (ClassifierHead, ModalitySequence, class_weights_from_counts,
-                     concat_fuse, mlstm_forward, multilabel_ce, weighted_bce)
+from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
+                     multilabel_ce, weighted_bce)
 from .losses import LambdaWeights, ModalityEmbeddingSet, Temperature, loss_for_combination
-from .metrics import AlignmentCorpus, MetricsRecord, auprc, auroc, top5_alignment_accuracy
+from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
 from .optim import OPTIMIZERS, make_optimizer
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
@@ -290,11 +290,8 @@ def pool_alignment_accuracy(config, cohort, checkpoint, max_patients=100):
                                        pool_fraction=config.pool_fraction)
     pool = pool[:max_patients]
     emb_set = encode_batch(encoders, cohort.observations, pool, config.modality_subset)
-    corpus = AlignmentCorpus()
-    for name, emb in zip(emb_set.modalities, emb_set.embeddings):
-        for row, pid in enumerate(pool):
-            corpus.add(int(pid), name, emb.values[row])
-    return top5_alignment_accuracy(corpus)
+    vectors = np.concatenate([emb.values for emb in emb_set.embeddings])  # modality-major
+    return top5_alignment_accuracy(vectors, np.tile(pool, len(emb_set.embeddings)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +333,23 @@ def _metrics_from_scores(scores, targets, task):
 
 
 def _resolve_lambdas(config, checkpoint, k):
-    literal = config.literal_lambdas()
-    if literal is not None:
-        if literal.shape != (k,):
-            raise ConfigurationError(f"literal lambdas must have length {k}")
-        return literal
-    if checkpoint is None or checkpoint.lambdas is None:
-        raise ConfigurationError("lambda_source=learned requires a contrastive checkpoint with lambdas")
-    return checkpoint.lambdas
+    """The mLSTM's k modality weights, from the `literal:` source or the
+    checkpoint: checked to lie on the simplex once per run, then divided by
+    their sum to absorb serialization rounding."""
+    lambdas = config.literal_lambdas()
+    if lambdas is None:
+        if checkpoint is None or checkpoint.lambdas is None:
+            raise ConfigurationError(
+                "lambda_source=learned requires a contrastive checkpoint with lambdas")
+        lambdas = np.asarray(checkpoint.lambdas, dtype=np.float64)
+    if lambdas.shape != (k,):
+        raise ConfigurationError(f"lambdas must have length {k}, got {lambdas.tolist()}")
+    if not (np.isfinite(lambdas).all() and (lambdas >= 0.0).all()):
+        raise ContractError(f"lambdas must be finite and nonnegative, got {lambdas.tolist()}")
+    total = lambdas.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ContractError(f"lambdas must sum to 1, got {total!r}")
+    return lambdas / total
 
 
 def finetune(config, cohort, checkpoint=None):
@@ -399,8 +405,7 @@ def finetune(config, cohort, checkpoint=None):
             return head.forward(features[indices])
         emb_set = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
         if config.regime == "mlstm":
-            seq = ModalitySequence(config.modality_subset, emb_set.embeddings, lambdas)
-            fused = mlstm_forward(mlstm_params, seq, config.mlstm_hidden)
+            fused = mlstm_forward(mlstm_params, emb_set.embeddings, lambdas, config.mlstm_hidden)
         else:
             fused = concat_fuse(emb_set)
         return head.forward(fused)
@@ -462,16 +467,33 @@ def finetune(config, cohort, checkpoint=None):
 
 @dataclass
 class SweepRow:
+    """One line of `rows.csv`; the field order is the column order."""
+
     subset: str
     regime: str
     task: str
     seed: int
-    auroc: float
-    auprc: float
-    alignment_top5: float
-    final_loss: float
-    wall_time_s: float
+    auroc: float = float("nan")
+    auprc: float = float("nan")
+    alignment_top5: float = float("nan")
+    final_loss: float = float("nan")
+    wall_time_s: float = 0.0
     status: str = "ok"
+
+
+ROW_FIELDS = [f.name for f in fields(SweepRow)]
+# (aggregate column, SweepRow attribute): each pair makes a _mean and a _std column
+AGG_STATS = (("auroc", "auroc"), ("auprc", "auprc"), ("alignment", "alignment_top5"))
+AGG_FIELDS = ["subset", "regime", "task", "n_seeds"] + [
+    f"{column}_{stat}" for column, _ in AGG_STATS for stat in ("mean", "std")]
+
+
+def _mean_std(values):
+    """Mean and std of the finite values; std is None below two values."""
+    values = [v for v in values if np.isfinite(v)]
+    if not values:
+        return float("nan"), None
+    return float(np.mean(values)), (float(np.std(values)) if len(values) > 1 else None)
 
 
 @dataclass
@@ -481,25 +503,15 @@ class SweepResult:
     def aggregates(self):
         cells = {}
         for row in self.rows:
-            if row.status != "ok":
-                continue
-            cells.setdefault((row.subset, row.regime, row.task), []).append(row)
+            if row.status == "ok":
+                cells.setdefault((row.subset, row.regime, row.task), []).append(row)
         out = []
         for (subset, regime, task), rows in cells.items():
-            def stats(values):
-                values = [v for v in values if np.isfinite(v)]
-                if not values:
-                    return float("nan"), None
-                return float(np.mean(values)), (float(np.std(values)) if len(values) > 1 else None)
-            roc_m, roc_s = stats([r.auroc for r in rows])
-            prc_m, prc_s = stats([r.auprc for r in rows])
-            aln_m, aln_s = stats([r.alignment_top5 for r in rows])
-            out.append({
-                "subset": subset, "regime": regime, "task": task, "n_seeds": len(rows),
-                "auroc_mean": roc_m, "auroc_std": roc_s,
-                "auprc_mean": prc_m, "auprc_std": prc_s,
-                "alignment_mean": aln_m, "alignment_std": aln_s,
-            })
+            agg = {"subset": subset, "regime": regime, "task": task, "n_seeds": len(rows)}
+            for column, attr in AGG_STATS:
+                agg[f"{column}_mean"], agg[f"{column}_std"] = _mean_std(
+                    [getattr(r, attr) for r in rows])
+            out.append(agg)
         return out
 
 
@@ -524,24 +536,29 @@ def run_cell(base, cohort, subset, regime, seed, pretrains):
     if regime == "contrastive_pretrain":
         ckpt, history = _pretrained(config, cohort, pretrains)
         alignment = pool_alignment_accuracy(config, cohort, ckpt)
-        return SweepRow("+".join(subset), regime, config.task, seed,
-                        float("nan"), float("nan"), alignment, history[-1],
-                        time.perf_counter() - t0)
+        return SweepRow("+".join(subset), regime, config.task, seed, alignment_top5=alignment,
+                        final_loss=history[-1], wall_time_s=time.perf_counter() - t0)
     checkpoint = None
     if regime == "frozen_finetune" or (regime == "mlstm" and config.lambda_source == "learned"):
         checkpoint, _ = _pretrained(config, cohort, pretrains)
     _, record, _ = finetune(config, cohort, checkpoint)
-    return SweepRow("+".join(subset), regime, config.task, seed,
-                    record.auroc, record.auprc, float("nan"), float("nan"),
-                    time.perf_counter() - t0)
+    return SweepRow("+".join(subset), regime, config.task, seed, auroc=record.auroc,
+                    auprc=record.auprc, wall_time_s=time.perf_counter() - t0)
 
 
 def sweep(base, cohort, subsets, regimes, seeds):
     """Cartesian product of (subset, regime, seed); per-cell failures are
     recorded without aborting the sweep. The cells of one subset and seed
-    share one pretrain, kept until the sweep moves on to the next subset."""
+    share one pretrain, kept until the sweep moves on to the next subset.
+    An empty axis, or an entry repeated on one (a subset only with its
+    modalities in the same order), raises ConfigurationError."""
     if not subsets or not regimes or not seeds:
         raise ConfigurationError("sweep axes must be nonempty")
+    for name, axis in (("subsets", [tuple(s) for s in subsets]), ("regimes", regimes),
+                       ("seeds", seeds)):
+        repeated = [entry for entry in dict.fromkeys(axis) if axis.count(entry) > 1]
+        if repeated:
+            raise ConfigurationError(f"sweep {name} repeat {repeated}; list each once")
     rows = []
     for subset in subsets:
         pretrains = {}
@@ -551,16 +568,8 @@ def sweep(base, cohort, subsets, regimes, seeds):
                     rows.append(run_cell(base, cohort, subset, regime, seed, pretrains))
                 except Exception as exc:  # sweep isolation
                     rows.append(SweepRow("+".join(subset), regime, base.task, seed,
-                                         float("nan"), float("nan"), float("nan"),
-                                         float("nan"), 0.0,
                                          status=f"error: {type(exc).__name__}: {exc}"))
     return SweepResult(rows)
-
-
-ROW_FIELDS = ["subset", "regime", "task", "seed", "auroc", "auprc",
-              "alignment_top5", "final_loss", "wall_time_s", "status"]
-AGG_FIELDS = ["subset", "regime", "task", "n_seeds", "auroc_mean", "auroc_std",
-              "auprc_mean", "auprc_std", "alignment_mean", "alignment_std"]
 
 
 def _fmt(value):
@@ -602,20 +611,23 @@ def emit(result, out_dir, base_config=None):
     return paths
 
 
+# how load_rows reads each SweepRow field type back from its cell
+_PARSE_CELL = {int: int, float: lambda text: float(text) if text else float("nan"), str: str}
+
+
 def load_rows(path):
     """Round-trip reader for the row-level CSV. A file without the sweep
-    columns, or with an unparsable cell, raises CorruptFileError."""
-    def real(text):
-        return float(text) if text else float("nan")
-
+    columns, a row with a missing or extra cell, or an unparsable cell
+    raises CorruptFileError."""
     rows = []
     with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
         try:
-            for rec in csv.DictReader(fh):
-                rows.append(SweepRow(
-                    rec["subset"], rec["regime"], rec["task"], int(rec["seed"]),
-                    real(rec["auroc"]), real(rec["auprc"]), real(rec["alignment_top5"]),
-                    real(rec["final_loss"]), real(rec["wall_time_s"]), rec["status"]))
+            for rec in reader:
+                if None in rec or None in rec.values():  # extra cells / missing cells
+                    raise ValueError(f"line {reader.line_num}: a missing or extra cell")
+                rows.append(SweepRow(**{f.name: _PARSE_CELL[f.type](rec[f.name])
+                                        for f in fields(SweepRow)}))
         except (KeyError, TypeError, ValueError, csv.Error) as exc:
             raise CorruptFileError(
                 f"{path}: not a sweep rows.csv ({type(exc).__name__}: {exc})") from exc

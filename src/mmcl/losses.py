@@ -32,10 +32,6 @@ class ModalityEmbeddingSet:
     def num_modalities(self):
         return len(self.modalities)
 
-    @property
-    def batch_size(self):
-        return self.embeddings[0].shape[0]
-
 
 class Temperature:
     """Trainable temperature, stored as log tau so tau stays positive."""

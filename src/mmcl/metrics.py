@@ -1,6 +1,6 @@
 """Ranking metrics, subgroup breakdowns, and embedding-alignment accuracy."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,37 +106,22 @@ def label_group_aggregate(per_label_metrics, grouping):
     return {g: sums[g] / counts[g] for g in sums}
 
 
-@dataclass
-class AlignmentCorpus:
-    """Pooled embedding entries: one per (patient, modality) pair."""
-
-    entries: list = field(default_factory=list)  # (patient_id, modality_id, vector)
-
-    def add(self, patient_id, modality_id, vector):
-        self.entries.append((patient_id, modality_id, np.asarray(vector, dtype=np.float64)))
-
-    def validate(self):
-        seen = set()
-        for pid, mid, vec in self.entries:
-            if (pid, mid) in seen:
-                raise ContractError(f"duplicate entry for ({pid}, {mid})")
-            seen.add((pid, mid))
-            if np.linalg.norm(vec) <= EPS:
-                raise DegenerateInputError(f"zero-norm embedding for ({pid}, {mid})")
-
-
-def top5_alignment_accuracy(corpus):
-    """Fraction of entries whose 5 nearest cosine neighbors (self excluded,
-    ties broken by entry order) include another entry of the same patient."""
-    corpus.validate()
-    entries = corpus.entries
-    if len(entries) < 7:
+def top5_alignment_accuracy(vectors, patient_ids):
+    """Fraction of the E rows of an E x n embedding matrix whose 5 nearest
+    cosine neighbors (self excluded, ties broken by row order) include
+    another row of the same patient."""
+    mat = np.asarray(vectors, dtype=np.float64)
+    pids = np.asarray(patient_ids)
+    if mat.ndim != 2 or pids.shape != mat.shape[:1]:
+        raise ContractError(f"vectors {mat.shape} vs patient ids {pids.shape}: "
+                            f"need E x n vectors and E ids")
+    if mat.shape[0] < 7:
         raise ContractError("need at least 7 entries for 5 neighbors plus self")
-    mat = np.stack([vec for _, _, vec in entries])
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms[:, 0] <= EPS)
+    if zero.size:
+        raise DegenerateInputError(f"zero-norm embedding in row {zero[0]} "
+                                   f"(patient {pids[zero[0]]})")
+    mat = mat / norms
     sim = mat @ mat.T
-    pid_index = {}
-    pids = np.array([pid_index.setdefault(pid, len(pid_index)) for pid, _, _ in entries],
-                    dtype=np.int64)
-    hits = kernels.top5_same_patient(sim, pids)
-    return hits / len(entries)
+    return kernels.top5_same_patient(sim, pids) / mat.shape[0]

@@ -12,12 +12,11 @@ from mmcl.attribution import integrated_gradients, spearman_rank_correlation
 from mmcl.autodiff import Tensor, grad_check
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_step, make_lstm_params
-from mmcl.fusion import (ClassifierHead, ModalitySequence, mlstm_forward, multilabel_ce,
-                         weighted_bce)
+from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
 from mmcl.losses import (LambdaWeights, ModalityEmbeddingSet, Temperature,
                          infonce_pair_loss, ovo_loss, weighted_ovo_loss)
-from mmcl.metrics import AlignmentCorpus, auprc, auroc, top5_alignment_accuracy
+from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import SGD
 
 from lstm_oracle import composed_unroll
@@ -135,9 +134,7 @@ def test_criterion_03_mlstm_reduces_to_lstm():
         steps = int(rng.integers(2, 5))
         params = make_lstm_params(rng, din, hid)
         mats = [rng.standard_normal((3, din)) for _ in range(steps)]
-        seq = ModalitySequence.unchecked([f"m{t}" for t in range(steps)],
-                                         [Tensor(m) for m in mats], np.ones(steps))
-        gated = mlstm_forward(params, seq, hid).values
+        gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(steps), hid).values
         plain = composed_unroll(params, mats, hid).values
         worst = max(worst, float(np.abs(gated - plain).max()))
     elapsed = time.perf_counter() - start
@@ -216,16 +213,6 @@ def test_criterion_06_metric_oracles():
              f"max AUPRC gap {worst_prc:.2e}")
 
 
-def _corpus_from(vectors, pids):
-    corpus = AlignmentCorpus()
-    counters = {}
-    for vec, pid in zip(vectors, pids):
-        mid = counters.get(pid, 0)
-        counters[pid] = mid + 1
-        corpus.add(pid, f"m{mid}", vec)
-    return corpus
-
-
 def _enumeration_top5(vectors, pids):
     """Independent oracle: explicit cosine sims, stable sort, loop."""
     mat = np.stack(vectors)
@@ -249,7 +236,7 @@ def test_criterion_07_top5_alignment():
     base = rng.standard_normal((20, 8))
     vectors = [base[p] for p in range(20) for _ in range(2)]
     pids = [p for p in range(20) for _ in range(2)]
-    perfect = top5_alignment_accuracy(_corpus_from(vectors, pids))
+    perfect = top5_alignment_accuracy(np.stack(vectors), pids)
 
     # (b) isotropic random embeddings vs the chance level of a uniformly
     # random neighbor ranking: P(partner in top 5 of 199) = 5/199
@@ -257,7 +244,7 @@ def test_criterion_07_top5_alignment():
     for _ in range(50):
         vecs = rng.standard_normal((200, 64))
         rpids = [p for p in range(100) for _ in range(2)]
-        accs.append(top5_alignment_accuracy(_corpus_from(list(vecs), rpids)))
+        accs.append(top5_alignment_accuracy(vecs, rpids))
     mean_acc = float(np.mean(accs))
     chance = 5.0 / 199.0
 
@@ -266,7 +253,7 @@ def test_criterion_07_top5_alignment():
     for trial in range(20):
         vecs = list(np.round(rng.standard_normal((12, 4)), 1))
         fpids = [p for p in range(6) for _ in range(2)]
-        got = top5_alignment_accuracy(_corpus_from(vecs, fpids))
+        got = top5_alignment_accuracy(np.stack(vecs), fpids)
         want = _enumeration_top5(vecs, fpids)
         exact_ok = exact_ok and got == want
 

@@ -308,6 +308,39 @@ def test_exit_code_4_on_rows_csv_without_sweep_columns(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("cells", ["text_a+text_b,contrastive_pretrain,binary,0,,,0.5,1.25,0.01",
+                                   "text_a+text_b,contrastive_pretrain,binary,0,,,0.5,1.25,0.01,ok,x"],
+                         ids=["truncated", "extra_cell"])
+def test_exit_code_4_on_rows_csv_with_a_missing_or_extra_cell(tmp_path, capsys, cells):
+    path = str(tmp_path / "rows.csv")
+    with open(path, "w") as fh:
+        fh.write("subset,regime,task,seed,auroc,auprc,alignment_top5,final_loss,wall_time_s,"
+                 f"status\n{cells}\n")
+    out = str(tmp_path / "report")
+    rc = main(["report", "--rows", path, "--out", out])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err and "missing or extra cell" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subsets,regimes,seeds,axis", [
+    ("text_a,text_b;text_a,text_b", "contrastive_pretrain", "0", "subsets"),
+    ("text_a,text_b", "contrastive_pretrain,contrastive_pretrain", "0", "regimes"),
+    ("text_a,text_b", "contrastive_pretrain", "0,0", "seeds")],
+    ids=["subsets", "regimes", "seeds"])
+def test_exit_code_2_on_repeated_sweep_axis(cohort_file, tmp_path, capsys, subsets, regimes,
+                                            seeds, axis):
+    out = str(tmp_path / "sweep")
+    rc = main(["sweep", "--cohort", cohort_file, "--subsets", subsets, "--regimes", regimes,
+               "--seeds", seeds, "--max-epochs", "1", "--batch-size", "16", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and f"sweep {axis} repeat" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("args,field", [(["--num-patients", "0"], "num_patients"),
                                         (["--signal-fractions", "0.9,0.8"], "signal_fractions"),
                                         (["--noise-sigmas", "0.1"], "noise_sigmas")],

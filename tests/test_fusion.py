@@ -4,8 +4,9 @@ import pytest
 from mmcl.autodiff import Tensor, grad_check
 from mmcl.encoders import LSTM_GATES, lstm_step, make_lstm_params
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
-from mmcl.fusion import (ClassifierHead, ModalitySequence, class_weights_from_counts,
-                         concat_fuse, mlstm_forward, multilabel_ce, weighted_bce)
+from mmcl.fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
+                         multilabel_ce, weighted_bce)
+from mmcl.harness import Checkpoint, RunConfig, _resolve_lambdas
 from mmcl.losses import ModalityEmbeddingSet
 
 from lstm_oracle import composed_lstm_step, composed_unroll
@@ -28,9 +29,19 @@ def _packed(c, h):
     return Tensor(np.hstack([c.values, h.values]))
 
 
-def _seq(mats, lambdas, order=None):
-    order = order or [f"m{i}" for i in range(len(mats))]
-    return ModalitySequence(order, [Tensor(m) for m in mats], lambdas)
+ROSTER = ["text_a", "text_b", "image", "demo", "series"]
+
+
+def _resolve(lambdas, source="checkpoint"):
+    """The mLSTM weights a run would use, given as a `literal:` source or
+    stored in the contrastive checkpoint the run starts from."""
+    k = len(lambdas)
+    if source == "literal":
+        config = RunConfig(ROSTER[:k], "mlstm", lambda_source=f"literal:{list(lambdas)}")
+        return _resolve_lambdas(config, None, k)
+    checkpoint = Checkpoint({}, 0, {}, np.asarray(lambdas, dtype=np.float64), 1.0, 0, 0.0,
+                            ROSTER[:k])
+    return _resolve_lambdas(RunConfig(ROSTER[:k], "mlstm"), checkpoint, k)
 
 
 # --------------------------------------------------------------------------
@@ -47,32 +58,37 @@ def test_concat_fuse_width_and_round_trip():
 
 
 # --------------------------------------------------------------------------
-# modality sequence validation
+# the modality sequence's weights, checked once per run by `_resolve_lambdas`
 
 def test_modality_sequence_simplex_enforced():
-    mats = [np.zeros((2, 3))] * 2
-    with pytest.raises(ContractError):
-        _seq(mats, [0.9, 0.3])
+    for source in ("literal", "checkpoint"):
+        with pytest.raises(ContractError, match="sum to 1"):
+            _resolve([0.9, 0.3], source)
 
 
 @pytest.mark.parametrize("lambdas", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [2.0, -1.0, 0.0],
                                      [1.0 + 1e-7, -1e-7, 0.0]],
                          ids=["nan", "inf", "negative_summing_to_one", "tiny_negative"])
 def test_modality_sequence_rejects_weights_off_the_simplex(lambdas):
-    mats = [np.zeros((2, 3))] * 3
     with pytest.raises(ContractError, match="finite and nonnegative"):
-        _seq(mats, lambdas)
+        _resolve(lambdas)
+    if np.isfinite(lambdas).all():  # a literal source holds finite numbers only
+        with pytest.raises(ContractError, match="finite and nonnegative"):
+            _resolve(lambdas, "literal")
 
 
 def test_modality_sequence_absorbs_rounding():
-    mats = [np.zeros((2, 3))] * 2
-    seq = _seq(mats, [0.5 + 2e-7, 0.5])
-    assert seq.lambdas.sum() == pytest.approx(1.0, abs=1e-15)
+    for source in ("literal", "checkpoint"):
+        assert _resolve([0.5 + 2e-7, 0.5], source).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_modality_sequence_alignment():
-    with pytest.raises(ContractError):
-        ModalitySequence(["a"], [Tensor(np.zeros((2, 3)))], [0.5, 0.5])
+    # mlstm_forward takes the weights as given, but needs one per input
+    params = _params(np.random.default_rng(0), 3, 4)
+    inputs = [Tensor(np.zeros((2, 3)))] * 2
+    for lambdas in ([0.5], [0.4, 0.3, 0.3]):
+        with pytest.raises(ContractError, match="2 modality inputs"):
+            mlstm_forward(params, inputs, lambdas, 4)
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +142,7 @@ def test_mlstm_forward_matches_reference_unroll():
     params = _params(rng, 3, 4)
     mats = [rng.standard_normal((2, 3)) for _ in range(3)]
     lambdas = np.array([0.5, 0.3, 0.2])
-    out = mlstm_forward(params, _seq(mats, lambdas), 4).values
+    out = mlstm_forward(params, [Tensor(m) for m in mats], lambdas, 4).values
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -141,14 +157,12 @@ def test_mlstm_forward_matches_reference_unroll():
 
 
 def test_mlstm_forward_uniform_lambda_reduces_to_scaled_plain_lstm():
-    # with every lambda = 1 (via the unchecked constructor) the gated unroll
-    # must equal the plain LSTM unroll bitwise
+    # with every lambda = 1 the gated unroll must equal the plain LSTM
+    # unroll bitwise
     rng = np.random.default_rng(5)
     params = _params(rng, 3, 4)
     mats = [rng.standard_normal((2, 3)) for _ in range(3)]
-    seq = ModalitySequence.unchecked(["a", "b", "c"], [Tensor(m) for m in mats],
-                                     np.ones(3))
-    gated = mlstm_forward(params, seq, 4).values
+    gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(3), 4).values
     np.testing.assert_array_equal(gated, composed_unroll(params, mats, 4).values)
 
 
@@ -156,7 +170,7 @@ def test_mlstm_forward_rejects_single_modality():
     rng = np.random.default_rng(6)
     params = _params(rng, 3, 4)
     with pytest.raises(ContractError):
-        mlstm_forward(params, ModalitySequence(["a"], [Tensor(np.zeros((2, 3)))], [1.0]), 4)
+        mlstm_forward(params, [Tensor(np.zeros((2, 3)))], [1.0], 4)
 
 
 def test_mlstm_gradients_including_lambdas():

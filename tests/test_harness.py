@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dataclasses
 
@@ -7,7 +8,7 @@ from mmcl import harness, kernels
 from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
-from mmcl.errors import ConfigurationError, ContractError, DegenerateInputError
+from mmcl.errors import ConfigurationError, ContractError, CorruptFileError, DegenerateInputError
 from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, weighted_bce
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
@@ -339,6 +340,27 @@ def test_mlstm_literal_lambda_length_checked(small_cohort):
         finetune(cfg, small_cohort)
 
 
+@pytest.mark.parametrize("lambdas,error,message", [
+    ([0.5, 0.5], ConfigurationError, "length 3"),
+    ([0.5, 0.3, 0.3], ContractError, "sum to 1"),
+    ([0.5, 0.5, np.nan], ContractError, "finite and nonnegative")],
+    ids=["wrong_length", "off_simplex", "nan"])
+def test_mlstm_checkpoint_lambdas_checked(small_cohort, lambdas, error, message):
+    checkpoint = Checkpoint({}, 0, {}, np.array(lambdas), 1.0, 0, 0.0, ALL[:3])
+    with pytest.raises(error, match=message):
+        finetune(_cfg(ALL[:3], "mlstm"), small_cohort, checkpoint)
+
+
+def test_mlstm_runs_on_normalized_checkpoint_lambdas(small_cohort):
+    # a checkpoint's weights within rounding of the simplex are divided by
+    # their sum once, and the run uses and stores the result
+    stored = np.array([0.5 + 2e-7, 0.3, 0.2])
+    checkpoint = Checkpoint({}, 0, {}, stored, 1.0, 0, 0.0, ALL[:3])
+    ckpt, record, _ = finetune(_cfg(ALL[:3], "mlstm", max_epochs=1), small_cohort, checkpoint)
+    assert_bitwise_equal(ckpt.lambdas, stored / stored.sum())
+    assert np.isfinite(record.auroc)
+
+
 def test_patience_zero_stops_one_epoch_after_best(small_cohort):
     cfg = _cfg(ALL[:2], "supervised_baseline", max_epochs=20, patience=0)
     _, _, info = finetune(cfg, small_cohort)
@@ -535,6 +557,101 @@ def test_sweep_rejects_empty_axes(small_cohort):
     base = _cfg(ALL, "contrastive_pretrain")
     with pytest.raises(ConfigurationError):
         sweep(base, small_cohort, [], ["contrastive_pretrain"], [0])
+
+
+@pytest.mark.parametrize("subsets,regimes,seeds,axis", [
+    ([ALL[:2], ALL[:3], ALL[:2]], ["contrastive_pretrain"], [0], "subsets"),
+    ([ALL[:2]], ["contrastive_pretrain", "frozen_finetune", "contrastive_pretrain"], [0],
+     "regimes"),
+    ([ALL[:2]], ["contrastive_pretrain"], [0, 1, 0], "seeds")],
+    ids=["subset", "regime", "seed"])
+def test_sweep_rejects_repeated_axis_entries(small_cohort, monkeypatch, subsets, regimes, seeds,
+                                             axis):
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    with pytest.raises(ConfigurationError, match=f"sweep {axis} repeat"):
+        sweep(_cfg(ALL, "contrastive_pretrain"), small_cohort, subsets, regimes, seeds)
+    assert cells == []
+
+
+def test_sweep_subset_order_is_not_a_repeat(small_cohort):
+    # the mLSTM reads modalities in order, so a reordered subset is a new cell
+    base = _cfg(ALL, "contrastive_pretrain", max_epochs=1)
+    result = sweep(base, small_cohort, [ALL[:2], ALL[1::-1]], ["contrastive_pretrain"], [0])
+    assert [r.subset for r in result.rows] == ["text_a+text_b", "text_b+text_a"]
+    assert [a["n_seeds"] for a in result.aggregates()] == [1, 1]
+
+
+def _write_rows(path, lines):
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([",".join(harness.ROW_FIELDS), *lines]) + "\n")
+
+
+GOOD_ROW = "text_a+text_b,contrastive_pretrain,binary,0,,,0.5,1.25,0.01,ok"
+
+
+@pytest.mark.parametrize("line", [GOOD_ROW.rsplit(",", 1)[0], GOOD_ROW.rsplit(",", 4)[0],
+                                  GOOD_ROW + ",ok"],
+                         ids=["no_status", "stops_after_alignment", "extra_cell"])
+def test_load_rows_rejects_a_missing_or_extra_cell(tmp_path, line):
+    path = str(tmp_path / "rows.csv")
+    _write_rows(path, [GOOD_ROW, line])
+    with pytest.raises(CorruptFileError, match="line 3: a missing or extra cell") as info:
+        load_rows(path)
+    assert path in str(info.value)
+    _write_rows(path, [GOOD_ROW])
+    want = SweepRow("text_a+text_b", "contrastive_pretrain", "binary", 0, alignment_top5=0.5,
+                    final_loss=1.25, wall_time_s=0.01)
+    np.testing.assert_equal(_row_fields(load_rows(path)), _row_fields([want]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# rows.csv-shaped text: the header, then lines of cells that may be too few,
+# too many, empty, unparsable or quoted
+_CELL = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["", "0", "-3", "1.5", "nan", "inf", "1e999", "ok", '"', '"a,b"', "\r", "x\ny"]))
+_ROWS_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(_CELL, max_size=12).map(",".join), max_size=4).map(
+        lambda lines: "\n".join([",".join(harness.ROW_FIELDS), *lines])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ROWS_TEXT)
+def test_load_rows_loads_or_raises_corrupt_file_error(fuzz_dir, text):
+    path = str(fuzz_dir / "rows.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        rows = load_rows(path)
+    except CorruptFileError as exc:
+        assert path in str(exc)
+    else:
+        assert all(isinstance(row, SweepRow) for row in rows)
+
+
+# a metric is any finite float or NaN (emit writes +-inf as an empty cell)
+_METRIC = st.floats(min_value=-1e9, max_value=1e9) | st.just(float("nan"))
+_ROW = st.builds(SweepRow, subset=st.text(), regime=st.text(), task=st.text(),
+                 seed=st.integers(), auroc=_METRIC, auprc=_METRIC, alignment_top5=_METRIC,
+                 final_loss=_METRIC, wall_time_s=_METRIC,
+                 status=st.just("ok") | st.text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_ROW, max_size=5))
+def test_emit_then_load_rows_round_trips(fuzz_dir, rows):
+    rows_path = harness.emit(SweepResult(rows), str(fuzz_dir / "emitted"))[0]
+    loaded = load_rows(rows_path)
+    assert len(loaded) == len(rows)
+    for got, want in zip(loaded, rows):
+        for name in harness.ROW_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b) and (a == b or (a != a and b != b)), name
 
 
 # --------------------------------------------------------------------------

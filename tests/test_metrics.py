@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mmcl.errors import ContractError, DegenerateInputError
-from mmcl.metrics import (AlignmentCorpus, auprc, auroc, groupwise,
-                          label_group_aggregate, top5_alignment_accuracy)
+from mmcl.metrics import (auprc, auroc, groupwise, label_group_aggregate,
+                          top5_alignment_accuracy)
 
 
 # --------------------------------------------------------------------------
@@ -160,13 +160,6 @@ def test_label_group_aggregate_unmapped_label():
 # --------------------------------------------------------------------------
 # top-5 alignment accuracy
 
-def _corpus(vectors, pids, mids=None):
-    c = AlignmentCorpus()
-    for k, (v, p) in enumerate(zip(vectors, pids)):
-        c.add(p, mids[k] if mids else f"m{k}", v)
-    return c
-
-
 def test_top5_perfect_clusters():
     # 4 patients x 2 modalities of near-identical vectors: every entry's
     # nearest neighbor is its partner
@@ -177,8 +170,7 @@ def test_top5_perfect_clusters():
         for m in range(2):
             vectors.append(base[p] + 1e-3 * rng.standard_normal(6))
             pids.append(f"p{p}")
-    mids = [f"mod{k % 2}" for k in range(8)]
-    assert top5_alignment_accuracy(_corpus(vectors, pids, mids)) == pytest.approx(1.0)
+    assert top5_alignment_accuracy(np.stack(vectors), pids) == pytest.approx(1.0)
 
 
 def test_top5_crafted_partial_hit():
@@ -187,8 +179,7 @@ def test_top5_crafted_partial_hit():
     vectors = [np.eye(7)[0], np.eye(7)[0] + 1e-6,
                np.eye(7)[1], np.eye(7)[2], np.eye(7)[3], np.eye(7)[4], np.eye(7)[5]]
     pids = ["p0", "p0", "p1", "p2", "p3", "p4", "p5"]
-    mids = ["a", "b", "a", "a", "a", "a", "a"]
-    acc = top5_alignment_accuracy(_corpus(vectors, pids, mids))
+    acc = top5_alignment_accuracy(np.stack(vectors), pids)
     assert acc == pytest.approx(2 / 7)
 
 
@@ -196,27 +187,26 @@ def test_top5_rotation_invariant():
     rng = np.random.default_rng(5)
     vectors = [rng.standard_normal(6) for _ in range(10)]
     pids = [f"p{k // 2}" for k in range(10)]
-    mids = [f"m{k % 2}" for k in range(10)]
-    base = top5_alignment_accuracy(_corpus(vectors, pids, mids))
+    base = top5_alignment_accuracy(np.stack(vectors), pids)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     rotated = [v @ q for v in vectors]
-    assert top5_alignment_accuracy(_corpus(rotated, pids, mids)) == pytest.approx(base)
+    assert top5_alignment_accuracy(np.stack(rotated), pids) == pytest.approx(base)
 
 
 def test_top5_requires_seven_entries():
     vectors = [np.eye(6)[k] for k in range(6)]
     pids = [f"p{k}" for k in range(6)]
     with pytest.raises(ContractError):
-        top5_alignment_accuracy(_corpus(vectors, pids))
+        top5_alignment_accuracy(np.stack(vectors), pids)
 
 
 def test_corpus_validation():
-    c = AlignmentCorpus()
-    c.add("p0", "m0", np.ones(3))
-    c.add("p0", "m0", np.ones(3))
-    with pytest.raises(ContractError):
-        c.validate()
-    c2 = AlignmentCorpus()
-    c2.add("p0", "m0", np.zeros(3))
-    with pytest.raises(DegenerateInputError):
-        c2.validate()
+    vectors = np.ones((8, 3))
+    pids = [f"p{k // 2}" for k in range(8)]
+    vectors[5] = 0.0
+    with pytest.raises(DegenerateInputError, match="row 5"):
+        top5_alignment_accuracy(vectors, pids)
+    for bad_vectors, bad_pids in ((np.ones((8, 3)), pids[:7]), (np.ones(8), pids),
+                                  (np.ones((8, 3)), np.zeros((8, 1)))):
+        with pytest.raises(ContractError, match="patient ids"):
+            top5_alignment_accuracy(bad_vectors, bad_pids)
