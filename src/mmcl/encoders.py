@@ -1,27 +1,13 @@
 """Toy modality encoders: MLPs for static feature vectors and an LSTM for
 sequences, all projecting into a shared n-dimensional embedding space."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .autodiff import Parameter, Tensor, _unbroadcast
-from .errors import ContractError, DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
-
-
-@dataclass
-class EncoderConfig:
-    modality_kind: str  # "static_vector" | "sequence"
-    input_dim: int
-    hidden_dims: list
-    embedding_dim: int
-
-    def __post_init__(self):
-        if self.modality_kind not in ("static_vector", "sequence"):
-            raise ContractError(f"unknown modality_kind {self.modality_kind!r}")
 
 
 def _init_weight(rng, fan_in, shape):
@@ -56,15 +42,12 @@ class _MLP:
 class MLPEncoder(_MLP):
     """MLP over a static feature vector with a final linear projection to n."""
 
-    def __init__(self, cfg, rng, name="mlp"):
-        if cfg.modality_kind != "static_vector":
-            raise ContractError("MLPEncoder requires a static_vector config")
-        self.cfg = cfg
-        dims = [cfg.input_dim] + list(cfg.hidden_dims) + [cfg.embedding_dim]
-        super().__init__(dims, rng, name)
+    def __init__(self, input_dim, hidden_dims, embedding_dim, rng, name="mlp"):
+        self.input_dim = input_dim
+        super().__init__([input_dim] + list(hidden_dims) + [embedding_dim], rng, name)
 
     def forward(self, batch):
-        return self._stack(batch, self.cfg.input_dim, "input_dim")
+        return self._stack(batch, self.input_dim, "input_dim")
 
 
 def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
@@ -124,16 +107,14 @@ class LSTMEncoder:
     """Unrolls an LSTM over a fixed-length sequence and projects the final
     hidden state to the shared embedding dimension."""
 
-    def __init__(self, cfg, rng, name="lstm"):
-        if cfg.modality_kind != "sequence":
-            raise ContractError("LSTMEncoder requires a sequence config")
-        self.cfg = cfg
+    def __init__(self, input_dim, hidden_dims, embedding_dim, rng, name="lstm"):
+        self.input_dim = input_dim
         self.name = name
-        self.hidden_dim = cfg.hidden_dims[-1]
-        self.cell = make_lstm_params(rng, cfg.input_dim, self.hidden_dim, name)
+        self.hidden_dim = hidden_dims[-1]
+        self.cell = make_lstm_params(rng, input_dim, self.hidden_dim, name)
         self.w_proj = Parameter(
-            f"{name}.w_proj", _init_weight(rng, self.hidden_dim, (self.hidden_dim, cfg.embedding_dim)))
-        self.b_proj = Parameter(f"{name}.b_proj", np.zeros(cfg.embedding_dim))
+            f"{name}.w_proj", _init_weight(rng, self.hidden_dim, (self.hidden_dim, embedding_dim)))
+        self.b_proj = Parameter(f"{name}.b_proj", np.zeros(embedding_dim))
 
     def parameters(self):
         return list(self.cell.values()) + [self.w_proj, self.b_proj]
@@ -146,16 +127,17 @@ class LSTMEncoder:
         n, steps, dim = x.shape
         if steps < 1:
             raise DegenerateInputError(f"{self.name}: empty sequence")
-        if dim != self.cfg.input_dim:
+        if dim != self.input_dim:
             raise DimensionError(
-                f"{self.name}: expected per-step dim {self.cfg.input_dim}, got {dim}")
+                f"{self.name}: expected per-step dim {self.input_dim}, got {dim}")
         state = Tensor(np.zeros((n, 2 * self.hidden_dim)))
         for t in range(steps):
             state = lstm_step(self.cell, x[:, t, :], state)
         return state[:, self.hidden_dim:] @ self.w_proj + self.b_proj
 
 
-def build_encoder(cfg, rng, name):
-    if cfg.modality_kind == "sequence":
-        return LSTMEncoder(cfg, rng, name)
-    return MLPEncoder(cfg, rng, name)
+def build_encoder(kind, input_dim, hidden_dims, embedding_dim, rng, name):
+    """An LSTM for a "sequence" modality, else an MLP; `ModalitySpec` has
+    already checked the kind."""
+    cls = LSTMEncoder if kind == "sequence" else MLPEncoder
+    return cls(input_dim, hidden_dims, embedding_dim, rng, name)

@@ -8,9 +8,10 @@ from .encoders import _MLP, lstm_step
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 
-def concat_fuse(emb_set):
-    """Rowwise concatenation in the fixed modality order (width n*m)."""
-    return concat(emb_set.embeddings, axis=1)
+def concat_fuse(embeddings):
+    """Rowwise concatenation of the per-modality batches in their order
+    (width n*m)."""
+    return concat(embeddings, axis=1)
 
 
 def mlstm_forward(params, inputs, lambdas, hidden_dim):

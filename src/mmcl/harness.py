@@ -15,12 +15,12 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .attribution import integrated_gradients, modality_aggregate
-from .encoders import EncoderConfig, build_encoder, make_lstm_params
+from .encoders import build_encoder, make_lstm_params
 from .errors import (ConfigurationError, ContractError, CorruptFileError,
                      DegenerateInputError, DivergenceError)
 from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                      multilabel_ce, weighted_bce)
-from .losses import LambdaWeights, ModalityEmbeddingSet, Temperature, loss_for_combination
+from .losses import LambdaWeights, Temperature, loss_for_combination
 from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
 from .optim import OPTIMIZERS, make_optimizer
 
@@ -188,16 +188,15 @@ def enumerate_subsets(modalities):
 def build_encoders(cohort, config, rng):
     encoders = {}
     for name in config.modality_subset:
-        mod_spec = cohort.modality(name)
-        cfg = EncoderConfig(mod_spec.kind, mod_spec.obs_dim, list(config.encoder_hidden),
-                            config.embedding_dim)
-        encoders[name] = build_encoder(cfg, rng, name)
+        spec = cohort.modality(name)
+        encoders[name] = build_encoder(spec.kind, spec.obs_dim, config.encoder_hidden,
+                                       config.embedding_dim, rng, name)
     return encoders
 
 
 def encode_batch(encoders, observations, indices, subset):
-    embeddings = [encoders[name].forward(observations[name][indices]) for name in subset]
-    return ModalityEmbeddingSet(subset, embeddings)
+    """The row-aligned embedding batch of each modality of `subset`, in order."""
+    return [encoders[name].forward(observations[name][indices]) for name in subset]
 
 
 def _collect_params(encoders):
@@ -255,8 +254,8 @@ def pretrain(config, cohort, on_step=None):
             idx = perm[start:start + config.batch_size]
             if idx.size < 2:
                 continue  # a single sample has no in-batch negatives
-            emb_set = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
-            loss = loss_for_combination(emb_set, tau, lam)
+            embeddings = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
+            loss = loss_for_combination(embeddings, tau, lam)
             if lam is not None and config.lambda_entropy_coef > 0:
                 lambdas = lam.lambdas()
                 loss = loss + config.lambda_entropy_coef * (lambdas * lambdas.log()).sum()
@@ -289,9 +288,9 @@ def pool_alignment_accuracy(config, cohort, checkpoint, max_patients=100):
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                        pool_fraction=config.pool_fraction)
     pool = pool[:max_patients]
-    emb_set = encode_batch(encoders, cohort.observations, pool, config.modality_subset)
-    vectors = np.concatenate([emb.values for emb in emb_set.embeddings])  # modality-major
-    return top5_alignment_accuracy(vectors, np.tile(pool, len(emb_set.embeddings)))
+    embeddings = encode_batch(encoders, cohort.observations, pool, config.modality_subset)
+    vectors = np.concatenate([emb.values for emb in embeddings])  # modality-major
+    return top5_alignment_accuracy(vectors, np.tile(pool, len(embeddings)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,7 @@ def _resolve_lambdas(config, checkpoint, k):
     their sum to absorb serialization rounding."""
     lambdas = config.literal_lambdas()
     if lambdas is None:
-        if checkpoint is None or checkpoint.lambdas is None:
+        if checkpoint.lambdas is None:
             raise ConfigurationError(
                 "lambda_source=learned requires a contrastive checkpoint with lambdas")
         lambdas = np.asarray(checkpoint.lambdas, dtype=np.float64)
@@ -352,15 +351,26 @@ def _resolve_lambdas(config, checkpoint, k):
     return lambdas / total
 
 
+def _reads_checkpoint(config):
+    """Whether a fine-tuning run reads a contrastive checkpoint: the frozen
+    regime loads its encoders, a learned-lambda mLSTM its lambdas."""
+    return config.regime == "frozen_finetune" or (
+        config.regime == "mlstm" and config.lambda_source == "learned")
+
+
 def finetune(config, cohort, checkpoint=None):
     """Train a downstream model per regime with early stopping on validation
     AUROC; returns (Checkpoint, MetricsRecord) from the best-epoch weights."""
     if config.regime not in ("frozen_finetune", "supervised_baseline", "mlstm"):
         raise ConfigurationError(f"finetune cannot run regime {config.regime!r}")
-    if config.regime == "frozen_finetune" and checkpoint is None:
-        raise ConfigurationError("frozen_finetune requires a contrastive checkpoint")
-    if config.regime == "frozen_finetune" and list(checkpoint.modality_subset) != list(config.modality_subset):
-        raise ConfigurationError("checkpoint modality subset does not match the run config")
+    if _reads_checkpoint(config):
+        if checkpoint is None:
+            raise ConfigurationError(f"this {config.regime} run reads a contrastive checkpoint "
+                                     f"(frozen encoders or learned lambdas); none was given")
+        if list(checkpoint.modality_subset) != list(config.modality_subset):
+            raise ConfigurationError(
+                f"checkpoint modality subset {list(checkpoint.modality_subset)} does not match "
+                f"the run's {list(config.modality_subset)}")
 
     k = len(config.modality_subset)
     rng = np.random.default_rng(config.seed)
@@ -403,11 +413,11 @@ def finetune(config, cohort, checkpoint=None):
     def forward(indices):
         if config.regime == "frozen_finetune":
             return head.forward(features[indices])
-        emb_set = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
+        embeddings = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
         if config.regime == "mlstm":
-            fused = mlstm_forward(mlstm_params, emb_set.embeddings, lambdas, config.mlstm_hidden)
+            fused = mlstm_forward(mlstm_params, embeddings, lambdas, config.mlstm_hidden)
         else:
-            fused = concat_fuse(emb_set)
+            fused = concat_fuse(embeddings)
         return head.forward(fused)
 
     def loss_fn(logits, targets):
@@ -539,7 +549,7 @@ def run_cell(base, cohort, subset, regime, seed, pretrains):
         return SweepRow("+".join(subset), regime, config.task, seed, alignment_top5=alignment,
                         final_loss=history[-1], wall_time_s=time.perf_counter() - t0)
     checkpoint = None
-    if regime == "frozen_finetune" or (regime == "mlstm" and config.lambda_source == "learned"):
+    if _reads_checkpoint(config):
         checkpoint, _ = _pretrained(config, cohort, pretrains)
     _, record, _ = finetune(config, cohort, checkpoint)
     return SweepRow("+".join(subset), regime, config.task, seed, auroc=record.auroc,
@@ -576,7 +586,7 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return "" if not np.isfinite(value) else "%.17g" % value
+        return "" if np.isnan(value) else "%.17g" % value  # +-inf as inf and -inf
     return str(value)
 
 
@@ -657,8 +667,8 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
 
     _, _, _, test_idx = finetune_splits(cohort, config)
     test_idx = test_idx[:max_samples]
-    emb_set = encode_batch(encoders, cohort.observations, test_idx, config.modality_subset)
-    features = np.concatenate([e.values for e in emb_set.embeddings], axis=1)
+    features = concat_fuse(encode_batch(
+        encoders, cohort.observations, test_idx, config.modality_subset)).values
 
     def model_fn(x):
         return head.forward(x)[:, target_label]

@@ -13,26 +13,6 @@ from .autodiff import Parameter, Tensor, logsumexp_rows, row_normalize, softmax
 from .errors import ContractError, DimensionError
 
 
-class ModalityEmbeddingSet:
-    """Row-aligned per-modality embedding batches: row k of every tensor
-    belongs to sample k."""
-
-    def __init__(self, modalities, embeddings):
-        if len(modalities) != len(embeddings):
-            raise ContractError("modalities and embeddings must align")
-        if len(modalities) < 2:
-            raise ContractError("need at least 2 modalities")
-        shapes = {e.shape for e in embeddings}
-        if len(shapes) != 1:
-            raise DimensionError(f"embedding shapes disagree: {sorted(shapes)}")
-        self.modalities = list(modalities)
-        self.embeddings = list(embeddings)
-
-    @property
-    def num_modalities(self):
-        return len(self.modalities)
-
-
 class Temperature:
     """Trainable temperature, stored as log tau so tau stays positive."""
 
@@ -100,50 +80,49 @@ def _left_sum(tensors):
     return total
 
 
-def others_mean(emb_set, i):
-    """Rowwise mean of every modality except i."""
-    k = emb_set.num_modalities
-    if k < 2:
-        raise ContractError("others_mean needs at least 2 modalities")
-    if not 0 <= i < k:
-        raise ContractError(f"modality index {i} out of range for K={k}")
-    rest = [e for j, e in enumerate(emb_set.embeddings) if j != i]
-    return _left_sum(rest) * (1.0 / (k - 1))
+def others_mean(embeddings, i):
+    """Rowwise mean of every embedding batch except the i-th."""
+    rest = [e for j, e in enumerate(embeddings) if j != i]
+    return _left_sum(rest) * (1.0 / (len(embeddings) - 1))
 
 
-def _ovo_terms(emb_set, tau):
-    return [_directional_nce(e, others_mean(emb_set, i), tau)
-            for i, e in enumerate(emb_set.embeddings)]
+def _ovo_terms(embeddings, tau):
+    return [_directional_nce(e, others_mean(embeddings, i), tau)
+            for i, e in enumerate(embeddings)]
 
 
-def ovo_loss(emb_set, tau):
+def ovo_loss(embeddings, tau):
     """One-vs-Others loss: each modality contrasted against the mean of the
     rest. Returns (total, per-modality terms); for K=2 each term equals the
     corresponding directional InfoNCE term."""
-    terms = _ovo_terms(emb_set, tau)
+    terms = _ovo_terms(embeddings, tau)
     return _left_sum(terms), terms
 
 
-def weighted_ovo_loss(emb_set, tau, lam):
+def weighted_ovo_loss(embeddings, tau, lam):
     """OvO with each modality term scaled by its softmax importance weight.
     Gradients flow to embeddings, tau, and the lambda logits jointly."""
     lambdas = lam.lambdas()
-    if lambdas.shape[0] != emb_set.num_modalities:
-        raise ContractError(
-            f"lambda length {lambdas.shape[0]} != K={emb_set.num_modalities}")
-    terms = [lambdas[i] * raw for i, raw in enumerate(_ovo_terms(emb_set, tau))]
+    if lambdas.shape[0] != len(embeddings):
+        raise ContractError(f"lambda length {lambdas.shape[0]} != K={len(embeddings)}")
+    terms = [lambdas[i] * raw for i, raw in enumerate(_ovo_terms(embeddings, tau))]
     return _left_sum(terms), terms
 
 
-def loss_for_combination(emb_set, tau, lam=None):
-    """Dispatch: K=2 -> pairwise InfoNCE, K>=3 -> weighted OvO."""
-    k = emb_set.num_modalities
+def loss_for_combination(embeddings, tau, lam=None):
+    """Loss of K row-aligned N x n embedding batches (row k of each belongs
+    to sample k): K=2 -> pairwise InfoNCE, K>=3 -> weighted OvO. The batches
+    are checked here, once; the losses above use them as given."""
+    k = len(embeddings)
     if k < 2:
-        raise ContractError("contrastive loss needs at least 2 modalities")
+        raise ContractError(f"contrastive loss needs at least 2 modalities, got {k}")
+    shapes = {e.shape for e in embeddings}
+    if len(shapes) != 1:
+        raise DimensionError(f"embedding shapes disagree: {sorted(shapes)}")
     if k == 2:
-        total, _ = infonce_pair_loss(emb_set.embeddings[0], emb_set.embeddings[1], tau)
+        total, _ = infonce_pair_loss(embeddings[0], embeddings[1], tau)
         return total
     if lam is None:
         raise ContractError("weighted OvO needs lambda weights for K >= 3")
-    total, _ = weighted_ovo_loss(emb_set, tau, lam)
+    total, _ = weighted_ovo_loss(embeddings, tau, lam)
     return total

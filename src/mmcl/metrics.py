@@ -93,19 +93,6 @@ def groupwise(metric_fn, scores, labels, groups):
     return per_group, skipped
 
 
-def label_group_aggregate(per_label_metrics, grouping):
-    """Unweighted mean of per-label metrics within each label group."""
-    missing = [lbl for lbl in per_label_metrics if lbl not in grouping]
-    if missing:
-        raise ContractError(f"labels not mapped to a group: {missing}")
-    sums, counts = {}, {}
-    for lbl, value in per_label_metrics.items():
-        g = grouping[lbl]
-        sums[g] = sums.get(g, 0.0) + value
-        counts[g] = counts.get(g, 0) + 1
-    return {g: sums[g] / counts[g] for g in sums}
-
-
 def top5_alignment_accuracy(vectors, patient_ids):
     """Fraction of the E rows of an E x n embedding matrix whose 5 nearest
     cosine neighbors (self excluded, ties broken by row order) include

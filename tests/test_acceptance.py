@@ -14,8 +14,8 @@ from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_step, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
-from mmcl.losses import (LambdaWeights, ModalityEmbeddingSet, Temperature,
-                         infonce_pair_loss, ovo_loss, weighted_ovo_loss)
+from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, ovo_loss,
+                         weighted_ovo_loss)
 from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import SGD
 
@@ -68,8 +68,7 @@ def test_criterion_01_ovo_reduces_to_infonce():
         a = Tensor(rng.standard_normal((n, d)))
         b = Tensor(rng.standard_normal((n, d)))
         tau = Temperature(float(rng.uniform(0.2, 2.0)))
-        emb = ModalityEmbeddingSet(["a", "b"], [a, b])
-        _, ovo_terms = ovo_loss(emb, tau)
+        _, ovo_terms = ovo_loss([a, b], tau)
         _, nce_terms = infonce_pair_loss(a, b, tau)
         for ot, nt in zip(ovo_terms, nce_terms):
             worst = max(worst, abs(ot.item() - nt.item()))
@@ -92,9 +91,8 @@ def test_criterion_02_gradient_fidelity():
     mats = [Tensor(rng.standard_normal((3, 4))) for _ in range(3)]
     tau2 = Temperature(0.7)
     lam2 = LambdaWeights(3, initial_logits=[0.3, -0.2, 0.1])
-    emb = ModalityEmbeddingSet(["a", "b", "c"], mats)
     errs["weighted_ovo"] = grad_check(
-        lambda: weighted_ovo_loss(emb, tau2, lam2)[0],
+        lambda: weighted_ovo_loss(mats, tau2, lam2)[0],
         mats + [tau2.log_tau, lam2.logits], h=1e-5)
 
     params = make_lstm_params(rng, 2, 3)

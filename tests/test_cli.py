@@ -260,6 +260,21 @@ def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
     assert "checkpoint missing parameter 'series.wx'" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_mlstm_checkpoint_of_another_subset(cohort_file, tmp_path, capsys):
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    out = str(tmp_path / "run")
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "demo,series,image",
+               "--regime", "mlstm", "--checkpoint", ckpt_path, "--max-epochs", "1",
+               "--batch-size", "16", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and "modality subset" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("args", [["pretrain", "--max-epochs", "0"],
                                   ["finetune", "--max-epochs", "0"],
                                   ["finetune", "--patience", "-1"],

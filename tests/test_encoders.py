@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from mmcl.autodiff import Tensor, concat, grad_check
-from mmcl.encoders import (LSTM_GATES, EncoderConfig, LSTMEncoder, MLPEncoder, build_encoder,
-                           lstm_step, make_lstm_params)
-from mmcl.errors import ContractError, DegenerateInputError, DimensionError
+from mmcl.encoders import (LSTM_GATES, LSTMEncoder, MLPEncoder, build_encoder, lstm_step,
+                           make_lstm_params)
+from mmcl.errors import DegenerateInputError, DimensionError
 
 from lstm_oracle import composed_lstm_step, composed_unroll
 
 
-def _static_cfg(din=4, hidden=(6,), n=3):
-    return EncoderConfig("static_vector", din, list(hidden), n)
+def _mlp(seed=0, din=4, hidden=(6,), n=3):
+    return MLPEncoder(din, hidden, n, np.random.default_rng(seed))
 
 
-def _seq_cfg(din=3, hidden=(5,), n=4):
-    return EncoderConfig("sequence", din, list(hidden), n)
+def _lstm(seed=0, din=3, hidden=(5,), n=4):
+    return LSTMEncoder(din, hidden, n, np.random.default_rng(seed))
 
 
 def _zero_params(model):
@@ -26,21 +26,20 @@ def _zero_params(model):
 # MLP encoder
 
 def test_mlp_output_shape():
-    enc = MLPEncoder(_static_cfg(), np.random.default_rng(0))
+    enc = _mlp()
     out = enc.forward(np.random.default_rng(1).standard_normal((7, 4)))
     assert out.shape == (7, 3)
 
 
 def test_mlp_zero_weights_give_zero_embeddings():
-    enc = MLPEncoder(_static_cfg(), np.random.default_rng(0))
+    enc = _mlp()
     _zero_params(enc)
     out = enc.forward(np.ones((5, 4)))
     np.testing.assert_array_equal(out.values, np.zeros((5, 3)))
 
 
 def test_mlp_no_hidden_layer_is_affine():
-    cfg = EncoderConfig("static_vector", 3, [], 3)
-    enc = MLPEncoder(cfg, np.random.default_rng(0))
+    enc = _mlp(din=3, hidden=(), n=3)
     w, b = enc.layers[0]
     w.values[...] = np.eye(3)
     b.values[...] = [1.0, 2.0, 3.0]
@@ -49,20 +48,20 @@ def test_mlp_no_hidden_layer_is_affine():
 
 
 def test_mlp_input_dim_mismatch():
-    enc = MLPEncoder(_static_cfg(din=4), np.random.default_rng(0))
+    enc = _mlp(din=4)
     with pytest.raises(DimensionError):
         enc.forward(np.zeros((2, 5)))
 
 
 def test_mlp_gradients():
-    enc = MLPEncoder(_static_cfg(), np.random.default_rng(0))
+    enc = _mlp()
     x = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
     tensors = enc.parameters() + [x]
     assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(), tensors) < 1e-5
 
 
 def test_mlp_batch_permutation_equivariant():
-    enc = MLPEncoder(_static_cfg(), np.random.default_rng(0))
+    enc = _mlp()
     x = np.random.default_rng(2).standard_normal((6, 4))
     perm = np.random.default_rng(3).permutation(6)
     np.testing.assert_allclose(enc.forward(x[perm]).values, enc.forward(x).values[perm],
@@ -70,8 +69,7 @@ def test_mlp_batch_permutation_equivariant():
 
 
 def test_mlp_deterministic_init():
-    a = MLPEncoder(_static_cfg(), np.random.default_rng(42))
-    b = MLPEncoder(_static_cfg(), np.random.default_rng(42))
+    a, b = _mlp(seed=42), _mlp(seed=42)
     for pa, pb in zip(a.parameters(), b.parameters()):
         np.testing.assert_array_equal(pa.values, pb.values)
 
@@ -207,31 +205,31 @@ def test_lstm_step_gradients_bitwise_equal_composed_oracle():
 # LSTM encoder
 
 def test_lstm_encoder_output_shape():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     batch = np.random.default_rng(1).standard_normal((6, 4, 3))
     assert enc.forward(batch).shape == (6, 4)
 
 
 def test_lstm_encoder_rejects_empty_sequence():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     with pytest.raises(DegenerateInputError):
         enc.forward(np.zeros((2, 0, 3)))
 
 
 def test_lstm_encoder_step_dim_mismatch():
-    enc = LSTMEncoder(_seq_cfg(din=3), np.random.default_rng(0))
+    enc = _lstm(din=3)
     with pytest.raises(DimensionError, match="per-step dim 3, got 5"):
         enc.forward(np.zeros((2, 4, 5)))
 
 
 def test_lstm_encoder_rejects_2d_input():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     with pytest.raises(DimensionError, match="N x T x d"):
         enc.forward(np.zeros((4, 3)))
 
 
 def test_lstm_encoder_gradients_through_time():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
     tensors = enc.parameters() + [x]
     assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(),
@@ -239,7 +237,7 @@ def test_lstm_encoder_gradients_through_time():
 
 
 def test_lstm_encoder_bitwise_equals_composed_unroll():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     data = np.random.default_rng(4).standard_normal((5, 4, 3))
     h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)], enc.hidden_dim)
     want = h @ enc.w_proj + enc.b_proj
@@ -247,7 +245,7 @@ def test_lstm_encoder_bitwise_equals_composed_unroll():
 
 
 def test_lstm_encoder_batch_permutation_equivariant():
-    enc = LSTMEncoder(_seq_cfg(), np.random.default_rng(0))
+    enc = _lstm()
     data = np.random.default_rng(2).standard_normal((5, 4, 3))
     perm = np.random.default_rng(3).permutation(5)
     out = enc.forward(data).values
@@ -257,20 +255,14 @@ def test_lstm_encoder_batch_permutation_equivariant():
 
 def test_lstm_encoder_deterministic():
     batch = np.random.default_rng(1).standard_normal((4, 4, 3))
-    outs = [LSTMEncoder(_seq_cfg(), np.random.default_rng(7)).forward(batch).values
-            for _ in range(2)]
+    outs = [_lstm(seed=7).forward(batch).values for _ in range(2)]
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
 # --------------------------------------------------------------------------
-# factory + config validation
+# factory; the modality kind is validated by ModalitySpec (test_cohort.py)
 
 def test_build_encoder_dispatch():
     rng = np.random.default_rng(0)
-    assert isinstance(build_encoder(_static_cfg(), rng, "m"), MLPEncoder)
-    assert isinstance(build_encoder(_seq_cfg(), rng, "s"), LSTMEncoder)
-
-
-def test_encoder_config_validation():
-    with pytest.raises(ContractError):
-        EncoderConfig("audio", 4, [6], 3)
+    assert isinstance(build_encoder("static_vector", 4, [6], 3, rng, "m"), MLPEncoder)
+    assert isinstance(build_encoder("sequence", 3, [5], 4, rng, "s"), LSTMEncoder)

@@ -7,7 +7,6 @@ from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                          multilabel_ce, weighted_bce)
 from mmcl.harness import Checkpoint, RunConfig, _resolve_lambdas
-from mmcl.losses import ModalityEmbeddingSet
 
 from lstm_oracle import composed_lstm_step, composed_unroll
 
@@ -50,8 +49,7 @@ def _resolve(lambdas, source="checkpoint"):
 def test_concat_fuse_width_and_round_trip():
     rng = np.random.default_rng(0)
     mats = [rng.standard_normal((4, 3)) for _ in range(3)]
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
-    fused = concat_fuse(emb)
+    fused = concat_fuse([Tensor(m) for m in mats])
     assert fused.shape == (4, 9)
     for i, m in enumerate(mats):
         np.testing.assert_array_equal(fused.values[:, 3 * i:3 * (i + 1)], m)

@@ -322,6 +322,20 @@ def test_frozen_finetune_requires_matching_checkpoint(small_cohort):
         finetune(_cfg(ALL[1:3], "frozen_finetune"), small_cohort, pre)
 
 
+def test_mlstm_learned_lambdas_require_matching_checkpoint(small_cohort):
+    # lambdas learned for one subset must not gate another of the same size
+    pre, _ = pretrain(_cfg(["text_a", "text_b", "image"], "contrastive_pretrain"), small_cohort)
+    with pytest.raises(ConfigurationError, match="modality subset"):
+        finetune(_cfg(["demo", "series", "image"], "mlstm"), small_cohort, pre)
+
+
+def test_mlstm_literal_lambdas_ignore_the_checkpoint_subset(small_cohort):
+    pre, _ = pretrain(_cfg(ALL[:3], "contrastive_pretrain"), small_cohort)
+    cfg = _cfg(ALL[2:], "mlstm", max_epochs=1, lambda_source="literal:[0.5, 0.3, 0.2]")
+    _, record, _ = finetune(cfg, small_cohort, pre)
+    assert np.isfinite(record.auroc)
+
+
 def test_mlstm_with_literal_lambdas(small_cohort):
     cfg = _cfg(ALL[:3], "mlstm", lambda_source="literal:[0.5, 0.3, 0.2]")
     ckpt, record, _ = finetune(cfg, small_cohort)
@@ -634,8 +648,9 @@ def test_load_rows_loads_or_raises_corrupt_file_error(fuzz_dir, text):
         assert all(isinstance(row, SweepRow) for row in rows)
 
 
-# a metric is any finite float or NaN (emit writes +-inf as an empty cell)
-_METRIC = st.floats(min_value=-1e9, max_value=1e9) | st.just(float("nan"))
+# a metric is any finite float, NaN or +-inf; only NaN is written as an empty cell
+_METRIC = st.floats(min_value=-1e9, max_value=1e9) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")])
 _ROW = st.builds(SweepRow, subset=st.text(), regime=st.text(), task=st.text(),
                  seed=st.integers(), auroc=_METRIC, auprc=_METRIC, alignment_top5=_METRIC,
                  final_loss=_METRIC, wall_time_s=_METRIC,

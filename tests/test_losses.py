@@ -3,9 +3,9 @@ import pytest
 
 from mmcl.autodiff import Tensor, grad_check
 from mmcl.errors import ContractError, DimensionError
-from mmcl.losses import (LambdaWeights, ModalityEmbeddingSet, Temperature,
-                         infonce_pair_loss, loss_for_combination, others_mean,
-                         ovo_loss, similarity_matrix, weighted_ovo_loss)
+from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss,
+                         loss_for_combination, others_mean, ovo_loss,
+                         similarity_matrix, weighted_ovo_loss)
 from mmcl.optim import SGD
 
 
@@ -105,21 +105,14 @@ def test_infonce_gradients():
 
 def test_others_mean_hand_case():
     mats = [Tensor(np.full((2, 2), float(v))) for v in (1, 2, 6)]
-    emb = ModalityEmbeddingSet(["a", "b", "c"], mats)
-    np.testing.assert_allclose(others_mean(emb, 0).values, np.full((2, 2), 4.0))
-    np.testing.assert_allclose(others_mean(emb, 2).values, np.full((2, 2), 1.5))
-
-
-def test_others_mean_index_out_of_range():
-    emb = ModalityEmbeddingSet(["a", "b"], [Tensor(np.eye(2)), Tensor(np.eye(2))])
-    with pytest.raises(ContractError):
-        others_mean(emb, 2)
+    np.testing.assert_allclose(others_mean(mats, 0).values, np.full((2, 2), 4.0))
+    np.testing.assert_allclose(others_mean(mats, 2).values, np.full((2, 2), 1.5))
 
 
 def test_ovo_k2_reduces_to_infonce():
     a, b = _rand_set(2, 6, 4, seed=5)
     tau = Temperature(0.8)
-    emb = ModalityEmbeddingSet(["a", "b"], [Tensor(a), Tensor(b)])
+    emb = [Tensor(a), Tensor(b)]
     ovo_total, ovo_terms = ovo_loss(emb, tau)
     nce_total, nce_terms = infonce_pair_loss(Tensor(a), Tensor(b), tau)
     assert abs(ovo_total.item() - nce_total.item()) <= 1e-12
@@ -130,7 +123,7 @@ def test_ovo_k2_reduces_to_infonce():
 def test_ovo_matches_bruteforce_oracle():
     mats = _rand_set(3, 4, 5, seed=6)
     tau = Temperature(0.6)
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     total, terms = ovo_loss(emb, tau)
     o_total, o_terms = _oracle_ovo(mats, 0.6)
     assert total.item() == pytest.approx(o_total, abs=1e-10)
@@ -141,11 +134,10 @@ def test_ovo_matches_bruteforce_oracle():
 def test_ovo_modality_permutation_permutes_terms():
     mats = _rand_set(4, 5, 3, seed=7)
     tau = Temperature()
-    emb = ModalityEmbeddingSet(list("abcd"), [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     _, terms = ovo_loss(emb, tau)
     order = [2, 0, 3, 1]
-    emb2 = ModalityEmbeddingSet([emb.modalities[i] for i in order],
-                                [Tensor(mats[i]) for i in order])
+    emb2 = [Tensor(mats[i]) for i in order]
     _, terms2 = ovo_loss(emb2, tau)
     for pos, i in enumerate(order):
         assert terms2[pos].item() == pytest.approx(terms[i].item(), abs=1e-12)
@@ -157,7 +149,7 @@ def test_ovo_modality_permutation_permutes_terms():
 def test_weighted_ovo_uniform_lambda_scales_by_one_over_k():
     mats = _rand_set(3, 4, 4, seed=8)
     tau = Temperature()
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     plain, _ = ovo_loss(emb, tau)
     lam = LambdaWeights(3)  # zero logits -> uniform weights
     weighted, _ = weighted_ovo_loss(emb, tau, lam)
@@ -169,7 +161,7 @@ def test_weighted_ovo_literal_weights_match_manual_sum():
     lambdas = lambdas / lambdas.sum()
     mats = _rand_set(5, 4, 3, seed=9)
     tau = Temperature(0.5)
-    emb = ModalityEmbeddingSet(list("abcde"), [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     lam = LambdaWeights(5, initial_logits=np.log(lambdas))
     np.testing.assert_allclose(lam.values(), lambdas, atol=1e-12)
     weighted, _ = weighted_ovo_loss(emb, tau, lam)
@@ -182,8 +174,7 @@ def test_weighted_ovo_joint_gradients():
     tensors = [Tensor(m) for m in mats]
     tau = Temperature(0.7)
     lam = LambdaWeights(3, initial_logits=[0.3, -0.2, 0.1])
-    emb = ModalityEmbeddingSet(["a", "b", "c"], tensors)
-    err = grad_check(lambda: weighted_ovo_loss(emb, tau, lam)[0],
+    err = grad_check(lambda: weighted_ovo_loss(tensors, tau, lam)[0],
                      tensors + [tau.log_tau, lam.logits])
     assert err < 1e-5
 
@@ -192,7 +183,7 @@ def test_lambda_simplex_preserved_after_optimizer_step():
     mats = _rand_set(3, 4, 3, seed=11)
     tau = Temperature()
     lam = LambdaWeights(3)
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     opt = SGD(lam.parameters() + tau.parameters(), lr=0.5)
     for _ in range(5):
         opt.zero_grad()
@@ -207,7 +198,7 @@ def test_lambda_simplex_preserved_after_optimizer_step():
 
 def test_lambda_length_mismatch():
     mats = _rand_set(3, 4, 3, seed=12)
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     with pytest.raises(ContractError):
         weighted_ovo_loss(emb, Temperature(), LambdaWeights(4))
 
@@ -223,17 +214,28 @@ def test_similarity_matrix_values():
     np.testing.assert_allclose(s, expected, atol=1e-12)
 
 
-def test_embedding_set_validation():
-    with pytest.raises(ContractError):
-        ModalityEmbeddingSet(["a"], [Tensor(np.eye(2))])
-    with pytest.raises(DimensionError):
-        ModalityEmbeddingSet(["a", "b"], [Tensor(np.zeros((2, 3)) + 1), Tensor(np.ones((3, 3)))])
+def test_dispatch_rejects_one_modality():
+    with pytest.raises(ContractError, match="at least 2 modalities, got 1"):
+        loss_for_combination([Tensor(np.eye(2))], Temperature(), LambdaWeights(1))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dispatch_rejects_a_shape_mismatch(k):
+    mats = [Tensor(np.ones((2, 3)))] * (k - 1) + [Tensor(np.ones((3, 3)))]
+    with pytest.raises(DimensionError, match="shapes disagree"):
+        loss_for_combination(mats, Temperature(), LambdaWeights(k))
+
+
+def test_dispatch_rejects_a_lambda_of_the_wrong_length():
+    mats = _rand_set(3, 5, 4, seed=16)
+    with pytest.raises(ContractError, match="lambda length 4 != K=3"):
+        loss_for_combination([Tensor(m) for m in mats], Temperature(), LambdaWeights(4))
 
 
 def test_dispatch_k2_is_infonce():
     a, b = _rand_set(2, 5, 4, seed=13)
     tau = Temperature()
-    emb = ModalityEmbeddingSet(["a", "b"], [Tensor(a), Tensor(b)])
+    emb = [Tensor(a), Tensor(b)]
     got = loss_for_combination(emb, tau, lam=LambdaWeights(2))
     want, _ = infonce_pair_loss(Tensor(a), Tensor(b), tau)
     assert got.item() == pytest.approx(want.item(), abs=1e-12)
@@ -243,7 +245,7 @@ def test_dispatch_k3_is_weighted_ovo():
     mats = _rand_set(3, 5, 4, seed=14)
     tau = Temperature()
     lam = LambdaWeights(3, initial_logits=[0.5, 0.0, -0.5])
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     got = loss_for_combination(emb, tau, lam)
     want, _ = weighted_ovo_loss(emb, tau, lam)
     assert got.item() == pytest.approx(want.item(), abs=1e-12)
@@ -251,6 +253,6 @@ def test_dispatch_k3_is_weighted_ovo():
 
 def test_dispatch_k3_requires_lambdas():
     mats = _rand_set(3, 5, 4, seed=15)
-    emb = ModalityEmbeddingSet(["a", "b", "c"], [Tensor(m) for m in mats])
+    emb = [Tensor(m) for m in mats]
     with pytest.raises(ContractError):
         loss_for_combination(emb, Temperature(), lam=None)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mmcl.errors import ContractError, DegenerateInputError
-from mmcl.metrics import (auprc, auroc, groupwise, label_group_aggregate,
-                          top5_alignment_accuracy)
+from mmcl.metrics import auprc, auroc, groupwise, top5_alignment_accuracy
 
 
 # --------------------------------------------------------------------------
@@ -143,18 +142,6 @@ def test_groupwise_computes_per_group_and_skips_degenerate():
 def test_groupwise_shape_mismatch():
     with pytest.raises(ContractError):
         groupwise(auroc, np.zeros(3), np.zeros(4), np.array(["a"] * 3))
-
-
-def test_label_group_aggregate_means():
-    per_label = {"l0": 0.8, "l1": 0.6, "l2": 0.4}
-    grouping = {"l0": "g1", "l1": "g1", "l2": "g2"}
-    agg = label_group_aggregate(per_label, grouping)
-    assert agg == {"g1": pytest.approx(0.7), "g2": pytest.approx(0.4)}
-
-
-def test_label_group_aggregate_unmapped_label():
-    with pytest.raises(ContractError):
-        label_group_aggregate({"l0": 0.5}, {})
 
 
 # --------------------------------------------------------------------------
