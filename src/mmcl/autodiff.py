@@ -86,8 +86,6 @@ class Tensor:
 
         return Tensor._result(a.values + b.values, (a, b), backward)
 
-    __radd__ = __add__
-
     def __neg__(self):
         a = self
 
@@ -99,9 +97,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
 
     def __mul__(self, other):
         other = Tensor._lift(other)
@@ -116,21 +111,6 @@ class Tensor:
         return Tensor._result(a.values * b.values, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.values, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape))
-
-        return Tensor._result(a.values / b.values, (a, b), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
@@ -147,16 +127,6 @@ class Tensor:
                 b._accumulate(a.values.T @ g)
 
         return Tensor._result(a.values @ b.values, (a, b), backward)
-
-    @property
-    def T(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.T)
-
-        return Tensor._result(a.values.T, (a,), backward)
 
     # -- nonlinearities -----------------------------------------------------
 
@@ -181,26 +151,6 @@ class Tensor:
 
         return Tensor._result(np.log(a.values), (a,), backward)
 
-    def sqrt(self):
-        a = self
-        out_values = np.sqrt(a.values)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / out_values)
-
-        return Tensor._result(out_values, (a,), backward)
-
-    def sigmoid(self):
-        a = self
-        out_values = kernels.sigmoid(a.values)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * out_values * (1.0 - out_values))
-
-        return Tensor._result(out_values, (a,), backward)
-
     def tanh(self):
         a = self
         out_values = np.tanh(a.values)
@@ -220,15 +170,6 @@ class Tensor:
                 a._accumulate(g * kernels.sigmoid(a.values))
 
         return Tensor._result(out_values, (a,), backward)
-
-    def reshape(self, *shape):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(a.shape))
-
-        return Tensor._result(a.values.reshape(*shape), (a,), backward)
 
     def __getitem__(self, index):
         """Copy of the indexed entries; backward scatters into zeros."""
@@ -314,9 +255,7 @@ def softmax(x):
     x = Tensor._lift(x)
     if x.ndim != 1 or x.shape[0] < 1:
         raise DimensionError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    shifted = x.values - x.values.max()
-    e = np.exp(shifted)
-    out_values = e / e.sum()
+    out_values = kernels.softmax(x.values)
 
     def backward(g):
         if x.requires_grad:
@@ -325,26 +264,49 @@ def softmax(x):
     return Tensor._result(out_values, (x,), backward)
 
 
-def logsumexp_rows(s):
-    """Row-wise log-sum-exp of a 2-D tensor; backward is the row softmax."""
-    s = Tensor._lift(s)
-    out_values = kernels.logsumexp_rows(s.values)
-
-    def backward(g):
-        if s.requires_grad:
-            soft = np.exp(s.values - out_values[:, None])
-            s._accumulate(g[:, None] * soft)
-
-    return Tensor._result(out_values, (s,), backward)
-
-
-def row_normalize(x):
-    """Scale each row of a 2-D tensor to unit L2 norm."""
-    norms = np.linalg.norm(x.values, axis=1)
-    bad = np.nonzero(norms <= EPS)[0]
+def _unit_rows(x):
+    """(x scaled to unit rows, the N x 1 row norms); a zero row is an error."""
+    r = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    bad = np.nonzero(r <= EPS)[0]
     if bad.size:
         raise DegenerateInputError(f"zero-norm row at index {int(bad[0])}")
-    return x / (x * x).sum(axis=1, keepdims=True).sqrt()
+    return x / r, r
+
+
+def cosine_nce(a, b, inv_tau):
+    """Directional InfoNCE of row-aligned N x n batches as one graph node:
+    the mean over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k.
+
+    The forward pass rounds as the composed ops would (normalize rows, matmul,
+    scale, row log-sum-exp, diagonal, mean); the backward pass is the
+    closed-form InfoNCE gradient, routed back through both row norms."""
+    a, b, inv_tau = Tensor._lift(a), Tensor._lift(b), Tensor._lift(inv_tau)
+    a_hat, r_a = _unit_rows(a.values)
+    b_hat, r_b = _unit_rows(b.values)
+    cos = a_hat @ b_hat.T
+    s = cos * inv_tau.values
+    lse = kernels.logsumexp_rows(s)
+    n = s.shape[0]
+    k = np.arange(n)
+    scale = 1.0 / n
+
+    def through_norm(d_hat, x_hat, r):
+        # x_hat = x / r: drop the radial part of d_hat, then divide by r
+        return (d_hat - x_hat * (d_hat * x_hat).sum(axis=1, keepdims=True)) / r
+
+    def backward(g):
+        ds = np.exp(s - lse[:, None])  # row softmax of s
+        ds[k, k] -= 1.0
+        ds *= g * scale
+        if inv_tau.requires_grad:
+            inv_tau._accumulate((ds * cos).sum())
+        dcos = ds * inv_tau.values
+        if a.requires_grad:
+            a._accumulate(through_norm(dcos @ b_hat, a_hat, r_a))
+        if b.requires_grad:
+            b._accumulate(through_norm(dcos.T @ a_hat, b_hat, r_b))
+
+    return Tensor._result((lse + (-s[k, k])).sum() * scale, (a, b, inv_tau), backward)
 
 
 class Parameter(Tensor):

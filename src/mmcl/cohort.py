@@ -216,12 +216,13 @@ def save_cohort(cohort, path):
 
 def load_cohort(path):
     """Read a cohort written by `save_cohort`. A file that is not one, that
-    was changed after it was written, or that has a missing section or an
-    unparsable cell raises CorruptFileError."""
+    was changed after it was written, or that has a missing section, an
+    unparsable cell or a section of another shape than its spec says raises
+    CorruptFileError."""
     try:
         with open(path) as fh:
             return _parse_cohort(fh.read())
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, RecursionError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"{path}: not a readable {FORMAT_VERSION} file ({type(exc).__name__}: {exc})") from exc
 
@@ -248,20 +249,31 @@ def _parse_cohort(text):
         elif current is not None:
             blocks[current].append(line)
 
-    def parse_matrix(rows):
-        return np.array([[float(v) for v in r.split(",")] for r in rows])
+    n = spec.num_patients
+
+    def parse_matrix(name, shape, cast=float):
+        cells = np.array([[cast(v) for v in r.split(",")] for r in blocks[name]])
+        if cells.shape != shape:
+            raise ContractError(f"[{name}] holds {cells.shape} cells, the spec needs {shape}")
+        return cells
+
+    def parse_labels(name, shape):
+        cells = parse_matrix(name, shape, str)
+        ones = cells == "1"
+        if not (ones | (cells == "0")).all():
+            raise ContractError(f"[{name}] holds a label other than 0 or 1")
+        return ones.astype(np.int64)
 
     observations = {}
     for mod in spec.modalities:
-        obs = parse_matrix(blocks[f"modality {mod.name}"])
+        obs = parse_matrix(f"modality {mod.name}", (n, mod.flat_dim))
         if mod.kind == "sequence":
-            obs = obs.reshape(spec.num_patients, mod.seq_len, mod.obs_dim)
+            obs = obs.reshape(n, mod.seq_len, mod.obs_dim)
         observations[mod.name] = obs
-    binary_labels = np.array([int(v) for v in blocks["binary_labels"][0].split(",")], dtype=np.int64)
-    multilabels = parse_matrix(blocks["multilabels"]).astype(np.int64)
-    groups = {axis: np.array(blocks[f"groups {axis}"][0].split(","))
-              for axis in spec.group_axes}
-    latents = parse_matrix(blocks["latents"])
+    binary_labels = parse_labels("binary_labels", (1, n))[0]
+    multilabels = parse_labels("multilabels", (n, spec.num_multilabels))
+    groups = {axis: parse_matrix(f"groups {axis}", (1, n), str)[0] for axis in spec.group_axes}
+    latents = parse_matrix("latents", (n, spec.latent_dim))
     return SyntheticCohort(spec, observations, binary_labels, multilabels, groups, latents)
 
 

@@ -5,10 +5,12 @@ sweeps, and artifact persistence."""
 import csv
 import itertools
 import json
+import lzma
 import numbers
 import sys
 import time
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -153,20 +155,30 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint written by `save`; an unreadable file raises
-        CorruptFileError."""
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["__meta__"]))
-                params = {k[len("param:"):]: data[k].copy()
-                          for k in data.files if k.startswith("param:")}
-            lam = meta["lambdas"]
-            return cls(meta["config"], meta["seed"], params,
-                       None if lam is None else np.asarray(lam, dtype=np.float64),
-                       meta["tau"], meta["epoch"], meta["best_metric"], meta["modality_subset"])
-        except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-            raise CorruptFileError(
-                f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
+        """Read a checkpoint written by `save`. A file that cannot be opened
+        raises its OSError; one that opens but is not a readable checkpoint
+        (a bad archive, an entry zipfile cannot read, bad metadata, a modality
+        subset that is not a list of names, a parameter that is not float64)
+        raises CorruptFileError."""
+        with open(path, "rb") as fh:
+            try:
+                with np.load(fh, allow_pickle=False) as data:
+                    meta = json.loads(str(data["__meta__"]))
+                    params = {k[len("param:"):]: data[k].copy()
+                              for k in data.files if k.startswith("param:")}
+                lam, subset = meta["lambdas"], meta["modality_subset"]
+                if not (isinstance(subset, list) and all(isinstance(m, str) for m in subset)):
+                    raise TypeError(f"modality_subset {subset!r} is not a list of names")
+                for name, values in params.items():
+                    if values.dtype != np.float64:
+                        raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
+                return cls(meta["config"], meta["seed"], params,
+                           None if lam is None else np.asarray(lam, dtype=np.float64),
+                           meta["tau"], meta["epoch"], meta["best_metric"], subset)
+            except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
+                    ValueError, lzma.LZMAError, zipfile.BadZipFile, zlib.error) as exc:
+                raise CorruptFileError(
+                    f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def enumerate_subsets(modalities):

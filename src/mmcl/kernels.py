@@ -15,6 +15,11 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def logsumexp_rows(s):
     m = s.max(axis=1)
     return m + np.log(np.exp(s - m[:, None]).sum(axis=1))

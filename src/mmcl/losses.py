@@ -9,7 +9,8 @@ Conventions (documented deviations from raw summation):
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, logsumexp_rows, row_normalize, softmax
+from . import kernels
+from .autodiff import Parameter, cosine_nce, softmax
 from .errors import ContractError, DimensionError
 
 
@@ -43,32 +44,20 @@ class LambdaWeights:
         return softmax(self.logits)
 
     def values(self):
-        return softmax(Tensor(self.logits.values)).values
+        return kernels.softmax(self.logits.values)
 
     def parameters(self):
         return [self.logits]
 
 
-def similarity_matrix(a, b, tau):
-    """Entry (k, m) = cos(a_k, b_m) / tau."""
-    an = row_normalize(a)
-    bn = row_normalize(b)
-    return (an @ bn.T) * tau.inverse()
-
-
-def _directional_nce(a, b, tau):
-    """Mean over k of -log softmax similarity of the matched pair (k, k)."""
-    s = similarity_matrix(a, b, tau)
-    k = np.arange(s.shape[0])
-    return (logsumexp_rows(s) - s[k, k]).mean()
-
-
 def infonce_pair_loss(a, b, tau):
-    """Two-modality batch loss: sum of both directional terms.
+    """Two-modality batch loss: sum of both directional terms, each the mean
+    over k of -log softmax_m(cos(a_k, b_m) / tau) at m = k.
 
     Returns (total, [a->b term, b->a term])."""
-    fwd = _directional_nce(a, b, tau)
-    bwd = _directional_nce(b, a, tau)
+    inv_tau = tau.inverse()
+    fwd = cosine_nce(a, b, inv_tau)
+    bwd = cosine_nce(b, a, inv_tau)
     return fwd + bwd, [fwd, bwd]
 
 
@@ -87,7 +76,8 @@ def others_mean(embeddings, i):
 
 
 def _ovo_terms(embeddings, tau):
-    return [_directional_nce(e, others_mean(embeddings, i), tau)
+    inv_tau = tau.inverse()
+    return [cosine_nce(e, others_mean(embeddings, i), inv_tau)
             for i, e in enumerate(embeddings)]
 
 

@@ -15,8 +15,8 @@ def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256):
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
 
     def scalar_output(point):
-        t = Tensor(point, requires_grad=True)
-        out = model_fn(t.reshape(1, -1))
+        t = Tensor(point[None, :], requires_grad=True)
+        out = model_fn(t)
         assert out.shape == (1,)
         return t, out
 
@@ -25,7 +25,7 @@ def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256):
         point = baseline + (s / steps) * (x - baseline)
         t, out = scalar_output(point)
         out.backward()
-        grad_sum += t.grad
+        grad_sum += t.grad[0]
     per_feature = (x - baseline) * grad_sum / steps
 
     _, out_x = scalar_output(x)

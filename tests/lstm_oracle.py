@@ -1,11 +1,23 @@
 """The LSTM cell composed from elementary Tensor ops: matmuls, column
 slices, sigmoids, tanh and products. The fused `encoders.lstm_step` op is
-checked against it, forward and backward."""
+checked against it, forward and backward. The sigmoid op, which only this
+composition uses, lives here."""
 
 import numpy as np
 
+from mmcl import kernels
 from mmcl.autodiff import Tensor
 from mmcl.encoders import LSTM_GATES
+
+
+def sigmoid(x):
+    out_values = kernels.sigmoid(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * out_values * (1.0 - out_values))
+
+    return Tensor._result(out_values, (x,), backward)
 
 
 def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
@@ -14,7 +26,7 @@ def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
     pre = x_t @ params["wx"] + h_prev @ params["wh"] + params["b"]
     hid = pre.shape[1] // len(LSTM_GATES)
     i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(len(LSTM_GATES)))
-    i, f, g, o = i.sigmoid(), f.sigmoid(), g.tanh(), o.sigmoid()
+    i, f, g, o = sigmoid(i), sigmoid(f), g.tanh(), sigmoid(o)
     write = i * g if lam is None else (i * g) * Tensor._lift(lam)
     c = f * c_prev + write
     return c, o * c.tanh()

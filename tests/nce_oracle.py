@@ -1,0 +1,67 @@
+"""The directional InfoNCE term composed from elementary ops: row
+normalization, a matmul against the transpose, the scaling by 1/tau, a row
+log-sum-exp, the diagonal and the mean. The fused `autodiff.cosine_nce` op
+is checked against it, forward and backward. The ops that only this
+composition uses (sqrt, division, transpose, row log-sum-exp) live here."""
+
+import numpy as np
+
+from mmcl import kernels
+from mmcl.autodiff import Tensor, _unbroadcast
+
+
+def sqrt(x):
+    out_values = np.sqrt(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * 0.5 / out_values)
+
+    return Tensor._result(out_values, (x,), backward)
+
+
+def divide(a, b):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.values, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape))
+
+    return Tensor._result(a.values / b.values, (a, b), backward)
+
+
+def transpose(x):
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.T)
+
+    return Tensor._result(x.values.T, (x,), backward)
+
+
+def logsumexp_rows(s):
+    """Row-wise log-sum-exp of a 2-D tensor; backward is the row softmax."""
+    out_values = kernels.logsumexp_rows(s.values)
+
+    def backward(g):
+        if s.requires_grad:
+            soft = np.exp(s.values - out_values[:, None])
+            s._accumulate(g[:, None] * soft)
+
+    return Tensor._result(out_values, (s,), backward)
+
+
+def row_normalize(x):
+    """Each row of a 2-D tensor scaled to unit L2 norm."""
+    return divide(x, sqrt((x * x).sum(axis=1, keepdims=True)))
+
+
+def similarity_matrix(a, b, inv_tau):
+    """Entry (k, m) = cos(a_k, b_m) * inv_tau."""
+    return (row_normalize(a) @ transpose(row_normalize(b))) * inv_tau
+
+
+def composed_nce(a, b, inv_tau):
+    """Mean over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k."""
+    s = similarity_matrix(a, b, inv_tau)
+    k = np.arange(s.shape[0])
+    return (logsumexp_rows(s) - s[k, k]).mean()

@@ -3,10 +3,13 @@ import weakref
 import numpy as np
 import pytest
 
-from mmcl.autodiff import (Parameter, Tensor, concat, grad_check,
-                           logsumexp_rows, softmax)
+from mmcl import kernels
+from mmcl.autodiff import Parameter, Tensor, concat, cosine_nce, grad_check, softmax
 from mmcl.errors import ContractError, DimensionError, DomainError
 from mmcl.optim import SGD, Adam
+
+from lstm_oracle import sigmoid
+from nce_oracle import sqrt
 
 
 def test_matmul_identity():
@@ -34,7 +37,7 @@ def test_matmul_gradient_vs_finite_differences():
 
 
 def test_elementwise_analytic_points():
-    assert Tensor(0.0).sigmoid().item() == 0.5
+    assert kernels.sigmoid(np.array(0.0)) == 0.5
     assert Tensor(0.0).tanh().item() == 0.0
     assert Tensor(1.0).log().item() == 0.0
     assert Tensor(0.0).exp().item() == 1.0
@@ -55,11 +58,16 @@ def test_mul_gradient():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "tanh", "exp", "softplus", "sqrt"])
+# sigmoid and sqrt are the composed oracles' ops; the library fuses them away
+UNARY = {"sigmoid": sigmoid, "tanh": Tensor.tanh, "exp": Tensor.exp,
+         "softplus": Tensor.softplus, "sqrt": sqrt, "log": Tensor.log}
+
+
+@pytest.mark.parametrize("op", list(UNARY))
 def test_unary_gradients(op):
     rng = np.random.default_rng(2)
     x = Tensor(np.abs(rng.standard_normal((2, 3))) + 0.5)
-    err = grad_check(lambda: getattr(x, op)().sum(), x)
+    err = grad_check(lambda: UNARY[op](x).sum(), x)
     assert err < 1e-6
 
 
@@ -123,7 +131,7 @@ def test_backward_composite_graph_matches_finite_differences():
 
     def f():
         h = (x @ w).tanh()
-        return (h.sigmoid() * h.exp()).mean() + logsumexp_rows(x).sum()
+        return (h.softplus() * h.exp()).mean() + cosine_nce(x @ w, h, Tensor(2.0))
 
     assert grad_check(f, [x, w], h=1e-5) < 1e-5
 
@@ -144,24 +152,23 @@ def _layout(a):
 
 
 def test_first_gradient_takes_the_layout_of_values():
-    # matmul backward hands a C-ordered gradient to the F-ordered `.T` node
-    # and to an F-ordered leaf; each keeps the layout zeros_like gives it
+    # matmul backward hands C-ordered gradients to a C-ordered and to an
+    # F-ordered leaf; each keeps the layout zeros_like gives it
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    c = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     f = Tensor(np.asfortranarray(rng.standard_normal((3, 4))), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)))
-    xt = x.T
-    ((xt @ w).sum() + (f @ w).sum()).backward()
-    for node in (xt, f, x):
+    ((c @ w).sum() + (f @ w).sum()).backward()
+    for node in (c, f):
         assert _layout(node.grad) == _layout(np.zeros_like(node.values))
-    assert _layout(xt.grad) == _layout(f.grad) == (False, True)
+    assert _layout(f.grad) == (False, True)
 
 
 def test_first_gradient_does_not_alias_the_upstream_gradient():
-    # reshape's backward passes a view of the upstream gradient
+    # add's backward passes the upstream gradient itself on
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = x.reshape(6)
-    (y * Tensor(np.arange(6.0))).sum().backward()
+    y = x + Tensor(np.zeros((2, 3)))
+    (y * Tensor(np.arange(6.0).reshape(2, 3))).sum().backward()
     y.grad[:] = 99.0
     np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3))
 
@@ -182,13 +189,6 @@ def test_shared_parameter_accumulates_across_terms():
 def test_grad_check_linear_is_exact():
     x = Tensor(np.random.default_rng(7).standard_normal(4))
     assert grad_check(lambda: x.sum(), x) < 1e-10
-
-
-def test_logsumexp_rows_matches_naive():
-    rng = np.random.default_rng(8)
-    s = rng.standard_normal((4, 5)) * 3
-    out = logsumexp_rows(Tensor(s)).values
-    np.testing.assert_allclose(out, np.log(np.exp(s).sum(axis=1)), rtol=1e-14)
 
 
 @pytest.mark.parametrize("index", [(1, 2), (np.arange(3), np.arange(3)), ([0, 0, 2], [1, 1, 3])],
@@ -229,7 +229,7 @@ def test_broadcast_gradients():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(11)
     x = Tensor(rng.uniform(-10, 10, size=(5, 5)))
-    for out in (x.sigmoid(), x.tanh(), x.softplus(), (x * x).sqrt(), x.exp()):
+    for out in (x.tanh(), x.softplus(), x.exp()):
         assert np.all(np.isfinite(out.values))
 
 
@@ -238,7 +238,7 @@ def test_primitive_gradients_on_gaussian_inputs():
     for _ in range(5):
         x = Tensor(rng.standard_normal((2, 3)))
         y = Tensor(rng.standard_normal((2, 3)))
-        assert grad_check(lambda: (x * y - x / (y * y + 3.0)).sigmoid().sum(), [x, y]) < 1e-5
+        assert grad_check(lambda: (x * y - x * (y * y + 3.0).log()).softplus().sum(), [x, y]) < 1e-5
 
 
 def test_sgd_descends_quadratic():

@@ -242,6 +242,24 @@ def test_exit_code_2_on_pretrain_without_a_batch_of_two(cohort_file, tmp_path, c
     assert not os.path.exists(tmp_path / "x.npz")
 
 
+def test_exit_code_4_on_checkpoint_with_an_ill_typed_subset(cohort_file, tmp_path, capsys):
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    with np.load(ckpt_path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["modality_subset"] = 5
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(ckpt_path, **arrays)
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+               "--regime", "mlstm", "--lambda-source", "learned", "--checkpoint", ckpt_path,
+               "--max-epochs", "1", "--out", str(tmp_path / "run")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and ckpt_path in err
+
+
 def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
     # a checkpoint that stores the series LSTM one gate at a time
     ckpt_path = str(tmp_path / "ckpt.npz")

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
                          generate, load_cohort, pretrain_pool, save_cohort)
@@ -210,3 +214,131 @@ def test_load_rejects_tampered_file(tmp_path, tamper):
     with pytest.raises(CorruptFileError, match="sha256") as info:
         load_cohort(path)
     assert str(path) in str(info.value)
+
+
+# files resealed with a matching sha256 line after an edit: they pass the
+# checksum, so only the parser stands between them and a broken cohort
+
+def _resealed(text, edit):
+    """`text` with `edit` applied to its body lines and a checksum line that
+    matches the edited body."""
+    version, _, body = text.split("\n", 2)
+    lines = body.split("\n")
+    edit(lines)
+    body = "\n".join(lines)
+    return f"{version}\n# sha256={hashlib.sha256(body.encode()).hexdigest()}\n{body}"
+
+
+def _drop_first_row(section):
+    def edit(lines):
+        del lines[lines.index(section) + 1]
+    return edit
+
+
+def _set_first_cell(section, cell):
+    def edit(lines):
+        i = lines.index(section) + 1
+        lines[i] = ",".join([cell] + lines[i].split(",")[1:])
+    return edit
+
+
+def _deep_spec(lines):
+    lines[0] = "# spec=" + "[" * 5000 + "]" * 5000  # deeper than json's recursion limit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_first_row("[modality text_a]"), _drop_first_row("[modality series]"),
+    _drop_first_row("[multilabels]"), _drop_first_row("[latents]"),
+    _set_first_cell("[binary_labels]", "0,1"), _set_first_cell("[groups age]", "age0,age1"),
+    _set_first_cell("[binary_labels]", "2"), _set_first_cell("[multilabels]", "nan"),
+    _deep_spec],
+    ids=["observation_row", "sequence_row", "multilabel_row", "latent_row", "extra_label",
+         "extra_group_tag", "label_2", "multilabel_nan", "deep_spec"])
+def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, cohort_text, edit):
+    path = tmp_path / "cohort.txt"
+    path.write_text(_resealed(cohort_text, edit))
+    with pytest.raises(CorruptFileError) as info:
+        load_cohort(path)
+    assert str(path) in str(info.value)
+
+
+# every file either loads as a cohort its spec describes or raises
+# CorruptFileError: arbitrary bytes, and resealed files whose data lines or
+# spec fields were edited
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def cohort_text(fuzz_dir):
+    path = fuzz_dir / "seed_cohort.txt"
+    save_cohort(generate(_spec(n=4, seed=16)), path)
+    return path.read_text()
+
+
+_CELL = st.sampled_from(["", "0", "1", "-2", "1.5", "nan", "inf", "1e999", "x", "[latents]"]) | \
+    st.text(max_size=6)
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                     max_leaves=6)
+
+
+def _edit_lines(data, lines):
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the spec
+        edit = data.draw(st.sampled_from(["delete", "duplicate", "replace", "cell"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "replace":
+            lines[i] = ",".join(data.draw(st.lists(_CELL, max_size=4)))
+        else:
+            cells = lines[i].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELL)
+            lines[i] = ",".join(cells)
+
+
+def _edit_spec(data, lines):
+    spec = json.loads(lines[0][len("# spec="):])
+    owner = data.draw(st.sampled_from([spec] + spec["modalities"]))
+    key = data.draw(st.sampled_from(sorted(owner)))
+    if data.draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = data.draw(_JSON)
+    lines[0] = "# spec=" + json.dumps(spec)
+
+
+def _consistent(cohort):
+    spec, n = cohort.spec, cohort.num_patients
+    for mod in spec.modalities:
+        want = (n, mod.seq_len, mod.obs_dim) if mod.kind == "sequence" else (n, mod.obs_dim)
+        assert cohort.observations[mod.name].shape == want
+    assert cohort.binary_labels.shape == (n,)
+    assert cohort.multilabels.shape == (n, spec.num_multilabels)
+    assert cohort.latents.shape == (n, spec.latent_dim)
+    assert set(cohort.groups) == set(spec.group_axes)
+    assert all(tags.shape == (n,) for tags in cohort.groups.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_cohort_loads_or_raises_corrupt_file_error(fuzz_dir, cohort_text, data):
+    path = fuzz_dir / "cohort.txt"
+    kind = data.draw(st.sampled_from(["bytes", "lines", "spec"]))
+    if kind == "bytes":
+        path.write_bytes(data.draw(st.binary(max_size=300)))
+    else:
+        edit = _edit_lines if kind == "lines" else _edit_spec
+        path.write_text(_resealed(cohort_text, lambda lines: edit(data, lines)),
+                        encoding="utf-8")
+    try:
+        cohort = load_cohort(path)
+    except CorruptFileError as exc:
+        assert str(path) in str(exc)
+    else:
+        _consistent(cohort)

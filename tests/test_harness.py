@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dataclasses
+import json
+import struct
 
-from mmcl import harness, kernels
+from mmcl import harness, kernels, losses
 from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
@@ -17,6 +19,7 @@ from mmcl.optim import make_optimizer
 
 from ig_oracle import per_point_integrated_gradients
 from kernel_oracle import assert_bitwise_equal, masked_sigmoid, zeros_plus_add_accumulate
+from nce_oracle import composed_nce
 
 ALL = ["text_a", "text_b", "image", "demo", "series"]
 
@@ -439,6 +442,27 @@ def test_training_is_bitwise_equal_to_oracle_kernels(small_cohort, monkeypatch):
         assert (got.auroc, got.auprc) == (want.auroc, want.auprc)
 
 
+def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, monkeypatch):
+    # the fused term's gradients round differently from the composed ops',
+    # so a pretrain drifts; over 5 epochs (20 steps) it stays within 1e-10
+    cfg = _cfg(ALL, "contrastive_pretrain", max_epochs=5)
+    fused, fused_history = pretrain(cfg, small_cohort)
+    calls = []
+
+    def counted_nce(a, b, inv_tau):
+        calls.append(1)
+        return composed_nce(a, b, inv_tau)
+
+    monkeypatch.setattr(losses, "cosine_nce", counted_nce)
+    oracle, oracle_history = pretrain(cfg, small_cohort)
+    assert len(calls) == 5 * 20
+    drift = [np.abs(np.subtract(fused_history, oracle_history)).max(),
+             np.abs(fused.lambdas - oracle.lambdas).max(), abs(fused.tau - oracle.tau)]
+    drift += [np.abs(fused.params[name] - oracle.params[name]).max() for name in oracle.params]
+    assert sorted(fused.params) == sorted(oracle.params)
+    assert max(drift) <= 1e-10
+
+
 def test_multilabel_task_runs(small_cohort):
     cfg = _cfg(ALL[:2], "supervised_baseline", task="multilabel", max_epochs=2)
     _, record, _ = finetune(cfg, small_cohort)
@@ -667,6 +691,131 @@ def test_emit_then_load_rows_round_trips(fuzz_dir, rows):
         for name in harness.ROW_FIELDS:
             a, b = getattr(got, name), getattr(want, name)
             assert type(a) is type(b) and (a == b or (a != a and b != b)), name
+
+
+# every checkpoint file either loads or raises CorruptFileError: arbitrary
+# bytes, a saved checkpoint with bytes overwritten or cut off, and archives
+# whose metadata holds other JSON
+
+_SEED_META = {"config": {"seed": 0}, "seed": 0, "lambdas": [0.25, 0.75], "tau": 0.5, "epoch": 2,
+              "best_metric": 1.25, "modality_subset": ["text_a", "text_b"]}
+
+
+def _checkpoint_bytes(fuzz_dir, meta=None, params=None):
+    """A saved checkpoint; `meta` replaces its `__meta__` text and `params`
+    its `param:` arrays."""
+    path = fuzz_dir / "seed_ckpt.npz"
+    Checkpoint(_SEED_META["config"], 0, {"enc.w0": np.arange(6.0).reshape(2, 3)},
+               np.array(_SEED_META["lambdas"]), 0.5, 2, 1.25,
+               _SEED_META["modality_subset"]).save(path)
+    if meta is not None or params is not None:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if meta is not None:
+            arrays["__meta__"] = np.array(meta)
+        arrays.update({f"param:{name}": value for name, value in (params or {}).items()})
+        np.savez(path, **arrays)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("meta, params", [
+    ({"modality_subset": 5}, None), ({"modality_subset": ["text_a", 2]}, None),
+    ({"modality_subset": "text_a"}, None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
+    ({}, {"enc.w0": np.arange(3)})],
+    ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
+         "param_of_ints"])
+def test_checkpoint_load_rejects_ill_typed_contents(fuzz_dir, meta, params):
+    path = fuzz_dir / "ill_typed.npz"
+    path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, **meta}), params))
+    with pytest.raises(CorruptFileError) as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
+def _patch_zip(raw, signature, offset, value):
+    """`raw` with one byte set, `offset` bytes after the first `signature`."""
+    raw = bytearray(raw)
+    raw[raw.find(signature) + offset] = value
+    return bytes(raw)
+
+
+_LOCAL, _CENTRAL, _END = b"PK\x03\x04", b"PK\x01\x02", b"PK\x05\x06"
+
+
+def _as_compressed(raw, method, offset, value):
+    """`raw` with its first entry marked as compressed by `method` in both
+    headers, and one byte of that entry's data set."""
+    raw = bytearray(_patch_zip(_patch_zip(raw, _LOCAL, 8, method), _CENTRAL, 10, method))
+    name_len, extra_len = struct.unpack("<HH", raw[26:30])
+    raw[30 + name_len + extra_len + offset] = value
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda raw: _patch_zip(raw, _CENTRAL, 6, 99),  # needs zip version 9.9
+    lambda raw: _patch_zip(raw, _CENTRAL, 8, 1),  # encrypted entry
+    lambda raw: _patch_zip(raw, _CENTRAL, 8, 64),  # strong encryption
+    lambda raw: _patch_zip(raw, _CENTRAL, 10, 99),  # unknown compression method
+    lambda raw: _patch_zip(raw, _END, 16, 255),  # central directory past the end
+    lambda raw: _as_compressed(raw, 8, 0, 0x07),  # deflate block of a reserved type
+    lambda raw: _as_compressed(raw, 14, 3, 0),  # LZMA properties of the wrong size
+], ids=["zip_version", "encrypted", "strong_encryption", "compression_method", "directory_offset",
+        "deflate_stream", "lzma_stream"])
+def test_checkpoint_load_rejects_an_unreadable_archive(fuzz_dir, patch):
+    path = fuzz_dir / "patched.npz"
+    path.write_bytes(patch(_checkpoint_bytes(fuzz_dir)))
+    with pytest.raises(CorruptFileError) as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_load_rejects_deeply_nested_metadata(fuzz_dir):
+    path = fuzz_dir / "deep.npz"
+    path.write_bytes(_checkpoint_bytes(fuzz_dir, "[" * 5000 + "]" * 5000))
+    with pytest.raises(CorruptFileError):
+        Checkpoint.load(path)
+
+
+def test_checkpoint_load_keeps_a_missing_file_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Checkpoint.load(tmp_path / "absent.npz")
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                     max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_load_loads_or_raises_corrupt_file_error(fuzz_dir, data):
+    kind = data.draw(st.sampled_from(["bytes", "edits", "meta"]))
+    if kind == "bytes":
+        raw = data.draw(st.binary(max_size=300))
+    elif kind == "edits":
+        raw = bytearray(_checkpoint_bytes(fuzz_dir))
+        # anywhere, or in the central directory and end record, where one
+        # byte changes how the archive is read
+        where = st.integers(0, len(raw) - 1) | st.integers(raw.find(_CENTRAL), len(raw) - 1)
+        for _ in range(data.draw(st.integers(0, 4))):
+            raw[data.draw(where)] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        raw = bytes(raw)
+    else:
+        meta = data.draw(st.fixed_dictionaries({}, optional={k: _JSON for k in _SEED_META}))
+        raw = _checkpoint_bytes(fuzz_dir, json.dumps(meta) if data.draw(st.booleans())
+                                else data.draw(st.text(max_size=20)))
+    path = fuzz_dir / "ckpt.npz"
+    path.write_bytes(raw)
+    try:
+        ckpt = Checkpoint.load(path)
+    except CorruptFileError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert all(isinstance(m, str) for m in ckpt.modality_subset)
+        assert all(p.dtype == np.float64 for p in ckpt.params.values())
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def test_logsumexp_reference_stable():
     assert out[1] == pytest.approx(np.log(4.0))
 
 
+def test_logsumexp_rows_matches_naive():
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((4, 5)) * 3
+    out = kernels.logsumexp_rows(s)
+    np.testing.assert_allclose(out, np.log(np.exp(s).sum(axis=1)), rtol=1e-14)
+
+
 def test_top5_reference_tie_breaking():
     # entry 0: its 5 nearest (all tied at 0.5) are entries 1..5 by index
     # order; entry 6 matches the patient but is ranked 6th, so no hit

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, grad_check
-from mmcl.errors import ContractError, DimensionError
+from mmcl.autodiff import Tensor, cosine_nce, grad_check
+from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss,
                          loss_for_combination, others_mean, ovo_loss,
-                         similarity_matrix, weighted_ovo_loss)
+                         weighted_ovo_loss)
 from mmcl.optim import SGD
+
+from kernel_oracle import assert_bitwise_equal
+from nce_oracle import composed_nce, similarity_matrix
 
 
 # --------------------------------------------------------------------------
@@ -39,6 +42,68 @@ def _oracle_ovo(mats, tau):
 def _rand_set(k, n, d, seed):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((n, d)) for _ in range(k)]
+
+
+def _backward_nodes(loss):
+    """Number of graph nodes with a backward closure reachable from `loss`."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+# --------------------------------------------------------------------------
+# the fused directional term against the composed oracle
+
+@pytest.mark.parametrize("n, d, tau", [(1, 3, 1.0), (6, 4, 0.7), (64, 8, 0.05), (5, 4, 1e-3)])
+def test_cosine_nce_forward_bitwise_equals_composed_oracle(n, d, tau):
+    a, b = _rand_set(2, n, d, seed=n)
+    inv_tau = Temperature(tau).inverse()
+    assert_bitwise_equal(cosine_nce(Tensor(a), Tensor(b), inv_tau).values,
+                         composed_nce(Tensor(a), Tensor(b), inv_tau).values)
+
+
+def _grads(term, a, b, inv_tau):
+    tensors = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
+               Tensor(inv_tau, requires_grad=True)]
+    (term(*tensors) * Tensor(0.37)).backward()
+    return [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("n, d, inv_tau", [(2, 3, 1.0), (6, 4, 1.4), (64, 8, 20.0)])
+def test_cosine_nce_gradients_match_composed_oracle(n, d, inv_tau):
+    # relative to each gradient's largest entry; the two round differently
+    a, b = _rand_set(2, n, d, seed=100 + n)
+    for got, want in zip(_grads(cosine_nce, a, b, inv_tau), _grads(composed_nce, a, b, inv_tau)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cosine_nce_gradient_check():
+    a, b = _rand_set(2, 5, 3, seed=17)
+    tensors = [Tensor(a), Tensor(b), Tensor(0.8)]
+    assert grad_check(lambda: cosine_nce(*tensors), tensors) < 1e-6
+
+
+def test_cosine_nce_skips_parents_without_gradient():
+    a, b = _rand_set(2, 4, 3, seed=18)
+    ta, tb, inv_tau = Tensor(a, requires_grad=True), Tensor(b), Tensor(1.5)
+    cosine_nce(ta, tb, inv_tau).backward()
+    assert ta.grad is not None and tb.grad is None and inv_tau.grad is None
+
+
+@pytest.mark.parametrize("k, nodes", [(2, 5), (3, 20), (5, 42)])
+def test_loss_graph_size(k, nodes):
+    # one node per contrastive term and 1/tau once per batch: at K = 5,
+    # softmax(lambda) 1 + 5 x (others_mean 4, term 1, lambda_i 1, scaling 1)
+    # + 4 adds + 1/tau 2
+    emb = [Tensor(m, requires_grad=True) for m in _rand_set(k, 64, 8, seed=19)]
+    loss = loss_for_combination(emb, Temperature(), LambdaWeights(k))
+    assert _backward_nodes(loss) == nodes
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +268,18 @@ def test_lambda_length_mismatch():
         weighted_ovo_loss(emb, Temperature(), LambdaWeights(4))
 
 
+def test_lambda_values_equal_the_graph_softmax():
+    lam = LambdaWeights(5, initial_logits=[0.3, -1.2, 0.0, 2.5, -0.4])
+    assert_bitwise_equal(lam.values(), lam.lambdas().values)
+
+
 # --------------------------------------------------------------------------
-# similarity matrix + dispatch
+# the oracle's similarity matrix + dispatch
 
 def test_similarity_matrix_values():
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
     b = np.array([[3.0, 0.0], [1.0, 1.0]])
-    s = similarity_matrix(Tensor(a), Tensor(b), Temperature(0.5)).values
+    s = similarity_matrix(Tensor(a), Tensor(b), Temperature(0.5).inverse()).values
     expected = np.array([[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]]) / 0.5
     np.testing.assert_allclose(s, expected, atol=1e-12)
 
@@ -256,3 +326,11 @@ def test_dispatch_k3_requires_lambdas():
     emb = [Tensor(m) for m in mats]
     with pytest.raises(ContractError):
         loss_for_combination(emb, Temperature(), lam=None)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dispatch_names_a_zero_norm_row(k):
+    mats = _rand_set(k, 5, 4, seed=20)
+    mats[-1][3] = 0.0
+    with pytest.raises(DegenerateInputError, match="zero-norm row at index 3"):
+        loss_for_combination([Tensor(m) for m in mats], Temperature(), LambdaWeights(k))
