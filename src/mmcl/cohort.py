@@ -9,15 +9,18 @@ signal_fraction for probes and contrastive alignment alike.
 """
 
 import hashlib
-import io
 import json
+import lzma
+import tokenize
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, CorruptFileError
 
-FORMAT_VERSION = "mmcl-cohort v2"
+FORMAT_VERSION = "mmcl-cohort v3"
 
 
 @dataclass
@@ -178,103 +181,93 @@ def pretrain_pool(cohort, seed=0, pool_fraction=0.5):
 
 
 # ---------------------------------------------------------------------------
-# columnar text serialization
+# npz archives: cohorts here, checkpoints in `harness`
 
 
-def _write_matrix(fh, arr):
-    for row in arr.reshape(arr.shape[0], -1):
-        fh.write(",".join("%.17g" % v for v in row) + "\n")
+def write_archive(path, members):
+    """Write `members`, a dict of name -> array, as an npz archive at exactly
+    `path`; np.savez given a name would append `.npz` to it."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
-def _checksum_line(body):
-    return "# sha256=" + hashlib.sha256(body.encode()).hexdigest()
+def read_archive(path, parse):
+    """`parse(data)` for the npz archive at `path`, where `data` maps member
+    names to arrays. A file that cannot be opened raises its OSError. One
+    that opens but is not a readable archive (a bad zip container, a member
+    whose CRC-32 does not match its bytes, one zipfile cannot decompress, an
+    npy header that does not parse, or an array that needs pickle), or whose
+    members `parse` rejects, raises CorruptFileError naming the file."""
+    with open(path, "rb") as fh:
+        try:
+            if not zipfile.is_zipfile(fh):  # np.load would report it as pickled data
+                raise zipfile.BadZipFile("not an npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                # numpy stops reading a member where its header says the array
+                # ends, which skips the CRC-32 check after a changed header
+                bad = data.zip.testzip()
+                if bad is not None:
+                    raise zipfile.BadZipFile(f"member {bad!r} fails its CRC-32 or header check")
+                return parse(data)
+        except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
+                ValueError, lzma.LZMAError, tokenize.TokenError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            raise CorruptFileError(
+                f"{path}: not a readable archive ({type(exc).__name__}: {exc})") from exc
 
 
 def save_cohort(cohort, path):
-    """Write a cohort as text: a version line, a `# sha256=` line over every
-    byte that follows it, the spec line and the data sections."""
-    spec = cohort.spec
-    with io.StringIO() as fh:
-        fh.write("# spec=" + json.dumps(asdict(spec), sort_keys=True) + "\n")
-        for mod in spec.modalities:
-            fh.write(f"[modality {mod.name}]\n")
-            _write_matrix(fh, cohort.observations[mod.name])
-        fh.write("[binary_labels]\n")
-        fh.write(",".join(str(int(v)) for v in cohort.binary_labels) + "\n")
-        fh.write("[multilabels]\n")
-        _write_matrix(fh, cohort.multilabels.astype(np.float64))
-        for axis, tags in cohort.groups.items():
-            fh.write(f"[groups {axis}]\n")
-            fh.write(",".join(tags) + "\n")
-        fh.write("[latents]\n")
-        _write_matrix(fh, cohort.latents)
-        body = fh.getvalue()
-    with open(path, "w") as fh:
-        fh.write(f"# {FORMAT_VERSION}\n{_checksum_line(body)}\n")
-        fh.write(body)
+    """Write a cohort as an npz archive: the format tag, the spec as JSON and
+    one member per section, each modality in its natural shape."""
+    write_archive(path, {
+        "format": np.array(FORMAT_VERSION),
+        "spec": np.array(json.dumps(asdict(cohort.spec), sort_keys=True)),
+        **{f"modality:{name}": obs for name, obs in cohort.observations.items()},
+        "binary_labels": cohort.binary_labels, "multilabels": cohort.multilabels,
+        **{f"group:{axis}": tags for axis, tags in cohort.groups.items()},
+        "latents": cohort.latents})
 
 
 def load_cohort(path):
-    """Read a cohort written by `save_cohort`. A file that is not one, that
-    was changed after it was written, or that has a missing section, an
-    unparsable cell or a section of another shape than its spec says raises
+    """Read a cohort written by `save_cohort`. A file that is not one, whose
+    bytes changed after it was written, or that has a missing section or a
+    section of another shape or dtype than its spec says raises
     CorruptFileError."""
-    try:
-        with open(path) as fh:
-            return _parse_cohort(fh.read())
-    except (KeyError, IndexError, RecursionError, TypeError, ValueError) as exc:
-        raise CorruptFileError(
-            f"{path}: not a readable {FORMAT_VERSION} file ({type(exc).__name__}: {exc})") from exc
+    return read_archive(path, _parse_cohort)
 
 
-def _parse_cohort(text):
-    version, checksum, body = (text.split("\n", 2) + ["", ""])[:3]
-    if version != f"# {FORMAT_VERSION}":
-        raise ContractError(f"no '# {FORMAT_VERSION}' header")
-    if checksum != _checksum_line(body):
-        raise ContractError("contents do not match the sha256 header line")
-    lines = body.splitlines()
-    if not lines[0].startswith("# spec="):
-        raise ContractError("missing spec header")
-    spec = spec_from_dict(json.loads(lines[0][len("# spec="):]))
-
-    blocks = {}
-    current = None
-    for line in lines:
-        if line.startswith("#"):
-            continue
-        if line.startswith("["):
-            current = line.strip("[]")
-            blocks[current] = []
-        elif current is not None:
-            blocks[current].append(line)
-
+def _parse_cohort(data):
+    tag = str(data["format"])
+    if tag != FORMAT_VERSION:
+        raise ValueError(f"format {tag!r}, not {FORMAT_VERSION!r}")
+    spec = spec_from_dict(json.loads(str(data["spec"])))
     n = spec.num_patients
 
-    def parse_matrix(name, shape, cast=float):
-        cells = np.array([[cast(v) for v in r.split(",")] for r in blocks[name]])
-        if cells.shape != shape:
-            raise ContractError(f"[{name}] holds {cells.shape} cells, the spec needs {shape}")
-        return cells
+    def section(name, shape, dtype):
+        values = data[name]
+        if values.shape != shape:
+            raise ValueError(f"{name} holds {values.shape} cells, the spec needs {shape}")
+        saved_as = values.dtype.kind == "U" if dtype is str else values.dtype == dtype
+        if not saved_as:
+            raise TypeError(f"{name} holds {values.dtype}, not {dtype.__name__}")
+        return values
 
-    def parse_labels(name, shape):
-        cells = parse_matrix(name, shape, str)
-        ones = cells == "1"
-        if not (ones | (cells == "0")).all():
-            raise ContractError(f"[{name}] holds a label other than 0 or 1")
-        return ones.astype(np.int64)
+    def labels(name, shape):
+        values = section(name, shape, np.int64)
+        if not ((values == 0) | (values == 1)).all():
+            raise ValueError(f"{name} holds a label other than 0 or 1")
+        return values
 
-    observations = {}
-    for mod in spec.modalities:
-        obs = parse_matrix(f"modality {mod.name}", (n, mod.flat_dim))
-        if mod.kind == "sequence":
-            obs = obs.reshape(n, mod.seq_len, mod.obs_dim)
-        observations[mod.name] = obs
-    binary_labels = parse_labels("binary_labels", (1, n))[0]
-    multilabels = parse_labels("multilabels", (n, spec.num_multilabels))
-    groups = {axis: parse_matrix(f"groups {axis}", (1, n), str)[0] for axis in spec.group_axes}
-    latents = parse_matrix("latents", (n, spec.latent_dim))
-    return SyntheticCohort(spec, observations, binary_labels, multilabels, groups, latents)
+    observations = {
+        mod.name: section(f"modality:{mod.name}",
+                          (n, mod.seq_len, mod.obs_dim) if mod.kind == "sequence"
+                          else (n, mod.obs_dim), np.float64)
+        for mod in spec.modalities}
+    groups = {axis: section(f"group:{axis}", (n,), str) for axis in spec.group_axes}
+    return SyntheticCohort(spec, observations, labels("binary_labels", (n,)),
+                           labels("multilabels", (n, spec.num_multilabels)), groups,
+                           section("latents", (n, spec.latent_dim), np.float64))
 
 
 def default_five_modality_spec(num_patients, seed=0, latent_dim=8,

@@ -5,12 +5,9 @@ sweeps, and artifact persistence."""
 import csv
 import itertools
 import json
-import lzma
 import numbers
 import sys
 import time
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -48,8 +45,7 @@ _FIELD_KINDS = (
      ("batch_size", "max_epochs", "patience", "seed", "embedding_dim", "mlstm_hidden")),
     ("a real number", _is_real, ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
-    ("a string or null", lambda v: v is None or isinstance(v, str),
-     ("checkpoint_path", "output_dir")),
+    ("a string or null", lambda v: v is None or isinstance(v, str), ("checkpoint_path",)),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
      ("modality_subset",)),
     ("a list of positive integers", lambda v: _is_list_of(v, lambda d: _is_int(d) and d >= 1),
@@ -78,7 +74,6 @@ class RunConfig:
     # positive values counteract the winner-take-all collapse of the weights
     lambda_entropy_coef: float = 0.0
     checkpoint_path: str = None
-    output_dir: str = None
 
     def __post_init__(self):
         for kind, holds, names in _FIELD_KINDS:
@@ -151,34 +146,27 @@ class Checkpoint:
             "modality_subset": list(self.modality_subset),
         }
         arrays = {f"param:{name}": arr for name, arr in self.params.items()}
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        cohort_mod.write_archive(path, {"__meta__": np.array(json.dumps(meta)), **arrays})
 
     @classmethod
     def load(cls, path):
         """Read a checkpoint written by `save`. A file that cannot be opened
-        raises its OSError; one that opens but is not a readable checkpoint
-        (a bad archive, an entry zipfile cannot read, bad metadata, a modality
-        subset that is not a list of names, a parameter that is not float64)
-        raises CorruptFileError."""
-        with open(path, "rb") as fh:
-            try:
-                with np.load(fh, allow_pickle=False) as data:
-                    meta = json.loads(str(data["__meta__"]))
-                    params = {k[len("param:"):]: data[k].copy()
-                              for k in data.files if k.startswith("param:")}
-                lam, subset = meta["lambdas"], meta["modality_subset"]
-                if not (isinstance(subset, list) and all(isinstance(m, str) for m in subset)):
-                    raise TypeError(f"modality_subset {subset!r} is not a list of names")
-                for name, values in params.items():
-                    if values.dtype != np.float64:
-                        raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
-                return cls(meta["config"], meta["seed"], params,
-                           None if lam is None else np.asarray(lam, dtype=np.float64),
-                           meta["tau"], meta["epoch"], meta["best_metric"], subset)
-            except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
-                    ValueError, lzma.LZMAError, zipfile.BadZipFile, zlib.error) as exc:
-                raise CorruptFileError(
-                    f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
+        raises its OSError; one that is not a readable archive, or has bad
+        metadata, a modality subset that is not a list of names or a parameter
+        that is not float64, raises CorruptFileError."""
+        def parse(data):
+            meta = json.loads(str(data["__meta__"]))
+            params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
+            lam, subset = meta["lambdas"], meta["modality_subset"]
+            if not (isinstance(subset, list) and all(isinstance(m, str) for m in subset)):
+                raise TypeError(f"modality_subset {subset!r} is not a list of names")
+            for name, values in params.items():
+                if values.dtype != np.float64:
+                    raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
+            return cls(meta["config"], meta["seed"], params,
+                       None if lam is None else np.asarray(lam, dtype=np.float64),
+                       meta["tau"], meta["epoch"], meta["best_metric"], subset)
+        return cohort_mod.read_archive(path, parse)
 
 
 def enumerate_subsets(modalities):

@@ -1,12 +1,15 @@
 import argparse
+import io
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
 from mmcl import cli
 from mmcl.cli import main
+from mmcl.cohort import load_cohort, write_archive
 from mmcl.harness import Checkpoint
 
 
@@ -18,10 +21,24 @@ def cohort_file(tmp_path_factory):
     return path
 
 
-def test_generate_writes_cohort(cohort_file):
-    assert os.path.exists(cohort_file)
-    with open(cohort_file) as fh:
-        assert fh.readline().startswith("# mmcl-cohort")
+def test_generate_writes_cohort(tmp_path):
+    path = str(tmp_path / "cohort")
+    assert main(["generate", "--num-patients", "20", "--seed", "0", "--out", path]) == 0
+    assert os.listdir(tmp_path) == ["cohort"]  # exactly `--out`, no `.npz` appended
+    assert zipfile.is_zipfile(path)
+    assert load_cohort(path).num_patients == 20
+
+
+def test_pretrain_checkpoint_is_written_where_it_says(cohort_file, tmp_path, capsys):
+    ckpt_path = str(tmp_path / "ckpt")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    assert f"checkpoint at {ckpt_path}" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == ["ckpt"]
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+               "--regime", "frozen_finetune", "--checkpoint", ckpt_path, "--max-epochs", "1",
+               "--batch-size", "16", "--out", str(tmp_path / "run")])
+    assert rc == 0
 
 
 def test_pretrain_happy_path(cohort_file, tmp_path, capsys):
@@ -183,34 +200,49 @@ def test_exit_code_4_on_corrupt_checkpoint(cohort_file, tmp_path, capsys, write)
     assert "io error" in err and path in err
 
 
-def _drop_latents(text):
-    return text[:text.index("[latents]")]
+def _members(raw):
+    with np.load(io.BytesIO(raw)) as data:
+        return {name: data[name] for name in data.files}
 
 
-def _tampered_row(text):
-    head, rest = text.split("[latents]\n", 1)
-    return head + "[latents]\n" + "0," + rest.split(",", 1)[1]
+def _resealed(edit):
+    def corrupt(raw, path):
+        members = _members(raw)
+        edit(members)
+        write_archive(path, members)
+    return corrupt
 
 
-def _non_numeric_cell(text):
-    head, rest = text.split("[modality text_a]\n", 1)
-    return head + "[modality text_a]\nnan?," + rest.split(",", 1)[1]
+def _written(text):
+    def corrupt(raw, path):
+        with open(path, "w") as fh:
+            fh.write(text)
+    return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [_drop_latents, _non_numeric_cell, _tampered_row,
-                                     lambda text: "not a cohort\n"],
-                         ids=["no_latents", "non_numeric_cell", "tampered_row", "foreign"])
+def _tampered_row(raw, path):
+    # one byte of the latents, which their member's CRC-32 covers
+    at = raw.index(_members(raw)["latents"].tobytes())
+    with open(path, "wb") as fh:
+        fh.write(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _resealed(lambda members: members.pop("latents")),
+    _resealed(lambda members: members.update({"modality:text_a": np.array([["nan?"]])})),
+    _tampered_row, _written("not a cohort\n"),
+    _written("# mmcl-cohort v2\n# sha256=" + "0" * 64 + "\n# spec={}\n")],
+    ids=["no_latents", "non_numeric_cell", "tampered_row", "foreign", "v2_text"])
 def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt):
     path = str(tmp_path / "bad.txt")
-    with open(cohort_file) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(corrupt(text))
+    with open(cohort_file, "rb") as fh:
+        corrupt(fh.read(), path)
     rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,text_b",
                "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
     assert rc == 4
     err = capsys.readouterr().err
-    assert "io error" in err and path in err
+    assert "io error: CorruptFileError" in err and path in err
+    assert "Traceback" not in err and "pickle" not in err
 
 
 @pytest.mark.parametrize("body", ['{"max_epochs": 1, "no_such_field": 3}',
@@ -220,10 +252,11 @@ def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt)
                                   '{"batch_size": "16"}',
                                   '{"lambda_entropy_coef": -5.0}',
                                   '{"lambda_entropy_coef": NaN}',
-                                  '{"lambda_entropy_coef": Infinity}'],
+                                  '{"lambda_entropy_coef": Infinity}',
+                                  '{"output_dir": "out"}'],
                          ids=["unknown_field", "bad_json", "unknown_optimizer", "not_an_object",
                               "wrong_type", "negative_entropy_coef", "nan_entropy_coef",
-                              "infinite_entropy_coef"])
+                              "infinite_entropy_coef", "output_dir"])
 def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -451,7 +484,7 @@ def test_every_run_flag_reaches_the_config():
     config = cli._config_from_args(args, ["text_a", "text_b"], "mlstm")
     for flag, (_, value) in RUN_FLAGS.items():
         assert getattr(config, dests[flag]) == value, flag
-    assert config.checkpoint_path == "ckpt.npz" and config.output_dir is None
+    assert config.checkpoint_path == "ckpt.npz"
     assert config.modality_subset == ["text_a", "text_b"] and config.regime == "mlstm"
 
 

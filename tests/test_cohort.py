@@ -1,14 +1,17 @@
-import hashlib
+import io
 import json
+import pathlib
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmcl
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
-                         generate, load_cohort, pretrain_pool, save_cohort)
+                         generate, load_cohort, pretrain_pool, save_cohort, write_archive)
 from mmcl.errors import ContractError, CorruptFileError
-from mmcl.harness import RunConfig, finetune_splits
+from mmcl.harness import Checkpoint, RunConfig, finetune_splits
 from mmcl.metrics import auroc
 
 
@@ -166,19 +169,25 @@ def test_pretrain_pool_disjoint_and_stratified():
 # --------------------------------------------------------------------------
 # serialization
 
+def _assert_same_cohort(loaded, cohort):
+    assert loaded.spec == cohort.spec
+    assert set(loaded.observations) == set(cohort.observations)
+    assert set(loaded.groups) == set(cohort.groups)
+    pairs = [(loaded.binary_labels, cohort.binary_labels), (loaded.multilabels, cohort.multilabels),
+             (loaded.latents, cohort.latents)]
+    pairs += [(loaded.observations[name], obs) for name, obs in cohort.observations.items()]
+    pairs += [(loaded.groups[axis], tags) for axis, tags in cohort.groups.items()]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_save_load_round_trip(tmp_path):
     cohort = generate(_spec(n=60, seed=14))
     path = tmp_path / "cohort.txt"
     save_cohort(cohort, path)
-    loaded = load_cohort(path)
-    assert loaded.spec == cohort.spec
-    np.testing.assert_array_equal(loaded.binary_labels, cohort.binary_labels)
-    np.testing.assert_array_equal(loaded.multilabels, cohort.multilabels)
-    np.testing.assert_array_equal(loaded.latents, cohort.latents)
-    for name in cohort.observations:
-        np.testing.assert_array_equal(loaded.observations[name], cohort.observations[name])
-    for axis in cohort.groups:
-        np.testing.assert_array_equal(loaded.groups[axis], cohort.groups[axis])
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort.txt"]  # no `.npz` appended
+    _assert_same_cohort(load_cohort(path), cohort)
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -188,83 +197,62 @@ def test_load_rejects_foreign_file(tmp_path):
         load_cohort(path)
 
 
-def _tamper_data_row(text):
-    head, rest = text.split("[modality text_a]\n", 1)
-    first, rest = rest.split(",", 1)
-    return head + "[modality text_a]\n" + repr(float(first) + 1.0) + "," + rest
+def test_one_archive_reader_and_one_writer():
+    source = "".join(path.read_text() for path in pathlib.Path(mmcl.__file__).parent.glob("*.py"))
+    assert source.count("np.load(") == 1
+    assert source.count("np.savez(") == 1
 
 
-def _tamper_spec_line(text):
-    assert '"signal_fraction": 0.9' in text
-    return text.replace('"signal_fraction": 0.9', '"signal_fraction": 0.8', 1)
+def _flip(raw, offset, mask=0xFF):
+    raw = bytearray(raw)
+    raw[offset] ^= mask
+    return bytes(raw)
 
 
-def _tamper_checksum_line(text):
-    version, checksum, body = text.split("\n", 2)
-    flipped = checksum[:-1] + ("0" if checksum[-1] != "0" else "1")
-    return "\n".join([version, flipped, body])
+def _replace_once(raw, old, new):
+    assert raw.count(old) == 1
+    return raw.replace(old, new)
+
+
+def _tamper_data_row(raw):
+    return _flip(raw, raw.index(_members(raw)["modality:text_a"].tobytes()))
+
+
+def _tamper_spec_line(raw):
+    return _replace_once(raw, '"signal_fraction": 0.9'.encode("utf-32-le"),
+                         '"signal_fraction": 0.8'.encode("utf-32-le"))
+
+
+def _tamper_checksum_line(raw):
+    # the CRC-32 field of the central directory record of `latents`
+    record = raw.rindex(b"latents.npy") - 46
+    assert raw[record:record + 4] == b"PK\x01\x02"
+    return _flip(raw, record + 16)
 
 
 @pytest.mark.parametrize("tamper", [_tamper_data_row, _tamper_spec_line, _tamper_checksum_line],
                          ids=["data_row", "spec_line", "checksum_line"])
 def test_load_rejects_tampered_file(tmp_path, tamper):
-    path = tmp_path / "cohort.txt"
+    path = tmp_path / "cohort.npz"
     save_cohort(generate(_spec(n=30, seed=15)), path)
-    path.write_text(tamper(path.read_text()))
-    with pytest.raises(CorruptFileError, match="sha256") as info:
+    path.write_bytes(tamper(path.read_bytes()))
+    with pytest.raises(CorruptFileError, match="CRC-32") as info:
         load_cohort(path)
     assert str(path) in str(info.value)
 
 
-# files resealed with a matching sha256 line after an edit: they pass the
-# checksum, so only the parser stands between them and a broken cohort
-
-def _resealed(text, edit):
-    """`text` with `edit` applied to its body lines and a checksum line that
-    matches the edited body."""
-    version, _, body = text.split("\n", 2)
-    lines = body.split("\n")
-    edit(lines)
-    body = "\n".join(lines)
-    return f"{version}\n# sha256={hashlib.sha256(body.encode()).hexdigest()}\n{body}"
-
-
-def _drop_first_row(section):
-    def edit(lines):
-        del lines[lines.index(section) + 1]
-    return edit
-
-
-def _set_first_cell(section, cell):
-    def edit(lines):
-        i = lines.index(section) + 1
-        lines[i] = ",".join([cell] + lines[i].split(",")[1:])
-    return edit
-
-
-def _deep_spec(lines):
-    lines[0] = "# spec=" + "[" * 5000 + "]" * 5000  # deeper than json's recursion limit
-
-
-@pytest.mark.parametrize("edit", [
-    _drop_first_row("[modality text_a]"), _drop_first_row("[modality series]"),
-    _drop_first_row("[multilabels]"), _drop_first_row("[latents]"),
-    _set_first_cell("[binary_labels]", "0,1"), _set_first_cell("[groups age]", "age0,age1"),
-    _set_first_cell("[binary_labels]", "2"), _set_first_cell("[multilabels]", "nan"),
-    _deep_spec],
-    ids=["observation_row", "sequence_row", "multilabel_row", "latent_row", "extra_label",
-         "extra_group_tag", "label_2", "multilabel_nan", "deep_spec"])
-def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, cohort_text, edit):
-    path = tmp_path / "cohort.txt"
-    path.write_text(_resealed(cohort_text, edit))
-    with pytest.raises(CorruptFileError) as info:
+def test_load_rejects_a_changed_header_that_stops_the_read_early(tmp_path):
+    # tags of width 1 are read from a quarter of the member's bytes, so
+    # zipfile alone would not reach the end of the member and check its CRC-32
+    path = tmp_path / "cohort.npz"
+    save_cohort(generate(_spec(n=400, seed=15)), path)
+    path.write_bytes(_replace_once(path.read_bytes(), b"'descr': '<U4'", b"'descr': '<U1'"))
+    with pytest.raises(CorruptFileError, match="CRC-32"):
         load_cohort(path)
-    assert str(path) in str(info.value)
 
 
-# every file either loads as a cohort its spec describes or raises
-# CorruptFileError: arbitrary bytes, and resealed files whose data lines or
-# spec fields were edited
+# archives rewritten after an edit: every member matches its CRC-32, so only
+# the parser stands between them and a broken cohort
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
@@ -272,73 +260,226 @@ def fuzz_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def cohort_text(fuzz_dir):
-    path = fuzz_dir / "seed_cohort.txt"
-    save_cohort(generate(_spec(n=4, seed=16)), path)
-    return path.read_text()
+def seed_cohort(fuzz_dir):
+    """A 4-patient cohort and the bytes of its archive."""
+    path = fuzz_dir / "seed_cohort.npz"
+    cohort = generate(_spec(n=4, seed=16))
+    save_cohort(cohort, path)
+    return cohort, path.read_bytes()
 
 
-_CELL = st.sampled_from(["", "0", "1", "-2", "1.5", "nan", "inf", "1e999", "x", "[latents]"]) | \
-    st.text(max_size=6)
+def _members(raw):
+    with np.load(io.BytesIO(raw)) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _resealed(path, raw, edit):
+    members = _members(raw)
+    edit(members)
+    write_archive(path, members)
+
+
+def _replace(name, change):
+    def edit(members):
+        members[name] = change(members[name])
+    return edit
+
+
+def _delete(name):
+    def edit(members):
+        del members[name]
+    return edit
+
+
+def _set_first(value):
+    return lambda values: np.where(np.arange(values.size).reshape(values.shape) == 0, value, values)
+
+
+@pytest.mark.parametrize("edit", [
+    _replace("modality:text_a", lambda v: v[1:]), _replace("modality:series", lambda v: v[1:]),
+    _replace("multilabels", lambda v: v[1:]), _replace("latents", lambda v: v[1:]),
+    _replace("binary_labels", lambda v: np.append(v, 1)),
+    _replace("group:age", lambda v: np.append(v, "age1")),
+    _replace("binary_labels", _set_first(2)), _replace("multilabels", _set_first(np.nan)),
+    _replace("spec", lambda v: np.array("[" * 5000 + "]" * 5000)),  # deeper than json allows
+    _replace("modality:series", lambda v: v.reshape(v.shape[0], -1)),
+    _replace("modality:text_a", lambda v: v.astype(np.float32)),
+    _replace("latents", lambda v: v.astype(">f8")),
+    _replace("binary_labels", lambda v: v.astype(np.float64)),
+    _replace("group:age", lambda v: np.arange(v.size)),
+    _replace("format", lambda v: np.array("mmcl-cohort v2")),
+    _delete("latents"), _delete("group:gender"), _delete("spec")],
+    ids=["observation_row", "sequence_row", "multilabel_row", "latent_row", "extra_label",
+         "extra_group_tag", "label_2", "multilabel_nan", "deep_spec", "flat_sequence",
+         "float32_observations", "big_endian_latents", "float_labels", "integer_group_tags",
+         "v2_format", "missing_latents", "missing_group_axis", "missing_spec"])
+def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, seed_cohort, edit):
+    path = tmp_path / "cohort.npz"
+    _resealed(path, seed_cohort[1], edit)
+    with pytest.raises(CorruptFileError) as info:
+        load_cohort(path)
+    assert str(path) in str(info.value)
+
+
+def _with_unbalanced_npy_header(raw, member):
+    """`raw` rewritten with `member`'s .npy header missing its closing brace;
+    every CRC-32 matches, so only the npy header parser sees the damage."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        stored = {info.filename: zf.read(info) for info in zf.infolist()}
+    npy = stored[member + ".npy"]
+    assert npy.count(b"}") == 1
+    stored[member + ".npy"] = npy.replace(b"}", b" ").replace(b")", b" ")
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, data in stored.items():
+            zf.writestr(name, data)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("artifact", ["cohort", "checkpoint"])
+def test_load_rejects_an_npy_header_that_does_not_parse(tmp_path, seed_cohort, seed_checkpoint,
+                                                        artifact):
+    raw, member, load = ((seed_cohort[1], "latents", load_cohort) if artifact == "cohort"
+                         else (seed_checkpoint[1], "param:enc.w0", Checkpoint.load))
+    path = tmp_path / "unbalanced.npz"
+    path.write_bytes(_with_unbalanced_npy_header(raw, member))
+    with pytest.raises(CorruptFileError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+# every file either loads as a cohort its spec describes or raises
+# CorruptFileError: arbitrary bytes, a saved archive with bytes overwritten
+# or cut off, and archives resealed after a member or the spec was edited
+
+_CELL = st.sampled_from([0, 1, 2, -1, 0.5, np.nan, np.inf, "x", "age0", True])
+_DTYPE = st.sampled_from([np.float64, np.int64, np.float32, np.int32, ">f8", str, bool])
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=6), inner, max_size=3),
                      max_leaves=6)
 
 
-def _edit_lines(data, lines):
+def _overwrite_or_cut(data, raw):
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(0, 4))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    return bytes(raw)
+
+
+def _edit_members(data, members):
     for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the spec
-        edit = data.draw(st.sampled_from(["delete", "duplicate", "replace", "cell"]))
-        if edit == "delete":
-            del lines[i]
-        elif edit == "duplicate":
-            lines.insert(i, lines[i])
-        elif edit == "replace":
-            lines[i] = ",".join(data.draw(st.lists(_CELL, max_size=4)))
-        else:
-            cells = lines[i].split(",")
+        name = data.draw(st.sampled_from(sorted(members)))
+        values = members.pop(name)
+        edit = data.draw(st.sampled_from(["delete", "swap", "rows", "cell", "dtype", "reshape"]))
+        if edit == "swap":
+            values = members[data.draw(st.sampled_from(sorted(members)))]
+        elif edit == "rows":
+            values = np.atleast_1d(values)
+            values = values[1:] if data.draw(st.booleans()) else np.concatenate([values[:1], values])
+        elif edit == "cell":
+            cells = np.atleast_1d(values).ravel().tolist()
             cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELL)
-            lines[i] = ",".join(cells)
+            values = np.array(cells).reshape(values.shape)
+        elif edit == "dtype":
+            try:
+                with np.errstate(invalid="ignore"):  # nan or inf cast to an integer
+                    values = values.astype(data.draw(_DTYPE))
+            except ValueError:  # tags that are not numbers
+                pass
+        elif edit == "reshape":
+            values = values.reshape(-1) if data.draw(st.booleans()) else values[..., None]
+        if edit != "delete":
+            members[name] = values
 
 
-def _edit_spec(data, lines):
-    spec = json.loads(lines[0][len("# spec="):])
+def _edit_spec(data, members):
+    spec = json.loads(str(members["spec"]))
     owner = data.draw(st.sampled_from([spec] + spec["modalities"]))
     key = data.draw(st.sampled_from(sorted(owner)))
     if data.draw(st.booleans()):
         del owner[key]
     else:
         owner[key] = data.draw(_JSON)
-    lines[0] = "# spec=" + json.dumps(spec)
+    members["spec"] = np.array(json.dumps(spec))
 
 
 def _consistent(cohort):
     spec, n = cohort.spec, cohort.num_patients
     for mod in spec.modalities:
         want = (n, mod.seq_len, mod.obs_dim) if mod.kind == "sequence" else (n, mod.obs_dim)
-        assert cohort.observations[mod.name].shape == want
-    assert cohort.binary_labels.shape == (n,)
-    assert cohort.multilabels.shape == (n, spec.num_multilabels)
-    assert cohort.latents.shape == (n, spec.latent_dim)
+        obs = cohort.observations[mod.name]
+        assert obs.shape == want and obs.dtype == np.float64
+    for labels, shape in ((cohort.binary_labels, (n,)),
+                          (cohort.multilabels, (n, spec.num_multilabels))):
+        assert labels.shape == shape and labels.dtype == np.int64
+        assert np.isin(labels, (0, 1)).all()
+    assert cohort.latents.shape == (n, spec.latent_dim) and cohort.latents.dtype == np.float64
     assert set(cohort.groups) == set(spec.group_axes)
-    assert all(tags.shape == (n,) for tags in cohort.groups.values())
+    assert all(tags.shape == (n,) and tags.dtype.kind == "U" for tags in cohort.groups.values())
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_load_cohort_loads_or_raises_corrupt_file_error(fuzz_dir, cohort_text, data):
-    path = fuzz_dir / "cohort.txt"
-    kind = data.draw(st.sampled_from(["bytes", "lines", "spec"]))
+def test_load_cohort_loads_or_raises_corrupt_file_error(fuzz_dir, seed_cohort, data):
+    path = fuzz_dir / "cohort.npz"
+    kind = data.draw(st.sampled_from(["bytes", "edits", "members", "spec"]))
     if kind == "bytes":
         path.write_bytes(data.draw(st.binary(max_size=300)))
+    elif kind == "edits":
+        path.write_bytes(_overwrite_or_cut(data, seed_cohort[1]))
     else:
-        edit = _edit_lines if kind == "lines" else _edit_spec
-        path.write_text(_resealed(cohort_text, lambda lines: edit(data, lines)),
-                        encoding="utf-8")
+        edit = _edit_members if kind == "members" else _edit_spec
+        _resealed(path, seed_cohort[1], lambda members: edit(data, members))
     try:
         cohort = load_cohort(path)
     except CorruptFileError as exc:
         assert str(path) in str(exc)
     else:
         _consistent(cohort)
+
+
+# one flipped or cut-off byte of a saved archive, cohort or checkpoint: it
+# loads what was saved or raises CorruptFileError
+
+def _assert_same_checkpoint(loaded, ckpt):
+    assert (loaded.config, loaded.seed, loaded.tau, loaded.epoch, loaded.best_metric,
+            loaded.modality_subset) == (ckpt.config, ckpt.seed, ckpt.tau, ckpt.epoch,
+                                        ckpt.best_metric, ckpt.modality_subset)
+    np.testing.assert_array_equal(loaded.lambdas, ckpt.lambdas)
+    assert set(loaded.params) == set(ckpt.params)
+    for name, values in ckpt.params.items():
+        assert loaded.params[name].dtype == values.dtype
+        np.testing.assert_array_equal(loaded.params[name], values)
+
+
+@pytest.fixture(scope="module")
+def seed_checkpoint(fuzz_dir):
+    """A checkpoint and the bytes of its archive."""
+    path = fuzz_dir / "seed_ckpt.npz"
+    ckpt = Checkpoint({"seed": 0}, 0, {"enc.w0": np.arange(6.0).reshape(2, 3), "tau": np.ones(1)},
+                      np.array([0.25, 0.75]), 0.5, 2, 1.25, ["text_a", "text_b"])
+    ckpt.save(path)
+    return ckpt, path.read_bytes()
+
+
+@pytest.mark.parametrize("artifact", ["cohort", "checkpoint"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_flipped_or_cut_byte_loads_what_was_saved_or_raises_corrupt_file_error(
+        fuzz_dir, seed_cohort, seed_checkpoint, artifact, data):
+    saved, raw = seed_cohort if artifact == "cohort" else seed_checkpoint
+    offset = data.draw(st.integers(0, len(raw) - 1))
+    path = fuzz_dir / f"flipped_{artifact}.npz"
+    path.write_bytes(raw[:offset] if data.draw(st.booleans())
+                     else _flip(raw, offset, data.draw(st.integers(1, 255))))
+    load, same = ((load_cohort, _assert_same_cohort) if artifact == "cohort"
+                  else (Checkpoint.load, _assert_same_checkpoint))
+    try:
+        loaded = load(path)
+    except CorruptFileError as exc:
+        assert str(path) in str(exc)
+    else:
+        same(loaded, saved)

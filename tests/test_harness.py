@@ -96,8 +96,7 @@ WRONG_TYPES = [
     ("encoder_hidden", 16), ("encoder_hidden", [16, "8"]), ("encoder_hidden", []),
     ("head_hidden", [0]), ("head_hidden", [True]), ("modality_subset", "text_a,text_b"),
     ("modality_subset", ["text_a", 2]), ("regime", ["mlstm"]), ("task", None),
-    ("optimizer", {"adam": 1}), ("lambda_source", 3), ("checkpoint_path", 1),
-    ("output_dir", ["out"])]
+    ("optimizer", {"adam": 1}), ("lambda_source", 3), ("checkpoint_path", 1)]
 
 
 @pytest.mark.parametrize("field,value", WRONG_TYPES)
@@ -142,6 +141,19 @@ def test_pretrain_k3_lambdas_on_simplex(small_cohort):
     assert ckpt.lambdas.shape == (3,)
     assert ckpt.lambdas.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(ckpt.lambdas > 0)
+
+
+def test_lambda_entropy_coef_spreads_the_lambdas(small_cohort):
+    # the only caller of Tensor.log: a larger entropy bonus keeps λ further
+    # from the winner-take-all corner of the simplex
+    entropies = []
+    for coef in (0.0, 0.5, 5.0):
+        cfg = _cfg(["text_a", "demo", "series"], "contrastive_pretrain", max_epochs=10,
+                   batch_size=32, lambda_entropy_coef=coef)
+        ckpt, history = pretrain(cfg, small_cohort)
+        assert np.all(np.isfinite(history))
+        entropies.append(-float(np.sum(ckpt.lambdas * np.log(ckpt.lambdas))))
+    assert entropies[0] < entropies[1] < entropies[2] <= np.log(3)
 
 
 def test_pretrain_loss_descends(small_cohort):
