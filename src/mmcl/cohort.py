@@ -196,7 +196,8 @@ def read_archive(path, parse):
     names to arrays. A file that cannot be opened raises its OSError. One
     that opens but is not a readable archive (a bad zip container, a member
     whose CRC-32 does not match its bytes, one zipfile cannot decompress, an
-    npy header that does not parse, or an array that needs pickle), or whose
+    npy header that does not parse, an array that needs pickle, or a
+    directory entry with a comment, which np.savez never writes), or whose
     members `parse` rejects, raises CorruptFileError naming the file."""
     with open(path, "rb") as fh:
         try:
@@ -209,6 +210,10 @@ def read_archive(path, parse):
                 bad = data.zip.testzip()
                 if bad is not None:
                     raise zipfile.BadZipFile(f"member {bad!r} fails its CRC-32 or header check")
+                # np.savez writes no member comments; a directory entry whose
+                # comment length grew has swallowed the entries after it
+                if any(info.comment for info in data.zip.infolist()):
+                    raise zipfile.BadZipFile("a directory entry carries a comment")
                 return parse(data)
         except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
                 ValueError, lzma.LZMAError, tokenize.TokenError, zipfile.BadZipFile,

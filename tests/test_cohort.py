@@ -379,7 +379,7 @@ def _edit_members(data, members):
         elif edit == "rows":
             values = np.atleast_1d(values)
             values = values[1:] if data.draw(st.booleans()) else np.concatenate([values[:1], values])
-        elif edit == "cell":
+        elif edit == "cell" and values.size:  # an earlier "rows" edit may leave no cell
             cells = np.atleast_1d(values).ravel().tolist()
             cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELL)
             values = np.array(cells).reshape(values.shape)
