@@ -221,8 +221,8 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node._parents:  # a leaf has nothing to run: its parent's closure fills it
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.values))
         for node in reversed(order):

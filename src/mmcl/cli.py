@@ -44,11 +44,13 @@ def _parse_floats(flag, text):
 def _config_from_args(args, modality_subset, regime):
     fields = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 fields = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from exc
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigurationError(f"{args.config}: not valid UTF-8 JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigurationError(f"{args.config}: JSON nested too deep") from exc
         if not isinstance(fields, dict):
             raise ConfigurationError(f"{args.config}: expected a JSON object of RunConfig fields")
     for f in dataclasses.fields(harness.RunConfig):

@@ -1,0 +1,29 @@
+"""Adam as a loop over parameters, with one moment pair per parameter. It is
+the update that `optim.Adam` applies over its flat moments, and the flat
+optimizer is checked against it bitwise: parameter values and moments."""
+
+import numpy as np
+
+
+class LoopAdam:
+    def __init__(self, params, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p.values) for p in self.params]
+        self.v = [np.zeros_like(p.values) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1 - b1) * p.grad
+            self.v[i] = b2 * self.v[i] + (1 - b2) * p.grad**2
+            m_hat = self.m[i] / (1 - b1**self.t)
+            v_hat = self.v[i] / (1 - b2**self.t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

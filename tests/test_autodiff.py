@@ -8,6 +8,7 @@ from mmcl.autodiff import Parameter, Tensor, concat, cosine_nce, grad_check, sof
 from mmcl.errors import ContractError, DimensionError, DomainError
 from mmcl.optim import SGD, Adam
 
+from adam_oracle import LoopAdam
 from lstm_oracle import sigmoid
 from nce_oracle import sqrt
 
@@ -299,3 +300,103 @@ def test_adam_moments_belong_to_the_optimizer():
     quadratic_step(Adam([p], lr=0.1), p)
     quadratic_step(Adam([fresh_p], lr=0.1), fresh_p)
     np.testing.assert_array_equal(p.values, fresh_p.values)
+
+
+def test_optimizers_define_their_own_step_and_list_their_params():
+    # the benchmark's tracer wraps `step` from each optimizer class's own dict
+    # and reads `opt.params` to tell updated gradients from discarded ones
+    assert "step" in Adam.__dict__ and "step" in SGD.__dict__
+    params = [Parameter(name, np.zeros(2)) for name in "abc"]
+    for cls in (Adam, SGD):
+        opt = cls(iter(params))
+        assert isinstance(opt.params, list)
+        assert [id(p) for p in opt.params] == [id(p) for p in params]
+
+
+# mixed shapes, a Fortran-ordered matrix and a 0-d scalar like `log_tau`
+ADAM_SHAPES = [(3, 4), (4,), (), (2, 1, 3), (1,)]
+
+
+def _adam_twins(seed):
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in ADAM_SHAPES]
+    values[0] = np.asfortranarray(values[0])
+    flat = [Parameter(f"p{i}", v.copy(order="K")) for i, v in enumerate(values)]
+    loop = [Parameter(f"p{i}", v.copy(order="K")) for i, v in enumerate(values)]
+    return rng, flat, loop
+
+
+def _set_grads(rng, twins, skip=()):
+    for i, shape in enumerate(ADAM_SHAPES):
+        g = None if i in skip else rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+        for params in twins:
+            params[i].grad = None if g is None else g.copy()
+
+
+def _assert_adam_matches_oracle(opt, oracle):
+    assert opt.t == oracle.t
+    for p, q, (lo, hi), m, v in zip(opt.params, oracle.params, opt.slices, oracle.m, oracle.v):
+        np.testing.assert_array_equal(p.values, q.values, strict=True)
+        assert np.array_equal(opt.m[lo:hi], np.ravel(m)) and np.array_equal(opt.v[lo:hi], np.ravel(v))
+
+
+@pytest.mark.parametrize("skips", [[()] * 5, [(), (2,), (0, 3), (), (0, 1, 2, 3, 4)]],
+                         ids=["every_gradient", "some_missing"])
+def test_flat_adam_is_bitwise_the_per_parameter_loop(skips):
+    rng, flat, loop = _adam_twins(0)
+    opt, oracle = Adam(flat, lr=0.05), LoopAdam(loop, lr=0.05)
+    for skip in skips:
+        before = opt.m.copy(), opt.v.copy()
+        _set_grads(rng, (flat, loop), skip)
+        opt.step()
+        oracle.step()
+        _assert_adam_matches_oracle(opt, oracle)
+        for i in skip:  # a parameter with no gradient keeps its moments
+            lo, hi = opt.slices[i]
+            assert np.array_equal(opt.m[lo:hi], before[0][lo:hi])
+            assert np.array_equal(opt.v[lo:hi], before[1][lo:hi])
+    assert opt.t == 5
+
+
+def test_flat_adam_on_a_training_graph_is_bitwise_the_loop():
+    rng, flat, loop = _adam_twins(1)
+    x = rng.standard_normal((5, 3))
+
+    def loss(params):
+        w, b, s, u, c = params
+        h = (Tensor(x) @ w + b).tanh() * s.exp()
+        return (h * h).mean() + (u * u).sum() * c.sum()
+
+    opt, oracle = Adam(flat), LoopAdam(loop)
+    for _ in range(5):
+        for o, params in ((opt, flat), (oracle, loop)):
+            for p in params:
+                p.zero_grad()
+            loss([params[0], params[1], params[2], params[3].sum(), params[4]]).backward()
+            o.step()
+        _assert_adam_matches_oracle(opt, oracle)
+
+
+def test_adam_never_rebinds_parameter_values():
+    params = [Parameter("w", np.ones((2, 3))), Parameter("log_tau", np.array(0.5))]
+    arrays = [p.values for p in params]
+    opt = Adam(params)
+    assert all(p.values is a for p, a in zip(params, arrays))
+    for p in params:
+        p.grad = np.ones_like(p.values)
+    opt.step()
+    assert all(p.values is a for p, a in zip(params, arrays))
+    assert not any(np.shares_memory(a, opt.m) or np.shares_memory(a, opt.v) for a in arrays)
+
+
+def test_two_adams_over_one_parameter_both_move_it():
+    p = Parameter("w", np.array([5.0, -3.0]))
+    q = Parameter("v", np.array([1.0]))
+    first, second = Adam([p, q], lr=0.1), Adam([p], lr=0.1)
+    trail = [p.values.copy()]
+    for opt in (first, second, first, second):
+        opt.zero_grad()
+        ((p * p).sum() + (q * q).sum()).backward()
+        opt.step()
+        trail.append(p.values.copy())
+    assert all(np.all(np.abs(b) < np.abs(a)) for a, b in zip(trail, trail[1:]))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -6,11 +8,12 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmcl import cli
 from mmcl.cli import main
 from mmcl.cohort import load_cohort, write_archive
-from mmcl.harness import Checkpoint
+from mmcl.harness import Checkpoint, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +270,22 @@ def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
     assert "configuration error: ConfigurationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,reason", [(b'\xff\xfe{"seed": 1}', "not valid UTF-8 JSON"),
+                                         (b"[" * 100_000 + b"]" * 100_000, "nested too deep")],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_exit_code_2_on_unreadable_config_file(cohort_file, tmp_path, capsys, body, reason):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(body)
+    out = tmp_path / "x.npz"
+    rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--config", str(cfg_path), "--max-epochs", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and str(cfg_path) in err
+    assert reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_pretrain_without_a_batch_of_two(cohort_file, tmp_path, capsys):
     rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
                "--max-epochs", "1", "--batch-size", "1", "--out", str(tmp_path / "x.npz")])
@@ -515,3 +534,75 @@ def test_exit_code_2_on_bad_lambda_source(cohort_of_60, tmp_path, capsys, source
     assert f"configuration error: {error}" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+# --config fuzzing: arbitrary bytes, and JSON objects of RunConfig fields whose
+# values have the wrong type or lie out of range. Sizes stay small so that every
+# run fits in a few MiB; a size too large to allocate is not drawn, and it
+# still exits 1 with a traceback (ROADMAP item 7).
+_ANY_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
+                         | st.text(max_size=6),
+                         lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                         max_leaves=6)
+_SIZES = st.lists(st.integers(-2, 8), max_size=3)
+_IN_KIND = {
+    "task": st.sampled_from(["binary", "multilabel", "survival"]),
+    "optimizer": st.sampled_from(["adam", "sgd", "rmsprop"]),
+    "learning_rate": st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 5e-324]),
+    "batch_size": st.integers(-2, 80),
+    "max_epochs": st.integers(-2, 3),
+    "patience": st.integers(-2, 3),
+    "seed": st.integers(-2, 2**70),
+    "lambda_source": st.sampled_from(["learned", "literal:[0.5,0.5]", "literal:[1,2,3]",
+                                      "literal:[2,-1]", "literal:[1e999,0]", "literal:[1,",
+                                      "learnt", ""]),
+    "embedding_dim": st.integers(-2, 8),
+    "encoder_hidden": _SIZES,
+    "head_hidden": _SIZES,
+    "mlstm_hidden": st.integers(-2, 8),
+    "pool_fraction": st.floats(-0.5, 1.5),
+    "lambda_entropy_coef": st.floats(-1.0, 1e300) | st.sampled_from([float("nan"), float("inf")]),
+    "checkpoint_path": st.none() | st.text(max_size=6),
+    "modality_subset": st.lists(st.text(max_size=6), max_size=3),
+    "regime": st.text(max_size=6),
+}
+assert set(_IN_KIND) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@st.composite
+def _config_objects(draw):
+    """Up to three fields of the right kind, and maybe one of any JSON value."""
+    names = draw(st.lists(st.sampled_from(sorted(_IN_KIND)), max_size=3, unique=True))
+    fields = {name: draw(_IN_KIND[name]) for name in names}
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from([*_IN_KIND, "no_such_field"]))] = draw(_ANY_JSON)
+    return fields
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_file_runs_or_exits_2_or_4_without_a_traceback(cohort_of_60, config_dir, data):
+    if data.draw(st.booleans()):
+        body = data.draw(st.binary(max_size=80))
+    else:
+        body = json.dumps(data.draw(_config_objects())).encode()
+    cfg_path, out = config_dir / "cfg.json", config_dir / "ckpt.npz"
+    cfg_path.write_bytes(body)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["pretrain", "--cohort", cohort_of_60, "--modalities", "text_a,text_b",
+                   "--config", str(cfg_path), "--max-epochs", "1", "--out", str(out)])
+    assert rc in (0, 2, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert Checkpoint.load(out).modality_subset == ["text_a", "text_b"]
+    else:
+        assert err.getvalue().startswith(("configuration error: ", "io error: "))
+        assert not out.exists()
