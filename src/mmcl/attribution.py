@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import MAX_IG_STEPS, ContractError
 from .metrics import midranks
 
 
@@ -33,8 +33,8 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
     if x.shape != baseline.shape or x.ndim != 1:
         raise ContractError(f"input {x.shape} and baseline {baseline.shape} must be matching vectors")
-    if steps < 2:
-        raise ContractError("integrated gradients needs steps >= 2")
+    if not 2 <= steps <= MAX_IG_STEPS:
+        raise ContractError(f"integrated gradients needs 2 <= steps <= {MAX_IG_STEPS}, got {steps}")
 
     alphas = np.arange(1, steps + 1)[:, None] / steps
     t = Tensor(np.vstack([baseline + alphas * (x - baseline), x, baseline]), requires_grad=True)

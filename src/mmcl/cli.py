@@ -15,8 +15,8 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from . import harness
-from .errors import (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
-                     DivergenceError, DomainError)
+from .errors import (MAX_SEEDS, ConfigurationError, ContractError, DegenerateInputError,
+                     DimensionError, DivergenceError, DomainError)
 from .optim import OPTIMIZERS
 
 
@@ -24,14 +24,16 @@ def _parse_seeds(text):
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            seeds = list(range(int(lo), int(hi) + 1))
+            seeds = range(int(lo), int(hi) + 1)
         else:
             seeds = [int(s) for s in text.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"--seeds {text!r}: expected 'a,b,c' or 'lo..hi' integers") from exc
+    if len(seeds[:MAX_SEEDS + 1]) > MAX_SEEDS:  # a range too long for len() still slices
+        raise ConfigurationError(f"--seeds {text!r}: at most {MAX_SEEDS} seeds")
     if any(seed < 0 for seed in seeds):
         raise ConfigurationError(f"--seeds {text!r}: every seed must be >= 0")
-    return seeds
+    return list(seeds)
 
 
 def _parse_floats(flag, text):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, CorruptFileError
+from .errors import MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError
 
 FORMAT_VERSION = "mmcl-cohort v3"
 
@@ -58,12 +58,12 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_patients < 1:
-            raise ContractError(f"num_patients must be >= 1, got {self.num_patients}")
+        if not 1 <= self.num_patients <= MAX_PATIENTS:
+            raise ContractError(f"num_patients {self.num_patients} outside [1, {MAX_PATIENTS}]")
         if len(self.modalities) < 2:
             raise ContractError("need at least 2 modalities")
-        if self.latent_dim < 1:
-            raise ContractError("latent_dim must be >= 1")
+        if not 1 <= self.latent_dim <= MAX_WIDTH:
+            raise ContractError(f"latent_dim {self.latent_dim} outside [1, {MAX_WIDTH}]")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.binary_label_sparsity < 1.0:

@@ -29,7 +29,7 @@ class _MLP:
         return [p for w, b in self.layers for p in (w, b)]
 
     def _stack(self, batch, width, what):
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        x = Tensor._lift(batch)
         if x.shape[1] != width:
             raise DimensionError(f"{self.name}: expected {what} {width}, got {x.shape[1]}")
         for li, (w, b) in enumerate(self.layers):
@@ -121,7 +121,7 @@ class LSTMEncoder:
 
     def forward(self, batch):
         """Final embedding of an N x T x d batch; step t is `batch[:, t, :]`."""
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        x = Tensor._lift(batch)
         if x.ndim != 3:
             raise DimensionError(f"{self.name}: sequence batch must be N x T x d, got {x.shape}")
         n, steps, dim = x.shape

@@ -1,7 +1,13 @@
-"""Shared exception types and numerical guard constants."""
+"""Shared exception types, numerical guard constants and size limits."""
 
 # Guard used for vector norms and log arguments everywhere in the package.
 EPS = 1e-12
+
+# Upper bounds on sizes, each checked where its value enters the program
+MAX_WIDTH = 1024  # embedding, hidden, head and latent widths
+MAX_PATIENTS = 100_000  # patients in a generated cohort
+MAX_IG_STEPS = 10_000  # integrated-gradients path points per sample
+MAX_SEEDS = 1_000  # seeds in one sweep
 
 
 class DimensionError(ValueError):

@@ -55,7 +55,7 @@ def weighted_bce(logits, targets, class_weights=(1.0, 1.0)):
     w_pos, w_neg = class_weights
     if w_pos <= 0 or w_neg <= 0:
         raise ContractError("class weights must be positive")
-    z = logits if isinstance(logits, Tensor) else Tensor(logits)
+    z = Tensor._lift(logits)
     if z.values.size != targets.size:
         raise DimensionError(f"logits {z.shape} vs targets {targets.shape}")
     y = Tensor(targets.reshape(z.shape))
@@ -68,7 +68,7 @@ def multilabel_ce(logits, targets):
     """Unweighted per-label sigmoid cross-entropy, mean over samples and
     labels; each label is optimized independently."""
     targets = _check_binary_targets(targets)
-    z = logits if isinstance(logits, Tensor) else Tensor(logits)
+    z = Tensor._lift(logits)
     if z.shape != targets.shape:
         raise DimensionError(f"logits {z.shape} vs targets {targets.shape}")
     y = Tensor(targets)

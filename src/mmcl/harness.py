@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import numbers
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -15,7 +16,7 @@ import numpy as np
 from . import cohort as cohort_mod
 from .attribution import integrated_gradients, modality_aggregate
 from .encoders import build_encoder, make_lstm_params
-from .errors import (ConfigurationError, ContractError, CorruptFileError,
+from .errors import (MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
                      DegenerateInputError, DivergenceError)
 from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                      multilabel_ce, weighted_bce)
@@ -34,6 +35,10 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_width(value):
+    return _is_int(value) and 1 <= value <= MAX_WIDTH
+
+
 def _is_list_of(value, is_item):
     return isinstance(value, (list, tuple)) and all(is_item(item) for item in value)
 
@@ -41,14 +46,14 @@ def _is_list_of(value, is_item):
 # every RunConfig field by the kind of value it must hold; a bool is neither
 # an int nor a real
 _FIELD_KINDS = (
-    ("an integer", _is_int,
-     ("batch_size", "max_epochs", "patience", "seed", "embedding_dim", "mlstm_hidden")),
+    ("an integer", _is_int, ("batch_size", "max_epochs", "patience", "seed")),
+    (f"an integer in [1, {MAX_WIDTH}]", _is_width, ("embedding_dim", "mlstm_hidden")),
     ("a real number", _is_real, ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
     ("a string or null", lambda v: v is None or isinstance(v, str), ("checkpoint_path",)),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
      ("modality_subset",)),
-    ("a list of positive integers", lambda v: _is_list_of(v, lambda d: _is_int(d) and d >= 1),
+    (f"a list of integers in [1, {MAX_WIDTH}]", lambda v: _is_list_of(v, _is_width),
      ("encoder_hidden", "head_hidden")),
 )
 
@@ -81,8 +86,7 @@ class RunConfig:
                 value = getattr(self, name)
                 if not holds(value):
                     raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
-        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0),
-                            ("embedding_dim", 1), ("mlstm_hidden", 1)):
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.encoder_hidden:
@@ -200,10 +204,7 @@ def encode_batch(encoders, observations, indices, subset):
 
 
 def _collect_params(encoders):
-    params = []
-    for name in sorted(encoders):
-        params.extend(encoders[name].parameters())
-    return params
+    return [p for name in sorted(encoders) for p in encoders[name].parameters()]
 
 
 def _snapshot(params):
@@ -219,11 +220,37 @@ def _load_into(params, stored):
         p.values[...] = stored[p.name]
 
 
+def _train(config, opt, rows, rng, batch_loss, what, min_rows=1):
+    """Up to `config.max_epochs` epochs of shuffled `config.batch_size` batches
+    of `rows`, skipping any of fewer than `min_rows`. A finite `batch_loss(idx)`
+    takes one optimizer step; a non-finite one raises DivergenceError. Yields
+    (epoch, batch losses) after each epoch; to stop, the caller leaves the loop."""
+    last_finite = None
+    for epoch in range(config.max_epochs):
+        perm = rows[rng.permutation(rows.size)]
+        losses = []
+        for start in range(0, perm.size, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            if idx.size < min_rows:
+                continue
+            loss = batch_loss(idx)
+            value = float(loss.values)
+            if not np.isfinite(value):
+                raise DivergenceError(f"{what} loss diverged",
+                                      last_finite_loss=last_finite, epoch=epoch)
+            last_finite = value
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            losses.append(value)
+        yield epoch, losses
+
+
 # ---------------------------------------------------------------------------
 # contrastive pre-training
 
 
-def pretrain(config, cohort, on_step=None):
+def pretrain(config, cohort):
     """Train encoders + temperature (+ lambda for K >= 3) on the pre-training
     pool. Returns (Checkpoint, per-epoch loss history)."""
     if config.regime != "contrastive_pretrain":
@@ -234,9 +261,7 @@ def pretrain(config, cohort, on_step=None):
     tau = Temperature()
     lam = LambdaWeights(k) if k >= 3 else None
 
-    params = _collect_params(encoders) + tau.parameters()
-    if lam is not None:
-        params += lam.parameters()
+    params = _collect_params(encoders) + tau.parameters() + ([] if lam is None else lam.parameters())
     opt = make_optimizer(config.optimizer, params, config.learning_rate)
 
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
@@ -245,32 +270,18 @@ def pretrain(config, cohort, on_step=None):
         raise DegenerateInputError(
             f"no batch of 2 rows: batch_size {config.batch_size}, pre-training pool of "
             f"{pool.size} patients; in-batch contrast needs at least 2")
-    history = []
-    last_finite = None
-    for epoch in range(config.max_epochs):
-        perm = pool[rng.permutation(pool.size)]
-        epoch_losses = []
-        for start in range(0, perm.size, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            if idx.size < 2:
-                continue  # a single sample has no in-batch negatives
-            embeddings = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
-            loss = loss_for_combination(embeddings, tau, lam)
-            if lam is not None and config.lambda_entropy_coef > 0:
-                lambdas = lam.lambdas()
-                loss = loss + config.lambda_entropy_coef * (lambdas * lambdas.log()).sum()
-            value = float(loss.values)
-            if not np.isfinite(value):
-                raise DivergenceError("contrastive loss diverged",
-                                      last_finite_loss=last_finite, epoch=epoch)
-            last_finite = value
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            if on_step is not None:
-                on_step(lam)
-            epoch_losses.append(value)
-        history.append(float(np.mean(epoch_losses)))
+
+    def batch_loss(idx):
+        embeddings = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
+        loss = loss_for_combination(embeddings, tau, lam)
+        if lam is not None and config.lambda_entropy_coef > 0:
+            lambdas = lam.lambdas()
+            loss = loss + config.lambda_entropy_coef * (lambdas * lambdas.log()).sum()
+        return loss
+
+    # a batch of 1 is skipped: a single sample has no in-batch negatives
+    history = [float(np.mean(losses)) for _, losses in
+               _train(config, opt, pool, rng, batch_loss, "contrastive", min_rows=2)]
 
     ckpt = Checkpoint(
         config=asdict(config), seed=config.seed, params=_snapshot(params),
@@ -386,86 +397,65 @@ def finetune(config, cohort, checkpoint=None):
         n_pos = int(train_targets.sum())
         class_weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
 
-    mlstm_params = None
-    lambdas = None
     if config.regime == "mlstm":
         lambdas = _resolve_lambdas(config, checkpoint, k)
-        mlstm_params = make_lstm_params(rng, config.embedding_dim, config.mlstm_hidden, "mlstm")
+        cell = make_lstm_params(rng, config.embedding_dim, config.mlstm_hidden, "mlstm")
+        fusion_params = list(cell.values())
         head_input = config.mlstm_hidden
+
+        def fuse(embeddings):
+            return mlstm_forward(cell, embeddings, lambdas, config.mlstm_hidden)
     else:
+        lambdas, fusion_params, fuse = None, [], concat_fuse
         head_input = config.embedding_dim * k
     head = ClassifierHead(head_input, config.head_hidden, num_labels, rng)
+    model_params = encoder_params + fusion_params + head.parameters()
 
+    def encode(indices):
+        return fuse(encode_batch(encoders, cohort.observations, indices, config.modality_subset))
+
+    trained = model_params
     if config.regime == "frozen_finetune":
         _load_into(encoder_params, checkpoint.params)
-        trainable = head.parameters()
+        trained = head.parameters()
         # the encoders never change, so each patient the run uses is encoded once
         used = np.concatenate([train_idx, val_idx, test_idx])
         features = np.zeros((cohort.num_patients, head_input))
-        features[used] = concat_fuse(encode_batch(
-            encoders, cohort.observations, used, config.modality_subset)).values
-    elif config.regime == "supervised_baseline":
-        trainable = encoder_params + head.parameters()
-    else:
-        trainable = encoder_params + list(mlstm_params.values()) + head.parameters()
-    opt = make_optimizer(config.optimizer, trainable, config.learning_rate)
+        features[used] = encode(used).values
+        encode = features.__getitem__  # a batch reads its cached rows
+    opt = make_optimizer(config.optimizer, trained, config.learning_rate)
 
     def forward(indices):
-        if config.regime == "frozen_finetune":
-            return head.forward(features[indices])
-        embeddings = encode_batch(encoders, cohort.observations, indices, config.modality_subset)
-        if config.regime == "mlstm":
-            fused = mlstm_forward(mlstm_params, embeddings, lambdas, config.mlstm_hidden)
-        else:
-            fused = concat_fuse(embeddings)
-        return head.forward(fused)
+        return head.forward(encode(indices))
 
-    def loss_fn(logits, targets):
+    def batch_loss(idx):
+        logits, targets = forward(idx), _targets(cohort, config, idx)
         if config.task == "binary":
             return weighted_bce(logits, targets, class_weights)
         return multilabel_ce(logits, targets)
 
-    best_metric = -np.inf
-    best_epoch = -1
-    best_snapshot = _snapshot(trainable)
-    stall = 0
-    epochs_run = 0
-    last_finite = None
-    for epoch in range(config.max_epochs):
-        perm = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, perm.size, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            loss = loss_fn(forward(idx), _targets(cohort, config, idx))
-            value = float(loss.values)
-            if not np.isfinite(value):
-                raise DivergenceError("fine-tuning loss diverged",
-                                      last_finite_loss=last_finite, epoch=epoch)
-            last_finite = value
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    def evaluate(indices):  # (AUROC, AUPRC)
+        return _metrics_from_scores(
+            forward(indices).values, _targets(cohort, config, indices), config.task)
+
+    best_metric, best_epoch, stall = -np.inf, -1, 0
+    best_snapshot = _snapshot(trained)
+    for epoch, _ in _train(config, opt, train_idx, rng, batch_loss, "fine-tuning"):
         epochs_run = epoch + 1
-        val_scores = forward(val_idx).values
-        val_auroc, _ = _metrics_from_scores(val_scores, _targets(cohort, config, val_idx), config.task)
+        val_auroc, _ = evaluate(val_idx)
         if val_auroc > best_metric:
-            best_metric = val_auroc
-            best_epoch = epoch
-            best_snapshot = _snapshot(trainable)
-            stall = 0
+            best_metric, best_epoch, stall = val_auroc, epoch, 0
+            best_snapshot = _snapshot(trained)
         else:
             stall += 1
             if stall >= max(config.patience, 1):
                 break
 
-    _load_into(trainable, best_snapshot)
-    test_scores = forward(test_idx).values
-    test_auroc, test_auprc = _metrics_from_scores(
-        test_scores, _targets(cohort, config, test_idx), config.task)
+    _load_into(trained, best_snapshot)
+    test_auroc, test_auprc = evaluate(test_idx)
     record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
 
-    all_params = _snapshot(trainable + (
-        encoder_params if config.regime == "frozen_finetune" else []))
-    ckpt = Checkpoint(config=asdict(config), seed=config.seed, params=all_params,
+    ckpt = Checkpoint(config=asdict(config), seed=config.seed, params=_snapshot(model_params),
                       lambdas=lambdas, tau=float("nan"), epoch=best_epoch,
                       best_metric=best_metric, modality_subset=list(config.modality_subset))
     return ckpt, record, {"epochs_run": epochs_run, "best_epoch": best_epoch}
@@ -561,7 +551,9 @@ def sweep(base, cohort, subsets, regimes, seeds):
     recorded without aborting the sweep. The cells of one subset and seed
     share one pretrain, kept until the sweep moves on to the next subset.
     An empty axis, or an entry repeated on one (a subset only with its
-    modalities in the same order), raises ConfigurationError."""
+    modalities in the same order), an unknown regime, or a subset that is
+    not 2 or more distinct modalities of the cohort raises ConfigurationError
+    before any cell runs."""
     if not subsets or not regimes or not seeds:
         raise ConfigurationError("sweep axes must be nonempty")
     for name, axis in (("subsets", [tuple(s) for s in subsets]), ("regimes", regimes),
@@ -569,6 +561,11 @@ def sweep(base, cohort, subsets, regimes, seeds):
         repeated = [entry for entry in dict.fromkeys(axis) if axis.count(entry) > 1]
         if repeated:
             raise ConfigurationError(f"sweep {name} repeat {repeated}; list each once")
+    for subset in subsets:
+        for regime in regimes:  # each cell's config but its seed
+            RunConfig(**{**asdict(base), "modality_subset": list(subset), "regime": regime})
+        for name in subset:
+            cohort.modality(name)
     rows = []
     for subset in subsets:
         pretrains = {}
@@ -590,29 +587,22 @@ def _fmt(value):
     return str(value)
 
 
+def _write_csv(path, columns, records):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        for record in records:
+            writer.writerow({k: _fmt(v) for k, v in record.items()})
+    return path
+
+
 def emit(result, out_dir, base_config=None):
     """Write row-level CSV, Table-1-shaped aggregate CSV, and a config
     snapshot. Returns the list of written paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    rows_path = os.path.join(out_dir, "rows.csv")
-    with open(rows_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ROW_FIELDS)
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow({k: _fmt(v) for k, v in asdict(row).items()})
-    paths.append(rows_path)
-
-    agg_path = os.path.join(out_dir, "aggregates.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=AGG_FIELDS)
-        writer.writeheader()
-        for agg in result.aggregates():
-            writer.writerow({k: _fmt(v) for k, v in agg.items()})
-    paths.append(agg_path)
-
+    paths = [_write_csv(os.path.join(out_dir, "rows.csv"), ROW_FIELDS,
+                        (asdict(row) for row in result.rows)),
+             _write_csv(os.path.join(out_dir, "aggregates.csv"), AGG_FIELDS, result.aggregates())]
     if base_config is not None:
         cfg_path = os.path.join(out_dir, "config.json")
         with open(cfg_path, "w") as fh:

@@ -9,7 +9,7 @@ import pytest
 
 from mmcl import harness
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
-from mmcl.autodiff import Tensor, grad_check
+from mmcl.autodiff import Tensor, grad_check, softmax
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_step, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
@@ -17,7 +17,7 @@ from mmcl.harness import RunConfig, finetune, pretrain, sweep
 from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, ovo_loss,
                          weighted_ovo_loss)
 from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
-from mmcl.optim import SGD
+from mmcl.optim import SGD, Adam
 
 from lstm_oracle import composed_unroll
 
@@ -141,20 +141,24 @@ def test_criterion_03_mlstm_reduces_to_lstm():
              f"({elapsed:.1f}s)")
 
 
-def test_criterion_04_lambda_simplex_every_step():
+def test_criterion_04_lambda_simplex_every_step(monkeypatch):
     cohort = generate(default_five_modality_spec(120, seed=0))
     cfg = RunConfig(ROSTER, "contrastive_pretrain", max_epochs=20,
                     batch_size=16, seed=0)
     violations = []
     steps = [0]
+    adam_step = Adam.step
 
-    def on_step(lam):
+    def checked_step(opt):
+        adam_step(opt)
         steps[0] += 1
-        vals = lam.values()
+        (logits,) = [p for p in opt.params if p.name == "lambda_logits"]
+        vals = softmax(logits).values
         if abs(vals.sum() - 1.0) > 1e-12 or not np.all(vals > 0.0):
             violations.append((steps[0], vals))
 
-    pretrain(cfg, cohort, on_step=on_step)
+    monkeypatch.setattr(Adam, "step", checked_step)
+    pretrain(cfg, cohort)
     _verdict(4, steps[0] > 0 and not violations,
              f"softmax(lambda) on the simplex after every one of {steps[0]} "
              f"optimizer steps ({len(violations)} violations)")

@@ -4,7 +4,7 @@ import pytest
 from mmcl.attribution import (AttributionReport, integrated_gradients,
                               modality_aggregate, spearman_rank_correlation)
 from mmcl.autodiff import Tensor
-from mmcl.errors import ContractError
+from mmcl.errors import MAX_IG_STEPS, ContractError
 from mmcl.fusion import ClassifierHead, weighted_bce
 from mmcl.optim import SGD
 
@@ -80,6 +80,8 @@ def test_completeness_holds_approximately():
 def test_ig_input_validation():
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0]), np.array([1.0]), steps=1)
+    with pytest.raises(ContractError, match="steps"):
+        integrated_gradients(_linear_model([1.0]), np.array([1.0]), steps=MAX_IG_STEPS + 1)
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0, 1.0]), np.array([1.0, 2.0]),
                              baseline=np.array([0.0]))

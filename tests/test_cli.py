@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmcl import cli
+from mmcl import cli, harness
 from mmcl.cli import main
 from mmcl.cohort import load_cohort, write_archive
+from mmcl.errors import MAX_IG_STEPS, MAX_PATIENTS, MAX_SEEDS, MAX_WIDTH
 from mmcl.harness import Checkpoint, RunConfig
 
 
@@ -465,6 +466,89 @@ def test_exit_code_2_on_bad_sweep_seeds(cohort_file, tmp_path, capsys, text):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("subsets,regimes,message", [
+    ("text_a,text_b", "contrastive_pretrain,bogus", "unknown regime 'bogus'"),
+    ("text_a,text_b", "bogus,contrastive_pretrain", "unknown regime 'bogus'"),
+    ("text_a,text_b;text_a", "contrastive_pretrain", "need at least 2 modalities"),
+    ("text_a,text_b;text_a,text_a", "contrastive_pretrain", "duplicate modalities"),
+    ("text_a,nosuch;text_a,text_a", "contrastive_pretrain", "unknown modality 'nosuch'")],
+    ids=["bad_regime_last", "bad_regime_first", "one_modality", "repeated_modality",
+         "unknown_modality"])
+def test_exit_code_2_on_bad_sweep_axis(cohort_file, tmp_path, capsys, monkeypatch, subsets,
+                                       regimes, message):
+    pretrains = []
+    monkeypatch.setattr(harness, "pretrain", lambda *args: pretrains.append(args))
+    out = str(tmp_path / "sweep")
+    rc = main(["sweep", "--cohort", cohort_file, "--subsets", subsets, "--regimes", regimes,
+               "--max-epochs", "1", "--batch-size", "16", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and message in err
+    assert "Traceback" not in err
+    assert pretrains == []
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def supervised_checkpoint(cohort_file, tmp_path_factory):
+    run_dir = str(tmp_path_factory.mktemp("supervised"))
+    assert main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                 "--regime", "supervised_baseline", "--max-epochs", "1", "--batch-size", "16",
+                 "--out", run_dir]) == 0
+    return os.path.join(run_dir, "model.npz")
+
+
+# sizes over their documented limits: each is rejected where it enters the
+# program, so no case allocates anything of its size
+HUGE = str(2**62)
+LITERAL_MLSTM = ["--regime", "mlstm", "--lambda-source", "literal:[0.5,0.5]"]
+
+
+@pytest.mark.parametrize("argv,config,field,error", [
+    pytest.param(["pretrain"], {"embedding_dim": 2**62}, "embedding_dim", "ConfigurationError",
+                 id="embedding_dim"),
+    pytest.param(["pretrain"], {"embedding_dim": MAX_WIDTH + 1}, "embedding_dim",
+                 "ConfigurationError", id="embedding_dim_over_by_one"),
+    pytest.param(["pretrain"], {"encoder_hidden": [16, MAX_WIDTH + 1]}, "encoder_hidden",
+                 "ConfigurationError", id="encoder_hidden"),
+    pytest.param(["finetune", *LITERAL_MLSTM], {"mlstm_hidden": 2**62}, "mlstm_hidden",
+                 "ConfigurationError", id="mlstm_hidden"),
+    pytest.param(["generate", "--num-patients", HUGE], None, "num_patients", "ContractError",
+                 id="num_patients"),
+    pytest.param(["generate", "--num-patients", str(MAX_PATIENTS + 1)], None, "num_patients",
+                 "ContractError", id="num_patients_over_by_one"),
+    pytest.param(["generate", "--num-patients", "10", "--latent-dim", HUGE], None, "latent_dim",
+                 "ContractError", id="latent_dim"),
+    pytest.param(["attribute", "--steps", HUGE], None, "steps", "ContractError", id="steps"),
+    pytest.param(["attribute", "--steps", str(MAX_IG_STEPS + 1)], None, "steps",
+                 "ContractError", id="steps_over_by_one"),
+    pytest.param(["sweep", "--seeds", f"0..{HUGE}"], None, "--seeds", "ConfigurationError",
+                 id="seeds"),
+    pytest.param(["sweep", "--seeds", f"0..{MAX_SEEDS}"], None, "--seeds", "ConfigurationError",
+                 id="seeds_over_by_one")])
+def test_exit_code_2_on_over_limit_size(cohort_file, supervised_checkpoint, tmp_path, capsys,
+                                        argv, config, field, error):
+    verb = argv[0]
+    out = str(tmp_path / "out")
+    if verb != "generate":
+        argv = [*argv, "--cohort", cohort_file]
+    if verb not in ("generate", "sweep"):
+        argv += ["--modalities", "text_a,text_b"]
+    if verb == "attribute":
+        argv += ["--checkpoint", supervised_checkpoint]
+    if config is not None:
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        argv += ["--config", cfg_path]
+    rc = main([*argv, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {error}" in err and field in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("verb,args,error", [
     ("generate", ["--num-patients", "50", "--seed", "-1"], "ContractError"),
     ("pretrain", ["--modalities", "text_a,text_b", "--seed", "-1"], "ConfigurationError"),
@@ -537,15 +621,16 @@ def test_exit_code_2_on_bad_lambda_source(cohort_of_60, tmp_path, capsys, source
 
 
 # --config fuzzing: arbitrary bytes, and JSON objects of RunConfig fields whose
-# values have the wrong type or lie out of range. Sizes stay small so that every
-# run fits in a few MiB; a size too large to allocate is not drawn, and it
-# still exits 1 with a traceback (ROADMAP item 7).
+# values have the wrong type or lie out of range. A width is small, so that
+# every run fits in a few MiB, or over MAX_WIDTH, which is rejected before any
+# allocation.
 _ANY_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
                          | st.text(max_size=6),
                          lambda inner: st.lists(inner, max_size=3)
                          | st.dictionaries(st.text(max_size=6), inner, max_size=3),
                          max_leaves=6)
-_SIZES = st.lists(st.integers(-2, 8), max_size=3)
+_WIDTH = st.integers(-2, 8) | st.sampled_from([MAX_WIDTH + 1, 2**62])
+_SIZES = st.lists(_WIDTH, max_size=3)
 _IN_KIND = {
     "task": st.sampled_from(["binary", "multilabel", "survival"]),
     "optimizer": st.sampled_from(["adam", "sgd", "rmsprop"]),
@@ -557,10 +642,10 @@ _IN_KIND = {
     "lambda_source": st.sampled_from(["learned", "literal:[0.5,0.5]", "literal:[1,2,3]",
                                       "literal:[2,-1]", "literal:[1e999,0]", "literal:[1,",
                                       "learnt", ""]),
-    "embedding_dim": st.integers(-2, 8),
+    "embedding_dim": _WIDTH,
     "encoder_hidden": _SIZES,
     "head_hidden": _SIZES,
-    "mlstm_hidden": st.integers(-2, 8),
+    "mlstm_hidden": _WIDTH,
     "pool_fraction": st.floats(-0.5, 1.5),
     "lambda_entropy_coef": st.floats(-1.0, 1e300) | st.sampled_from([float("nan"), float("inf")]),
     "checkpoint_path": st.none() | st.text(max_size=6),

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import mmcl
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
                          generate, load_cohort, pretrain_pool, save_cohort, write_archive)
-from mmcl.errors import ContractError, CorruptFileError
+from mmcl.errors import MAX_PATIENTS, MAX_WIDTH, ContractError, CorruptFileError
 from mmcl.harness import Checkpoint, RunConfig, finetune_splits
 from mmcl.metrics import auroc
 
@@ -80,6 +80,11 @@ def test_spec_validation():
         CohortSpec(10, 4, mods)
     with pytest.raises(ContractError, match="seed"):
         CohortSpec(10, 4, mods[:1] + [ModalitySpec("b", "static_vector", 4)], seed=-1)
+    two = mods[:1] + [ModalitySpec("b", "static_vector", 4)]
+    with pytest.raises(ContractError, match="num_patients"):
+        CohortSpec(MAX_PATIENTS + 1, 4, two)
+    with pytest.raises(ContractError, match="latent_dim"):
+        CohortSpec(10, MAX_WIDTH + 1, two)
 
 
 # --------------------------------------------------------------------------

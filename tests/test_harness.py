@@ -10,7 +10,8 @@ from mmcl import harness, kernels, losses
 from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
-from mmcl.errors import ConfigurationError, ContractError, CorruptFileError, DegenerateInputError
+from mmcl.errors import (ConfigurationError, ContractError, CorruptFileError, DegenerateInputError,
+                         DivergenceError, MAX_WIDTH)
 from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, weighted_bce
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
@@ -83,7 +84,10 @@ def test_run_config_validation():
                                          ("lambda_entropy_coef", float("nan")),
                                          ("lambda_entropy_coef", float("inf")),
                                          pytest.param("lambda_entropy_coef", 10**400,
-                                                      id="lambda_entropy_coef-huge_int")])
+                                                      id="lambda_entropy_coef-huge_int"),
+                                         ("embedding_dim", MAX_WIDTH + 1), ("mlstm_hidden", 2**62),
+                                         ("encoder_hidden", [8, MAX_WIDTH + 1]),
+                                         ("head_hidden", [2**62])])
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
         RunConfig(ALL, "contrastive_pretrain", **{field: value})
@@ -187,6 +191,54 @@ def test_pretrain_rejects_wrong_regime(small_cohort):
 def test_pretrain_rejects_no_batch_of_two(small_cohort, kwargs):
     with pytest.raises(DegenerateInputError, match="2 rows"):
         pretrain(_cfg(ALL[:2], "contrastive_pretrain", **kwargs), small_cohort)
+
+
+# --------------------------------------------------------------------------
+# divergence: a non-finite batch loss stops training before its step
+
+
+def _nan_on_call(monkeypatch, name, n):
+    """Make `harness.<name>` return a NaN loss on its n-th call; returns the
+    list the values of the earlier calls are appended to."""
+    original = getattr(harness, name)
+    finite = []
+
+    def patched(*args, **kwargs):
+        loss = original(*args, **kwargs)
+        if len(finite) == n - 1:
+            return loss * float("nan")
+        finite.append(float(loss.values))
+        return loss
+
+    monkeypatch.setattr(harness, name, patched)
+    return finite
+
+
+def _batches_per_epoch(rows, batch_size, min_rows):
+    return sum(len(rows[start:start + batch_size]) >= min_rows
+               for start in range(0, len(rows), batch_size))
+
+
+@pytest.mark.parametrize("epoch,batch", [(0, 1), (1, 2)], ids=["first_batch", "later_epoch"])
+@pytest.mark.parametrize("regime,patched,message,min_rows", [
+    ("contrastive_pretrain", "loss_for_combination", "contrastive loss diverged", 2),
+    ("supervised_baseline", "weighted_bce", "fine-tuning loss diverged", 1)],
+    ids=["pretrain", "finetune"])
+def test_divergence_reports_epoch_and_last_finite_loss(small_cohort, monkeypatch, regime,
+                                                       patched, message, min_rows, epoch, batch):
+    cfg = _cfg(ALL[:3], regime, patience=5)
+    pool, train_idx, _, _ = finetune_splits(small_cohort, cfg)
+    rows = pool if regime == "contrastive_pretrain" else train_idx
+    per_epoch = _batches_per_epoch(rows, cfg.batch_size, min_rows)
+    assert per_epoch >= 2
+    finite = _nan_on_call(monkeypatch, patched, epoch * per_epoch + batch)
+    with pytest.raises(DivergenceError) as caught:
+        (pretrain if regime == "contrastive_pretrain" else finetune)(cfg, small_cohort)
+    assert str(caught.value) == message
+    assert caught.value.epoch == epoch
+    assert len(finite) == epoch * per_epoch + batch - 1
+    assert caught.value.last_finite_loss == (finite[-1] if finite else None)
+    assert all(np.isfinite(finite))
 
 
 # --------------------------------------------------------------------------
@@ -509,15 +561,33 @@ def test_sweep_counts_and_aggregates(small_cohort):
 
 
 def test_sweep_isolates_cell_failures(small_cohort):
+    # a learned-lambda mLSTM needs K >= 3: its cell fails after the pretrain
     base = _cfg(ALL, "contrastive_pretrain", max_epochs=1)
-    result = sweep(base, small_cohort, [ALL[:2], ["text_a"]],
-                   ["contrastive_pretrain"], [0])
+    result = sweep(base, small_cohort, [ALL[:2]], ["mlstm", "contrastive_pretrain"], [0])
     statuses = [r.status for r in result.rows]
-    assert statuses[0] == "ok"
-    assert statuses[1].startswith("error:")
-    assert statuses[1] == "error: ConfigurationError: need at least 2 modalities"
+    assert statuses[0] == ("error: ConfigurationError: lambda_source=learned requires a "
+                           "contrastive checkpoint with lambdas")
+    assert statuses[1] == "ok"
     # failed cells are excluded from aggregation
     assert len(result.aggregates()) == 1
+
+
+@pytest.mark.parametrize("subsets,regimes,message", [
+    ([ALL[:2]], ["contrastive_pretrain", "bogus"], "unknown regime 'bogus'"),
+    ([ALL[:2]], ["bogus", "contrastive_pretrain"], "unknown regime 'bogus'"),
+    ([ALL[:2], ["text_a"]], ["contrastive_pretrain"], "need at least 2 modalities"),
+    ([ALL[:2], ["text_a", "text_a"]], ["contrastive_pretrain"], "duplicate modalities"),
+    ([ALL[:2], ["text_a", "nosuch"]], ["contrastive_pretrain"], "unknown modality 'nosuch'")],
+    ids=["bad_regime_last", "bad_regime_first", "one_modality", "repeated_modality",
+         "unknown_modality"])
+def test_sweep_rejects_a_bad_axis_entry_before_any_cell(small_cohort, monkeypatch, subsets,
+                                                       regimes, message):
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    keys = _count_pretrains(monkeypatch)
+    with pytest.raises(ConfigurationError, match=message):
+        sweep(_cfg(ALL, "contrastive_pretrain"), small_cohort, subsets, regimes, [0])
+    assert cells == [] and keys == []
 
 
 SWEEP_REGIMES = ["contrastive_pretrain", "frozen_finetune", "mlstm"]
