@@ -7,6 +7,9 @@ order. Gradients accumulate into `.grad` until `Tensor.zero_grad` resets them,
 so a parameter appearing in several loss terms sums its contributions.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from . import kernels
@@ -21,6 +24,13 @@ def _unbroadcast(grad, shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _check_matmul(a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
 
 class Tensor:
@@ -115,10 +125,7 @@ class Tensor:
     def __matmul__(self, other):
         other = Tensor._lift(other)
         a, b = self, other
-        if a.ndim != 2 or b.ndim != 2:
-            raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+        _check_matmul(a, b)
 
         def backward(g):
             if a.requires_grad:
@@ -273,40 +280,90 @@ def _unit_rows(x):
     return x / r, r
 
 
-def cosine_nce(a, b, inv_tau):
-    """Directional InfoNCE of row-aligned N x n batches as one graph node:
-    the mean over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k.
+def _through_norm(d_hat, x_hat, r):
+    """Gradient to x of a gradient to x_hat = x / r: drop the radial part of
+    d_hat, then divide by r."""
+    return (d_hat - x_hat * (d_hat * x_hat).sum(axis=1, keepdims=True)) / r
 
-    The forward pass rounds as the composed ops would (normalize rows, matmul,
-    scale, row log-sum-exp, diagonal, mean); the backward pass is the
-    closed-form InfoNCE gradient, routed back through both row norms."""
-    a, b, inv_tau = Tensor._lift(a), Tensor._lift(b), Tensor._lift(inv_tau)
-    a_hat, r_a = _unit_rows(a.values)
-    b_hat, r_b = _unit_rows(b.values)
-    cos = a_hat @ b_hat.T
-    s = cos * inv_tau.values
-    lse = kernels.logsumexp_rows(s)
-    n = s.shape[0]
-    k = np.arange(n)
+
+def ovo_nce(embeddings, inv_tau, weights=None):
+    """One-vs-Others InfoNCE of K >= 2 row-aligned N x n batches as one graph
+    node: the sum over i of weights[i] * NCE(e_i, mean of the other batches),
+    or the plain sum without `weights` (a K-vector). NCE(a, b) is the mean
+    over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k. Returns
+    (loss, the K unweighted term values).
+
+    The forward pass rounds as the composed ops would: the others' mean is
+    their left-to-right sum times 1/(K-1); each term normalizes rows, takes
+    a_hat b_hat^T, scales it, takes a row log-sum-exp, the diagonal and the
+    mean; the total adds w_0 t_0 + w_1 t_1 + ... left to right. The backward
+    pass runs the closed-form InfoNCE gradient of each term, routed back
+    through both row norms and the mean, and sums each batch's gradient in
+    term order. A row of zero norm raises DegenerateInputError."""
+    embeddings = [Tensor._lift(e) for e in embeddings]
+    inv_tau = Tensor._lift(inv_tau)
+    weights = None if weights is None else Tensor._lift(weights)
+    k = len(embeddings)
+    if k < 2:
+        raise ContractError(f"contrastive loss needs at least 2 modalities, got {k}")
+    share = 1.0 / (k - 1)
+    n = embeddings[0].shape[0]
+    diag = np.arange(n)
     scale = 1.0 / n
-
-    def through_norm(d_hat, x_hat, r):
-        # x_hat = x / r: drop the radial part of d_hat, then divide by r
-        return (d_hat - x_hat * (d_hat * x_hat).sum(axis=1, keepdims=True)) / r
+    terms = np.empty(k)
+    saved = []
+    for i, e in enumerate(embeddings):
+        others = functools.reduce(operator.add,
+                                  [o.values for j, o in enumerate(embeddings) if j != i])
+        a_hat, r_a = _unit_rows(e.values)
+        b_hat, r_b = _unit_rows(others * share)
+        cos = a_hat @ b_hat.T
+        s = cos * inv_tau.values
+        lse = kernels.logsumexp_rows(s)
+        terms[i] = (lse + (-s[diag, diag])).sum() * scale
+        saved.append((a_hat, r_a, b_hat, r_b, cos, s, lse))
+    loss = functools.reduce(operator.add, terms if weights is None else weights.values * terms)
 
     def backward(g):
-        ds = np.exp(s - lse[:, None])  # row softmax of s
-        ds[k, k] -= 1.0
-        ds *= g * scale
+        grads, d_inv = [None] * k, 0.0
+        for i, (a_hat, r_a, b_hat, r_b, cos, s, lse) in enumerate(saved):
+            ds = np.exp(s - lse[:, None])  # row softmax of s
+            ds[diag, diag] -= 1.0
+            ds *= (g if weights is None else g * weights.values[i]) * scale
+            d_inv = d_inv + (ds * cos).sum()
+            dcos = ds * inv_tau.values
+            d_own = _through_norm(dcos @ b_hat, a_hat, r_a)
+            d_mean = _through_norm(dcos.T @ a_hat, b_hat, r_b) * share
+            for j in range(k):
+                d = d_own if j == i else d_mean
+                grads[j] = d if grads[j] is None else grads[j] + d
+        for e, d in zip(embeddings, grads):
+            if e.requires_grad:
+                e._accumulate(d)
         if inv_tau.requires_grad:
-            inv_tau._accumulate((ds * cos).sum())
-        dcos = ds * inv_tau.values
-        if a.requires_grad:
-            a._accumulate(through_norm(dcos @ b_hat, a_hat, r_a))
-        if b.requires_grad:
-            b._accumulate(through_norm(dcos.T @ a_hat, b_hat, r_b))
+            inv_tau._accumulate(d_inv)
+        if weights is not None and weights.requires_grad:
+            weights._accumulate(g * terms)
 
-    return Tensor._result((lse + (-s[k, k])).sum() * scale, (a, b, inv_tau), backward)
+    parents = (*embeddings, inv_tau) + (() if weights is None else (weights,))
+    return Tensor._result(loss, parents, backward), terms
+
+
+def affine(x, w, b):
+    """x @ w + b as one graph node: an N x d batch times a d x m weight plus
+    an m-vector bias, rounded as the matmul and the broadcast add would."""
+    x = Tensor._lift(x)
+    _check_matmul(x, w)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.values.T)
+        if w.requires_grad:
+            w._accumulate(x.values.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return Tensor._result(x.values @ w.values + b.values, (x, w, b), backward)
 
 
 class Parameter(Tensor):

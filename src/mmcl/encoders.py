@@ -4,7 +4,7 @@ sequences, all projecting into a shared n-dimensional embedding space."""
 import numpy as np
 
 from . import kernels
-from .autodiff import Parameter, Tensor, _unbroadcast
+from .autodiff import Parameter, Tensor, _unbroadcast, affine
 from .errors import DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -33,7 +33,7 @@ class _MLP:
         if x.shape[1] != width:
             raise DimensionError(f"{self.name}: expected {what} {width}, got {x.shape[1]}")
         for li, (w, b) in enumerate(self.layers):
-            x = x @ w + b
+            x = affine(x, w, b)
             if li < len(self.layers) - 1:
                 x = x.tanh()
         return x
@@ -133,7 +133,7 @@ class LSTMEncoder:
         state = Tensor(np.zeros((n, 2 * self.hidden_dim)))
         for t in range(steps):
             state = lstm_step(self.cell, x[:, t, :], state)
-        return state[:, self.hidden_dim:] @ self.w_proj + self.b_proj
+        return affine(state[:, self.hidden_dim:], self.w_proj, self.b_proj)
 
 
 def build_encoder(kind, input_dim, hidden_dims, embedding_dim, rng, name):

@@ -156,12 +156,15 @@ class Checkpoint:
     def load(cls, path):
         """Read a checkpoint written by `save`. A file that cannot be opened
         raises its OSError; one that is not a readable archive, or has bad
-        metadata, a modality subset that is not a list of names or a parameter
-        that is not float64, raises CorruptFileError."""
+        metadata, a config that is not an object, a modality subset that is not
+        a list of names or a parameter that is not float64, raises
+        CorruptFileError."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
             lam, subset = meta["lambdas"], meta["modality_subset"]
+            if not isinstance(meta["config"], dict):
+                raise TypeError(f"config {meta['config']!r} is not an object")
             if not (isinstance(subset, list) and all(isinstance(m, str) for m in subset)):
                 raise TypeError(f"modality_subset {subset!r} is not a list of names")
             for name, values in params.items():
@@ -362,6 +365,20 @@ def _resolve_lambdas(config, checkpoint, k):
     return lambdas / total
 
 
+def _check_checkpoint(checkpoint, config, reader, regimes=None):
+    """Reject a checkpoint that holds another model than `reader` expects:
+    one trained in a regime outside `regimes` (when given), or on another
+    modality subset or order."""
+    regime = checkpoint.config.get("regime")
+    if regimes is not None and regime not in regimes:
+        raise ConfigurationError(f"{reader} reads a {' or '.join(regimes)} checkpoint, "
+                                 f"got one of regime {regime!r}")
+    if list(checkpoint.modality_subset) != list(config.modality_subset):
+        raise ConfigurationError(
+            f"checkpoint modality subset {list(checkpoint.modality_subset)} does not match "
+            f"the run's {list(config.modality_subset)}")
+
+
 def _reads_checkpoint(config):
     """Whether a fine-tuning run reads a contrastive checkpoint: the frozen
     regime loads its encoders, a learned-lambda mLSTM its lambdas."""
@@ -378,10 +395,8 @@ def finetune(config, cohort, checkpoint=None):
         if checkpoint is None:
             raise ConfigurationError(f"this {config.regime} run reads a contrastive checkpoint "
                                      f"(frozen encoders or learned lambdas); none was given")
-        if list(checkpoint.modality_subset) != list(config.modality_subset):
-            raise ConfigurationError(
-                f"checkpoint modality subset {list(checkpoint.modality_subset)} does not match "
-                f"the run's {list(config.modality_subset)}")
+        _check_checkpoint(checkpoint, config, config.regime,
+                          ("contrastive_pretrain",) if config.regime == "frozen_finetune" else None)
 
     k = len(config.modality_subset)
     rng = np.random.default_rng(config.seed)
@@ -641,9 +656,16 @@ def load_rows(path):
 def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, target_label=0):
     """Per-modality integrated-gradients scores of a trained concatenation
     model, attributed over the classifier's concatenated-embedding input and
-    averaged over test samples."""
-    if config.regime not in ("frozen_finetune", "supervised_baseline"):
+    averaged over test samples. The checkpoint must come from a concatenation
+    run on the same modality subset, in the same order, and the same seed,
+    so that the test rows are the ones that run held out."""
+    concatenation = ("frozen_finetune", "supervised_baseline")
+    if config.regime not in concatenation:
         raise ConfigurationError("attribution runs on concatenation models")
+    _check_checkpoint(checkpoint, config, "attribution", concatenation)
+    if checkpoint.seed != config.seed:
+        raise ConfigurationError(f"checkpoint seed {checkpoint.seed} does not match the run's "
+                                 f"seed {config.seed}; its test rows would differ")
     num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
     if not _is_int(max_samples) or max_samples < 1:
         raise ContractError(f"max_samples must be an integer >= 1, got {max_samples!r}")

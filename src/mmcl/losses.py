@@ -10,7 +10,7 @@ Conventions (documented deviations from raw summation):
 import numpy as np
 
 from . import kernels
-from .autodiff import Parameter, cosine_nce, softmax
+from .autodiff import Parameter, ovo_nce, softmax
 from .errors import ContractError, DimensionError
 
 
@@ -52,51 +52,26 @@ class LambdaWeights:
 
 def infonce_pair_loss(a, b, tau):
     """Two-modality batch loss: sum of both directional terms, each the mean
-    over k of -log softmax_m(cos(a_k, b_m) / tau) at m = k.
-
-    Returns (total, [a->b term, b->a term])."""
-    inv_tau = tau.inverse()
-    fwd = cosine_nce(a, b, inv_tau)
-    bwd = cosine_nce(b, a, inv_tau)
-    return fwd + bwd, [fwd, bwd]
-
-
-def _left_sum(tensors):
-    """t0 + t1 + ... added left to right, so every caller rounds alike."""
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = total + t
-    return total
-
-
-def others_mean(embeddings, i):
-    """Rowwise mean of every embedding batch except the i-th."""
-    rest = [e for j, e in enumerate(embeddings) if j != i]
-    return _left_sum(rest) * (1.0 / (len(embeddings) - 1))
-
-
-def _ovo_terms(embeddings, tau):
-    inv_tau = tau.inverse()
-    return [cosine_nce(e, others_mean(embeddings, i), inv_tau)
-            for i, e in enumerate(embeddings)]
+    over k of -log softmax_m(cos(a_k, b_m) / tau) at m = k; the K = 2 case of
+    One-vs-Others. Returns (total, [a->b term, b->a term])."""
+    return ovo_nce([a, b], tau.inverse())
 
 
 def ovo_loss(embeddings, tau):
     """One-vs-Others loss: each modality contrasted against the mean of the
     rest. Returns (total, per-modality terms); for K=2 each term equals the
     corresponding directional InfoNCE term."""
-    terms = _ovo_terms(embeddings, tau)
-    return _left_sum(terms), terms
+    return ovo_nce(embeddings, tau.inverse())
 
 
 def weighted_ovo_loss(embeddings, tau, lam):
     """OvO with each modality term scaled by its softmax importance weight.
-    Gradients flow to embeddings, tau, and the lambda logits jointly."""
+    Gradients flow to embeddings, tau, and the lambda logits jointly. Returns
+    (total, the unweighted per-modality terms)."""
     lambdas = lam.lambdas()
     if lambdas.shape[0] != len(embeddings):
         raise ContractError(f"lambda length {lambdas.shape[0]} != K={len(embeddings)}")
-    terms = [lambdas[i] * raw for i, raw in enumerate(_ovo_terms(embeddings, tau))]
-    return _left_sum(terms), terms
+    return ovo_nce(embeddings, tau.inverse(), lambdas)
 
 
 def loss_for_combination(embeddings, tau, lam=None):

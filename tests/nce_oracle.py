@@ -1,7 +1,9 @@
-"""The directional InfoNCE term composed from elementary ops: row
-normalization, a matmul against the transpose, the scaling by 1/tau, a row
-log-sum-exp, the diagonal and the mean. The fused `autodiff.cosine_nce` op
-is checked against it, forward and backward. The ops that only this
+"""The One-vs-Others contrastive loss composed from elementary ops. Each
+directional InfoNCE term is row normalization, a matmul against the
+transpose, the scaling by 1/tau, a row log-sum-exp, the diagonal and the
+mean; each others' mean is a left-to-right sum of Tensors times 1/(K-1); the
+weighted terms are added left to right. The fused `autodiff.ovo_nce` op is
+checked against it, forward and backward. The ops that only this
 composition uses (sqrt, division, transpose, row log-sum-exp) live here."""
 
 import numpy as np
@@ -65,3 +67,26 @@ def composed_nce(a, b, inv_tau):
     s = similarity_matrix(a, b, inv_tau)
     k = np.arange(s.shape[0])
     return (logsumexp_rows(s) - s[k, k]).mean()
+
+
+def left_sum(tensors):
+    """t0 + t1 + ... added left to right."""
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = total + t
+    return total
+
+
+def others_mean(embeddings, i):
+    """Rowwise mean of every embedding batch except the i-th."""
+    rest = [e for j, e in enumerate(embeddings) if j != i]
+    return left_sum(rest) * (1.0 / (len(embeddings) - 1))
+
+
+def composed_ovo(embeddings, inv_tau, weights=None):
+    """`autodiff.ovo_nce` as a graph of elementary ops: (loss, the K
+    unweighted term values)."""
+    terms = [composed_nce(e, others_mean(embeddings, i), inv_tau)
+             for i, e in enumerate(embeddings)]
+    scaled = terms if weights is None else [weights[i] * t for i, t in enumerate(terms)]
+    return left_sum(scaled), np.array([t.item() for t in terms])

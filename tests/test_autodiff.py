@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmcl import kernels
-from mmcl.autodiff import Parameter, Tensor, concat, cosine_nce, grad_check, softmax
+from mmcl.autodiff import Parameter, Tensor, affine, concat, grad_check, ovo_nce, softmax
 from mmcl.errors import ContractError, DimensionError, DomainError
 from mmcl.optim import SGD, Adam
 
@@ -27,6 +27,15 @@ def test_matmul_hand_case():
 def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("x_shape, w_shape, message", [
+    ((2, 3), (2, 3), "inner dimensions disagree"), ((3,), (3, 2), "needs 2-D operands")])
+def test_affine_raises_the_shape_errors_of_matmul(x_shape, w_shape, message):
+    x, w, b = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(w_shape[-1]))
+    for layer in (lambda: x @ w + b, lambda: affine(x, w, b)):
+        with pytest.raises(DimensionError, match=message):
+            layer()
 
 
 def test_matmul_gradient_vs_finite_differences():
@@ -129,12 +138,13 @@ def test_backward_composite_graph_matches_finite_differences():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((3, 3)))
     w = Tensor(rng.standard_normal((3, 2)))
+    b = Tensor(rng.standard_normal(2))
 
     def f():
-        h = (x @ w).tanh()
-        return (h.softplus() * h.exp()).mean() + cosine_nce(x @ w, h, Tensor(2.0))
+        h = affine(x, w, b).tanh()
+        return (h.softplus() * h.exp()).mean() + ovo_nce([x @ w, h], Tensor(2.0))[0]
 
-    assert grad_check(f, [x, w], h=1e-5) < 1e-5
+    assert grad_check(f, [x, w, b], h=1e-5) < 1e-5
 
 
 def test_backward_accumulates_until_reset():

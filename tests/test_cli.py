@@ -498,6 +498,36 @@ def supervised_checkpoint(cohort_file, tmp_path_factory):
     return os.path.join(run_dir, "model.npz")
 
 
+@pytest.mark.parametrize("verb, model, flags, message", [
+    ("attribute", "mlstm", [], "regime 'mlstm'"),
+    ("attribute", "supervised_baseline", ["--modalities", "text_b,text_a"], "modality subset"),
+    ("attribute", "supervised_baseline", ["--seed", "3"], "seed 0 does not match"),
+    ("finetune", "supervised_baseline", ["--regime", "frozen_finetune"],
+     "regime 'supervised_baseline'")],
+    ids=["attribute_mlstm", "attribute_swapped_subset", "attribute_other_seed",
+         "frozen_finetune_supervised"])
+def test_exit_code_2_on_a_checkpoint_of_the_wrong_kind(cohort_file, supervised_checkpoint,
+                                                       tmp_path, capsys, verb, model, flags,
+                                                       message):
+    # the mLSTM's hidden width 16 equals the 8 x 2 concatenated embeddings
+    ckpt_path = supervised_checkpoint
+    if model == "mlstm":
+        run_dir = str(tmp_path / "mlstm")
+        assert main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                     *LITERAL_MLSTM, "--max-epochs", "1", "--batch-size", "16",
+                     "--out", run_dir]) == 0
+        ckpt_path = os.path.join(run_dir, "model.npz")
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    rc = main([verb, "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--checkpoint", ckpt_path, *flags, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ConfigurationError" in err and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 # sizes over their documented limits: each is rejected where it enters the
 # program, so no case allocates anything of its size
 HUGE = str(2**62)

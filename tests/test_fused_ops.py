@@ -1,0 +1,91 @@
+"""Properties of the fused graph ops against their composed oracles, over
+random shapes and values: `autodiff.ovo_nce`, `autodiff.affine` and
+`encoders.lstm_step`."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mmcl.autodiff import Tensor, affine, concat, ovo_nce, softmax
+from mmcl.encoders import lstm_step, make_lstm_params
+
+from kernel_oracle import assert_bitwise_equal
+from lstm_oracle import composed_lstm_step
+from nce_oracle import composed_ovo
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _grads(loss, inputs, seed):
+    """Gradients of sum(loss * c) for a random upstream c, one per input."""
+    for t in inputs:
+        t.requires_grad = True
+        t.zero_grad()
+    out = loss()
+    weight = np.random.default_rng(seed).standard_normal(out.shape)
+    (out * Tensor(weight)).sum().backward()
+    return [t.grad.copy() for t in inputs]
+
+
+def _assert_close(got, want, rel):
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rel * np.abs(w).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), n=st.integers(1, 12), width=st.integers(2, 8),
+       tau=st.floats(0.5, 5.0), weighting=st.sampled_from(["none", "simplex", "one_hot"]),
+       seed=SEEDS)
+def test_ovo_nce_matches_the_composed_oracle(k, n, width, tau, weighting, seed):
+    # width >= 2: at width 1 every cosine is +-1 and the true gradient is 0,
+    # so both sides hold only rounding noise. A small tau saturates the row
+    # softmax of a few rows, and p - 1 then cancels to a gradient far below
+    # the noise of its parts, so tau stays in [0.5, 5].
+    rng = np.random.default_rng(seed)
+    embeddings = [Tensor(rng.standard_normal((n, width))) for _ in range(k)]
+    inv_tau = Tensor(1.0 / tau)
+    weights = {"none": None,
+               "simplex": Tensor(softmax(Tensor(rng.standard_normal(k))).values),
+               "one_hot": Tensor(np.eye(k)[rng.integers(k)])}[weighting]
+    inputs = embeddings + [inv_tau] + ([] if weights is None else [weights])
+
+    fused_loss, fused_terms = ovo_nce(embeddings, inv_tau, weights)
+    oracle_loss, oracle_terms = composed_ovo(embeddings, inv_tau, weights)
+    assert_bitwise_equal(fused_loss.values, oracle_loss.values)
+    assert_bitwise_equal(fused_terms, oracle_terms)
+
+    fused = _grads(lambda: ovo_nce(embeddings, inv_tau, weights)[0], inputs, seed)
+    oracle = _grads(lambda: composed_ovo(embeddings, inv_tau, weights)[0], inputs, seed)
+    _assert_close(fused, oracle, 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(1, 8), m=st.integers(1, 8), seed=SEEDS)
+def test_affine_is_bitwise_the_matmul_and_add(n, d, m, seed):
+    rng = np.random.default_rng(seed)
+    inputs = [Tensor(rng.standard_normal(shape)) for shape in ((n, d), (d, m), (m,))]
+    x, w, b = inputs
+    assert_bitwise_equal(affine(x, w, b).values, (x @ w + b).values)
+    for got, want in zip(_grads(lambda: affine(x, w, b), inputs, seed),
+                         _grads(lambda: x @ w + b, inputs, seed)):
+        assert_bitwise_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), din=st.integers(1, 6), hid=st.integers(1, 6),
+       lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=SEEDS)
+def test_lstm_step_matches_the_composed_oracle(n, din, hid, lam, seed):
+    rng = np.random.default_rng(seed)
+    params = make_lstm_params(rng, din, hid)
+    params["b"].values[...] = rng.standard_normal(4 * hid)
+    x, state, lam_t = Tensor(rng.standard_normal((n, din))), Tensor(
+        rng.standard_normal((n, 2 * hid))), Tensor(lam)
+    inputs = [x, state, lam_t] + list(params.values())
+
+    def fused():
+        return lstm_step(params, x, state, lam_t)
+
+    def oracle():
+        return concat(composed_lstm_step(params, x, state[:, :hid], state[:, hid:], lam_t))
+
+    assert_bitwise_equal(fused().values, oracle().values)
+    _assert_close(_grads(fused, inputs, seed), _grads(oracle, inputs, seed), 1e-15)

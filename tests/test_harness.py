@@ -20,7 +20,8 @@ from mmcl.optim import make_optimizer
 
 from ig_oracle import per_point_integrated_gradients
 from kernel_oracle import assert_bitwise_equal, masked_sigmoid, zeros_plus_add_accumulate
-from nce_oracle import composed_nce
+from nce_oracle import composed_ovo
+from test_losses import _backward_nodes
 
 ALL = ["text_a", "text_b", "image", "demo", "series"]
 
@@ -507,24 +508,47 @@ def test_training_is_bitwise_equal_to_oracle_kernels(small_cohort, monkeypatch):
 
 
 def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, monkeypatch):
-    # the fused term's gradients round differently from the composed ops',
+    # the fused loss's gradients round differently from the composed ops',
     # so a pretrain drifts; over 5 epochs (20 steps) it stays within 1e-10
     cfg = _cfg(ALL, "contrastive_pretrain", max_epochs=5)
     fused, fused_history = pretrain(cfg, small_cohort)
     calls = []
 
-    def counted_nce(a, b, inv_tau):
+    def counted_ovo(embeddings, inv_tau, weights=None):
         calls.append(1)
-        return composed_nce(a, b, inv_tau)
+        return composed_ovo(embeddings, inv_tau, weights)
 
-    monkeypatch.setattr(losses, "cosine_nce", counted_nce)
+    monkeypatch.setattr(losses, "ovo_nce", counted_ovo)
     oracle, oracle_history = pretrain(cfg, small_cohort)
-    assert len(calls) == 5 * 20
+    assert len(calls) == 20  # one loss per step
     drift = [np.abs(np.subtract(fused_history, oracle_history)).max(),
              np.abs(fused.lambdas - oracle.lambdas).max(), abs(fused.tau - oracle.tau)]
     drift += [np.abs(fused.params[name] - oracle.params[name]).max() for name in oracle.params]
     assert sorted(fused.params) == sorted(oracle.params)
     assert max(drift) <= 1e-10
+
+
+@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 24),
+                                           ("supervised_baseline", 31)])
+def test_training_batch_graph_node_budget(small_cohort, monkeypatch, regime, nodes):
+    # every K = 5 encoder: an MLP is 2 affine + 1 tanh (x 4), the series LSTM
+    # 6 steps + the final-H slice + 1 affine. Pretrain adds 1/tau 2,
+    # softmax(lambda) 1 and the contrastive op 1; the supervised baseline adds
+    # concat 1, the head's 2 affine + 1 tanh and the 7 ops of weighted_bce
+    counts = []
+    backward = Tensor.backward
+
+    def counted_backward(loss):
+        counts.append(_backward_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    cfg = _cfg(ALL, regime, max_epochs=1)
+    if regime == "contrastive_pretrain":
+        pretrain(cfg, small_cohort)
+    else:
+        finetune(cfg, small_cohort)
+    assert counts and set(counts) == {nodes}
 
 
 def test_multilabel_task_runs(small_cohort):
@@ -803,9 +827,9 @@ def _checkpoint_bytes(fuzz_dir, meta=None, params=None):
 @pytest.mark.parametrize("meta, params", [
     ({"modality_subset": 5}, None), ({"modality_subset": ["text_a", 2]}, None),
     ({"modality_subset": "text_a"}, None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
-    ({}, {"enc.w0": np.arange(3)})],
+    ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None)],
     ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
-         "param_of_ints"])
+         "param_of_ints", "config_not_an_object"])
 def test_checkpoint_load_rejects_ill_typed_contents(fuzz_dir, meta, params):
     path = fuzz_dir / "ill_typed.npz"
     path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, **meta}), params))
@@ -896,6 +920,7 @@ def test_checkpoint_load_loads_or_raises_corrupt_file_error(fuzz_dir, data):
     except CorruptFileError as exc:
         assert str(path) in str(exc)
     else:
+        assert isinstance(ckpt.config, dict)
         assert all(isinstance(m, str) for m in ckpt.modality_subset)
         assert all(p.dtype == np.float64 for p in ckpt.params.values())
 
@@ -950,6 +975,45 @@ def test_modality_attribution_one_ig_call_per_test_sample(small_cohort, attribut
     harness.modality_attribution(cfg, small_cohort, ckpt, steps=4, max_samples=max_samples)
     test_size = finetune_splits(small_cohort, cfg)[3].size
     assert calls == [(3 * cfg.embedding_dim,)] * min(max_samples, test_size)
+
+
+@pytest.fixture(scope="module")
+def wrong_kind_checkpoints(small_cohort):
+    """Checkpoints that must not load into a text_a,text_b attribution run at
+    seed 0: an mLSTM whose hidden width 16 equals 8 x 2, the width of the
+    concatenated embeddings, and a contrastive pretrain."""
+    mlstm, _, _ = finetune(_cfg(ALL[:2], "mlstm", lambda_source="literal:[0.5,0.5]"),
+                           small_cohort)
+    pre, _ = pretrain(_cfg(ALL[:2], "contrastive_pretrain", max_epochs=1), small_cohort)
+    return {"mlstm": mlstm, "contrastive_pretrain": pre}
+
+
+@pytest.mark.parametrize("regime", ["mlstm", "contrastive_pretrain"])
+def test_modality_attribution_rejects_a_checkpoint_of_another_regime(
+        small_cohort, wrong_kind_checkpoints, regime):
+    cfg = _cfg(ALL[:2], "supervised_baseline")
+    with pytest.raises(ConfigurationError, match=f"regime '{regime}'"):
+        harness.modality_attribution(cfg, small_cohort, wrong_kind_checkpoints[regime], steps=4)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"modality_subset": ["text_b", "text_a", "image"]}, "modality subset"),
+    ({"modality_subset": ALL[:2]}, "modality subset"),
+    ({"seed": 3}, "seed 0 does not match the run's seed 3")],
+    ids=["swapped_order", "other_subset", "other_seed"])
+def test_modality_attribution_rejects_a_checkpoint_of_another_run(small_cohort, attribution_run,
+                                                                  change, match):
+    cfg, ckpt = attribution_run
+    with pytest.raises(ConfigurationError, match=match):
+        harness.modality_attribution(dataclasses.replace(cfg, **change), small_cohort, ckpt,
+                                     steps=4)
+
+
+def test_frozen_finetune_rejects_a_checkpoint_that_is_not_a_pretrain(small_cohort):
+    supervised, _, _ = finetune(_cfg(ALL[:2], "supervised_baseline", max_epochs=1),
+                                small_cohort)
+    with pytest.raises(ConfigurationError, match="regime 'supervised_baseline'"):
+        finetune(_cfg(ALL[:2], "frozen_finetune", max_epochs=1), small_cohort, supervised)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_samples": 0}, {"max_samples": -1},

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, cosine_nce, grad_check
+from mmcl.autodiff import Tensor, grad_check, ovo_nce
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss,
-                         loss_for_combination, others_mean, ovo_loss,
-                         weighted_ovo_loss)
+                         loss_for_combination, ovo_loss, weighted_ovo_loss)
 from mmcl.optim import SGD
 
 from kernel_oracle import assert_bitwise_equal
-from nce_oracle import composed_nce, similarity_matrix
+from nce_oracle import composed_nce, others_mean, similarity_matrix
 
 
 # --------------------------------------------------------------------------
@@ -58,20 +57,30 @@ def _backward_nodes(loss):
 
 
 # --------------------------------------------------------------------------
-# the fused directional term against the composed oracle
+# the directional cosine-similarity NCE terms of the fused op at K = 2
+# against the composed oracle (tests/test_fused_ops.py draws K = 2..5)
 
 @pytest.mark.parametrize("n, d, tau", [(1, 3, 1.0), (6, 4, 0.7), (64, 8, 0.05), (5, 4, 1e-3)])
 def test_cosine_nce_forward_bitwise_equals_composed_oracle(n, d, tau):
     a, b = _rand_set(2, n, d, seed=n)
     inv_tau = Temperature(tau).inverse()
-    assert_bitwise_equal(cosine_nce(Tensor(a), Tensor(b), inv_tau).values,
-                         composed_nce(Tensor(a), Tensor(b), inv_tau).values)
+    _, terms = ovo_nce([Tensor(a), Tensor(b)], inv_tau)
+    assert_bitwise_equal(terms, [composed_nce(Tensor(a), Tensor(b), inv_tau).item(),
+                                 composed_nce(Tensor(b), Tensor(a), inv_tau).item()])
 
 
-def _grads(term, a, b, inv_tau):
+def _fused_pair(a, b, inv_tau):
+    return ovo_nce([a, b], inv_tau)[0]
+
+
+def _composed_pair(a, b, inv_tau):
+    return composed_nce(a, b, inv_tau) + composed_nce(b, a, inv_tau)
+
+
+def _grads(loss, a, b, inv_tau):
     tensors = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
                Tensor(inv_tau, requires_grad=True)]
-    (term(*tensors) * Tensor(0.37)).backward()
+    (loss(*tensors) * Tensor(0.37)).backward()
     return [t.grad for t in tensors]
 
 
@@ -79,28 +88,27 @@ def _grads(term, a, b, inv_tau):
 def test_cosine_nce_gradients_match_composed_oracle(n, d, inv_tau):
     # relative to each gradient's largest entry; the two round differently
     a, b = _rand_set(2, n, d, seed=100 + n)
-    for got, want in zip(_grads(cosine_nce, a, b, inv_tau), _grads(composed_nce, a, b, inv_tau)):
+    for got, want in zip(_grads(_fused_pair, a, b, inv_tau),
+                         _grads(_composed_pair, a, b, inv_tau)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cosine_nce_gradient_check():
     a, b = _rand_set(2, 5, 3, seed=17)
     tensors = [Tensor(a), Tensor(b), Tensor(0.8)]
-    assert grad_check(lambda: cosine_nce(*tensors), tensors) < 1e-6
+    assert grad_check(lambda: _fused_pair(*tensors), tensors) < 1e-6
 
 
 def test_cosine_nce_skips_parents_without_gradient():
     a, b = _rand_set(2, 4, 3, seed=18)
     ta, tb, inv_tau = Tensor(a, requires_grad=True), Tensor(b), Tensor(1.5)
-    cosine_nce(ta, tb, inv_tau).backward()
+    _fused_pair(ta, tb, inv_tau).backward()
     assert ta.grad is not None and tb.grad is None and inv_tau.grad is None
 
 
-@pytest.mark.parametrize("k, nodes", [(2, 5), (3, 20), (5, 42)])
+@pytest.mark.parametrize("k, nodes", [(2, 3), (3, 4), (5, 4)])
 def test_loss_graph_size(k, nodes):
-    # one node per contrastive term and 1/tau once per batch: at K = 5,
-    # softmax(lambda) 1 + 5 x (others_mean 4, term 1, lambda_i 1, scaling 1)
-    # + 4 adds + 1/tau 2
+    # the contrastive op 1 + 1/tau 2, and softmax(lambda) 1 for K >= 3
     emb = [Tensor(m, requires_grad=True) for m in _rand_set(k, 64, 8, seed=19)]
     loss = loss_for_combination(emb, Temperature(), LambdaWeights(k))
     assert _backward_nodes(loss) == nodes
@@ -169,6 +177,7 @@ def test_infonce_gradients():
 # One-vs-Others
 
 def test_others_mean_hand_case():
+    # the oracle's others' mean, which the fused op rounds like
     mats = [Tensor(np.full((2, 2), float(v))) for v in (1, 2, 6)]
     np.testing.assert_allclose(others_mean(mats, 0).values, np.full((2, 2), 4.0))
     np.testing.assert_allclose(others_mean(mats, 2).values, np.full((2, 2), 1.5))
@@ -266,6 +275,17 @@ def test_lambda_length_mismatch():
     emb = [Tensor(m) for m in mats]
     with pytest.raises(ContractError):
         weighted_ovo_loss(emb, Temperature(), LambdaWeights(4))
+
+
+@pytest.mark.parametrize("case", ["zero_embedding_row", "others_cancel"])
+def test_weighted_ovo_names_a_degenerate_row(case):
+    mats = _rand_set(3, 5, 4, seed=21)
+    if case == "zero_embedding_row":
+        mats[1][2] = 0.0
+    else:  # the mean of modalities 1 and 2, contrasted with modality 0
+        mats[2][2] = -mats[1][2]
+    with pytest.raises(DegenerateInputError, match="zero-norm row at index 2"):
+        weighted_ovo_loss([Tensor(m) for m in mats], Temperature(), LambdaWeights(3))
 
 
 def test_lambda_values_equal_the_graph_softmax():
