@@ -119,11 +119,10 @@ def build_parser():
 
     a = sub.add_parser("attribute", help="integrated-gradients modality report")
     a.add_argument("--cohort", required=True)
-    a.add_argument("--modalities", required=True)
-    a.add_argument("--checkpoint", dest="checkpoint_path", required=True)
+    a.add_argument("--checkpoint", dest="checkpoint_path", required=True,
+                   help="a frozen_finetune or supervised_baseline model.npz")
     a.add_argument("--steps", type=int, default=256)
     a.add_argument("--out", required=True, help="output JSON path")
-    _add_run_flags(a)
 
     r = sub.add_parser("report", help="re-aggregate a row-level CSV")
     r.add_argument("--rows", required=True)
@@ -187,8 +186,8 @@ def _cmd_sweep(args):
 
 def _cmd_attribute(args):
     cohort = cohort_mod.load_cohort(args.cohort)
-    config = _config_from_args(args, args.modalities.split(","), "supervised_baseline")
-    checkpoint = harness.Checkpoint.load(config.checkpoint_path)
+    checkpoint = harness.Checkpoint.load(args.checkpoint_path)
+    config = checkpoint.config  # the run that trained the model, its subset and test rows
     scores = harness.modality_attribution(config, cohort, checkpoint, steps=args.steps)
     report = {name: float(s) for name, s in zip(config.modality_subset, scores)}
     with open(args.out, "w") as fh:

@@ -33,7 +33,7 @@ class ClassifierHead(_MLP):
     """MLP from fused features to raw logits (no output activation)."""
 
     def __init__(self, input_dim, hidden_dims, num_labels, rng, name="head"):
-        self.input_dim = input_dim
+        self.input_dim, self.num_labels = input_dim, num_labels
         super().__init__([input_dim] + list(hidden_dims) + [num_labels], rng, name)
 
     def forward(self, features):

@@ -9,7 +9,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,13 @@ def _is_width(value):
 
 def _is_list_of(value, is_item):
     return isinstance(value, (list, tuple)) and all(is_item(item) for item in value)
+
+
+def _plain(value):
+    """`value`, or a new list of its items, with numpy scalars as the Python ones JSON writes."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 # every RunConfig field by the kind of value it must hold; a bool is neither
@@ -86,6 +93,7 @@ class RunConfig:
                 value = getattr(self, name)
                 if not holds(value):
                     raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+                setattr(self, name, _plain(value))
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -130,25 +138,17 @@ class RunConfig:
 
 @dataclass
 class Checkpoint:
-    config: dict
-    seed: int
+    config: RunConfig  # a copy of the run's config: readers rebuild the model from it
     params: dict  # name -> array
     lambdas: np.ndarray
     tau: float
     epoch: int
     best_metric: float
-    modality_subset: list
 
     def save(self, path):
-        meta = {
-            "config": self.config,
-            "seed": self.seed,
-            "lambdas": None if self.lambdas is None else self.lambdas.tolist(),
-            "tau": self.tau,
-            "epoch": self.epoch,
-            "best_metric": self.best_metric,
-            "modality_subset": list(self.modality_subset),
-        }
+        meta = {"config": asdict(self.config),
+                "lambdas": None if self.lambdas is None else self.lambdas.tolist(),
+                "tau": self.tau, "epoch": self.epoch, "best_metric": self.best_metric}
         arrays = {f"param:{name}": arr for name, arr in self.params.items()}
         cohort_mod.write_archive(path, {"__meta__": np.array(json.dumps(meta)), **arrays})
 
@@ -156,23 +156,17 @@ class Checkpoint:
     def load(cls, path):
         """Read a checkpoint written by `save`. A file that cannot be opened
         raises its OSError; one that is not a readable archive, or has bad
-        metadata, a config that is not an object, a modality subset that is not
-        a list of names or a parameter that is not float64, raises
-        CorruptFileError."""
+        metadata, a config that RunConfig rejects or a parameter that is not
+        float64, raises CorruptFileError."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
-            lam, subset = meta["lambdas"], meta["modality_subset"]
-            if not isinstance(meta["config"], dict):
-                raise TypeError(f"config {meta['config']!r} is not an object")
-            if not (isinstance(subset, list) and all(isinstance(m, str) for m in subset)):
-                raise TypeError(f"modality_subset {subset!r} is not a list of names")
+            config, lam = RunConfig(**meta["config"]), meta["lambdas"]
             for name, values in params.items():
                 if values.dtype != np.float64:
                     raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
-            return cls(meta["config"], meta["seed"], params,
-                       None if lam is None else np.asarray(lam, dtype=np.float64),
-                       meta["tau"], meta["epoch"], meta["best_metric"], subset)
+            return cls(config, params, None if lam is None else np.asarray(lam, dtype=np.float64),
+                       meta["tau"], meta["epoch"], meta["best_metric"])
         return cohort_mod.read_archive(path, parse)
 
 
@@ -208,6 +202,24 @@ def encode_batch(encoders, observations, indices, subset):
 
 def _collect_params(encoders):
     return [p for name in sorted(encoders) for p in encoders[name].parameters()]
+
+
+def build_model(config, cohort, rng, lambdas=None):
+    """The fine-tuning model of `config` as (encoders, fuse, head, params),
+    drawn from `rng` in this order: the encoders in subset order, the mLSTM
+    cell (gated by `lambdas`) in that regime, then the classifier head."""
+    encoders = build_encoders(cohort, config, rng)
+    fusion_params, fuse = [], concat_fuse
+    width = config.embedding_dim * len(config.modality_subset)
+    if config.regime == "mlstm":
+        cell = make_lstm_params(rng, config.embedding_dim, config.mlstm_hidden, "mlstm")
+        fusion_params, width = list(cell.values()), config.mlstm_hidden
+
+        def fuse(embeddings):
+            return mlstm_forward(cell, embeddings, lambdas, config.mlstm_hidden)
+    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
+    head = ClassifierHead(width, config.head_hidden, num_labels, rng)
+    return encoders, fuse, head, _collect_params(encoders) + fusion_params + head.parameters()
 
 
 def _snapshot(params):
@@ -286,18 +298,16 @@ def pretrain(config, cohort):
     history = [float(np.mean(losses)) for _, losses in
                _train(config, opt, pool, rng, batch_loss, "contrastive", min_rows=2)]
 
-    ckpt = Checkpoint(
-        config=asdict(config), seed=config.seed, params=_snapshot(params),
-        lambdas=None if lam is None else lam.values(), tau=tau.tau,
-        epoch=config.max_epochs, best_metric=history[-1],
-        modality_subset=list(config.modality_subset))
+    ckpt = Checkpoint(config=replace(config), params=_snapshot(params),
+                      lambdas=None if lam is None else lam.values(), tau=tau.tau,
+                      epoch=config.max_epochs, best_metric=history[-1])
     return ckpt, history
 
 
-def pool_alignment_accuracy(config, cohort, checkpoint, max_patients=100):
-    """Top-5 alignment accuracy of checkpoint embeddings on pool patients."""
-    rng = np.random.default_rng(config.seed)
-    encoders = build_encoders(cohort, config, rng)
+def pool_alignment_accuracy(cohort, checkpoint, max_patients=100):
+    """Top-5 alignment accuracy of the checkpoint's embeddings on its run's pool patients."""
+    config = checkpoint.config
+    encoders = build_encoders(cohort, config, np.random.default_rng(config.seed))
     _load_into(_collect_params(encoders), checkpoint.params)
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                        pool_fraction=config.pool_fraction)
@@ -367,16 +377,21 @@ def _resolve_lambdas(config, checkpoint, k):
 
 def _check_checkpoint(checkpoint, config, reader, regimes=None):
     """Reject a checkpoint that holds another model than `reader` expects:
-    one trained in a regime outside `regimes` (when given), or on another
-    modality subset or order."""
-    regime = checkpoint.config.get("regime")
-    if regimes is not None and regime not in regimes:
+    one trained in a regime outside `regimes` (when given), on another
+    modality subset or order, or on other patients: the seed and the pool
+    fraction decide the pretraining pool and the test split."""
+    trained = checkpoint.config
+    if regimes is not None and trained.regime not in regimes:
         raise ConfigurationError(f"{reader} reads a {' or '.join(regimes)} checkpoint, "
-                                 f"got one of regime {regime!r}")
-    if list(checkpoint.modality_subset) != list(config.modality_subset):
-        raise ConfigurationError(
-            f"checkpoint modality subset {list(checkpoint.modality_subset)} does not match "
-            f"the run's {list(config.modality_subset)}")
+                                 f"got one of regime {trained.regime!r}")
+    if trained.modality_subset != config.modality_subset:
+        raise ConfigurationError(f"checkpoint modality subset {trained.modality_subset} does "
+                                 f"not match the run's {config.modality_subset}")
+    for name in ("seed", "pool_fraction"):
+        ours, theirs = getattr(trained, name), getattr(config, name)
+        if ours != theirs:
+            raise ConfigurationError(f"checkpoint {name} {ours} does not match the run's {name} "
+                                     f"{theirs}; its pretraining pool and test rows would differ")
 
 
 def _reads_checkpoint(config):
@@ -399,11 +414,9 @@ def finetune(config, cohort, checkpoint=None):
                           ("contrastive_pretrain",) if config.regime == "frozen_finetune" else None)
 
     k = len(config.modality_subset)
+    lambdas = _resolve_lambdas(config, checkpoint, k) if config.regime == "mlstm" else None
     rng = np.random.default_rng(config.seed)
-    encoders = build_encoders(cohort, config, rng)
-    encoder_params = _collect_params(encoders)
-
-    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
+    encoders, fuse, head, model_params = build_model(config, cohort, rng, lambdas)
     _, train_idx, val_idx, test_idx = finetune_splits(cohort, config)
     train_targets = _targets(cohort, config, train_idx)
 
@@ -412,30 +425,16 @@ def finetune(config, cohort, checkpoint=None):
         n_pos = int(train_targets.sum())
         class_weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
 
-    if config.regime == "mlstm":
-        lambdas = _resolve_lambdas(config, checkpoint, k)
-        cell = make_lstm_params(rng, config.embedding_dim, config.mlstm_hidden, "mlstm")
-        fusion_params = list(cell.values())
-        head_input = config.mlstm_hidden
-
-        def fuse(embeddings):
-            return mlstm_forward(cell, embeddings, lambdas, config.mlstm_hidden)
-    else:
-        lambdas, fusion_params, fuse = None, [], concat_fuse
-        head_input = config.embedding_dim * k
-    head = ClassifierHead(head_input, config.head_hidden, num_labels, rng)
-    model_params = encoder_params + fusion_params + head.parameters()
-
     def encode(indices):
         return fuse(encode_batch(encoders, cohort.observations, indices, config.modality_subset))
 
     trained = model_params
     if config.regime == "frozen_finetune":
-        _load_into(encoder_params, checkpoint.params)
+        _load_into(_collect_params(encoders), checkpoint.params)
         trained = head.parameters()
         # the encoders never change, so each patient the run uses is encoded once
         used = np.concatenate([train_idx, val_idx, test_idx])
-        features = np.zeros((cohort.num_patients, head_input))
+        features = np.zeros((cohort.num_patients, head.input_dim))
         features[used] = encode(used).values
         encode = features.__getitem__  # a batch reads its cached rows
     opt = make_optimizer(config.optimizer, trained, config.learning_rate)
@@ -470,9 +469,8 @@ def finetune(config, cohort, checkpoint=None):
     test_auroc, test_auprc = evaluate(test_idx)
     record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
 
-    ckpt = Checkpoint(config=asdict(config), seed=config.seed, params=_snapshot(model_params),
-                      lambdas=lambdas, tau=float("nan"), epoch=best_epoch,
-                      best_metric=best_metric, modality_subset=list(config.modality_subset))
+    ckpt = Checkpoint(config=replace(config), params=_snapshot(model_params), lambdas=lambdas,
+                      tau=float("nan"), epoch=best_epoch, best_metric=best_metric)
     return ckpt, record, {"epochs_run": epochs_run, "best_epoch": best_epoch}
 
 
@@ -550,7 +548,7 @@ def run_cell(base, cohort, subset, regime, seed, pretrains):
     t0 = time.perf_counter()
     if regime == "contrastive_pretrain":
         ckpt, history = _pretrained(config, cohort, pretrains)
-        alignment = pool_alignment_accuracy(config, cohort, ckpt)
+        alignment = pool_alignment_accuracy(cohort, ckpt)
         return SweepRow("+".join(subset), regime, config.task, seed, alignment_top5=alignment,
                         final_loss=history[-1], wall_time_s=time.perf_counter() - t0)
     checkpoint = None
@@ -656,30 +654,25 @@ def load_rows(path):
 def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, target_label=0):
     """Per-modality integrated-gradients scores of a trained concatenation
     model, attributed over the classifier's concatenated-embedding input and
-    averaged over test samples. The checkpoint must come from a concatenation
-    run on the same modality subset, in the same order, and the same seed,
-    so that the test rows are the ones that run held out."""
+    averaged over test samples. `config` names the run the checkpoint must
+    come from: a concatenation regime, the same modality subset and order,
+    seed and pool fraction. The model and its test rows are rebuilt from the
+    checkpoint's own config."""
     concatenation = ("frozen_finetune", "supervised_baseline")
+    _check_checkpoint(checkpoint, config, "attribution", concatenation)
     if config.regime not in concatenation:
         raise ConfigurationError("attribution runs on concatenation models")
-    _check_checkpoint(checkpoint, config, "attribution", concatenation)
-    if checkpoint.seed != config.seed:
-        raise ConfigurationError(f"checkpoint seed {checkpoint.seed} does not match the run's "
-                                 f"seed {config.seed}; its test rows would differ")
-    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
     if not _is_int(max_samples) or max_samples < 1:
         raise ContractError(f"max_samples must be an integer >= 1, got {max_samples!r}")
-    if not _is_int(target_label) or not 0 <= target_label < num_labels:
-        raise ContractError(f"target_label {target_label!r} outside [0, {num_labels})")
-    k = len(config.modality_subset)
-    rng = np.random.default_rng(config.seed)
-    encoders = build_encoders(cohort, config, rng)
-    head = ClassifierHead(config.embedding_dim * k, config.head_hidden, num_labels, rng)
-    _load_into(_collect_params(encoders) + head.parameters(), checkpoint.params)
+    config = checkpoint.config
+    encoders, fuse, head, params = build_model(config, cohort, np.random.default_rng(config.seed))
+    if not _is_int(target_label) or not 0 <= target_label < head.num_labels:
+        raise ContractError(f"target_label {target_label!r} outside [0, {head.num_labels})")
+    _load_into(params, checkpoint.params)
 
     _, _, _, test_idx = finetune_splits(cohort, config)
     test_idx = test_idx[:max_samples]
-    features = concat_fuse(encode_batch(
+    features = fuse(encode_batch(
         encoders, cohort.observations, test_idx, config.modality_subset)).values
 
     def model_fn(x):
@@ -687,7 +680,7 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
 
     n = config.embedding_dim
     layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]
-    totals = np.zeros(k)
+    totals = np.zeros(len(layout))
     for row in features:
         report = integrated_gradients(model_fn, row, steps=steps)
         totals += modality_aggregate(report, layout)

@@ -98,13 +98,30 @@ def test_attribute_happy_path(cohort_file, tmp_path):
     assert rc == 0
     out = str(tmp_path / "attr.json")
     rc = main(["attribute", "--cohort", cohort_file,
-               "--modalities", "text_a,text_b,image",
                "--checkpoint", os.path.join(run_dir, "model.npz"),
                "--steps", "8", "--out", out])
     assert rc == 0
     with open(out) as fh:
         report = json.load(fh)
     assert set(report) == {"text_a", "text_b", "image"}
+    assert sum(report.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_attribute_restores_the_model_from_its_checkpoint(cohort_file, tmp_path, capsys):
+    # a multilabel model of width 4: `attribute` takes the task, the widths and
+    # the subset from the checkpoint, so none of them is repeated
+    run_dir = str(tmp_path / "run")
+    assert main(["finetune", "--cohort", cohort_file, "--modalities", "image,text_b",
+                 "--regime", "supervised_baseline", "--task", "multilabel",
+                 "--embedding-dim", "4", "--max-epochs", "1", "--batch-size", "16",
+                 "--out", run_dir]) == 0
+    out = str(tmp_path / "attr.json")
+    rc = main(["attribute", "--cohort", cohort_file,
+               "--checkpoint", os.path.join(run_dir, "model.npz"), "--steps", "4", "--out", out])
+    assert rc == 0, capsys.readouterr().err
+    with open(out) as fh:
+        report = json.load(fh)
+    assert list(report) == ["image", "text_b"]
     assert sum(report.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -117,7 +134,7 @@ def test_config_file_merges_under_flags(cohort_file, tmp_path):
                "--config", cfg_path, "--out", out])
     assert rc == 0
     ckpt = Checkpoint.load(out)
-    assert ckpt.config["max_epochs"] == 1
+    assert ckpt.config.max_epochs == 1
 
 
 def test_exit_code_2_on_bad_config(cohort_file, tmp_path, capsys):
@@ -179,7 +196,8 @@ def _write_empty_checkpoint(path):
 
 
 def _write_truncated_checkpoint(path):
-    Checkpoint({}, 0, {"w": np.arange(64.0)}, None, 1.0, 0, 0.0, ["a", "b"]).save(path)
+    Checkpoint(RunConfig(["a", "b"], "contrastive_pretrain"), {"w": np.arange(64.0)}, None, 1.0,
+               0, 0.0).save(path)
     with open(path, "rb") as fh:
         head = fh.read()[:100]
     with open(path, "wb") as fh:
@@ -197,8 +215,8 @@ def _write_metaless_checkpoint(path):
 def test_exit_code_4_on_corrupt_checkpoint(cohort_file, tmp_path, capsys, write):
     path = str(tmp_path / "bad.npz")
     write(path)
-    rc = main(["attribute", "--cohort", cohort_file, "--modalities", "text_a,text_b",
-               "--checkpoint", path, "--steps", "2", "--out", str(tmp_path / "attr.json")])
+    rc = main(["attribute", "--cohort", cohort_file, "--checkpoint", path,
+               "--steps", "2", "--out", str(tmp_path / "attr.json")])
     assert rc == 4
     err = capsys.readouterr().err
     assert "io error" in err and path in err
@@ -302,7 +320,7 @@ def test_exit_code_4_on_checkpoint_with_an_ill_typed_subset(cohort_file, tmp_pat
     with np.load(ckpt_path) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["__meta__"]))
-    meta["modality_subset"] = 5
+    meta["config"]["modality_subset"] = 5
     arrays["__meta__"] = np.array(json.dumps(meta))
     np.savez(ckpt_path, **arrays)
     rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
@@ -500,12 +518,11 @@ def supervised_checkpoint(cohort_file, tmp_path_factory):
 
 @pytest.mark.parametrize("verb, model, flags, message", [
     ("attribute", "mlstm", [], "regime 'mlstm'"),
-    ("attribute", "supervised_baseline", ["--modalities", "text_b,text_a"], "modality subset"),
-    ("attribute", "supervised_baseline", ["--seed", "3"], "seed 0 does not match"),
     ("finetune", "supervised_baseline", ["--regime", "frozen_finetune"],
-     "regime 'supervised_baseline'")],
-    ids=["attribute_mlstm", "attribute_swapped_subset", "attribute_other_seed",
-         "frozen_finetune_supervised"])
+     "regime 'supervised_baseline'"),
+    ("finetune", "contrastive_pretrain", ["--regime", "frozen_finetune", "--seed", "3"],
+     "seed 0 does not match the run's seed 3")],
+    ids=["attribute_mlstm", "frozen_finetune_supervised", "frozen_finetune_other_seed"])
 def test_exit_code_2_on_a_checkpoint_of_the_wrong_kind(cohort_file, supervised_checkpoint,
                                                        tmp_path, capsys, verb, model, flags,
                                                        message):
@@ -517,10 +534,15 @@ def test_exit_code_2_on_a_checkpoint_of_the_wrong_kind(cohort_file, supervised_c
                      *LITERAL_MLSTM, "--max-epochs", "1", "--batch-size", "16",
                      "--out", run_dir]) == 0
         ckpt_path = os.path.join(run_dir, "model.npz")
+    elif model == "contrastive_pretrain":  # at seed 0
+        ckpt_path = str(tmp_path / "ckpt.npz")
+        assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                     "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
     capsys.readouterr()
     out = str(tmp_path / "out")
-    rc = main([verb, "--cohort", cohort_file, "--modalities", "text_a,text_b",
-               "--checkpoint", ckpt_path, *flags, "--out", out])
+    modalities = ["--modalities", "text_a,text_b"] if verb == "finetune" else []
+    rc = main([verb, "--cohort", cohort_file, *modalities, "--checkpoint", ckpt_path, *flags,
+               "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
     assert "configuration error: ConfigurationError" in err and message in err
@@ -562,7 +584,7 @@ def test_exit_code_2_on_over_limit_size(cohort_file, supervised_checkpoint, tmp_
     out = str(tmp_path / "out")
     if verb != "generate":
         argv = [*argv, "--cohort", cohort_file]
-    if verb not in ("generate", "sweep"):
+    if verb not in ("generate", "sweep", "attribute"):
         argv += ["--modalities", "text_a,text_b"]
     if verb == "attribute":
         argv += ["--checkpoint", supervised_checkpoint]
@@ -717,7 +739,7 @@ def test_config_file_runs_or_exits_2_or_4_without_a_traceback(cohort_of_60, conf
     assert rc in (0, 2, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if rc == 0:
-        assert Checkpoint.load(out).modality_subset == ["text_a", "text_b"]
+        assert Checkpoint.load(out).config.modality_subset == ["text_a", "text_b"]
     else:
         assert err.getvalue().startswith(("configuration error: ", "io error: "))
         assert not out.exists()

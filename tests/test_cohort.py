@@ -450,9 +450,8 @@ def test_load_cohort_loads_or_raises_corrupt_file_error(fuzz_dir, seed_cohort, d
 # loads what was saved or raises CorruptFileError
 
 def _assert_same_checkpoint(loaded, ckpt):
-    assert (loaded.config, loaded.seed, loaded.tau, loaded.epoch, loaded.best_metric,
-            loaded.modality_subset) == (ckpt.config, ckpt.seed, ckpt.tau, ckpt.epoch,
-                                        ckpt.best_metric, ckpt.modality_subset)
+    assert (loaded.config, loaded.tau, loaded.epoch, loaded.best_metric) == (
+        ckpt.config, ckpt.tau, ckpt.epoch, ckpt.best_metric)
     np.testing.assert_array_equal(loaded.lambdas, ckpt.lambdas)
     assert set(loaded.params) == set(ckpt.params)
     for name, values in ckpt.params.items():
@@ -464,8 +463,9 @@ def _assert_same_checkpoint(loaded, ckpt):
 def seed_checkpoint(fuzz_dir):
     """A checkpoint and the bytes of its archive."""
     path = fuzz_dir / "seed_ckpt.npz"
-    ckpt = Checkpoint({"seed": 0}, 0, {"enc.w0": np.arange(6.0).reshape(2, 3), "tau": np.ones(1)},
-                      np.array([0.25, 0.75]), 0.5, 2, 1.25, ["text_a", "text_b"])
+    ckpt = Checkpoint(RunConfig(["text_a", "text_b"], "contrastive_pretrain"),
+                      {"enc.w0": np.arange(6.0).reshape(2, 3), "tau": np.ones(1)},
+                      np.array([0.25, 0.75]), 0.5, 2, 1.25)
     ckpt.save(path)
     return ckpt, path.read_bytes()
 

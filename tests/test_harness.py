@@ -122,6 +122,23 @@ def test_run_config_accepts_numpy_scalars_and_empty_head():
     assert cfg.seed == 3 and cfg.max_epochs == 2
 
 
+def test_a_run_of_numpy_scalars_saves_and_emits(small_cohort, tmp_path):
+    # RunConfig stores numpy scalars as the Python numbers JSON can write
+    cfg = RunConfig(ALL[:2], "contrastive_pretrain", seed=np.int64(3), max_epochs=np.int32(1),
+                    batch_size=np.int64(16), learning_rate=np.float32(0.01),
+                    pool_fraction=np.float64(0.5), encoder_hidden=[np.int64(4)],
+                    head_hidden=[np.int16(3)])
+    assert [type(v) for v in (cfg.seed, cfg.learning_rate, *cfg.encoder_hidden,
+                              *cfg.head_hidden)] == [int, float, int, int]
+    ckpt, _ = pretrain(cfg, small_cohort)
+    path = tmp_path / "ckpt.npz"
+    ckpt.save(path)
+    assert Checkpoint.load(path).config == cfg
+    paths = harness.emit(SweepResult([]), str(tmp_path / "sweep"), cfg)
+    with open(paths[-1]) as fh:
+        assert RunConfig(**json.load(fh)) == cfg
+
+
 def test_literal_lambdas_parse():
     cfg = _cfg(ALL[:3], "mlstm", lambda_source="literal:[0.5, 0.3, 0.2]")
     np.testing.assert_allclose(cfg.literal_lambdas(), [0.5, 0.3, 0.2])
@@ -251,14 +268,23 @@ def test_checkpoint_round_trip(tmp_path, small_cohort):
     path = tmp_path / "ckpt.npz"
     ckpt.save(path)
     loaded = Checkpoint.load(path)
-    assert loaded.seed == ckpt.seed
+    assert loaded.config.seed == ckpt.config.seed
     assert loaded.tau == ckpt.tau
     assert loaded.epoch == ckpt.epoch
-    assert loaded.modality_subset == ckpt.modality_subset
+    assert loaded.config.modality_subset == ckpt.config.modality_subset
     np.testing.assert_array_equal(loaded.lambdas, ckpt.lambdas)
     assert set(loaded.params) == set(ckpt.params)
     for name in ckpt.params:
         np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
+
+
+def test_checkpoint_keeps_its_own_config(small_cohort):
+    cfg = _cfg(ALL[:2], "contrastive_pretrain", max_epochs=1)
+    ckpt, _ = pretrain(cfg, small_cohort)
+    cfg.modality_subset.append("image")
+    cfg.encoder_hidden[0] = 3
+    cfg.seed = 5
+    assert ckpt.config == _cfg(ALL[:2], "contrastive_pretrain", max_epochs=1)
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +414,11 @@ def test_frozen_finetune_requires_matching_checkpoint(small_cohort):
     pre, _ = pretrain(_cfg(ALL[:2], "contrastive_pretrain"), small_cohort)
     with pytest.raises(ConfigurationError):
         finetune(_cfg(ALL[1:3], "frozen_finetune"), small_cohort, pre)
+    # another seed or pool fraction draws another pretraining pool and test split
+    with pytest.raises(ConfigurationError, match="seed 0 does not match the run's seed 3"):
+        finetune(_cfg(ALL[:2], "frozen_finetune", seed=3), small_cohort, pre)
+    with pytest.raises(ConfigurationError, match="pool_fraction 0.5 does not match"):
+        finetune(_cfg(ALL[:2], "frozen_finetune", pool_fraction=0.3), small_cohort, pre)
 
 
 def test_mlstm_learned_lambdas_require_matching_checkpoint(small_cohort):
@@ -395,6 +426,15 @@ def test_mlstm_learned_lambdas_require_matching_checkpoint(small_cohort):
     pre, _ = pretrain(_cfg(["text_a", "text_b", "image"], "contrastive_pretrain"), small_cohort)
     with pytest.raises(ConfigurationError, match="modality subset"):
         finetune(_cfg(["demo", "series", "image"], "mlstm"), small_cohort, pre)
+
+
+@pytest.mark.parametrize("change, match", [({"seed": 3}, "seed 0 does not match"),
+                                           ({"pool_fraction": 0.3}, "pool_fraction 0.5")],
+                         ids=["other_seed", "other_pool_fraction"])
+def test_mlstm_learned_lambdas_require_the_checkpoint_patients(small_cohort, change, match):
+    pre, _ = pretrain(_cfg(ALL[:3], "contrastive_pretrain", max_epochs=1), small_cohort)
+    with pytest.raises(ConfigurationError, match=match):
+        finetune(_cfg(ALL[:3], "mlstm", **change), small_cohort, pre)
 
 
 def test_mlstm_literal_lambdas_ignore_the_checkpoint_subset(small_cohort):
@@ -428,7 +468,8 @@ def test_mlstm_literal_lambda_length_checked(small_cohort):
     ([0.5, 0.5, np.nan], ContractError, "finite and nonnegative")],
     ids=["wrong_length", "off_simplex", "nan"])
 def test_mlstm_checkpoint_lambdas_checked(small_cohort, lambdas, error, message):
-    checkpoint = Checkpoint({}, 0, {}, np.array(lambdas), 1.0, 0, 0.0, ALL[:3])
+    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, np.array(lambdas), 1.0, 0,
+                            0.0)
     with pytest.raises(error, match=message):
         finetune(_cfg(ALL[:3], "mlstm"), small_cohort, checkpoint)
 
@@ -437,7 +478,7 @@ def test_mlstm_runs_on_normalized_checkpoint_lambdas(small_cohort):
     # a checkpoint's weights within rounding of the simplex are divided by
     # their sum once, and the run uses and stores the result
     stored = np.array([0.5 + 2e-7, 0.3, 0.2])
-    checkpoint = Checkpoint({}, 0, {}, stored, 1.0, 0, 0.0, ALL[:3])
+    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, stored, 1.0, 0, 0.0)
     ckpt, record, _ = finetune(_cfg(ALL[:3], "mlstm", max_epochs=1), small_cohort, checkpoint)
     assert_bitwise_equal(ckpt.lambdas, stored / stored.sum())
     assert np.isfinite(record.auroc)
@@ -803,17 +844,18 @@ def test_emit_then_load_rows_round_trips(fuzz_dir, rows):
 # bytes, a saved checkpoint with bytes overwritten or cut off, and archives
 # whose metadata holds other JSON
 
-_SEED_META = {"config": {"seed": 0}, "seed": 0, "lambdas": [0.25, 0.75], "tau": 0.5, "epoch": 2,
-              "best_metric": 1.25, "modality_subset": ["text_a", "text_b"]}
+# with the two keys that older files also carry, "seed" and "modality_subset"
+_SEED_META = {"config": dataclasses.asdict(RunConfig(["text_a", "text_b"], "contrastive_pretrain")),
+              "seed": 0, "lambdas": [0.25, 0.75], "tau": 0.5, "epoch": 2, "best_metric": 1.25,
+              "modality_subset": ["text_a", "text_b"]}
 
 
 def _checkpoint_bytes(fuzz_dir, meta=None, params=None):
     """A saved checkpoint; `meta` replaces its `__meta__` text and `params`
     its `param:` arrays."""
     path = fuzz_dir / "seed_ckpt.npz"
-    Checkpoint(_SEED_META["config"], 0, {"enc.w0": np.arange(6.0).reshape(2, 3)},
-               np.array(_SEED_META["lambdas"]), 0.5, 2, 1.25,
-               _SEED_META["modality_subset"]).save(path)
+    Checkpoint(RunConfig(**_SEED_META["config"]), {"enc.w0": np.arange(6.0).reshape(2, 3)},
+               np.array(_SEED_META["lambdas"]), 0.5, 2, 1.25).save(path)
     if meta is not None or params is not None:
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -824,9 +866,13 @@ def _checkpoint_bytes(fuzz_dir, meta=None, params=None):
     return path.read_bytes()
 
 
+def _subset(value):
+    return {"config": {**_SEED_META["config"], "modality_subset": value}}
+
+
 @pytest.mark.parametrize("meta, params", [
-    ({"modality_subset": 5}, None), ({"modality_subset": ["text_a", 2]}, None),
-    ({"modality_subset": "text_a"}, None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
+    (_subset(5), None), (_subset(["text_a", 2]), None),
+    (_subset("text_a"), None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
     ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None)],
     ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
          "param_of_ints", "config_not_an_object"])
@@ -882,6 +928,13 @@ def test_checkpoint_load_rejects_deeply_nested_metadata(fuzz_dir):
         Checkpoint.load(path)
 
 
+def test_checkpoint_load_reads_the_older_format(fuzz_dir):
+    # older files repeat the seed and the subset outside the config
+    path = fuzz_dir / "older.npz"
+    path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps(_SEED_META)))
+    assert Checkpoint.load(path).config == RunConfig(**_SEED_META["config"])
+
+
 def test_checkpoint_load_keeps_a_missing_file_an_os_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         Checkpoint.load(tmp_path / "absent.npz")
@@ -920,8 +973,8 @@ def test_checkpoint_load_loads_or_raises_corrupt_file_error(fuzz_dir, data):
     except CorruptFileError as exc:
         assert str(path) in str(exc)
     else:
-        assert isinstance(ckpt.config, dict)
-        assert all(isinstance(m, str) for m in ckpt.modality_subset)
+        assert isinstance(ckpt.config, RunConfig)
+        assert all(isinstance(m, str) for m in ckpt.config.modality_subset)
         assert all(p.dtype == np.float64 for p in ckpt.params.values())
 
 
@@ -999,14 +1052,28 @@ def test_modality_attribution_rejects_a_checkpoint_of_another_regime(
 @pytest.mark.parametrize("change, match", [
     ({"modality_subset": ["text_b", "text_a", "image"]}, "modality subset"),
     ({"modality_subset": ALL[:2]}, "modality subset"),
-    ({"seed": 3}, "seed 0 does not match the run's seed 3")],
-    ids=["swapped_order", "other_subset", "other_seed"])
+    ({"seed": 3}, "seed 0 does not match the run's seed 3"),
+    ({"pool_fraction": 0.3}, "pool_fraction 0.5 does not match the run's pool_fraction 0.3")],
+    ids=["swapped_order", "other_subset", "other_seed", "other_pool_fraction"])
 def test_modality_attribution_rejects_a_checkpoint_of_another_run(small_cohort, attribution_run,
                                                                   change, match):
     cfg, ckpt = attribution_run
     with pytest.raises(ConfigurationError, match=match):
         harness.modality_attribution(dataclasses.replace(cfg, **change), small_cohort, ckpt,
                                      steps=4)
+
+
+@pytest.mark.parametrize("change", [{"embedding_dim": 4}, {"head_hidden": [8, 4]},
+                                    {"task": "multilabel"}],
+                         ids=["embedding_dim", "head_hidden", "task"])
+def test_modality_attribution_restores_the_model_from_the_checkpoint(small_cohort,
+                                                                     attribution_run, change):
+    # the model is rebuilt from the checkpoint's config, not the caller's
+    cfg, ckpt = attribution_run
+    want = harness.modality_attribution(cfg, small_cohort, ckpt, steps=8, max_samples=4)
+    got = harness.modality_attribution(dataclasses.replace(cfg, **change), small_cohort, ckpt,
+                                       steps=8, max_samples=4)
+    assert_bitwise_equal(got, want)
 
 
 def test_frozen_finetune_rejects_a_checkpoint_that_is_not_a_pretrain(small_cohort):
