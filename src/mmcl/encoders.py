@@ -64,43 +64,80 @@ def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
             "b": Parameter(f"{name}.b", np.zeros(len(LSTM_GATES) * hidden_dim))}
 
 
-def lstm_step(params, x_t, state, lam=1.0):
-    """One LSTM step as a single graph node; returns the next state.
+def lstm_sequence(params, xs, lams=None):
+    """Final H of an LSTM unrolled from a zero state over the T step batches
+    `xs` (each N x d, Tensors or arrays), as a single graph node.
 
-    `state` is the packed N x 2h array [C | H]. The candidate write i*g is
-    scaled by `lam`: the modality weight of the gated LSTM, where 1 gives
-    the plain LSTM. `lam` may be a Tensor that requires a gradient."""
+    With `lams` (T weights, numbers or Tensors that may require a gradient),
+    step t's candidate write i*g is scaled by lams[t]: the modality-gated
+    LSTM. Without it this is the plain LSTM.
+
+    The forward pass projects every step's input with one stacked matmul,
+    then runs each step as pre = x_t@wx + h@wh + b, C = f*C_prev + (i*g)*lam,
+    H = o*tanh(C). The backward pass runs backpropagation through time
+    inside the op: each step's gate gradient goes into one T x N x 4h
+    buffer, and the input and weight gradients come from stacked products,
+    the weight ones summed last step first. Both round as one node per step
+    would."""
     wx, wh, b = params["wx"], params["wh"], params["b"]
     hid = wh.shape[0]
-    x_t, state, lam = Tensor._lift(x_t), Tensor._lift(state), Tensor._lift(lam)
-    c_prev, h_prev = state.values[:, :hid], state.values[:, hid:]
-    pre = x_t.values @ wx.values + h_prev @ wh.values + b.values
-    sig = kernels.sigmoid(pre)
-    i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
-    g = np.tanh(pre[:, 2 * hid:3 * hid])
-    ig = i * g
-    c = f * c_prev + ig * lam.values
-    tc = np.tanh(c)
+    xs = [Tensor._lift(x) for x in xs]
+    lams = None if lams is None else [Tensor._lift(lam) for lam in lams]
+    steps, n = len(xs), xs[0].shape[0]
+    x_all = np.stack([x.values for x in xs])
+    xw = np.matmul(x_all, wx.values)
+    # row t of h_all and c_all is the state before step t; s_all[t] ends as
+    # S = [i | f | 1 | o], the g block set to 1 once g is taken
+    h_all, c_all = np.zeros((steps + 1, n, hid)), np.zeros((steps + 1, n, hid))
+    s_all, g_all = np.empty((steps, n, 4 * hid)), np.empty((steps, n, hid))
+    tc_all = np.empty((steps, n, hid))
+    for t in range(steps):
+        pre = xw[t] + h_all[t] @ wh.values + b.values
+        sig = s_all[t]
+        sig[...] = kernels.sigmoid(pre)
+        i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+        g = np.tanh(pre[:, 2 * hid:3 * hid], out=g_all[t])
+        ig = i * g
+        c = np.add(f * c_all[t], ig if lams is None else ig * lams[t].values, out=c_all[t + 1])
+        tc = np.tanh(c, out=tc_all[t])
+        np.multiply(o, tc, out=h_all[t + 1])
+        sig[:, 2 * hid:3 * hid] = 1.0
 
     def backward(grad):
-        dh = grad[:, hid:]
-        dc = grad[:, :hid] + dh * o * (1.0 - tc * tc)
-        dig = dc * lam.values
-        # gate gradients through sigmoid / tanh, in LSTM_GATES column order
-        dpre = np.concatenate([dig * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                               dig * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-        if x_t.requires_grad:
-            x_t._accumulate(dpre @ wx.values.T)
-        if state.requires_grad:
-            state._accumulate(np.concatenate([dc * f, dpre @ wh.values.T], axis=1))
-        wx._accumulate(x_t.values.T @ dpre)
-        wh._accumulate(h_prev.T @ dpre)
-        b._accumulate(dpre.sum(axis=0))
-        if lam.requires_grad:
-            lam._accumulate(_unbroadcast(dc * ig, lam.shape))
+        # D = [1-i | 1-f | 1-g^2 | 1-o], and tanh's derivative at each C
+        d_all = 1.0 - s_all
+        d_all[:, :, 2 * hid:3 * hid] = 1.0 - g_all * g_all
+        dtc_all = 1.0 - tc_all * tc_all
+        dpre_all = np.empty((steps, n, 4 * hid))
+        dh, dc_next = grad, 0.0
+        for t in reversed(range(steps)):
+            sig, g, tc, c_prev = s_all[t], g_all[t], tc_all[t], c_all[t]
+            i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+            dc = dc_next + dh * o * dtc_all[t]
+            lam = None if lams is None else lams[t]
+            dig = dc if lam is None else dc * lam.values
+            # (A * S) * D rounds as the four per-gate products
+            dpre = dpre_all[t]
+            np.multiply(dig, g, out=dpre[:, :hid])
+            np.multiply(dc, c_prev, out=dpre[:, hid:2 * hid])
+            np.multiply(dig, i, out=dpre[:, 2 * hid:3 * hid])
+            np.multiply(dh, tc, out=dpre[:, 3 * hid:])
+            dpre *= sig
+            dpre *= d_all[t]
+            if lam is not None and lam.requires_grad:
+                lam._accumulate(_unbroadcast(dc * (i * g), lam.shape))
+            if t:
+                dh, dc_next = dpre @ wh.values.T, dc * f
+        dx_all = np.matmul(dpre_all, wx.values.T)
+        for x, dx in zip(reversed(xs), dx_all[::-1]):
+            if x.requires_grad:
+                x._accumulate(dx)
+        wx._accumulate(np.matmul(x_all.transpose(0, 2, 1), dpre_all)[::-1].sum(axis=0))
+        wh._accumulate(np.matmul(h_all[:-1].transpose(0, 2, 1), dpre_all)[::-1].sum(axis=0))
+        b._accumulate(dpre_all.sum(axis=1)[::-1].sum(axis=0))
 
-    return Tensor._result(np.concatenate([c, o * tc], axis=1), (x_t, state, wx, wh, b, lam),
-                          backward)
+    parents = (*xs, wx, wh, b) + (() if lams is None else tuple(lams))
+    return Tensor._result(h_all[steps], parents, backward)
 
 
 class LSTMEncoder:
@@ -130,10 +167,8 @@ class LSTMEncoder:
         if dim != self.input_dim:
             raise DimensionError(
                 f"{self.name}: expected per-step dim {self.input_dim}, got {dim}")
-        state = Tensor(np.zeros((n, 2 * self.hidden_dim)))
-        for t in range(steps):
-            state = lstm_step(self.cell, x[:, t, :], state)
-        return affine(state[:, self.hidden_dim:], self.w_proj, self.b_proj)
+        h = lstm_sequence(self.cell, [x[:, t, :] for t in range(steps)])
+        return affine(h, self.w_proj, self.b_proj)
 
 
 def build_encoder(kind, input_dim, hidden_dims, embedding_dim, rng, name):

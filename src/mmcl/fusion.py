@@ -3,8 +3,9 @@ classification heads and their training losses."""
 
 import numpy as np
 
+from . import kernels
 from .autodiff import Tensor, concat
-from .encoders import _MLP, lstm_step
+from .encoders import _MLP, lstm_sequence
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 
@@ -14,19 +15,15 @@ def concat_fuse(embeddings):
     return concat(embeddings, axis=1)
 
 
-def mlstm_forward(params, inputs, lambdas, hidden_dim):
-    """Modality-gated LSTM: one `lstm_step` per modality embedding in fixed
-    order, with the candidate write scaled by that modality's weight;
-    returns final H. The weights are used as given."""
+def mlstm_forward(params, inputs, lambdas):
+    """Modality-gated LSTM: one `lstm_sequence` over the modality embeddings
+    in fixed order, with each step's candidate write scaled by that
+    modality's weight; returns final H. The weights are used as given."""
     if len(inputs) < 2:
         raise ContractError("mLSTM fusion needs at least 2 modalities")
     if len(lambdas) != len(inputs):
         raise ContractError(f"{len(inputs)} modality inputs but {len(lambdas)} lambdas")
-    n = inputs[0].shape[0]
-    state = Tensor(np.zeros((n, 2 * hidden_dim)))
-    for x_t, lam_t in zip(inputs, lambdas):
-        state = lstm_step(params, x_t, state, lam_t)
-    return state[:, hidden_dim:]
+    return lstm_sequence(params, inputs, lambdas)
 
 
 class ClassifierHead(_MLP):
@@ -42,9 +39,31 @@ class ClassifierHead(_MLP):
 
 def _check_binary_targets(targets):
     targets = np.asarray(targets, dtype=np.float64)
-    if not np.all(np.isin(targets, (0.0, 1.0))):
+    if not ((targets == 0.0) | (targets == 1.0)).all():
         raise ContractError("targets must be 0/1")
     return targets
+
+
+def _sigmoid_ce(z, y, w=None):
+    """Mean sigmoid cross-entropy softplus(z) - y*z of logits `z` against
+    0/1 targets `y` (same shape) as one graph node. With weights `w` it is
+    the mean of w * (...) over every entry; without, the mean over axis 0
+    and then over labels. Forward and backward round as the composed
+    softplus, product, difference and means would."""
+    z = Tensor._lift(z)
+    q = kernels.softplus(z.values) - y * z.values
+    if w is None:
+        rows, cols = q.shape
+        loss = (q.sum(axis=0) * (1.0 / rows)).sum() * (1.0 / cols)
+    else:
+        loss = (w * q).sum() * (1.0 / q.size)
+
+    def backward(g):
+        # the gradient reaching each softplus(z) - y*z entry
+        dq = (g * (1.0 / cols)) * (1.0 / rows) if w is None else (g * (1.0 / q.size)) * w
+        z._accumulate(dq * kernels.sigmoid(z.values) - dq * y)
+
+    return Tensor._result(loss, (z,), backward)
 
 
 def weighted_bce(logits, targets, class_weights=(1.0, 1.0)):
@@ -58,10 +77,8 @@ def weighted_bce(logits, targets, class_weights=(1.0, 1.0)):
     z = Tensor._lift(logits)
     if z.values.size != targets.size:
         raise DimensionError(f"logits {z.shape} vs targets {targets.shape}")
-    y = Tensor(targets.reshape(z.shape))
-    w = Tensor(np.where(targets == 1.0, w_pos, w_neg).reshape(z.shape))
-    per_sample = w * (z.softplus() - y * z)
-    return per_sample.mean()
+    w = np.where(targets == 1.0, w_pos, w_neg).reshape(z.shape)
+    return _sigmoid_ce(z, targets.reshape(z.shape), w)
 
 
 def multilabel_ce(logits, targets):
@@ -71,8 +88,7 @@ def multilabel_ce(logits, targets):
     z = Tensor._lift(logits)
     if z.shape != targets.shape:
         raise DimensionError(f"logits {z.shape} vs targets {targets.shape}")
-    y = Tensor(targets)
-    return (z.softplus() - y * z).mean(axis=0).mean()
+    return _sigmoid_ce(z, targets)
 
 
 def class_weights_from_counts(n_pos, n_neg):

@@ -156,12 +156,18 @@ class Checkpoint:
     def load(cls, path):
         """Read a checkpoint written by `save`. A file that cannot be opened
         raises its OSError; one that is not a readable archive, or has bad
-        metadata, a config that RunConfig rejects or a parameter that is not
-        float64, raises CorruptFileError."""
+        metadata (a config that RunConfig rejects, a tau or best metric that
+        is not a real number, an epoch that is not an integer, lambdas that
+        are not a list of real numbers) or a parameter that is not float64,
+        raises CorruptFileError."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
             config, lam = RunConfig(**meta["config"]), meta["lambdas"]
+            for name, holds in (("tau", _is_real), ("best_metric", _is_real), ("epoch", _is_int),
+                                ("lambdas", lambda v: v is None or _is_list_of(v, _is_real))):
+                if not holds(meta[name]):
+                    raise TypeError(f"{name} {meta[name]!r} has the wrong type")
             for name, values in params.items():
                 if values.dtype != np.float64:
                     raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
@@ -216,7 +222,7 @@ def build_model(config, cohort, rng, lambdas=None):
         fusion_params, width = list(cell.values()), config.mlstm_hidden
 
         def fuse(embeddings):
-            return mlstm_forward(cell, embeddings, lambdas, config.mlstm_hidden)
+            return mlstm_forward(cell, embeddings, lambdas)
     num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
     head = ClassifierHead(width, config.head_hidden, num_labels, rng)
     return encoders, fuse, head, _collect_params(encoders) + fusion_params + head.parameters()
@@ -535,16 +541,14 @@ def _pretrained(config, cohort, pretrains):
     cells sharing a result only read it."""
     key = (tuple(config.modality_subset), config.seed)
     if key not in pretrains:
-        pre_cfg = RunConfig(**{**asdict(config), "regime": "contrastive_pretrain"})
-        pretrains[key] = pretrain(pre_cfg, cohort)
+        pretrains[key] = pretrain(replace(config, regime="contrastive_pretrain"), cohort)
     return pretrains[key]
 
 
 def run_cell(base, cohort, subset, regime, seed, pretrains):
     """One sweep row. `pretrains` maps (subset, seed) to pretrain results
     that cells of the same sweep share; the base config is the rest of the key."""
-    config = RunConfig(**{**asdict(base), "modality_subset": list(subset),
-                          "regime": regime, "seed": seed})
+    config = replace(base, modality_subset=list(subset), regime=regime, seed=seed)
     t0 = time.perf_counter()
     if regime == "contrastive_pretrain":
         ckpt, history = _pretrained(config, cohort, pretrains)
@@ -576,7 +580,7 @@ def sweep(base, cohort, subsets, regimes, seeds):
             raise ConfigurationError(f"sweep {name} repeat {repeated}; list each once")
     for subset in subsets:
         for regime in regimes:  # each cell's config but its seed
-            RunConfig(**{**asdict(base), "modality_subset": list(subset), "regime": regime})
+            replace(base, modality_subset=list(subset), regime=regime)
         for name in subset:
             cohort.modality(name)
     rows = []

@@ -7,7 +7,7 @@ def sigmoid(x):
     """Branch-free logistic, bitwise equal to the two-branch stable form."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def softplus(x):

@@ -1,7 +1,7 @@
 """The LSTM cell composed from elementary Tensor ops: matmuls, column
-slices, sigmoids, tanh and products. The fused `encoders.lstm_step` op is
-checked against it, forward and backward. The sigmoid op, which only this
-composition uses, lives here."""
+slices, sigmoids, tanh and products. The fused `encoders.lstm_sequence` op
+is checked against its unroll, forward and backward. The sigmoid op, which
+only this composition uses, lives here."""
 
 import numpy as np
 
@@ -32,10 +32,11 @@ def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
     return c, o * c.tanh()
 
 
-def composed_unroll(params, steps, hidden_dim, lambdas=None):
+def composed_unroll(params, steps, lambdas=None):
     """Final H of the composed cell over `steps` (Tensors or arrays), from a
-    zero state; `lambdas`, when given, gates each step's write."""
-    n = steps[0].shape[0]
+    zero state; `lambdas`, when given, gates each step's write. Takes the
+    arguments of `encoders.lstm_sequence`, so it can stand in for it."""
+    n, hidden_dim = steps[0].shape[0], params["wh"].shape[0]
     c, h = Tensor(np.zeros((n, hidden_dim))), Tensor(np.zeros((n, hidden_dim)))
     for t, x_t in enumerate(steps):
         lam = None if lambdas is None else lambdas[t]

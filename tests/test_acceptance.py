@@ -11,7 +11,7 @@ from mmcl import harness
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
 from mmcl.autodiff import Tensor, grad_check, softmax
 from mmcl.cohort import default_five_modality_spec, generate
-from mmcl.encoders import lstm_step, make_lstm_params
+from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
 from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, ovo_loss,
@@ -100,10 +100,7 @@ def test_criterion_02_gradient_fidelity():
     lam_vec = Tensor(np.array([0.5, 0.3, 0.2]))
 
     def mlstm_loss():
-        state = Tensor(np.zeros((2, 6)))
-        for t, x_t in enumerate(steps):
-            state = lstm_step(params, x_t, state, lam_vec[t])
-        return state[:, 3:].sum()
+        return lstm_sequence(params, steps, [lam_vec[t] for t in range(3)]).sum()
 
     errs["mlstm"] = grad_check(
         mlstm_loss, steps + [lam_vec] + list(params.values()), h=1e-5)
@@ -132,8 +129,8 @@ def test_criterion_03_mlstm_reduces_to_lstm():
         steps = int(rng.integers(2, 5))
         params = make_lstm_params(rng, din, hid)
         mats = [rng.standard_normal((3, din)) for _ in range(steps)]
-        gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(steps), hid).values
-        plain = composed_unroll(params, mats, hid).values
+        gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(steps)).values
+        plain = composed_unroll(params, mats).values
         worst = max(worst, float(np.abs(gated - plain).max()))
     elapsed = time.perf_counter() - start
     _verdict(3, worst <= 1e-12 and elapsed < 10,

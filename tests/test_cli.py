@@ -331,6 +331,29 @@ def test_exit_code_4_on_checkpoint_with_an_ill_typed_subset(cohort_file, tmp_pat
     assert "io error: CorruptFileError" in err and ckpt_path in err
 
 
+@pytest.mark.parametrize("key, value", [("lambdas", [[0.5], [0.3], [0.2]]), ("tau", "x"),
+                                        ("epoch", [1]), ("best_metric", "0.5")],
+                         ids=["lambdas_nested", "tau_a_string", "epoch_a_list",
+                              "best_metric_a_string"])
+def test_exit_code_4_on_checkpoint_with_ill_typed_metadata(cohort_file, tmp_path, capsys, key,
+                                                           value):
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    with np.load(ckpt_path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta[key] = value
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(ckpt_path, **arrays)
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+               "--regime", "mlstm", "--lambda-source", "learned", "--checkpoint", ckpt_path,
+               "--max-epochs", "1", "--out", str(tmp_path / "run")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and ckpt_path in err
+
+
 def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
     # a checkpoint that stores the series LSTM one gate at a time
     ckpt_path = str(tmp_path / "ckpt.npz")

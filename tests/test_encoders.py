@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, concat, grad_check
-from mmcl.encoders import (LSTM_GATES, LSTMEncoder, MLPEncoder, build_encoder, lstm_step,
+from mmcl.autodiff import Tensor, grad_check
+from mmcl.encoders import (LSTM_GATES, LSTMEncoder, MLPEncoder, build_encoder, lstm_sequence,
                            make_lstm_params)
 from mmcl.errors import DegenerateInputError, DimensionError
 
-from lstm_oracle import composed_lstm_step, composed_unroll
+from lstm_oracle import composed_unroll
 
 
 def _mlp(seed=0, din=4, hidden=(6,), n=3):
@@ -103,101 +103,99 @@ def test_make_lstm_params_packs_per_gate_init_draws():
     assert gen.random() == rng.random()  # later draws (projection, head) line up too
 
 
-def _packed(c, h):
-    return Tensor(np.hstack([c, h]))
-
-
 def test_lstm_gates_zero_params_give_half_sigmoids():
-    # zero weights: i = f = o = sigmoid(0) = 0.5 and g = tanh(b_g), so
-    # C' = 0.5 C + 0.5 tanh(b_g) and H' = 0.5 tanh(C')
+    # zero weights: i = f = o = sigmoid(0) = 0.5 and g = tanh(b_g), so each
+    # step gives C' = 0.5 C + 0.5 tanh(b_g) and H' = 0.5 tanh(C'); the first
+    # step writes C1 = 0.5 tanh(b_g), which the second halves
     params = make_lstm_params(np.random.default_rng(0), 3, 5)
     for p in params.values():
         p.values[...] = 0.0
     params["b"].values[10:15] = 0.7
-    c0 = np.random.default_rng(1).standard_normal((2, 5))
-    out = lstm_step(params, Tensor(np.ones((2, 3))), _packed(c0, np.zeros((2, 5)))).values
-    c_want = 0.5 * c0 + 0.5 * np.tanh(0.7)
-    np.testing.assert_allclose(out[:, :5], c_want, atol=1e-14)
-    np.testing.assert_allclose(out[:, 5:], 0.5 * np.tanh(c_want), atol=1e-14)
+    out = lstm_sequence(params, [np.ones((2, 3))] * 2).values
+    c1 = 0.5 * np.tanh(0.7)
+    np.testing.assert_allclose(out, 0.5 * np.tanh(0.5 * c1 + 0.5 * np.tanh(0.7)) * np.ones((2, 5)),
+                               atol=1e-14)
 
 
 def test_lstm_cell_zero_params_halve_cell_state():
-    # with all-zero parameters: f = 0.5, g = 0 => C' = 0.5 C, H' = 0.5 tanh(C')
-    params = make_lstm_params(np.random.default_rng(0), 3, 4)
+    # only the g block of wx is nonzero, so the first step writes
+    # C1 = 0.5 tanh(x1 wx_g); on a zero input f = 0.5, g = 0 => C2 = 0.5 C1,
+    # H2 = 0.5 tanh(C2)
+    rng = np.random.default_rng(1)
+    params = make_lstm_params(rng, 3, 4)
     for p in params.values():
         p.values[...] = 0.0
-    c0 = np.random.default_rng(1).standard_normal((2, 4))
-    out = lstm_step(params, Tensor(np.zeros((2, 3))), _packed(c0, np.zeros((2, 4)))).values
-    np.testing.assert_allclose(out[:, :4], 0.5 * c0, atol=1e-14)
-    np.testing.assert_allclose(out[:, 4:], 0.5 * np.tanh(0.5 * c0), atol=1e-14)
+    params["wx"].values[:, 8:12] = rng.standard_normal((3, 4))
+    x1 = rng.standard_normal((2, 3))
+    c1 = 0.5 * np.tanh(x1 @ params["wx"].values[:, 8:12])
+    out = lstm_sequence(params, [x1, np.zeros((2, 3))]).values
+    np.testing.assert_allclose(out, 0.5 * np.tanh(0.5 * c1), atol=1e-14)
 
 
 def test_lstm_cell_matches_manual_unroll():
     rng = np.random.default_rng(5)
     params = make_lstm_params(rng, 3, 4)
-    x = rng.standard_normal((2, 3))
-    c0 = rng.standard_normal((2, 4))
-    h0 = rng.standard_normal((2, 4))
+    params["b"].values[...] = rng.standard_normal(16)
+    xs = [rng.standard_normal((2, 3)) for _ in range(3)]
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    pre = _gate_pre(params, x, h0)
-    c_ref = sig(pre["f"]) * c0 + sig(pre["i"]) * np.tanh(pre["g"])
-    h_ref = sig(pre["o"]) * np.tanh(c_ref)
-    out = lstm_step(params, Tensor(x), _packed(c0, h0)).values
-    np.testing.assert_allclose(out[:, :4], c_ref, atol=1e-14)
-    np.testing.assert_allclose(out[:, 4:], h_ref, atol=1e-14)
+    c, h = np.zeros((2, 4)), np.zeros((2, 4))
+    for x in xs:
+        pre = _gate_pre(params, x, h)
+        c = sig(pre["f"]) * c + sig(pre["i"]) * np.tanh(pre["g"])
+        h = sig(pre["o"]) * np.tanh(c)
+    np.testing.assert_allclose(lstm_sequence(params, xs).values, h, atol=1e-14)
 
 
-def _random_step(seed, n=3, din=4, hid=5):
+def _random_sequence(seed, steps=4, n=3, din=4, hid=5):
     rng = np.random.default_rng(seed)
     params = make_lstm_params(rng, din, hid)
     params["b"].values[...] = rng.standard_normal(4 * hid)
-    return params, rng.standard_normal((n, din)), rng.standard_normal((n, 2 * hid))
+    return params, [rng.standard_normal((n, din)) for _ in range(steps)]
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.37, np.float64(0.81)])
 def test_lstm_step_forward_bitwise_equals_composed_oracle(lam):
     for seed in range(5):
-        params, x, state = _random_step(seed)
-        out = lstm_step(params, Tensor(x), Tensor(state), lam).values
-        c, h = composed_lstm_step(params, Tensor(x), Tensor(state[:, :5]),
-                                  Tensor(state[:, 5:]), None if lam == 1.0 else lam)
-        np.testing.assert_array_equal(out, np.hstack([c.values, h.values]))
+        params, xs = _random_sequence(seed)
+        out = lstm_sequence(params, xs, [lam] * len(xs)).values
+        lams = None if lam == 1.0 else [lam] * len(xs)
+        # a weight of 1 leaves the write as it is, so it equals no weight
+        np.testing.assert_array_equal(out, lstm_sequence(params, xs, lams).values)
+        np.testing.assert_array_equal(out, composed_unroll(params, xs, lams).values)
 
 
 def test_lstm_step_gradients_on_all_six_inputs():
-    params, x, state = _random_step(11)
-    x, state, lam = Tensor(x), Tensor(state), Tensor(0.6)
-    # distinct weights on C and H so that both halves of the state matter
-    weight = np.random.default_rng(12).standard_normal(state.shape)
+    params, xs = _random_sequence(11)
+    xs = [Tensor(x) for x in xs]
+    lams = [Tensor(v) for v in (0.6, 0.2, 0.9, 0.4)]
+    weight = np.random.default_rng(12).standard_normal((3, 5))
 
     def loss():
-        return (lstm_step(params, x, state, lam) * weight).sum()
+        return (lstm_sequence(params, xs, lams) * weight).sum()
 
-    inputs = [x, state, lam] + list(params.values())
+    inputs = xs + lams + list(params.values())
     assert grad_check(loss, inputs, h=1e-5) < 1e-5
 
 
 def test_lstm_step_gradients_bitwise_equal_composed_oracle():
-    params, x, state = _random_step(13)
-    x, state, lam = Tensor(x), Tensor(state), Tensor(0.45)
-    weight = np.random.default_rng(14).standard_normal(state.shape)
-    inputs = [x, state, lam] + list(params.values())
+    params, xs = _random_sequence(13)
+    xs = [Tensor(x) for x in xs]
+    lams = [Tensor(v) for v in (0.45, 0.1, 0.3, 0.15)]
+    weight = np.random.default_rng(14).standard_normal((3, 5))
+    inputs = xs + lams + list(params.values())
     for t in inputs:
         t.requires_grad = True
 
-    def grads(step):
+    def grads(unroll):
         for t in inputs:
             t.zero_grad()
-        (step() * weight).sum().backward()
+        (unroll(params, xs, lams) * weight).sum().backward()
         return [t.grad.copy() for t in inputs]
 
-    fused = grads(lambda: lstm_step(params, x, state, lam))
-    composed = grads(lambda: concat(composed_lstm_step(
-        params, x, state[:, :5], state[:, 5:], lam), axis=1))
-    for got, want in zip(fused, composed):
+    for got, want in zip(grads(lstm_sequence), grads(composed_unroll)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -239,7 +237,7 @@ def test_lstm_encoder_gradients_through_time():
 def test_lstm_encoder_bitwise_equals_composed_unroll():
     enc = _lstm()
     data = np.random.default_rng(4).standard_normal((5, 4, 3))
-    h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)], enc.hidden_dim)
+    h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)])
     want = h @ enc.w_proj + enc.b_proj
     np.testing.assert_array_equal(enc.forward(data).values, want.values)
 

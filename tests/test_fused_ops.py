@@ -1,15 +1,17 @@
 """Properties of the fused graph ops against their composed oracles, over
-random shapes and values: `autodiff.ovo_nce`, `autodiff.affine` and
-`encoders.lstm_step`."""
+random shapes and values: `autodiff.ovo_nce`, `autodiff.affine`,
+`encoders.lstm_sequence` and `fusion._sigmoid_ce`."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mmcl.autodiff import Tensor, affine, concat, ovo_nce, softmax
-from mmcl.encoders import lstm_step, make_lstm_params
+from mmcl.autodiff import Tensor, affine, ovo_nce, softmax
+from mmcl.encoders import lstm_sequence, make_lstm_params
+from mmcl.fusion import _sigmoid_ce
 
+from ce_oracle import composed_sigmoid_ce
 from kernel_oracle import assert_bitwise_equal
-from lstm_oracle import composed_lstm_step
+from lstm_oracle import composed_unroll
 from nce_oracle import composed_ovo
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -71,21 +73,38 @@ def test_affine_is_bitwise_the_matmul_and_add(n, d, m, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 6), din=st.integers(1, 6), hid=st.integers(1, 6),
-       lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=SEEDS)
-def test_lstm_step_matches_the_composed_oracle(n, din, hid, lam, seed):
+@given(steps=st.integers(1, 6), n=st.integers(1, 6), din=st.integers(1, 6),
+       hid=st.integers(1, 6), lam=st.sampled_from(["none", "zero", "one", "uniform", "tensor"]),
+       xs_need_grad=st.booleans(), seed=SEEDS)
+def test_lstm_step_matches_the_composed_oracle(steps, n, din, hid, lam, xs_need_grad, seed):
     rng = np.random.default_rng(seed)
     params = make_lstm_params(rng, din, hid)
     params["b"].values[...] = rng.standard_normal(4 * hid)
-    x, state, lam_t = Tensor(rng.standard_normal((n, din))), Tensor(
-        rng.standard_normal((n, 2 * hid))), Tensor(lam)
-    inputs = [x, state, lam_t] + list(params.values())
+    xs = [Tensor(rng.standard_normal((n, din))) for _ in range(steps)]
+    lams = {"none": None, "zero": [0.0] * steps, "one": [1.0] * steps,
+            "uniform": list(rng.uniform(size=steps)),
+            "tensor": [Tensor(v) for v in rng.uniform(size=steps)]}[lam]
+    inputs = list(params.values()) + (xs if xs_need_grad else []) + (
+        lams if lam == "tensor" else [])
 
     def fused():
-        return lstm_step(params, x, state, lam_t)
+        return lstm_sequence(params, xs, lams)
 
     def oracle():
-        return concat(composed_lstm_step(params, x, state[:, :hid], state[:, hid:], lam_t))
+        return composed_unroll(params, xs, lams)
 
     assert_bitwise_equal(fused().values, oracle().values)
     _assert_close(_grads(fused, inputs, seed), _grads(oracle, inputs, seed), 1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), labels=st.integers(1, 5), weighted=st.booleans(), seed=SEEDS)
+def test_sigmoid_ce_is_bitwise_the_composed_ops(n, labels, weighted, seed):
+    rng = np.random.default_rng(seed)
+    z = Tensor(rng.standard_normal((n, labels)) * 4.0)
+    y = rng.integers(0, 2, size=(n, labels)).astype(np.float64)
+    w = rng.uniform(0.5, 3.0, size=(n, labels)) if weighted else None
+    assert_bitwise_equal(_sigmoid_ce(z, y, w).values, composed_sigmoid_ce(z, y, w).values)
+    for got, want in zip(_grads(lambda: _sigmoid_ce(z, y, w), [z], seed),
+                         _grads(lambda: composed_sigmoid_ce(z, y, w), [z], seed)):
+        assert_bitwise_equal(got, want)

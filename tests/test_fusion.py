@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmcl.autodiff import Tensor, grad_check
-from mmcl.encoders import LSTM_GATES, lstm_step, make_lstm_params
+from mmcl.encoders import LSTM_GATES, lstm_sequence, make_lstm_params
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                          multilabel_ce, weighted_bce)
@@ -22,10 +22,6 @@ def _gate_pre(params, x, h):
             + h @ params["wh"].values[:, k * hid:(k + 1) * hid]
             + params["b"].values[k * hid:(k + 1) * hid]
             for k, gate in enumerate(LSTM_GATES)}
-
-
-def _packed(c, h):
-    return Tensor(np.hstack([c.values, h.values]))
 
 
 ROSTER = ["text_a", "text_b", "image", "demo", "series"]
@@ -86,7 +82,7 @@ def test_modality_sequence_alignment():
     inputs = [Tensor(np.zeros((2, 3)))] * 2
     for lambdas in ([0.5], [0.4, 0.3, 0.3]):
         with pytest.raises(ContractError, match="2 modality inputs"):
-            mlstm_forward(params, inputs, lambdas, 4)
+            mlstm_forward(params, inputs, lambdas)
 
 
 # --------------------------------------------------------------------------
@@ -95,42 +91,43 @@ def test_modality_sequence_alignment():
 def test_mlstm_step_lambda_one_matches_plain_lstm():
     rng = np.random.default_rng(1)
     params = _params(rng, 3, 4)
-    x = Tensor(rng.standard_normal((2, 3)))
-    c0, h0 = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
-    gated = lstm_step(params, x, _packed(c0, h0), 1.0)
-    c_ref, h_ref = composed_lstm_step(params, x, c0, h0)
-    np.testing.assert_array_equal(gated.values, np.hstack([c_ref.values, h_ref.values]))
+    xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
+    gated = lstm_sequence(params, xs, [1.0] * 3)
+    np.testing.assert_array_equal(gated.values, composed_unroll(params, xs).values)
+    np.testing.assert_array_equal(gated.values, lstm_sequence(params, xs).values)
+
+
+def _second_step(params, x1, x2, lam):
+    """(H2 of a two-step sequence whose second write is scaled by `lam`,
+    and C1, H1 after the first step)."""
+    zeros = Tensor(np.zeros((x1.shape[0], params["wh"].shape[0])))
+    c1, h1 = composed_lstm_step(params, x1, zeros, zeros)
+    return lstm_sequence(params, [x1, x2], [1.0, lam]).values, c1.values, h1.values
 
 
 def test_mlstm_step_lambda_zero_suppresses_candidate():
-    # lambda = 0: the step writes nothing new, C' = F . C
+    # lambda = 0: the step writes nothing new, C2 = F . C1 and H2 = O . tanh(C2)
     rng = np.random.default_rng(2)
     params = _params(rng, 3, 4)
-    x = Tensor(rng.standard_normal((2, 3)))
-    c0, h0 = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
-    gated = lstm_step(params, x, _packed(c0, h0), 0.0)
+    x1, x2 = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 3)))
+    h2, c1, h1 = _second_step(params, x1, x2, 0.0)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    f = sig(_gate_pre(params, x.values, h0.values)["f"])
-    np.testing.assert_allclose(gated.values[:, :4], f * c0.values, atol=1e-14)
+    pre = _gate_pre(params, x2.values, h1)
+    np.testing.assert_allclose(h2, sig(pre["o"]) * np.tanh(sig(pre["f"]) * c1), atol=1e-14)
 
 
 def test_mlstm_write_magnitude_monotone_in_lambda():
+    # C2 = F . C1 + lambda I . G, and tanh is increasing, so H2 moves away
+    # from its lambda = 0 value monotonically in lambda
     rng = np.random.default_rng(3)
     params = _params(rng, 3, 4)
-    x = Tensor(rng.standard_normal((2, 3)))
-    c0, h0 = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
-
-    def sig(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    f = sig(_gate_pre(params, x.values, h0.values)["f"])
-    deltas = []
-    for lam in (0.0, 0.25, 0.5, 1.0):
-        state = lstm_step(params, x, _packed(c0, h0), lam)
-        deltas.append(np.linalg.norm(state.values[:, :4] - f * c0.values))
+    x1, x2 = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 3)))
+    held = _second_step(params, x1, x2, 0.0)[0]
+    deltas = [np.linalg.norm(_second_step(params, x1, x2, lam)[0] - held)
+              for lam in (0.0, 0.25, 0.5, 1.0)]
     assert deltas[0] == pytest.approx(0.0, abs=1e-12)
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
@@ -140,7 +137,7 @@ def test_mlstm_forward_matches_reference_unroll():
     params = _params(rng, 3, 4)
     mats = [rng.standard_normal((2, 3)) for _ in range(3)]
     lambdas = np.array([0.5, 0.3, 0.2])
-    out = mlstm_forward(params, [Tensor(m) for m in mats], lambdas, 4).values
+    out = mlstm_forward(params, [Tensor(m) for m in mats], lambdas).values
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -160,15 +157,15 @@ def test_mlstm_forward_uniform_lambda_reduces_to_scaled_plain_lstm():
     rng = np.random.default_rng(5)
     params = _params(rng, 3, 4)
     mats = [rng.standard_normal((2, 3)) for _ in range(3)]
-    gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(3), 4).values
-    np.testing.assert_array_equal(gated, composed_unroll(params, mats, 4).values)
+    gated = mlstm_forward(params, [Tensor(m) for m in mats], np.ones(3)).values
+    np.testing.assert_array_equal(gated, composed_unroll(params, mats).values)
 
 
 def test_mlstm_forward_rejects_single_modality():
     rng = np.random.default_rng(6)
     params = _params(rng, 3, 4)
     with pytest.raises(ContractError):
-        mlstm_forward(params, [Tensor(np.zeros((2, 3)))], [1.0], 4)
+        mlstm_forward(params, [Tensor(np.zeros((2, 3)))], [1.0])
 
 
 def test_mlstm_gradients_including_lambdas():
@@ -178,10 +175,7 @@ def test_mlstm_gradients_including_lambdas():
     lam = Tensor(np.array([0.3, 0.25, 0.2, 0.15, 0.1]))
 
     def f():
-        state = Tensor(np.zeros((2, 8)))
-        for t, x_t in enumerate(mats):
-            state = lstm_step(params, x_t, state, lam[t])
-        h = state[:, 4:]
+        h = lstm_sequence(params, mats, [lam[t] for t in range(5)])
         return (h * h).sum()
 
     tensors = mats + [lam] + list(params.values())

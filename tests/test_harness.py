@@ -6,7 +6,7 @@ import dataclasses
 import json
 import struct
 
-from mmcl import harness, kernels, losses
+from mmcl import encoders, fusion, harness, kernels, losses
 from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
@@ -18,8 +18,10 @@ from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           load_rows, pretrain, sweep)
 from mmcl.optim import make_optimizer
 
+from ce_oracle import composed_sigmoid_ce
 from ig_oracle import per_point_integrated_gradients
 from kernel_oracle import assert_bitwise_equal, masked_sigmoid, zeros_plus_add_accumulate
+from lstm_oracle import composed_unroll
 from nce_oracle import composed_ovo
 from test_losses import _backward_nodes
 
@@ -518,6 +520,21 @@ def _tiny_training_runs(cohort):
     return [pre, base, gated], history, [base_record, gated_record]
 
 
+def _assert_same_training(got_runs, want_runs):
+    """Bitwise equal checkpoints, pretrain loss histories and fine-tune records."""
+    for got, want in zip(got_runs[0], want_runs[0]):
+        assert sorted(got.params) == sorted(want.params)
+        for name in want.params:
+            assert_bitwise_equal(got.params[name], want.params[name])
+        if want.lambdas is not None:
+            assert_bitwise_equal(got.lambdas, want.lambdas)
+        # a fine-tune checkpoint stores tau as NaN
+        assert_bitwise_equal([got.tau, got.best_metric], [want.tau, want.best_metric])
+    assert got_runs[1] == want_runs[1]
+    for got, want in zip(got_runs[2], want_runs[2]):
+        assert (got.auroc, got.auprc) == (want.auroc, want.auprc)
+
+
 def test_training_is_bitwise_equal_to_oracle_kernels(small_cohort, monkeypatch):
     shipped = _tiny_training_runs(small_cohort)
     calls = {"sigmoid": 0, "accumulate": 0}
@@ -534,18 +551,29 @@ def test_training_is_bitwise_equal_to_oracle_kernels(small_cohort, monkeypatch):
     monkeypatch.setattr(Tensor, "_accumulate", counted_accumulate)
     oracle = _tiny_training_runs(small_cohort)
     assert calls["sigmoid"] > 0 and calls["accumulate"] > 0
+    _assert_same_training(shipped, oracle)
 
-    for got, want in zip(shipped[0], oracle[0]):
-        assert sorted(got.params) == sorted(want.params)
-        for name in want.params:
-            assert_bitwise_equal(got.params[name], want.params[name])
-        if want.lambdas is not None:
-            assert_bitwise_equal(got.lambdas, want.lambdas)
-        # a fine-tune checkpoint stores tau as NaN
-        assert_bitwise_equal([got.tau, got.best_metric], [want.tau, want.best_metric])
-    assert shipped[1] == oracle[1]
-    for got, want in zip(shipped[2], oracle[2]):
-        assert (got.auroc, got.auprc) == (want.auroc, want.auprc)
+
+def test_training_is_bitwise_equal_to_composed_lstm_and_loss(small_cohort, monkeypatch):
+    # the fused LSTM sequence and sigmoid cross-entropy nodes against their
+    # compositions of elementary ops, over whole training runs
+    shipped = _tiny_training_runs(small_cohort)
+    calls = {"lstm": 0, "loss": 0}
+
+    def counted_unroll(params, xs, lams=None):
+        calls["lstm"] += 1
+        return composed_unroll(params, xs, lams)
+
+    def counted_loss(z, y, w=None):
+        calls["loss"] += 1
+        return composed_sigmoid_ce(z, y, w)
+
+    monkeypatch.setattr(encoders, "lstm_sequence", counted_unroll)
+    monkeypatch.setattr(fusion, "lstm_sequence", counted_unroll)
+    monkeypatch.setattr(fusion, "_sigmoid_ce", counted_loss)
+    oracle = _tiny_training_runs(small_cohort)
+    assert calls["lstm"] > 0 and calls["loss"] > 0
+    _assert_same_training(shipped, oracle)
 
 
 def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, monkeypatch):
@@ -569,13 +597,13 @@ def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, 
     assert max(drift) <= 1e-10
 
 
-@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 24),
-                                           ("supervised_baseline", 31)])
+@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 18),
+                                           ("supervised_baseline", 19)])
 def test_training_batch_graph_node_budget(small_cohort, monkeypatch, regime, nodes):
     # every K = 5 encoder: an MLP is 2 affine + 1 tanh (x 4), the series LSTM
-    # 6 steps + the final-H slice + 1 affine. Pretrain adds 1/tau 2,
-    # softmax(lambda) 1 and the contrastive op 1; the supervised baseline adds
-    # concat 1, the head's 2 affine + 1 tanh and the 7 ops of weighted_bce
+    # 1 sequence + 1 affine. Pretrain adds 1/tau 2, softmax(lambda) 1 and the
+    # contrastive op 1; the supervised baseline adds concat 1, the head's
+    # 2 affine + 1 tanh and the weighted_bce node 1
     counts = []
     backward = Tensor.backward
 
@@ -873,9 +901,14 @@ def _subset(value):
 @pytest.mark.parametrize("meta, params", [
     (_subset(5), None), (_subset(["text_a", 2]), None),
     (_subset("text_a"), None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
-    ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None)],
+    ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None),
+    ({"tau": "x"}, None), ({"tau": True}, None), ({"best_metric": [1.25]}, None),
+    ({"epoch": [1]}, None), ({"epoch": 2.0}, None), ({"lambdas": [[0.25], [0.75]]}, None),
+    ({"lambdas": ["0.25", 0.75]}, None), ({"lambdas": 0.5}, None)],
     ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
-         "param_of_ints", "config_not_an_object"])
+         "param_of_ints", "config_not_an_object", "tau_a_string", "tau_a_bool",
+         "best_metric_a_list", "epoch_a_list", "epoch_a_float", "lambdas_nested",
+         "lambdas_of_strings", "lambdas_a_number"])
 def test_checkpoint_load_rejects_ill_typed_contents(fuzz_dir, meta, params):
     path = fuzz_dir / "ill_typed.npz"
     path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, **meta}), params))
@@ -975,6 +1008,10 @@ def test_checkpoint_load_loads_or_raises_corrupt_file_error(fuzz_dir, data):
     else:
         assert isinstance(ckpt.config, RunConfig)
         assert all(isinstance(m, str) for m in ckpt.config.modality_subset)
+        assert all(harness._is_real(v) for v in (ckpt.tau, ckpt.best_metric))
+        assert harness._is_int(ckpt.epoch)
+        assert ckpt.lambdas is None or (ckpt.lambdas.ndim == 1
+                                        and ckpt.lambdas.dtype == np.float64)
         assert all(p.dtype == np.float64 for p in ckpt.params.values())
 
 

@@ -8,7 +8,7 @@ import inspect
 import os
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
-# the gated LSTM runs `encoders.lstm_step` under `fusion.mlstm_forward`; this
+# the gated LSTM runs `encoders.lstm_sequence` under `fusion.mlstm_forward`; this
 # entry is stale and waits for the next change to the benchmark
 KNOWN_STALE = {("fusion", "mlstm_step")}
 
