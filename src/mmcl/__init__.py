@@ -4,12 +4,12 @@ multimodal cohorts."""
 
 from .autodiff import Parameter, Tensor, grad_check, softmax
 from .errors import (ConfigurationError, ContractError, DegenerateInputError,
-                     DimensionError, DivergenceError, DomainError)
+                     DimensionError, DivergenceError)
 
 __all__ = [
     "Parameter", "Tensor", "grad_check", "softmax",
     "ConfigurationError", "ContractError", "DegenerateInputError",
-    "DimensionError", "DivergenceError", "DomainError",
+    "DimensionError", "DivergenceError",
 ]
 
 __version__ = "0.1.0"

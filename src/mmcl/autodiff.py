@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, DegenerateInputError, DimensionError, DomainError, EPS
+from .errors import ContractError, DegenerateInputError, DimensionError, EPS
 
 
 def _unbroadcast(grad, shape):
@@ -147,17 +147,6 @@ class Tensor:
 
         return Tensor._result(out_values, (a,), backward)
 
-    def log(self):
-        a = self
-        if np.any(a.values <= 0.0):
-            raise DomainError("log requires strictly positive inputs")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g / a.values)
-
-        return Tensor._result(np.log(a.values), (a,), backward)
-
     def tanh(self):
         a = self
         out_values = np.tanh(a.values)
@@ -241,19 +230,17 @@ class Tensor:
 # free functions
 
 
-def concat(tensors, axis=1):
+def concat(tensors):
+    """The 2-D `tensors` joined row by row: each output row is their rows side by side."""
     tensors = [Tensor._lift(t) for t in tensors]
-    widths = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+                t._accumulate(g[:, lo:hi])
 
-    values = np.concatenate([t.values for t in tensors], axis=axis)
+    values = np.concatenate([t.values for t in tensors], axis=1)
     return Tensor._result(values, tensors, backward)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import cohort as cohort_mod
 from . import harness
 from .errors import (MAX_SEEDS, ConfigurationError, ContractError, DegenerateInputError,
-                     DimensionError, DivergenceError, DomainError)
+                     DimensionError, DivergenceError)
 from .optim import OPTIMIZERS
 
 
@@ -213,8 +213,7 @@ def main(argv=None):
     except OSError as exc:  # first: a CorruptFileError is also a ContractError
         print(f"io error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (ConfigurationError, ContractError, DegenerateInputError, DimensionError,
-            DomainError) as exc:
+    except (ConfigurationError, ContractError, DegenerateInputError, DimensionError) as exc:
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -11,6 +11,7 @@ signal_fraction for probes and contrastive alignment alike.
 import hashlib
 import json
 import lzma
+import sys
 import tokenize
 import zipfile
 import zlib
@@ -18,9 +19,19 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError
+from .errors import (MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
+                     is_int, is_real)
 
 FORMAT_VERSION = "mmcl-cohort v3"
+
+
+def _require_ints(spec, names, owner):
+    """Raise ContractError unless each named field of `spec` holds an integer
+    (not a bool, nor a float that equals one)."""
+    for name in names:
+        value = getattr(spec, name)
+        if not is_int(value):
+            raise ContractError(f"{name} of {owner} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -34,6 +45,10 @@ class ModalitySpec:
     mixing_seed: int = None
 
     def __post_init__(self):
+        _require_ints(self, ("obs_dim", "seq_len"), f"modality {self.name!r}")
+        if not (is_real(self.noise_sigma) and 0.0 <= self.noise_sigma <= sys.float_info.max):
+            raise ContractError(f"noise_sigma of modality {self.name!r} must be a finite "
+                                f"number >= 0, got {self.noise_sigma!r}")
         if self.kind not in ("static_vector", "sequence"):
             raise ContractError(f"unknown modality kind {self.kind!r}")
         if not 0.0 <= self.signal_fraction <= 1.0:
@@ -58,6 +73,8 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, ("num_patients", "latent_dim", "num_multilabels", "seed"),
+                      "the cohort spec")
         if not 1 <= self.num_patients <= MAX_PATIENTS:
             raise ContractError(f"num_patients {self.num_patients} outside [1, {MAX_PATIENTS}]")
         if len(self.modalities) < 2:

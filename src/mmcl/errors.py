@@ -1,6 +1,9 @@
-"""Shared exception types, numerical guard constants and size limits."""
+"""Shared exception types, numerical guard constants, size limits and the
+type tests that configurations and cohort specs apply to their fields."""
 
-# Guard used for vector norms and log arguments everywhere in the package.
+import numbers
+
+# Guard used for vector norms everywhere in the package.
 EPS = 1e-12
 
 # Upper bounds on sizes, each checked where its value enters the program
@@ -10,12 +13,17 @@ MAX_IG_STEPS = 10_000  # integrated-gradients path points per sample
 MAX_SEEDS = 1_000  # seeds in one sweep
 
 
+# a bool is neither an int nor a real
+def is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain of the operation."""
 
 
 class DegenerateInputError(ValueError):

@@ -12,7 +12,7 @@ from .errors import ContractError, DegenerateInputError, DimensionError
 def concat_fuse(embeddings):
     """Rowwise concatenation of the per-modality batches in their order
     (width n*m)."""
-    return concat(embeddings, axis=1)
+    return concat(embeddings)
 
 
 def mlstm_forward(params, inputs, lambdas):

@@ -5,9 +5,7 @@ sweeps, and artifact persistence."""
 import csv
 import itertools
 import json
-import numbers
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -17,7 +15,7 @@ from . import cohort as cohort_mod
 from .attribution import integrated_gradients, modality_aggregate
 from .encoders import build_encoder, make_lstm_params
 from .errors import (MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
-                     DegenerateInputError, DivergenceError)
+                     DegenerateInputError, DivergenceError, is_int, is_real)
 from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                      multilabel_ce, weighted_bce)
 from .losses import LambdaWeights, Temperature, loss_for_combination
@@ -25,18 +23,11 @@ from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
 from .optim import OPTIMIZERS, make_optimizer
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+ALIGNMENT_PATIENTS = 100  # pool patients scored by `pool_alignment_accuracy`
 
 
 def _is_width(value):
-    return _is_int(value) and 1 <= value <= MAX_WIDTH
+    return is_int(value) and 1 <= value <= MAX_WIDTH
 
 
 def _is_list_of(value, is_item):
@@ -50,12 +41,11 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-# every RunConfig field by the kind of value it must hold; a bool is neither
-# an int nor a real
+# every RunConfig field by the kind of value it must hold
 _FIELD_KINDS = (
-    ("an integer", _is_int, ("batch_size", "max_epochs", "patience", "seed")),
+    ("an integer", is_int, ("batch_size", "max_epochs", "patience", "seed")),
     (f"an integer in [1, {MAX_WIDTH}]", _is_width, ("embedding_dim", "mlstm_hidden")),
-    ("a real number", _is_real, ("learning_rate", "pool_fraction", "lambda_entropy_coef")),
+    ("a real number", is_real, ("learning_rate", "pool_fraction")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
     ("a string or null", lambda v: v is None or isinstance(v, str), ("checkpoint_path",)),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
@@ -82,9 +72,6 @@ class RunConfig:
     head_hidden: list = field(default_factory=lambda: [16])
     mlstm_hidden: int = 16
     pool_fraction: float = 0.5
-    # entropy bonus on the lambda simplex; 0 matches the plain weighted loss,
-    # positive values counteract the winner-take-all collapse of the weights
-    lambda_entropy_coef: float = 0.0
     checkpoint_path: str = None
 
     def __post_init__(self):
@@ -106,10 +93,8 @@ class RunConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.learning_rate < 1.0:
-            raise ConfigurationError("learning rate must lie in (0, 1)")
-        if not 0.0 <= self.lambda_entropy_coef <= sys.float_info.max:  # NaN fails both
-            raise ConfigurationError(f"lambda_entropy_coef must be a finite number >= 0, "
-                                     f"got {self.lambda_entropy_coef!r}")
+            raise ConfigurationError(
+                f"learning_rate must lie in (0, 1), got {self.learning_rate!r}")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
@@ -126,7 +111,7 @@ class RunConfig:
         if source.startswith("literal:"):
             try:
                 weights = json.loads(source[len("literal:"):])
-                if _is_list_of(weights, _is_real):
+                if _is_list_of(weights, is_real):
                     weights = np.asarray(weights, dtype=np.float64)
                     if np.isfinite(weights).all():
                         return weights
@@ -159,13 +144,17 @@ class Checkpoint:
         metadata (a config that RunConfig rejects, a tau or best metric that
         is not a real number, an epoch that is not an integer, lambdas that
         are not a list of real numbers) or a parameter that is not float64,
-        raises CorruptFileError."""
+        raises CorruptFileError. A config's retired `lambda_entropy_coef`
+        key is ignored."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
-            config, lam = RunConfig(**meta["config"]), meta["lambdas"]
-            for name, holds in (("tau", _is_real), ("best_metric", _is_real), ("epoch", _is_int),
-                                ("lambdas", lambda v: v is None or _is_list_of(v, _is_real))):
+            config = meta["config"]
+            if isinstance(config, dict):  # older files carry the retired entropy bonus
+                config.pop("lambda_entropy_coef", None)
+            config, lam = RunConfig(**config), meta["lambdas"]
+            for name, holds in (("tau", is_real), ("best_metric", is_real), ("epoch", is_int),
+                                ("lambdas", lambda v: v is None or _is_list_of(v, is_real))):
                 if not holds(meta[name]):
                     raise TypeError(f"{name} {meta[name]!r} has the wrong type")
             for name, values in params.items():
@@ -294,11 +283,7 @@ def pretrain(config, cohort):
 
     def batch_loss(idx):
         embeddings = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
-        loss = loss_for_combination(embeddings, tau, lam)
-        if lam is not None and config.lambda_entropy_coef > 0:
-            lambdas = lam.lambdas()
-            loss = loss + config.lambda_entropy_coef * (lambdas * lambdas.log()).sum()
-        return loss
+        return loss_for_combination(embeddings, tau, lam)
 
     # a batch of 1 is skipped: a single sample has no in-batch negatives
     history = [float(np.mean(losses)) for _, losses in
@@ -310,14 +295,14 @@ def pretrain(config, cohort):
     return ckpt, history
 
 
-def pool_alignment_accuracy(cohort, checkpoint, max_patients=100):
+def pool_alignment_accuracy(cohort, checkpoint):
     """Top-5 alignment accuracy of the checkpoint's embeddings on its run's pool patients."""
     config = checkpoint.config
     encoders = build_encoders(cohort, config, np.random.default_rng(config.seed))
     _load_into(_collect_params(encoders), checkpoint.params)
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                        pool_fraction=config.pool_fraction)
-    pool = pool[:max_patients]
+    pool = pool[:ALIGNMENT_PATIENTS]
     embeddings = encode_batch(encoders, cohort.observations, pool, config.modality_subset)
     vectors = np.concatenate([emb.values for emb in embeddings])  # modality-major
     return top5_alignment_accuracy(vectors, np.tile(pool, len(embeddings)))
@@ -468,7 +453,7 @@ def finetune(config, cohort, checkpoint=None):
             best_snapshot = _snapshot(trained)
         else:
             stall += 1
-            if stall >= max(config.patience, 1):
+            if stall >= config.patience:
                 break
 
     _load_into(trained, best_snapshot)
@@ -666,11 +651,11 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     _check_checkpoint(checkpoint, config, "attribution", concatenation)
     if config.regime not in concatenation:
         raise ConfigurationError("attribution runs on concatenation models")
-    if not _is_int(max_samples) or max_samples < 1:
+    if not is_int(max_samples) or max_samples < 1:
         raise ContractError(f"max_samples must be an integer >= 1, got {max_samples!r}")
     config = checkpoint.config
     encoders, fuse, head, params = build_model(config, cohort, np.random.default_rng(config.seed))
-    if not _is_int(target_label) or not 0 <= target_label < head.num_labels:
+    if not is_int(target_label) or not 0 <= target_label < head.num_labels:
         raise ContractError(f"target_label {target_label!r} outside [0, {head.num_labels})")
     _load_into(params, checkpoint.params)
 

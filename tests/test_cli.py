@@ -267,6 +267,59 @@ def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt)
     assert "Traceback" not in err and "pickle" not in err
 
 
+def _spec_field(field, change, modality=None):
+    """A resealed cohort whose spec (or one modality's spec) has `field` set
+    to `change` of its saved value."""
+    def edit(members):
+        spec = json.loads(str(members["spec"]))
+        owner = spec if modality is None else next(
+            m for m in spec["modalities"] if m["name"] == modality)
+        owner[field] = change(owner[field])
+        members["spec"] = np.array(json.dumps(spec))
+    return _resealed(edit)
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    (_spec_field("obs_dim", float, "text_a"), "obs_dim"),
+    (_spec_field("seq_len", float, "series"), "seq_len"),
+    (_spec_field("num_patients", float), "num_patients"),
+    (_spec_field("latent_dim", float), "latent_dim"),
+    (_spec_field("num_multilabels", float), "num_multilabels"),
+    (_spec_field("seed", float), "seed"),
+    (_spec_field("seed", bool), "seed")],
+    ids=["float_obs_dim", "float_seq_len", "float_num_patients", "float_latent_dim",
+         "float_num_multilabels", "float_seed", "bool_seed"])
+def test_exit_code_4_on_cohort_spec_with_a_non_integer_size(cohort_file, tmp_path, capsys,
+                                                           corrupt, field):
+    # a float equal to the saved integer used to pass the shape checks and
+    # crash later, in the first array that took it as a size
+    path = str(tmp_path / "bad.npz")
+    with open(cohort_file, "rb") as fh:
+        corrupt(fh.read(), path)
+    rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,series",
+               "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err and field in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_4_on_frozen_finetune_of_a_float_patient_count(cohort_file, tmp_path, capsys):
+    ckpt = str(tmp_path / "pre.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                 "--max-epochs", "1", "--out", ckpt]) == 0
+    path = str(tmp_path / "bad.npz")
+    with open(cohort_file, "rb") as fh:
+        _spec_field("num_patients", float)(fh.read(), path)
+    rc = main(["finetune", "--cohort", path, "--modalities", "text_a,text_b",
+               "--regime", "frozen_finetune", "--checkpoint", ckpt, "--max-epochs", "1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and "num_patients" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("body", ['{"max_epochs": 1, "no_such_field": 3}',
                                   '{"max_epochs": 1,',
                                   '{"optimizer": "rmsprop"}',
@@ -275,10 +328,11 @@ def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt)
                                   '{"lambda_entropy_coef": -5.0}',
                                   '{"lambda_entropy_coef": NaN}',
                                   '{"lambda_entropy_coef": Infinity}',
+                                  '{"lambda_entropy_coef": 0.5}',
                                   '{"output_dir": "out"}'],
                          ids=["unknown_field", "bad_json", "unknown_optimizer", "not_an_object",
                               "wrong_type", "negative_entropy_coef", "nan_entropy_coef",
-                              "infinite_entropy_coef", "output_dir"])
+                              "infinite_entropy_coef", "retired_entropy_coef", "output_dir"])
 def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -352,6 +406,25 @@ def test_exit_code_4_on_checkpoint_with_ill_typed_metadata(cohort_file, tmp_path
     assert rc == 4
     err = capsys.readouterr().err
     assert "io error: CorruptFileError" in err and ckpt_path in err
+
+
+@pytest.mark.parametrize("regime", ["frozen_finetune", "mlstm"])
+def test_finetune_reads_a_checkpoint_with_the_retired_entropy_coefficient(cohort_file, tmp_path,
+                                                                          regime):
+    # checkpoints written while RunConfig had `lambda_entropy_coef` store it
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    with np.load(ckpt_path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["lambda_entropy_coef"] = 0.0
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(ckpt_path, **arrays)
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b,image",
+               "--regime", regime, "--checkpoint", ckpt_path, "--max-epochs", "1",
+               "--batch-size", "16", "--out", str(tmp_path / "run")])
+    assert rc == 0
 
 
 def test_exit_code_2_on_per_gate_lstm_checkpoint(cohort_file, tmp_path, capsys):
@@ -480,6 +553,20 @@ def test_exit_code_2_on_bad_generate_sizes(tmp_path, capsys, args, field):
     assert "configuration error: ContractError" in err and field in err
     if field != "num_patients":
         assert "text_a, text_b, image, demo, series" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+def test_exit_code_2_on_noise_sigma_not_a_finite_number_at_least_0(tmp_path, capsys, sigma):
+    # a non-finite sigma used to write a cohort that no later run could train on;
+    # a negative one is not a standard deviation
+    out = str(tmp_path / "cohort.npz")
+    rc = main(["generate", "--num-patients", "50", f"--noise-sigmas={sigma},0.1,0.1,0.1,0.1",
+               "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ContractError" in err and "noise_sigma" in err
+    assert "Traceback" not in err
     assert not os.path.exists(out)
 
 
@@ -722,7 +809,6 @@ _IN_KIND = {
     "head_hidden": _SIZES,
     "mlstm_hidden": _WIDTH,
     "pool_fraction": st.floats(-0.5, 1.5),
-    "lambda_entropy_coef": st.floats(-1.0, 1e300) | st.sampled_from([float("nan"), float("inf")]),
     "checkpoint_path": st.none() | st.text(max_size=6),
     "modality_subset": st.lists(st.text(max_size=6), max_size=3),
     "regime": st.text(max_size=6),

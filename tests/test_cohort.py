@@ -446,6 +446,49 @@ def test_load_cohort_loads_or_raises_corrupt_file_error(fuzz_dir, seed_cohort, d
         _consistent(cohort)
 
 
+# a spec whose integer fields hold other JSON, the same number as a float
+# above all, either loads with every such field an int or raises
+# CorruptFileError
+
+_SPEC_INTS = ("num_patients", "latent_dim", "num_multilabels", "seed")
+_MODALITY_INTS = ("obs_dim", "seq_len")
+
+
+def _around(value):
+    """JSON values near the saved number `value`: itself, the equal float, a
+    near or negated one, a bool, its text, a list of it, or any other JSON."""
+    near = [value, float(value), value + 0.5, -value, bool(value), str(value), [value]]
+    return st.sampled_from(near) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_cohort_keeps_integer_spec_fields_ints(fuzz_dir, seed_cohort, data):
+    def edit(members):
+        saved, spec = (json.loads(str(members["spec"])) for _ in range(2))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.sampled_from([None, *range(len(spec["modalities"]))]))
+            owner, was = (s if at is None else s["modalities"][at] for s in (spec, saved))
+            key = data.draw(st.sampled_from(_SPEC_INTS if at is None
+                                            else (*_MODALITY_INTS, "noise_sigma")))
+            owner[key] = data.draw(_around(was[key]))
+        members["spec"] = np.array(json.dumps(spec))
+
+    path = fuzz_dir / "spec.npz"
+    _resealed(path, seed_cohort[1], edit)
+    try:
+        cohort = load_cohort(path)
+    except CorruptFileError as exc:
+        assert str(path) in str(exc)
+    else:
+        spec = cohort.spec
+        assert all(type(getattr(spec, name)) is int for name in _SPEC_INTS)
+        for mod in spec.modalities:
+            assert all(type(getattr(mod, name)) is int for name in _MODALITY_INTS)
+            assert 0.0 <= mod.noise_sigma < np.inf
+        _consistent(cohort)
+
+
 # one flipped or cut-off byte of a saved archive, cohort or checkpoint: it
 # loads what was saved or raises CorruptFileError
 
