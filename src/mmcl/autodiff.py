@@ -26,13 +26,6 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _check_matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-
 class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
@@ -52,9 +45,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.values.ndim
-
-    def item(self):
-        return float(self.values)
 
     def zero_grad(self):
         self.grad = None
@@ -82,19 +72,7 @@ class Tensor:
     def _lift(x):
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = Tensor._lift(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-
-        return Tensor._result(a.values + b.values, (a, b), backward)
+    # -- unary ops ----------------------------------------------------------
 
     def __neg__(self):
         a = self
@@ -104,38 +82,6 @@ class Tensor:
                 a._accumulate(-g)
 
         return Tensor._result(-a.values, (a,), backward)
-
-    def __sub__(self, other):
-        return self + (-Tensor._lift(other))
-
-    def __mul__(self, other):
-        other = Tensor._lift(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.values, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.values, b.shape))
-
-        return Tensor._result(a.values * b.values, (a, b), backward)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = Tensor._lift(other)
-        a, b = self, other
-        _check_matmul(a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.values.T)
-            if b.requires_grad:
-                b._accumulate(a.values.T @ g)
-
-        return Tensor._result(a.values @ b.values, (a, b), backward)
-
-    # -- nonlinearities -----------------------------------------------------
 
     def exp(self):
         a = self
@@ -154,16 +100,6 @@ class Tensor:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g * (1.0 - out_values * out_values))
-
-        return Tensor._result(out_values, (a,), backward)
-
-    def softplus(self):
-        a = self
-        out_values = kernels.softplus(a.values)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * kernels.sigmoid(a.values))
 
         return Tensor._result(out_values, (a,), backward)
 
@@ -195,10 +131,6 @@ class Tensor:
                 a._accumulate(np.broadcast_to(g, a.shape).copy())
 
         return Tensor._result(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.values.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- backward pass ------------------------------------------------------
 
@@ -340,7 +272,10 @@ def affine(x, w, b):
     """x @ w + b as one graph node: an N x d batch times a d x m weight plus
     an m-vector bias, rounded as the matmul and the broadcast add would."""
     x = Tensor._lift(x)
-    _check_matmul(x, w)
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"matmul needs 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"matmul inner dimensions disagree: {x.shape} x {w.shape}")
 
     def backward(g):
         if x.requires_grad:

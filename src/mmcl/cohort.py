@@ -46,6 +46,9 @@ class ModalitySpec:
 
     def __post_init__(self):
         _require_ints(self, ("obs_dim", "seq_len"), f"modality {self.name!r}")
+        if self.obs_dim < 1:
+            raise ContractError(f"obs_dim of modality {self.name!r} must be >= 1, "
+                                f"got {self.obs_dim}")
         if not (is_real(self.noise_sigma) and 0.0 <= self.noise_sigma <= sys.float_info.max):
             raise ContractError(f"noise_sigma of modality {self.name!r} must be a finite "
                                 f"number >= 0, got {self.noise_sigma!r}")
@@ -77,6 +80,8 @@ class CohortSpec:
                       "the cohort spec")
         if not 1 <= self.num_patients <= MAX_PATIENTS:
             raise ContractError(f"num_patients {self.num_patients} outside [1, {MAX_PATIENTS}]")
+        if self.num_multilabels < 1:
+            raise ContractError(f"num_multilabels must be >= 1, got {self.num_multilabels}")
         if len(self.modalities) < 2:
             raise ContractError("need at least 2 modalities")
         if not 1 <= self.latent_dim <= MAX_WIDTH:

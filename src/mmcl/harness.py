@@ -387,9 +387,15 @@ def _check_checkpoint(checkpoint, config, reader, regimes=None):
 
 def _reads_checkpoint(config):
     """Whether a fine-tuning run reads a contrastive checkpoint: the frozen
-    regime loads its encoders, a learned-lambda mLSTM its lambdas."""
-    return config.regime == "frozen_finetune" or (
-        config.regime == "mlstm" and config.lambda_source == "learned")
+    regime loads its encoders, a learned-lambda mLSTM its lambdas. Only a
+    pretrain of 3 or more modalities learns lambdas, so a learned-lambda
+    mLSTM of 2 raises ConfigurationError, before any pretrain runs for it."""
+    learned = config.regime == "mlstm" and config.lambda_source == "learned"
+    if learned and len(config.modality_subset) < 3:
+        raise ConfigurationError(
+            "lambda_source=learned needs a pretrain of 3 or more modalities; a 2-modality "
+            "pretrain uses pairwise InfoNCE and learns no lambdas (use lambda_source=literal:)")
+    return config.regime == "frozen_finetune" or learned
 
 
 def finetune(config, cohort, checkpoint=None):

@@ -57,13 +57,6 @@ def infonce_pair_loss(a, b, tau):
     return ovo_nce([a, b], tau.inverse())
 
 
-def ovo_loss(embeddings, tau):
-    """One-vs-Others loss: each modality contrasted against the mean of the
-    rest. Returns (total, per-modality terms); for K=2 each term equals the
-    corresponding directional InfoNCE term."""
-    return ovo_nce(embeddings, tau.inverse())
-
-
 def weighted_ovo_loss(embeddings, tau, lam):
     """OvO with each modality term scaled by its softmax importance weight.
     Gradients flow to embeddings, tau, and the lambda logits jointly. Returns

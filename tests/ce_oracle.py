@@ -2,11 +2,10 @@
 softplus, products, a difference and means. `fusion._sigmoid_ce`, the one
 graph node behind `weighted_bce` and `multilabel_ce`, is checked against it."""
 
-from mmcl.autodiff import Tensor
+from elementary_ops import mean, mul, softplus, sub
 
 
 def composed_sigmoid_ce(z, y, w=None):
     """Takes the arguments of `fusion._sigmoid_ce`, so it can stand in for it."""
-    z = Tensor._lift(z)
-    q = z.softplus() - Tensor(y) * z
-    return q.mean(axis=0).mean() if w is None else (Tensor(w) * q).mean()
+    q = sub(softplus(z), mul(y, z))
+    return mean(mean(q, axis=0)) if w is None else mean(mul(w, q))

@@ -9,16 +9,16 @@ import pytest
 
 from mmcl import harness
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
-from mmcl.autodiff import Tensor, grad_check, softmax
+from mmcl.autodiff import Tensor, grad_check, ovo_nce, softmax
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
-from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, ovo_loss,
-                         weighted_ovo_loss)
+from mmcl.losses import LambdaWeights, Temperature, infonce_pair_loss, weighted_ovo_loss
 from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import SGD, Adam
 
+from elementary_ops import mul
 from lstm_oracle import composed_unroll
 
 ROSTER = ["text_a", "text_b", "image", "demo", "series"]
@@ -68,7 +68,7 @@ def test_criterion_01_ovo_reduces_to_infonce():
         a = Tensor(rng.standard_normal((n, d)))
         b = Tensor(rng.standard_normal((n, d)))
         tau = Temperature(float(rng.uniform(0.2, 2.0)))
-        _, ovo_terms = ovo_loss([a, b], tau)
+        _, ovo_terms = ovo_nce([a, b], tau.inverse())
         _, nce_terms = infonce_pair_loss(a, b, tau)
         for ot, nt in zip(ovo_terms, nce_terms):
             worst = max(worst, abs(ot.item() - nt.item()))
@@ -284,7 +284,7 @@ def test_criterion_08_ig_completeness():
     w = np.array([2.0, -1.0, 0.5])
     xl = np.array([1.0, 3.0, -2.0])
     wt = Tensor(w)
-    lin = integrated_gradients(lambda t: (t * wt).sum(axis=1), xl, steps=4)
+    lin = integrated_gradients(lambda t: mul(t, wt).sum(axis=1), xl, steps=4)
     lin_gap = float(np.abs(lin.per_feature - w * xl).max())
 
     _verdict(8, res_256 < 1e-3 and res_512 < res_8 and lin_gap <= 1e-12,

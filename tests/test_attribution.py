@@ -9,12 +9,12 @@ from mmcl.fusion import ClassifierHead, weighted_bce
 from mmcl.optim import SGD
 
 from ig_oracle import per_point_integrated_gradients
-from lstm_oracle import sigmoid
+from elementary_ops import add, mul, sigmoid
 
 
 def _linear_model(w):
     w = Tensor(np.asarray(w, float))
-    return lambda t: (t * w).sum(axis=1)
+    return lambda t: mul(t, w).sum(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -30,7 +30,7 @@ def test_linear_model_is_exact():
 
 
 def test_constant_model_gives_zero():
-    report = integrated_gradients(lambda t: (t * Tensor(np.zeros(3))).sum(axis=1) + Tensor(5.0),
+    report = integrated_gradients(lambda t: add(mul(t, np.zeros(3)).sum(axis=1), 5.0),
                                   np.array([1.0, 2.0, 3.0]), steps=8)
     np.testing.assert_allclose(report.per_feature, np.zeros(3), atol=1e-12)
     assert report.output_at_input == pytest.approx(5.0)
@@ -56,7 +56,7 @@ def test_nonzero_baseline():
 def test_completeness_residual_shrinks_with_steps():
     # nonlinear model: the Riemann sum error must fall as steps grow
     def model(t):
-        return (t.tanh() * t.tanh()).sum(axis=1)
+        return mul(t.tanh(), t.tanh()).sum(axis=1)
 
     x = np.array([1.5, -2.0, 0.7])
     residuals = [integrated_gradients(model, x, steps=s).completeness_residual
@@ -67,7 +67,7 @@ def test_completeness_residual_shrinks_with_steps():
 
 def test_completeness_holds_approximately():
     def model(t):
-        return (sigmoid(t) * Tensor(np.array([1.0, -2.0, 0.5, 3.0]))).sum(axis=1)
+        return mul(sigmoid(t), np.array([1.0, -2.0, 0.5, 3.0])).sum(axis=1)
 
     x = np.array([0.4, -1.2, 2.0, 0.1])
     report = integrated_gradients(model, x, steps=512)
@@ -86,7 +86,7 @@ def test_ig_input_validation():
         integrated_gradients(_linear_model([1.0, 1.0]), np.array([1.0, 2.0]),
                              baseline=np.array([0.0]))
     with pytest.raises(ContractError):  # (S, f): one output per feature
-        integrated_gradients(lambda t: t * Tensor(np.ones(2)), np.array([1.0, 2.0]))
+        integrated_gradients(lambda t: mul(t, np.ones(2)), np.array([1.0, 2.0]))
     with pytest.raises(ContractError):  # (S, 1): a column, not one logit per row
         integrated_gradients(lambda t: t.sum(axis=1, keepdims=True), np.array([1.0, 2.0]))
     with pytest.raises(ContractError):  # scalar: the rows summed away
@@ -98,7 +98,7 @@ def test_ig_calls_model_once():
 
     def model(t):
         calls.append(t.shape)
-        return (t * t).sum(axis=1)
+        return mul(t, t).sum(axis=1)
 
     integrated_gradients(model, np.array([1.0, -2.0, 0.5]), steps=16)
     assert calls == [(18, 3)]
@@ -118,12 +118,12 @@ def _trained_head():
 
 
 def _tanh_model():
-    return lambda t: (t.tanh() * t.tanh()).sum(axis=1)
+    return lambda t: mul(t.tanh(), t.tanh()).sum(axis=1)
 
 
 def _sigmoid_model():
     w = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-    return lambda t: (sigmoid(t) * w).sum(axis=1)
+    return lambda t: mul(sigmoid(t), w).sum(axis=1)
 
 
 @pytest.mark.parametrize("make_model", [_trained_head, _tanh_model, _sigmoid_model],

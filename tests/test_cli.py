@@ -267,16 +267,22 @@ def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt)
     assert "Traceback" not in err and "pickle" not in err
 
 
-def _spec_field(field, change, modality=None):
-    """A resealed cohort whose spec (or one modality's spec) has `field` set
-    to `change` of its saved value."""
+def _spec_edit(field, change, modality=None):
+    """An archive edit that sets `field` of the spec (or of one modality's
+    spec) to `change` of its saved value."""
     def edit(members):
         spec = json.loads(str(members["spec"]))
         owner = spec if modality is None else next(
             m for m in spec["modalities"] if m["name"] == modality)
         owner[field] = change(owner[field])
         members["spec"] = np.array(json.dumps(spec))
-    return _resealed(edit)
+    return edit
+
+
+def _spec_field(field, change, modality=None):
+    """A resealed cohort whose spec (or one modality's spec) has `field` set
+    to `change` of its saved value."""
+    return _resealed(_spec_edit(field, change, modality))
 
 
 @pytest.mark.parametrize("corrupt,field", [
@@ -298,6 +304,37 @@ def test_exit_code_4_on_cohort_spec_with_a_non_integer_size(cohort_file, tmp_pat
         corrupt(fh.read(), path)
     rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,series",
                "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err and field in err
+    assert "Traceback" not in err
+
+
+def _zero_width(field, member, modality=None):
+    """A resealed cohort whose spec sets `field` to 0 and whose `member`
+    holds the N x 0 array that such a spec describes."""
+    spec_edit = _spec_edit(field, lambda _: 0, modality)
+
+    def edit(members):
+        spec_edit(members)
+        members[member] = members[member][:, :0]
+    return _resealed(edit)
+
+
+@pytest.mark.parametrize("corrupt,field,argv", [
+    (_zero_width("obs_dim", "modality:text_a", "text_a"), "obs_dim", ["pretrain"]),
+    (_zero_width("num_multilabels", "multilabels"), "num_multilabels",
+     ["finetune", "--regime", "supervised_baseline", "--task", "multilabel"])],
+    ids=["zero_obs_dim", "zero_num_multilabels"])
+def test_exit_code_4_on_cohort_spec_with_a_zero_width(cohort_file, tmp_path, capsys,
+                                                      corrupt, field, argv):
+    # a zero width used to load, then fail with OverflowError in the weight
+    # initialisation or ZeroDivisionError in the multilabel loss
+    path = str(tmp_path / "bad.npz")
+    with open(cohort_file, "rb") as fh:
+        corrupt(fh.read(), path)
+    rc = main([*argv, "--cohort", path, "--modalities", "text_a,text_b",
+               "--max-epochs", "1", "--out", str(tmp_path / "x")])
     assert rc == 4
     err = capsys.readouterr().err
     assert "io error: CorruptFileError" in err and path in err and field in err

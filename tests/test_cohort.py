@@ -85,6 +85,10 @@ def test_spec_validation():
         CohortSpec(MAX_PATIENTS + 1, 4, two)
     with pytest.raises(ContractError, match="latent_dim"):
         CohortSpec(10, MAX_WIDTH + 1, two)
+    with pytest.raises(ContractError, match="obs_dim"):
+        ModalitySpec("x", "static_vector", 0)
+    with pytest.raises(ContractError, match="num_multilabels"):
+        CohortSpec(10, 4, two, num_multilabels=0)
 
 
 # --------------------------------------------------------------------------

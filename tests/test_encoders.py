@@ -6,6 +6,7 @@ from mmcl.encoders import (LSTM_GATES, LSTMEncoder, MLPEncoder, build_encoder, l
                            make_lstm_params)
 from mmcl.errors import DegenerateInputError, DimensionError
 
+from elementary_ops import add, matmul, mul
 from lstm_oracle import composed_unroll
 
 
@@ -57,7 +58,7 @@ def test_mlp_gradients():
     enc = _mlp()
     x = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
     tensors = enc.parameters() + [x]
-    assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(), tensors) < 1e-5
+    assert grad_check(lambda: mul(enc.forward(x), enc.forward(x)).sum(), tensors) < 1e-5
 
 
 def test_mlp_batch_permutation_equivariant():
@@ -174,7 +175,7 @@ def test_lstm_step_gradients_on_all_six_inputs():
     weight = np.random.default_rng(12).standard_normal((3, 5))
 
     def loss():
-        return (lstm_sequence(params, xs, lams) * weight).sum()
+        return mul(lstm_sequence(params, xs, lams), weight).sum()
 
     inputs = xs + lams + list(params.values())
     assert grad_check(loss, inputs, h=1e-5) < 1e-5
@@ -192,7 +193,7 @@ def test_lstm_step_gradients_bitwise_equal_composed_oracle():
     def grads(unroll):
         for t in inputs:
             t.zero_grad()
-        (unroll(params, xs, lams) * weight).sum().backward()
+        mul(unroll(params, xs, lams), weight).sum().backward()
         return [t.grad.copy() for t in inputs]
 
     for got, want in zip(grads(lstm_sequence), grads(composed_unroll)):
@@ -230,7 +231,7 @@ def test_lstm_encoder_gradients_through_time():
     enc = _lstm()
     x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
     tensors = enc.parameters() + [x]
-    assert grad_check(lambda: (enc.forward(x) * enc.forward(x)).sum(),
+    assert grad_check(lambda: mul(enc.forward(x), enc.forward(x)).sum(),
                       tensors, h=1e-5) < 1e-4
 
 
@@ -238,7 +239,7 @@ def test_lstm_encoder_bitwise_equals_composed_unroll():
     enc = _lstm()
     data = np.random.default_rng(4).standard_normal((5, 4, 3))
     h = composed_unroll(enc.cell, [data[:, t, :] for t in range(4)])
-    want = h @ enc.w_proj + enc.b_proj
+    want = add(matmul(h, enc.w_proj), enc.b_proj)
     np.testing.assert_array_equal(enc.forward(data).values, want.values)
 
 

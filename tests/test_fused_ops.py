@@ -10,6 +10,7 @@ from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import _sigmoid_ce
 
 from ce_oracle import composed_sigmoid_ce
+from elementary_ops import add, matmul, mul
 from kernel_oracle import assert_bitwise_equal
 from lstm_oracle import composed_unroll
 from nce_oracle import composed_ovo
@@ -24,7 +25,7 @@ def _grads(loss, inputs, seed):
         t.zero_grad()
     out = loss()
     weight = np.random.default_rng(seed).standard_normal(out.shape)
-    (out * Tensor(weight)).sum().backward()
+    mul(out, weight).sum().backward()
     return [t.grad.copy() for t in inputs]
 
 
@@ -66,9 +67,13 @@ def test_affine_is_bitwise_the_matmul_and_add(n, d, m, seed):
     rng = np.random.default_rng(seed)
     inputs = [Tensor(rng.standard_normal(shape)) for shape in ((n, d), (d, m), (m,))]
     x, w, b = inputs
-    assert_bitwise_equal(affine(x, w, b).values, (x @ w + b).values)
+
+    def composed():
+        return add(matmul(x, w), b)
+
+    assert_bitwise_equal(affine(x, w, b).values, composed().values)
     for got, want in zip(_grads(lambda: affine(x, w, b), inputs, seed),
-                         _grads(lambda: x @ w + b, inputs, seed)):
+                         _grads(composed, inputs, seed)):
         assert_bitwise_equal(got, want)
 
 

@@ -19,6 +19,7 @@ from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
 from mmcl.optim import make_optimizer
 
 from ce_oracle import composed_sigmoid_ce
+from elementary_ops import mul
 from ig_oracle import per_point_integrated_gradients
 from kernel_oracle import assert_bitwise_equal, masked_sigmoid, zeros_plus_add_accumulate
 from lstm_oracle import composed_unroll
@@ -211,7 +212,7 @@ def _nan_on_call(monkeypatch, name, n):
     def patched(*args, **kwargs):
         loss = original(*args, **kwargs)
         if len(finite) == n - 1:
-            return loss * float("nan")
+            return mul(loss, float("nan"))
         finite.append(float(loss.values))
         return loss
 
@@ -443,6 +444,20 @@ def test_mlstm_learned_lambdas_require_checkpoint(small_cohort):
         finetune(_cfg(ALL[:3], "mlstm", lambda_source="learned"), small_cohort, None)
 
 
+def test_mlstm_learned_lambdas_of_two_modalities_are_rejected_before_any_pretrain(
+        small_cohort, monkeypatch):
+    # a 2-modality pretrain learns no lambdas: finetune names that cause, not
+    # the missing checkpoint, and a sweep runs no pretrain for such a cell
+    with pytest.raises(ConfigurationError, match="2-modality pretrain .* learns no lambdas"):
+        finetune(_cfg(ALL[:2], "mlstm"), small_cohort, None)
+    keys = _count_pretrains(monkeypatch)
+    rows = sweep(_cfg(ALL, "mlstm", max_epochs=1), small_cohort, [ALL[:2], ALL[:3]],
+                 ["mlstm"], [0]).rows
+    assert rows[0].status.startswith("error: ConfigurationError: lambda_source=learned needs")
+    assert rows[1].status == "ok"
+    assert keys == [(tuple(ALL[:3]), 0)]
+
+
 def test_mlstm_literal_lambda_length_checked(small_cohort):
     cfg = _cfg(ALL[:3], "mlstm", lambda_source="literal:[0.5, 0.5]")
     with pytest.raises(ConfigurationError):
@@ -639,12 +654,13 @@ def test_sweep_counts_and_aggregates(small_cohort):
 
 
 def test_sweep_isolates_cell_failures(small_cohort):
-    # a learned-lambda mLSTM needs K >= 3: its cell fails after the pretrain
+    # a learned-lambda mLSTM needs K >= 3: its cell fails
     base = _cfg(ALL, "contrastive_pretrain", max_epochs=1)
     result = sweep(base, small_cohort, [ALL[:2]], ["mlstm", "contrastive_pretrain"], [0])
     statuses = [r.status for r in result.rows]
-    assert statuses[0] == ("error: ConfigurationError: lambda_source=learned requires a "
-                           "contrastive checkpoint with lambdas")
+    assert statuses[0] == ("error: ConfigurationError: lambda_source=learned needs a pretrain "
+                           "of 3 or more modalities; a 2-modality pretrain uses pairwise "
+                           "InfoNCE and learns no lambdas (use lambda_source=literal:)")
     assert statuses[1] == "ok"
     # failed cells are excluded from aggregation
     assert len(result.aggregates()) == 1

@@ -1,0 +1,71 @@
+"""Every public op of the autodiff core runs in production. The library
+differentiates through its own fused nodes, and an op that no training,
+fine-tuning or attribution run reaches belongs beside the tests
+(`elementary_ops.py`), not in `mmcl.autodiff`. Calls are matched by code
+object, so a function imported under another name still counts."""
+
+import inspect
+import sys
+
+from mmcl import autodiff
+from mmcl.cohort import default_five_modality_spec, generate
+from mmcl.harness import RunConfig, finetune, modality_attribution, pretrain
+
+# the public finite-difference check behind the gradient tests; no run calls it
+NOT_RUN_IN_PRODUCTION = {"grad_check"}
+
+
+def _public_ops():
+    """Code object -> qualified name of each public function of `autodiff`
+    and each public method, operator or property of its classes."""
+    ops = {}
+    for name, obj in vars(autodiff).items():
+        if name.startswith("_") or name in NOT_RUN_IN_PRODUCTION:
+            continue
+        if inspect.isfunction(obj) and obj.__module__ == autodiff.__name__:
+            ops[obj.__code__] = name
+        elif inspect.isclass(obj) and obj.__module__ == autodiff.__name__:
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and not attr.startswith("__"):
+                    continue
+                func = member.fget if isinstance(member, property) else member
+                func = getattr(func, "__func__", func)  # a static or class method
+                if inspect.isfunction(func):
+                    ops[func.__code__] = f"{name}.{attr}"
+    return ops
+
+
+def _production_runs():
+    """Tiny runs of every verb that trains or reads a model: pretrain at
+    K = 2 (InfoNCE) and K = 3 (weighted OvO), each fine-tuning regime, and
+    integrated gradients."""
+    cohort = generate(default_five_modality_spec(120, seed=0))
+    pair, triple = ["text_a", "text_b"], ["text_a", "image", "series"]
+
+    def cfg(subset, regime):
+        return RunConfig(subset, regime, max_epochs=1, batch_size=16, seed=0)
+
+    pretrain(cfg(pair, "contrastive_pretrain"), cohort)
+    pre, _ = pretrain(cfg(triple, "contrastive_pretrain"), cohort)
+    finetune(cfg(triple, "frozen_finetune"), cohort, pre)
+    finetune(cfg(triple, "mlstm"), cohort, pre)
+    supervised, _, _ = finetune(cfg(triple, "supervised_baseline"), cohort)
+    modality_attribution(cfg(triple, "supervised_baseline"), cohort, supervised, steps=4,
+                         max_samples=2)
+
+
+def test_every_public_autodiff_op_runs_in_production():
+    ops = _public_ops()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in ops:
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _production_runs()
+    finally:
+        sys.setprofile(previous)
+    assert sorted(ops[code] for code in ops.keys() - reached) == []
