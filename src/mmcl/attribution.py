@@ -16,7 +16,6 @@ class AttributionReport:
     completeness_residual: float
     output_at_input: float
     output_at_baseline: float
-    per_modality: np.ndarray = None
 
 
 def integrated_gradients(model_fn, x, baseline=None, steps=256):
@@ -71,7 +70,6 @@ def modality_aggregate(report, layout):
     raw = np.array([np.abs(report.per_feature[start:stop]).sum() for _, start, stop in layout])
     total = raw.sum()
     scores = raw / total if total > 0 else np.full(len(layout), 1.0 / len(layout))
-    report.per_modality = scores
     return scores
 
 

@@ -16,16 +16,6 @@ from . import kernels
 from .errors import ContractError, DegenerateInputError, DimensionError, EPS
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
@@ -117,20 +107,15 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
+        """The sum of every entry, as a 0-d tensor."""
         a = self
 
         def backward(g):
-            if not a.requires_grad:
-                return
-            if axis is None:
+            if a.requires_grad:
                 a._accumulate(np.full_like(a.values, g))
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-        return Tensor._result(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return Tensor._result(a.values.sum(), (a,), backward)
 
     # -- backward pass ------------------------------------------------------
 

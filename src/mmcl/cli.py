@@ -17,7 +17,6 @@ from . import cohort as cohort_mod
 from . import harness
 from .errors import (MAX_SEEDS, ConfigurationError, ContractError, DegenerateInputError,
                      DimensionError, DivergenceError)
-from .optim import OPTIMIZERS
 
 
 def _parse_seeds(text):
@@ -70,7 +69,6 @@ def _config_from_args(args, modality_subset, regime):
 def _add_run_flags(p):
     p.add_argument("--config", help="JSON file of RunConfig fields")
     p.add_argument("--task", choices=["binary", "multilabel"])
-    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS))
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)

@@ -4,7 +4,7 @@ sequences, all projecting into a shared n-dimensional embedding space."""
 import numpy as np
 
 from . import kernels
-from .autodiff import Parameter, Tensor, _unbroadcast, affine
+from .autodiff import Parameter, Tensor, affine
 from .errors import DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -68,9 +68,10 @@ def lstm_sequence(params, xs, lams=None):
     """Final H of an LSTM unrolled from a zero state over the T step batches
     `xs` (each N x d, Tensors or arrays), as a single graph node.
 
-    With `lams` (T weights, numbers or Tensors that may require a gradient),
-    step t's candidate write i*g is scaled by lams[t]: the modality-gated
-    LSTM. Without it this is the plain LSTM.
+    With `lams` (T constant weights, numbers), step t's candidate write i*g
+    is scaled by lams[t]: the modality-gated LSTM. The weights are not
+    trained through the gate, so they get no gradient. Without them this is
+    the plain LSTM.
 
     The forward pass projects every step's input with one stacked matmul,
     then runs each step as pre = x_t@wx + h@wh + b, C = f*C_prev + (i*g)*lam,
@@ -82,7 +83,6 @@ def lstm_sequence(params, xs, lams=None):
     wx, wh, b = params["wx"], params["wh"], params["b"]
     hid = wh.shape[0]
     xs = [Tensor._lift(x) for x in xs]
-    lams = None if lams is None else [Tensor._lift(lam) for lam in lams]
     steps, n = len(xs), xs[0].shape[0]
     x_all = np.stack([x.values for x in xs])
     xw = np.matmul(x_all, wx.values)
@@ -98,7 +98,7 @@ def lstm_sequence(params, xs, lams=None):
         i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
         g = np.tanh(pre[:, 2 * hid:3 * hid], out=g_all[t])
         ig = i * g
-        c = np.add(f * c_all[t], ig if lams is None else ig * lams[t].values, out=c_all[t + 1])
+        c = np.add(f * c_all[t], ig if lams is None else ig * lams[t], out=c_all[t + 1])
         tc = np.tanh(c, out=tc_all[t])
         np.multiply(o, tc, out=h_all[t + 1])
         sig[:, 2 * hid:3 * hid] = 1.0
@@ -114,8 +114,7 @@ def lstm_sequence(params, xs, lams=None):
             sig, g, tc, c_prev = s_all[t], g_all[t], tc_all[t], c_all[t]
             i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
             dc = dc_next + dh * o * dtc_all[t]
-            lam = None if lams is None else lams[t]
-            dig = dc if lam is None else dc * lam.values
+            dig = dc if lams is None else dc * lams[t]
             # (A * S) * D rounds as the four per-gate products
             dpre = dpre_all[t]
             np.multiply(dig, g, out=dpre[:, :hid])
@@ -124,8 +123,6 @@ def lstm_sequence(params, xs, lams=None):
             np.multiply(dh, tc, out=dpre[:, 3 * hid:])
             dpre *= sig
             dpre *= d_all[t]
-            if lam is not None and lam.requires_grad:
-                lam._accumulate(_unbroadcast(dc * (i * g), lam.shape))
             if t:
                 dh, dc_next = dpre @ wh.values.T, dc * f
         dx_all = np.matmul(dpre_all, wx.values.T)
@@ -136,8 +133,7 @@ def lstm_sequence(params, xs, lams=None):
         wh._accumulate(np.matmul(h_all[:-1].transpose(0, 2, 1), dpre_all)[::-1].sum(axis=0))
         b._accumulate(dpre_all.sum(axis=1)[::-1].sum(axis=0))
 
-    parents = (*xs, wx, wh, b) + (() if lams is None else tuple(lams))
-    return Tensor._result(h_all[steps], parents, backward)
+    return Tensor._result(h_all[steps], (*xs, wx, wh, b), backward)
 
 
 class LSTMEncoder:

@@ -20,7 +20,7 @@ from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mls
                      multilabel_ce, weighted_bce)
 from .losses import LambdaWeights, Temperature, loss_for_combination
 from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
-from .optim import OPTIMIZERS, make_optimizer
+from .optim import Adam
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
 ALIGNMENT_PATIENTS = 100  # pool patients scored by `pool_alignment_accuracy`
@@ -46,7 +46,7 @@ _FIELD_KINDS = (
     ("an integer", is_int, ("batch_size", "max_epochs", "patience", "seed")),
     (f"an integer in [1, {MAX_WIDTH}]", _is_width, ("embedding_dim", "mlstm_hidden")),
     ("a real number", is_real, ("learning_rate", "pool_fraction")),
-    ("a string", lambda v: isinstance(v, str), ("regime", "task", "optimizer", "lambda_source")),
+    ("a string", lambda v: isinstance(v, str), ("regime", "task", "lambda_source")),
     ("a string or null", lambda v: v is None or isinstance(v, str), ("checkpoint_path",)),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
      ("modality_subset",)),
@@ -60,7 +60,6 @@ class RunConfig:
     modality_subset: list
     regime: str
     task: str = "binary"
-    optimizer: str = "adam"
     learning_rate: float = 1e-2
     batch_size: int = 32
     max_epochs: int = 75
@@ -90,8 +89,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.task not in ("binary", "multilabel"):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError(
                 f"learning_rate must lie in (0, 1), got {self.learning_rate!r}")
@@ -145,13 +142,14 @@ class Checkpoint:
         is not a real number, an epoch that is not an integer, lambdas that
         are not a list of real numbers) or a parameter that is not float64,
         raises CorruptFileError. A config's retired `lambda_entropy_coef`
-        key is ignored."""
+        and `optimizer` keys are ignored."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
             config = meta["config"]
-            if isinstance(config, dict):  # older files carry the retired entropy bonus
-                config.pop("lambda_entropy_coef", None)
+            if isinstance(config, dict):  # older files carry retired settings
+                for retired in ("lambda_entropy_coef", "optimizer"):
+                    config.pop(retired, None)
             config, lam = RunConfig(**config), meta["lambdas"]
             for name, holds in (("tau", is_real), ("best_metric", is_real), ("epoch", is_int),
                                 ("lambdas", lambda v: v is None or _is_list_of(v, is_real))):
@@ -272,7 +270,7 @@ def pretrain(config, cohort):
     lam = LambdaWeights(k) if k >= 3 else None
 
     params = _collect_params(encoders) + tau.parameters() + ([] if lam is None else lam.parameters())
-    opt = make_optimizer(config.optimizer, params, config.learning_rate)
+    opt = Adam(params, config.learning_rate)
 
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                        pool_fraction=config.pool_fraction)
@@ -313,12 +311,17 @@ def pool_alignment_accuracy(cohort, checkpoint):
 
 
 def finetune_splits(cohort, config):
-    """Pool for contrastive pre-training; 80/10/10 split of the remainder."""
+    """Pool for contrastive pre-training; 80/10/10 split of the remainder.
+    An empty validation or test split raises DegenerateInputError."""
     pool, rest = cohort_mod.pretrain_pool(cohort, seed=config.seed,
                                           pool_fraction=config.pool_fraction)
     labels = cohort.binary_labels[rest]
     rng = np.random.default_rng(config.seed + 1)
     tr, va, te = cohort_mod._stratified_partition(labels, (0.8, 0.1, 0.1), rng)
+    if not (va.size and te.size):
+        raise DegenerateInputError(
+            f"cohort of {cohort.num_patients} patients too small to split: {pool.size} pool, "
+            f"{tr.size} train, {va.size} validation, {te.size} test")
     return pool, rest[tr], rest[va], rest[te]
 
 
@@ -400,7 +403,8 @@ def _reads_checkpoint(config):
 
 def finetune(config, cohort, checkpoint=None):
     """Train a downstream model per regime with early stopping on validation
-    AUROC; returns (Checkpoint, MetricsRecord) from the best-epoch weights."""
+    AUROC. Returns (Checkpoint, MetricsRecord, info): the best-epoch weights,
+    their test metrics, and `info` = {"epochs_run", "best_epoch"}."""
     if config.regime not in ("frozen_finetune", "supervised_baseline", "mlstm"):
         raise ConfigurationError(f"finetune cannot run regime {config.regime!r}")
     if _reads_checkpoint(config):
@@ -434,7 +438,7 @@ def finetune(config, cohort, checkpoint=None):
         features = np.zeros((cohort.num_patients, head.input_dim))
         features[used] = encode(used).values
         encode = features.__getitem__  # a batch reads its cached rows
-    opt = make_optimizer(config.optimizer, trained, config.learning_rate)
+    opt = Adam(trained, config.learning_rate)
 
     def forward(indices):
         return head.forward(encode(indices))

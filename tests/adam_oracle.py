@@ -20,8 +20,6 @@ class LoopAdam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
             self.m[i] = b1 * self.m[i] + (1 - b1) * p.grad
             self.v[i] = b2 * self.v[i] + (1 - b2) * p.grad**2
             m_hat = self.m[i] / (1 - b1**self.t)

@@ -5,12 +5,23 @@ The library runs only fused nodes (`autodiff.affine`, `autodiff.ovo_nce`,
 the tests: the composed oracles build the references for the fused nodes
 from them, and the gradient checks compose small graphs with them. Each
 takes Tensors or array-likes, and each rounds as the numpy expression it
-names."""
+names. A plain gradient-descent step trains the small models of the tests
+that need one."""
 
 import numpy as np
 
 from mmcl import kernels
-from mmcl.autodiff import Tensor, _unbroadcast
+from mmcl.autodiff import Tensor
+
+
+def _unbroadcast(grad, shape):
+    """Sum `grad` down to `shape` after numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def add(a, b):
@@ -108,11 +119,25 @@ def softplus(x):
     return Tensor._result(out_values, (x,), backward)
 
 
-def mean(x, axis=None, keepdims=False):
+def axis_sum(x, axis, keepdims=False):
+    """The sum along one axis, e.g. the row sums at axis 1; `Tensor.sum`
+    sums every entry."""
+    x = Tensor._lift(x)
+
+    def backward(g):
+        if x.requires_grad:
+            g = g if keepdims else np.expand_dims(g, axis)
+            x._accumulate(np.broadcast_to(g, x.shape).copy())
+
+    return Tensor._result(x.values.sum(axis=axis, keepdims=keepdims), (x,), backward)
+
+
+def mean(x, axis=None):
     """The sum times 1/n, n the number of entries averaged."""
     x = Tensor._lift(x)
-    n = x.values.size if axis is None else x.shape[axis]
-    return mul(x.sum(axis=axis, keepdims=keepdims), 1.0 / n)
+    if axis is None:
+        return mul(x.sum(), 1.0 / x.values.size)
+    return mul(axis_sum(x, axis), 1.0 / x.shape[axis])
 
 
 def logsumexp_rows(s):
@@ -126,3 +151,12 @@ def logsumexp_rows(s):
             s._accumulate(g[:, None] * soft)
 
     return Tensor._result(out_values, (s,), backward)
+
+
+def gradient_step(params, loss, lr):
+    """One plain gradient-descent step on `loss()`: p -= lr * p.grad."""
+    for p in params:
+        p.zero_grad()
+    loss().backward()
+    for p in params:
+        p.values -= lr * p.grad

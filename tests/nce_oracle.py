@@ -7,12 +7,13 @@ checked against it, forward and backward."""
 
 import numpy as np
 
-from elementary_ops import add, divide, logsumexp_rows, matmul, mean, mul, sqrt, sub, transpose
+from elementary_ops import (add, axis_sum, divide, logsumexp_rows, matmul, mean, mul, sqrt, sub,
+                            transpose)
 
 
 def row_normalize(x):
     """Each row of a 2-D tensor scaled to unit L2 norm."""
-    return divide(x, sqrt(mul(x, x).sum(axis=1, keepdims=True)))
+    return divide(x, sqrt(axis_sum(mul(x, x), 1, keepdims=True)))
 
 
 def similarity_matrix(a, b, inv_tau):

@@ -186,6 +186,50 @@ def test_exit_code_2_on_cohort_too_small_to_evaluate(tmp_path, capsys):
     assert "DegenerateInputError" in err
 
 
+@pytest.fixture(scope="module")
+def supervised_checkpoint(tmp_path_factory):
+    """A supervised_baseline model of text_a and text_b, trained on 120 patients."""
+    root = tmp_path_factory.mktemp("supervised120")
+    cohort, run = str(root / "c.npz"), str(root / "run")
+    assert main(["generate", "--num-patients", "120", "--seed", "0", "--out", cohort]) == 0
+    assert main(["finetune", "--cohort", cohort, "--modalities", "text_a,text_b",
+                 "--regime", "supervised_baseline", "--max-epochs", "1", "--batch-size", "16",
+                 "--out", run]) == 0
+    return os.path.join(run, "model.npz")
+
+
+@pytest.fixture(scope="module")
+def cohort_of_8(tmp_path_factory):
+    # its splits: 5 pool, 3 train, 0 validation and 0 test patients
+    path = str(tmp_path_factory.mktemp("data8") / "c.npz")
+    assert main(["generate", "--num-patients", "8", "--seed", "0", "--out", path]) == 0
+    return path
+
+
+def test_exit_code_2_on_finetune_of_a_cohort_too_small_to_split(cohort_of_8, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    rc = main(["finetune", "--cohort", cohort_of_8, "--modalities", "text_a,text_b",
+               "--regime", "supervised_baseline", "--task", "multilabel", "--max-epochs", "1",
+               "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "DegenerateInputError" in err and "0 validation, 0 test" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_exit_code_2_on_attribute_of_a_cohort_too_small_to_split(cohort_of_8,
+                                                                 supervised_checkpoint,
+                                                                 tmp_path, capsys):
+    out = str(tmp_path / "attr.json")
+    rc = main(["attribute", "--cohort", cohort_of_8, "--checkpoint", supervised_checkpoint,
+               "--steps", "8", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "DegenerateInputError" in err and "too small to split" in err
+    assert not os.path.exists(out)
+
+
 def _write_text_checkpoint(path):
     with open(path, "w") as fh:
         fh.write("not a checkpoint\n")
@@ -766,9 +810,9 @@ def test_exit_code_2_on_negative_seed(cohort_file, tmp_path, capsys, verb, args,
 
 
 # every `_add_run_flags` flag but --config: its text and the value it parses to
-RUN_FLAGS = {"--task": ("multilabel", "multilabel"), "--optimizer": ("sgd", "sgd"),
-             "--learning-rate": ("0.05", 0.05), "--batch-size": ("7", 7),
-             "--max-epochs": ("3", 3), "--patience": ("4", 4), "--seed": ("5", 5),
+RUN_FLAGS = {"--task": ("multilabel", "multilabel"), "--learning-rate": ("0.05", 0.05),
+             "--batch-size": ("7", 7), "--max-epochs": ("3", 3), "--patience": ("4", 4),
+             "--seed": ("5", 5),
              "--lambda-source": ("literal:[0.25,0.75]", "literal:[0.25,0.75]"),
              "--embedding-dim": ("6", 6), "--pool-fraction": ("0.4", 0.4)}
 
@@ -832,7 +876,6 @@ _WIDTH = st.integers(-2, 8) | st.sampled_from([MAX_WIDTH + 1, 2**62])
 _SIZES = st.lists(_WIDTH, max_size=3)
 _IN_KIND = {
     "task": st.sampled_from(["binary", "multilabel", "survival"]),
-    "optimizer": st.sampled_from(["adam", "sgd", "rmsprop"]),
     "learning_rate": st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 5e-324]),
     "batch_size": st.integers(-2, 80),
     "max_epochs": st.integers(-2, 3),
@@ -889,3 +932,56 @@ def test_config_file_runs_or_exits_2_or_4_without_a_traceback(cohort_of_60, conf
     else:
         assert err.getvalue().startswith(("configuration error: ", "io error: "))
         assert not out.exists()
+
+
+SMALL_COHORT_SUBSET = "text_a,image,series"
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of one CLI run; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc, err, checkpoint=None):
+    """Exit 0, 2 or 3 with no traceback; exit 4 only for a `checkpoint` that
+    was never written."""
+    assert "Traceback" not in err
+    assert rc in (0, 2, 3) or (rc == 4 and checkpoint and not os.path.exists(checkpoint)), err
+
+
+@settings(max_examples=30, deadline=None)
+@given(patients=st.integers(1, 40), seed=st.integers(0, 3))
+def test_every_verb_on_a_small_cohort_exits_cleanly(supervised_checkpoint, config_dir,
+                                                    patients, seed):
+    # pretrain, each fine-tuning regime under both tasks, and attribute on a
+    # cohort of 1-40 patients: each run ends in a documented exit code, and a
+    # run that succeeds writes finite scores
+    root = config_dir / f"small_{patients}_{seed}"
+    root.mkdir(exist_ok=True)
+    cohort, pre = str(root / "c.npz"), str(root / "pre.npz")
+    run = ["--cohort", cohort, "--modalities", SMALL_COHORT_SUBSET, "--max-epochs", "1",
+           "--batch-size", "8", "--seed", str(seed)]
+    assert _run_quietly(["generate", "--num-patients", str(patients), "--seed", str(seed),
+                         "--out", cohort])[0] == 0
+    _assert_clean_exit(*_run_quietly(["pretrain", *run, "--out", pre]))
+    for task in ("binary", "multilabel"):
+        for regime in ("frozen_finetune", "supervised_baseline", "mlstm"):
+            out = root / f"{regime}_{task}"
+            reads = [] if regime == "supervised_baseline" else ["--checkpoint", pre]
+            rc, err = _run_quietly(["finetune", *run, "--regime", regime, "--task", task,
+                                    *reads, "--out", str(out)])
+            _assert_clean_exit(rc, err, pre if reads else None)
+            if rc == 0:
+                metrics = json.loads((out / "metrics.json").read_text())
+                assert np.isfinite([metrics["auroc"], metrics["auprc"]]).all(), metrics
+    for model in (str(root / "supervised_baseline_binary" / "model.npz"), supervised_checkpoint):
+        out = root / "attr.json"
+        rc, err = _run_quietly(["attribute", "--cohort", cohort, "--checkpoint", model,
+                                "--steps", "8", "--out", str(out)])
+        _assert_clean_exit(rc, err, model)
+        if rc == 0:
+            assert np.isfinite(list(json.loads(out.read_text()).values())).all()
+            out.unlink()

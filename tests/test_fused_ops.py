@@ -79,7 +79,7 @@ def test_affine_is_bitwise_the_matmul_and_add(n, d, m, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(steps=st.integers(1, 6), n=st.integers(1, 6), din=st.integers(1, 6),
-       hid=st.integers(1, 6), lam=st.sampled_from(["none", "zero", "one", "uniform", "tensor"]),
+       hid=st.integers(1, 6), lam=st.sampled_from(["none", "zero", "one", "uniform"]),
        xs_need_grad=st.booleans(), seed=SEEDS)
 def test_lstm_step_matches_the_composed_oracle(steps, n, din, hid, lam, xs_need_grad, seed):
     rng = np.random.default_rng(seed)
@@ -87,10 +87,8 @@ def test_lstm_step_matches_the_composed_oracle(steps, n, din, hid, lam, xs_need_
     params["b"].values[...] = rng.standard_normal(4 * hid)
     xs = [Tensor(rng.standard_normal((n, din))) for _ in range(steps)]
     lams = {"none": None, "zero": [0.0] * steps, "one": [1.0] * steps,
-            "uniform": list(rng.uniform(size=steps)),
-            "tensor": [Tensor(v) for v in rng.uniform(size=steps)]}[lam]
-    inputs = list(params.values()) + (xs if xs_need_grad else []) + (
-        lams if lam == "tensor" else [])
+            "uniform": list(rng.uniform(size=steps))}[lam]
+    inputs = list(params.values()) + (xs if xs_need_grad else [])
 
     def fused():
         return lstm_sequence(params, xs, lams)

@@ -16,7 +16,7 @@ from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, 
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
                           load_rows, pretrain, sweep)
-from mmcl.optim import make_optimizer
+from mmcl.optim import Adam
 
 from ce_oracle import composed_sigmoid_ce
 from elementary_ops import mul
@@ -76,10 +76,6 @@ def test_run_config_validation():
         RunConfig(ALL[:1], "mlstm")
     with pytest.raises(ConfigurationError, match="duplicate"):
         RunConfig([ALL[0], ALL[0], ALL[1]], "contrastive_pretrain")
-    with pytest.raises(ConfigurationError, match="rmsprop"):
-        RunConfig(ALL, "mlstm", optimizer="rmsprop")
-    with pytest.raises(ConfigurationError, match="rmsprop"):
-        make_optimizer("rmsprop", [], 0.1)
 
 
 @pytest.mark.parametrize("field,value", [("max_epochs", 0), ("patience", -1),
@@ -102,7 +98,7 @@ WRONG_TYPES = [
     ("encoder_hidden", 16), ("encoder_hidden", [16, "8"]), ("encoder_hidden", []),
     ("head_hidden", [0]), ("head_hidden", [True]), ("modality_subset", "text_a,text_b"),
     ("modality_subset", ["text_a", 2]), ("regime", ["mlstm"]), ("task", None),
-    ("optimizer", {"adam": 1}), ("lambda_source", 3), ("checkpoint_path", 1)]
+    ("lambda_source", 3), ("checkpoint_path", 1)]
 
 
 @pytest.mark.parametrize("field,value", WRONG_TYPES)
@@ -266,6 +262,25 @@ def test_checkpoint_round_trip(tmp_path, small_cohort):
         np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
 
 
+def test_checkpoint_of_the_retired_optimizer_setting_loads_and_finetunes(tmp_path,
+                                                                         small_cohort):
+    pre, _ = pretrain(_cfg(ALL[:3], "contrastive_pretrain", max_epochs=1), small_cohort)
+    path = tmp_path / "sgd.npz"
+    pre.save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["optimizer"] = "sgd"
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    loaded = Checkpoint.load(path)
+    assert loaded.config == pre.config
+    cfg = _cfg(ALL[:3], "frozen_finetune", max_epochs=1)
+    _, record, _ = finetune(cfg, small_cohort, loaded)
+    _, want, _ = finetune(cfg, small_cohort, pre)
+    assert (record.auroc, record.auprc) == (want.auroc, want.auprc)
+
+
 def test_checkpoint_keeps_its_own_config(small_cohort):
     cfg = _cfg(ALL[:2], "contrastive_pretrain", max_epochs=1)
     ckpt, _ = pretrain(cfg, small_cohort)
@@ -285,6 +300,16 @@ def test_finetune_splits_disjoint_exhaustive(small_cohort):
     combined = np.concatenate(pieces)
     assert combined.size == small_cohort.num_patients
     assert len(set(combined.tolist())) == small_cohort.num_patients
+
+
+@pytest.mark.parametrize("patients", [1, 8, 16])
+def test_finetune_splits_reject_a_cohort_too_small_to_split(patients):
+    # 8 patients split as 5 pool, 3 train, 0 validation and 0 test
+    cohort = generate(default_five_modality_spec(patients, seed=0))
+    with pytest.raises(DegenerateInputError, match="too small to split") as info:
+        finetune_splits(cohort, _cfg(ALL[:2], "supervised_baseline"))
+    if patients == 8:
+        assert "5 pool, 3 train, 0 validation, 0 test" in str(info.value)
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +348,7 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
     head = ClassifierHead(config.embedding_dim * len(config.modality_subset),
                           config.head_hidden, 1, rng)
     params = head.parameters()
-    opt = make_optimizer(config.optimizer, params, config.learning_rate)
+    opt = Adam(params, config.learning_rate)
 
     def forward(idx):
         return head.forward(concat_fuse(harness.encode_batch(
@@ -964,9 +989,9 @@ def test_checkpoint_load_rejects_deeply_nested_metadata(fuzz_dir):
 
 def test_checkpoint_load_reads_the_older_format(fuzz_dir):
     # older files repeat the seed and the subset outside the config, and keep
-    # the retired `lambda_entropy_coef` (0 by default) in it
+    # the retired `lambda_entropy_coef` (0 by default) and `optimizer` in it
     path = fuzz_dir / "older.npz"
-    config = {**_SEED_META["config"], "lambda_entropy_coef": 0.0}
+    config = {**_SEED_META["config"], "lambda_entropy_coef": 0.0, "optimizer": "sgd"}
     path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, "config": config})))
     assert Checkpoint.load(path).config == RunConfig(**_SEED_META["config"])
 

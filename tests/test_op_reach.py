@@ -1,13 +1,17 @@
-"""Every public op of the autodiff core runs in production. The library
-differentiates through its own fused nodes, and an op that no training,
-fine-tuning or attribution run reaches belongs beside the tests
-(`elementary_ops.py`), not in `mmcl.autodiff`. Calls are matched by code
-object, so a function imported under another name still counts."""
+"""Every public op of the autodiff core, and every public method of the
+optimizer, runs in production. The library differentiates through its own
+fused nodes, and an op that no training, fine-tuning or attribution run
+reaches belongs beside the tests (`elementary_ops.py`), not in
+`mmcl.autodiff`; an optimizer path that no run takes is not kept at all.
+Calls are matched by code object, so a function imported under another name
+still counts."""
 
 import inspect
 import sys
 
-from mmcl import autodiff
+import pytest
+
+from mmcl import autodiff, optim
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.harness import RunConfig, finetune, modality_attribution, pretrain
 
@@ -15,16 +19,16 @@ from mmcl.harness import RunConfig, finetune, modality_attribution, pretrain
 NOT_RUN_IN_PRODUCTION = {"grad_check"}
 
 
-def _public_ops():
-    """Code object -> qualified name of each public function of `autodiff`
+def _public_ops(module):
+    """Code object -> qualified name of each public function of `module`
     and each public method, operator or property of its classes."""
     ops = {}
-    for name, obj in vars(autodiff).items():
+    for name, obj in vars(module).items():
         if name.startswith("_") or name in NOT_RUN_IN_PRODUCTION:
             continue
-        if inspect.isfunction(obj) and obj.__module__ == autodiff.__name__:
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__:
             ops[obj.__code__] = name
-        elif inspect.isclass(obj) and obj.__module__ == autodiff.__name__:
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
             for attr, member in vars(obj).items():
                 if attr.startswith("_") and not attr.startswith("__"):
                     continue
@@ -54,13 +58,14 @@ def _production_runs():
                          max_samples=2)
 
 
-def test_every_public_autodiff_op_runs_in_production():
-    ops = _public_ops()
-    reached = set()
+@pytest.fixture(scope="module")
+def reached():
+    """The code objects that the production runs call."""
+    codes = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in ops:
-            reached.add(frame.f_code)
+        if event == "call":
+            codes.add(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -68,4 +73,14 @@ def test_every_public_autodiff_op_runs_in_production():
         _production_runs()
     finally:
         sys.setprofile(previous)
+    return codes
+
+
+def test_every_public_autodiff_op_runs_in_production(reached):
+    ops = _public_ops(autodiff)
+    assert sorted(ops[code] for code in ops.keys() - reached) == []
+
+
+def test_every_public_optim_method_runs_in_production(reached):
+    ops = _public_ops(optim)
     assert sorted(ops[code] for code in ops.keys() - reached) == []
