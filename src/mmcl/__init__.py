@@ -2,12 +2,12 @@
 objectives, modality-gated LSTM fusion, and a sweep harness over synthetic
 multimodal cohorts."""
 
-from .autodiff import Parameter, Tensor, grad_check, softmax
+from .autodiff import Parameter, Tensor, grad_check
 from .errors import (ConfigurationError, ContractError, DegenerateInputError,
                      DimensionError, DivergenceError)
 
 __all__ = [
-    "Parameter", "Tensor", "grad_check", "softmax",
+    "Parameter", "Tensor", "grad_check",
     "ConfigurationError", "ContractError", "DegenerateInputError",
     "DimensionError", "DivergenceError",
 ]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import MAX_IG_STEPS, ContractError
+from .errors import MAX_IG_STEPS, ContractError, DegenerateInputError
 from .metrics import midranks
 
 
@@ -53,7 +53,8 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
 def modality_aggregate(report, layout):
     """Collapse per-feature attributions to one nonnegative score per
     modality: sum of absolute values within each slice, normalized to a
-    probability vector.
+    probability vector. All-zero attributions give uniform scores; a NaN,
+    an infinity or a sum that overflows raises DegenerateInputError.
 
     `layout` is an ordered list of (modality_name, start, stop) slices that
     must partition the feature axis."""
@@ -67,10 +68,12 @@ def modality_aggregate(report, layout):
         covered[start:stop] = True
     if not covered.all():
         raise ContractError("layout does not cover the whole feature axis")
-    raw = np.array([np.abs(report.per_feature[start:stop]).sum() for _, start, stop in layout])
-    total = raw.sum()
-    scores = raw / total if total > 0 else np.full(len(layout), 1.0 / len(layout))
-    return scores
+    with np.errstate(over="ignore"):
+        raw = np.array([np.abs(report.per_feature[start:stop]).sum() for _, start, stop in layout])
+        total = raw.sum()
+    if not np.isfinite(total):
+        raise DegenerateInputError("attributions are not finite: the model overflows")
+    return raw / total if total > 0 else np.full(len(layout), 1.0 / len(layout))
 
 
 def spearman_rank_correlation(a, b):

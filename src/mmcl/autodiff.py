@@ -64,25 +64,6 @@ class Tensor:
 
     # -- unary ops ----------------------------------------------------------
 
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return Tensor._result(-a.values, (a,), backward)
-
-    def exp(self):
-        a = self
-        out_values = np.exp(a.values)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * out_values)
-
-        return Tensor._result(out_values, (a,), backward)
-
     def tanh(self):
         a = self
         out_values = np.tanh(a.values)
@@ -161,20 +142,6 @@ def concat(tensors):
     return Tensor._result(values, tensors, backward)
 
 
-def softmax(x):
-    """Stable softmax of a 1-D tensor; output sums to 1."""
-    x = Tensor._lift(x)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    out_values = kernels.softmax(x.values)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate((g - np.dot(g, out_values)) * out_values)
-
-    return Tensor._result(out_values, (x,), backward)
-
-
 def _unit_rows(x):
     """(x scaled to unit rows, the N x 1 row norms); a zero row is an error."""
     r = np.sqrt((x * x).sum(axis=1, keepdims=True))
@@ -190,26 +157,29 @@ def _through_norm(d_hat, x_hat, r):
     return (d_hat - x_hat * (d_hat * x_hat).sum(axis=1, keepdims=True)) / r
 
 
-def ovo_nce(embeddings, inv_tau, weights=None):
+def ovo_nce(embeddings, log_tau, logits=None):
     """One-vs-Others InfoNCE of K >= 2 row-aligned N x n batches as one graph
-    node: the sum over i of weights[i] * NCE(e_i, mean of the other batches),
-    or the plain sum without `weights` (a K-vector). NCE(a, b) is the mean
-    over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k. Returns
-    (loss, the K unweighted term values).
+    node: the sum over i of lambda_i * NCE(e_i, mean of the other batches),
+    lambda = softmax(logits) (a K-vector), or the plain sum without `logits`.
+    NCE(a, b) is the mean over k of -log softmax_m(cos(a_k, b_m) / tau) at
+    m = k. Returns (loss, the K unweighted term values).
 
-    The forward pass rounds as the composed ops would: the others' mean is
-    their left-to-right sum times 1/(K-1); each term normalizes rows, takes
+    The forward pass rounds as the composed ops would: 1/tau = exp(-log_tau)
+    and lambda = `kernels.softmax(logits)`; the others' mean is their
+    left-to-right sum times 1/(K-1); each term normalizes rows, takes
     a_hat b_hat^T, scales it, takes a row log-sum-exp, the diagonal and the
-    mean; the total adds w_0 t_0 + w_1 t_1 + ... left to right. The backward
-    pass runs the closed-form InfoNCE gradient of each term, routed back
-    through both row norms and the mean, and sums each batch's gradient in
-    term order. A row of zero norm raises DegenerateInputError."""
+    mean; the total adds lambda_0 t_0 + lambda_1 t_1 + ... left to right. The
+    backward pass runs the closed-form InfoNCE gradient of each term, routed
+    back through both row norms and the mean, and through the exp and the
+    softmax to log_tau and the logits. A zero-norm row raises DegenerateInputError."""
     embeddings = [Tensor._lift(e) for e in embeddings]
-    inv_tau = Tensor._lift(inv_tau)
-    weights = None if weights is None else Tensor._lift(weights)
+    log_tau = Tensor._lift(log_tau)
+    logits = None if logits is None else Tensor._lift(logits)
     k = len(embeddings)
     if k < 2:
         raise ContractError(f"contrastive loss needs at least 2 modalities, got {k}")
+    inv_tau = np.exp(-log_tau.values)
+    lam = None if logits is None else kernels.softmax(logits.values)
     share = 1.0 / (k - 1)
     n = embeddings[0].shape[0]
     diag = np.arange(n)
@@ -222,20 +192,20 @@ def ovo_nce(embeddings, inv_tau, weights=None):
         a_hat, r_a = _unit_rows(e.values)
         b_hat, r_b = _unit_rows(others * share)
         cos = a_hat @ b_hat.T
-        s = cos * inv_tau.values
+        s = cos * inv_tau
         lse = kernels.logsumexp_rows(s)
         terms[i] = (lse + (-s[diag, diag])).sum() * scale
         saved.append((a_hat, r_a, b_hat, r_b, cos, s, lse))
-    loss = functools.reduce(operator.add, terms if weights is None else weights.values * terms)
+    loss = functools.reduce(operator.add, terms if lam is None else lam * terms)
 
     def backward(g):
         grads, d_inv = [None] * k, 0.0
         for i, (a_hat, r_a, b_hat, r_b, cos, s, lse) in enumerate(saved):
             ds = np.exp(s - lse[:, None])  # row softmax of s
             ds[diag, diag] -= 1.0
-            ds *= (g if weights is None else g * weights.values[i]) * scale
+            ds *= (g if lam is None else g * lam[i]) * scale
             d_inv = d_inv + (ds * cos).sum()
-            dcos = ds * inv_tau.values
+            dcos = ds * inv_tau
             d_own = _through_norm(dcos @ b_hat, a_hat, r_a)
             d_mean = _through_norm(dcos.T @ a_hat, b_hat, r_b) * share
             for j in range(k):
@@ -244,12 +214,13 @@ def ovo_nce(embeddings, inv_tau, weights=None):
         for e, d in zip(embeddings, grads):
             if e.requires_grad:
                 e._accumulate(d)
-        if inv_tau.requires_grad:
-            inv_tau._accumulate(d_inv)
-        if weights is not None and weights.requires_grad:
-            weights._accumulate(g * terms)
+        if log_tau.requires_grad:
+            log_tau._accumulate(-(d_inv * inv_tau))
+        if logits is not None and logits.requires_grad:
+            d_lam = g * terms
+            logits._accumulate((d_lam - np.dot(d_lam, lam)) * lam)
 
-    parents = (*embeddings, inv_tau) + (() if weights is None else (weights,))
+    parents = (*embeddings, log_tau) + (() if logits is None else (logits,))
     return Tensor._result(loss, parents, backward), terms
 
 

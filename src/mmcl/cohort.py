@@ -123,7 +123,8 @@ def spec_from_dict(d):
 
 
 def generate(spec):
-    """Generate a cohort; bitwise deterministic given the spec (incl. seed)."""
+    """Generate a cohort; bitwise deterministic given the spec (incl. seed). A
+    noise_sigma so large that an observation overflows raises ContractError."""
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_patients, spec.latent_dim
     z = rng.standard_normal((n, d))
@@ -143,7 +144,11 @@ def generate(spec):
             obs = np.sqrt(sf) * (z @ mixing) + np.sqrt(1.0 - sf) * rng.standard_normal((n, flat))
         else:
             obs = rng.standard_normal((n, flat))
-        obs = obs + mod.noise_sigma * rng.standard_normal((n, flat))
+        with np.errstate(over="ignore"):  # a huge sigma overflows; reported below
+            obs = obs + mod.noise_sigma * rng.standard_normal((n, flat))
+        if not np.isfinite(obs).all():
+            raise ContractError(f"modality {mod.name!r} drew an observation that is not finite; "
+                                f"noise_sigma {mod.noise_sigma!r} is too large")
         if mod.kind == "sequence":
             obs = obs.reshape(n, mod.seq_len, mod.obs_dim)
         observations[mod.name] = obs
@@ -258,9 +263,9 @@ def save_cohort(cohort, path):
 
 def load_cohort(path):
     """Read a cohort written by `save_cohort`. A file that is not one, whose
-    bytes changed after it was written, or that has a missing section or a
-    section of another shape or dtype than its spec says raises
-    CorruptFileError."""
+    bytes changed after it was written, or that has a missing section, a
+    section of another shape or dtype than its spec says, or a NaN or
+    infinity in a float section raises CorruptFileError."""
     return read_archive(path, _parse_cohort)
 
 
@@ -278,6 +283,8 @@ def _parse_cohort(data):
         saved_as = values.dtype.kind == "U" if dtype is str else values.dtype == dtype
         if not saved_as:
             raise TypeError(f"{name} holds {values.dtype}, not {dtype.__name__}")
+        if dtype is np.float64 and not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
         return values
 
     def labels(name, shape):

@@ -89,9 +89,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.task not in ("binary", "multilabel"):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        if not 0.0 < self.learning_rate < 1.0:
-            raise ConfigurationError(
-                f"learning_rate must lie in (0, 1), got {self.learning_rate!r}")
+        for name in ("learning_rate", "pool_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
@@ -140,9 +140,10 @@ class Checkpoint:
         raises its OSError; one that is not a readable archive, or has bad
         metadata (a config that RunConfig rejects, a tau or best metric that
         is not a real number, an epoch that is not an integer, lambdas that
-        are not a list of real numbers) or a parameter that is not float64,
-        raises CorruptFileError. A config's retired `lambda_entropy_coef`
-        and `optimizer` keys are ignored."""
+        are not a list of real numbers) or a parameter that is not float64 or
+        holds a NaN or infinity, raises CorruptFileError. A config's retired
+        `lambda_entropy_coef` and `optimizer` keys are ignored; tau may be NaN,
+        as a fine-tuned model stores it."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
@@ -158,6 +159,8 @@ class Checkpoint:
             for name, values in params.items():
                 if values.dtype != np.float64:
                     raise TypeError(f"parameter {name!r} holds {values.dtype}, not float64")
+                if not np.isfinite(values).all():
+                    raise ValueError(f"parameter {name!r} holds a non-finite value")
             return cls(config, params, None if lam is None else np.asarray(lam, dtype=np.float64),
                        meta["tau"], meta["epoch"], meta["best_metric"])
         return cohort_mod.read_archive(path, parse)

@@ -10,7 +10,7 @@ Conventions (documented deviations from raw summation):
 import numpy as np
 
 from . import kernels
-from .autodiff import Parameter, ovo_nce, softmax
+from .autodiff import Parameter, ovo_nce
 from .errors import ContractError, DimensionError
 
 
@@ -23,9 +23,6 @@ class Temperature:
     @property
     def tau(self):
         return float(np.exp(self.log_tau.values))
-
-    def inverse(self):
-        return (-self.log_tau).exp()
 
     def parameters(self):
         return [self.log_tau]
@@ -40,9 +37,6 @@ class LambdaWeights:
             raise ContractError(f"lambda logits must have length {num_modalities}")
         self.logits = Parameter("lambda_logits", logits)
 
-    def lambdas(self):
-        return softmax(self.logits)
-
     def values(self):
         return kernels.softmax(self.logits.values)
 
@@ -54,17 +48,16 @@ def infonce_pair_loss(a, b, tau):
     """Two-modality batch loss: sum of both directional terms, each the mean
     over k of -log softmax_m(cos(a_k, b_m) / tau) at m = k; the K = 2 case of
     One-vs-Others. Returns (total, [a->b term, b->a term])."""
-    return ovo_nce([a, b], tau.inverse())
+    return ovo_nce([a, b], tau.log_tau)
 
 
 def weighted_ovo_loss(embeddings, tau, lam):
     """OvO with each modality term scaled by its softmax importance weight.
     Gradients flow to embeddings, tau, and the lambda logits jointly. Returns
     (total, the unweighted per-modality terms)."""
-    lambdas = lam.lambdas()
-    if lambdas.shape[0] != len(embeddings):
-        raise ContractError(f"lambda length {lambdas.shape[0]} != K={len(embeddings)}")
-    return ovo_nce(embeddings, tau.inverse(), lambdas)
+    if lam.logits.shape[0] != len(embeddings):
+        raise ContractError(f"lambda length {lam.logits.shape[0]} != K={len(embeddings)}")
+    return ovo_nce(embeddings, tau.log_tau, lam.logits)
 
 
 def loss_for_combination(embeddings, tau, lam=None):

@@ -36,8 +36,18 @@ def add(a, b):
     return Tensor._result(a.values + b.values, (a, b), backward)
 
 
+def neg(x):
+    x = Tensor._lift(x)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(-g)
+
+    return Tensor._result(-x.values, (x,), backward)
+
+
 def sub(a, b):
-    return add(a, -Tensor._lift(b))
+    return add(a, neg(b))
 
 
 def mul(a, b):
@@ -97,6 +107,17 @@ def sqrt(x):
     return Tensor._result(out_values, (x,), backward)
 
 
+def exp(x):
+    x = Tensor._lift(x)
+    out_values = np.exp(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * out_values)
+
+    return Tensor._result(out_values, (x,), backward)
+
+
 def sigmoid(x):
     x = Tensor._lift(x)
     out_values = kernels.sigmoid(x.values)
@@ -151,6 +172,18 @@ def logsumexp_rows(s):
             s._accumulate(g[:, None] * soft)
 
     return Tensor._result(out_values, (s,), backward)
+
+
+def softmax(x):
+    """Softmax of a 1-D tensor, rounded as `kernels.softmax`."""
+    x = Tensor._lift(x)
+    out_values = kernels.softmax(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate((g - np.dot(g, out_values)) * out_values)
+
+    return Tensor._result(out_values, (x,), backward)
 
 
 def gradient_step(params, loss, lr):

@@ -1,14 +1,15 @@
 """The One-vs-Others contrastive loss composed from elementary ops. Each
 directional InfoNCE term is row normalization, a matmul against the
-transpose, the scaling by 1/tau, a row log-sum-exp, the diagonal and the
-mean; each others' mean is a left-to-right sum of Tensors times 1/(K-1); the
-weighted terms are added left to right. The fused `autodiff.ovo_nce` op is
-checked against it, forward and backward."""
+transpose, the scaling by 1/tau = exp(-log_tau), a row log-sum-exp, the
+diagonal and the mean; each others' mean is a left-to-right sum of Tensors
+times 1/(K-1); the terms, weighted by softmax(logits), are added left to
+right. The fused `autodiff.ovo_nce` op is checked against it, forward and
+backward."""
 
 import numpy as np
 
-from elementary_ops import (add, axis_sum, divide, logsumexp_rows, matmul, mean, mul, sqrt, sub,
-                            transpose)
+from elementary_ops import (add, axis_sum, divide, exp, logsumexp_rows, matmul, mean, mul, neg,
+                            softmax, sqrt, sub, transpose)
 
 
 def row_normalize(x):
@@ -42,9 +43,12 @@ def others_mean(embeddings, i):
     return mul(left_sum(rest), 1.0 / (len(embeddings) - 1))
 
 
-def composed_ovo(embeddings, inv_tau, weights=None):
-    """`autodiff.ovo_nce` as a graph of elementary ops: (loss, the K
-    unweighted term values)."""
+def composed_ovo(embeddings, log_tau, logits=None):
+    """`autodiff.ovo_nce` as a graph of elementary ops, with 1/tau =
+    exp(-log_tau) and the weights softmax(logits): (loss, the K unweighted
+    term values)."""
+    inv_tau = exp(neg(log_tau))
+    weights = None if logits is None else softmax(logits)
     terms = [composed_nce(e, others_mean(embeddings, i), inv_tau)
              for i, e in enumerate(embeddings)]
     scaled = terms if weights is None else [mul(weights[i], t) for i, t in enumerate(terms)]

@@ -4,7 +4,7 @@ import pytest
 from mmcl.attribution import (AttributionReport, integrated_gradients,
                               modality_aggregate, spearman_rank_correlation)
 from mmcl.autodiff import Tensor
-from mmcl.errors import MAX_IG_STEPS, ContractError
+from mmcl.errors import MAX_IG_STEPS, ContractError, DegenerateInputError
 from mmcl.fusion import ClassifierHead, weighted_bce
 
 from ig_oracle import per_point_integrated_gradients
@@ -161,6 +161,13 @@ def test_modality_aggregate_sums_abs_and_normalizes():
 def test_modality_aggregate_all_zero_falls_back_to_uniform():
     scores = modality_aggregate(_report([0.0, 0.0, 0.0]), [("a", 0, 1), ("b", 1, 3)])
     np.testing.assert_allclose(scores, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "sum_overflows"])
+def test_modality_aggregate_rejects_non_finite_attributions(bad):
+    # NaN used to fall through `total > 0` to uniform scores
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        modality_aggregate(_report([1.0, bad, bad]), [("a", 0, 1), ("b", 1, 3)])
 
 
 def test_modality_aggregate_layout_must_partition():

@@ -48,6 +48,14 @@ def test_generation_bitwise_deterministic():
         np.testing.assert_array_equal(a.groups[axis], b.groups[axis])
 
 
+@pytest.mark.parametrize("sigmas, name", [((1e308, 0.1, 0.1, 0.1, 0.1), "text_a"),
+                                          ((0.1, 0.1, 0.1, 0.1, 1e308), "series")])
+def test_generate_rejects_a_non_finite_observation(sigmas, name):
+    # a sigma this large overflows on draws beyond about 1.8 standard deviations
+    with pytest.raises(ContractError, match=f"modality '{name}'.*not finite"):
+        generate(_spec(60, noise_sigmas=sigmas))
+
+
 def test_different_seeds_differ():
     a = generate(_spec(seed=0))
     b = generate(_spec(seed=1))
@@ -317,11 +325,14 @@ def _set_first(value):
     _replace("binary_labels", lambda v: v.astype(np.float64)),
     _replace("group:age", lambda v: np.arange(v.size)),
     _replace("format", lambda v: np.array("mmcl-cohort v2")),
-    _delete("latents"), _delete("group:gender"), _delete("spec")],
+    _delete("latents"), _delete("group:gender"), _delete("spec"),
+    _replace("modality:text_a", _set_first(np.nan)),
+    _replace("modality:series", _set_first(np.inf)), _replace("latents", _set_first(-np.inf))],
     ids=["observation_row", "sequence_row", "multilabel_row", "latent_row", "extra_label",
          "extra_group_tag", "label_2", "multilabel_nan", "deep_spec", "flat_sequence",
          "float32_observations", "big_endian_latents", "float_labels", "integer_group_tags",
-         "v2_format", "missing_latents", "missing_group_axis", "missing_spec"])
+         "v2_format", "missing_latents", "missing_group_axis", "missing_spec",
+         "observation_nan", "sequence_inf", "latent_minus_inf"])
 def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, seed_cohort, edit):
     path = tmp_path / "cohort.npz"
     _resealed(path, seed_cohort[1], edit)

@@ -5,7 +5,7 @@ random shapes and values: `autodiff.ovo_nce`, `autodiff.affine`,
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mmcl.autodiff import Tensor, affine, ovo_nce, softmax
+from mmcl.autodiff import Tensor, affine, ovo_nce
 from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import _sigmoid_ce
 
@@ -36,28 +36,29 @@ def _assert_close(got, want, rel):
 
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 5), n=st.integers(1, 12), width=st.integers(2, 8),
-       tau=st.floats(0.5, 5.0), weighting=st.sampled_from(["none", "simplex", "one_hot"]),
+       tau=st.floats(0.5, 5.0), weighting=st.sampled_from(["none", "logits", "peaked"]),
        seed=SEEDS)
 def test_ovo_nce_matches_the_composed_oracle(k, n, width, tau, weighting, seed):
     # width >= 2: at width 1 every cosine is +-1 and the true gradient is 0,
     # so both sides hold only rounding noise. A small tau saturates the row
     # softmax of a few rows, and p - 1 then cancels to a gradient far below
-    # the noise of its parts, so tau stays in [0.5, 5].
+    # the noise of its parts, so tau stays in [0.5, 5]. "peaked" logits put
+    # nearly all of lambda on one modality.
     rng = np.random.default_rng(seed)
     embeddings = [Tensor(rng.standard_normal((n, width))) for _ in range(k)]
-    inv_tau = Tensor(1.0 / tau)
-    weights = {"none": None,
-               "simplex": Tensor(softmax(Tensor(rng.standard_normal(k))).values),
-               "one_hot": Tensor(np.eye(k)[rng.integers(k)])}[weighting]
-    inputs = embeddings + [inv_tau] + ([] if weights is None else [weights])
+    log_tau = Tensor(np.log(tau))
+    logits = {"none": None,
+              "logits": Tensor(rng.standard_normal(k)),
+              "peaked": Tensor(30.0 * np.eye(k)[rng.integers(k)])}[weighting]
+    inputs = embeddings + [log_tau] + ([] if logits is None else [logits])
 
-    fused_loss, fused_terms = ovo_nce(embeddings, inv_tau, weights)
-    oracle_loss, oracle_terms = composed_ovo(embeddings, inv_tau, weights)
+    fused_loss, fused_terms = ovo_nce(embeddings, log_tau, logits)
+    oracle_loss, oracle_terms = composed_ovo(embeddings, log_tau, logits)
     assert_bitwise_equal(fused_loss.values, oracle_loss.values)
     assert_bitwise_equal(fused_terms, oracle_terms)
 
-    fused = _grads(lambda: ovo_nce(embeddings, inv_tau, weights)[0], inputs, seed)
-    oracle = _grads(lambda: composed_ovo(embeddings, inv_tau, weights)[0], inputs, seed)
+    fused = _grads(lambda: ovo_nce(embeddings, log_tau, logits)[0], inputs, seed)
+    oracle = _grads(lambda: composed_ovo(embeddings, log_tau, logits)[0], inputs, seed)
     _assert_close(fused, oracle, 1e-12)
 
 

@@ -85,7 +85,10 @@ def test_run_config_validation():
                                          ("learning_rate", float("inf")),
                                          ("embedding_dim", MAX_WIDTH + 1), ("mlstm_hidden", 2**62),
                                          ("encoder_hidden", [8, MAX_WIDTH + 1]),
-                                         ("head_hidden", [2**62])])
+                                         ("head_hidden", [2**62]),
+                                         ("pool_fraction", 0.0), ("pool_fraction", 1.0),
+                                         ("pool_fraction", 1.5),
+                                         ("pool_fraction", float("nan"))])
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
         RunConfig(ALL, "contrastive_pretrain", **{field: value})
@@ -608,9 +611,9 @@ def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, 
     fused, fused_history = pretrain(cfg, small_cohort)
     calls = []
 
-    def counted_ovo(embeddings, inv_tau, weights=None):
+    def counted_ovo(embeddings, log_tau, logits=None):
         calls.append(1)
-        return composed_ovo(embeddings, inv_tau, weights)
+        return composed_ovo(embeddings, log_tau, logits)
 
     monkeypatch.setattr(losses, "ovo_nce", counted_ovo)
     oracle, oracle_history = pretrain(cfg, small_cohort)
@@ -622,13 +625,13 @@ def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, 
     assert max(drift) <= 1e-10
 
 
-@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 18),
+@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 15),
                                            ("supervised_baseline", 19)])
 def test_training_batch_graph_node_budget(small_cohort, monkeypatch, regime, nodes):
     # every K = 5 encoder: an MLP is 2 affine + 1 tanh (x 4), the series LSTM
-    # 1 sequence + 1 affine. Pretrain adds 1/tau 2, softmax(lambda) 1 and the
-    # contrastive op 1; the supervised baseline adds concat 1, the head's
-    # 2 affine + 1 tanh and the weighted_bce node 1
+    # 1 sequence + 1 affine. Pretrain adds the contrastive op 1, which takes
+    # log tau and the lambda logits as they are; the supervised baseline adds
+    # concat 1, the head's 2 affine + 1 tanh and the weighted_bce node 1
     counts = []
     backward = Tensor.backward
 
@@ -930,11 +933,15 @@ def _subset(value):
     ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None),
     ({"tau": "x"}, None), ({"tau": True}, None), ({"best_metric": [1.25]}, None),
     ({"epoch": [1]}, None), ({"epoch": 2.0}, None), ({"lambdas": [[0.25], [0.75]]}, None),
-    ({"lambdas": ["0.25", 0.75]}, None), ({"lambdas": 0.5}, None)],
+    ({"lambdas": ["0.25", 0.75]}, None), ({"lambdas": 0.5}, None),
+    ({}, {"enc.w0": np.array([0.5, np.nan])}), ({}, {"enc.w0": np.array([[np.inf, 0.5]])}),
+    ({}, {"enc.w0": np.array(-np.inf)}),
+    ({"config": {**_SEED_META["config"], "pool_fraction": 1.5}}, None)],
     ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
          "param_of_ints", "config_not_an_object", "tau_a_string", "tau_a_bool",
          "best_metric_a_list", "epoch_a_list", "epoch_a_float", "lambdas_nested",
-         "lambdas_of_strings", "lambdas_a_number"])
+         "lambdas_of_strings", "lambdas_a_number", "param_nan", "param_inf", "param_minus_inf",
+         "pool_fraction_over_1"])
 def test_checkpoint_load_rejects_ill_typed_contents(fuzz_dir, meta, params):
     path = fuzz_dir / "ill_typed.npz"
     path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, **meta}), params))

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, loss_for_combination,
                          weighted_ovo_loss)
 
-from elementary_ops import add, gradient_step, mul
+from elementary_ops import add, exp, gradient_step, mul, neg
 from kernel_oracle import assert_bitwise_equal
 from nce_oracle import composed_nce, others_mean, similarity_matrix
 
@@ -63,23 +66,26 @@ def _backward_nodes(loss):
 @pytest.mark.parametrize("n, d, tau", [(1, 3, 1.0), (6, 4, 0.7), (64, 8, 0.05), (5, 4, 1e-3)])
 def test_cosine_nce_forward_bitwise_equals_composed_oracle(n, d, tau):
     a, b = _rand_set(2, n, d, seed=n)
-    inv_tau = Temperature(tau).inverse()
-    _, terms = ovo_nce([Tensor(a), Tensor(b)], inv_tau)
+    log_tau = Temperature(tau).log_tau
+    inv_tau = exp(neg(log_tau))
+    _, terms = ovo_nce([Tensor(a), Tensor(b)], log_tau)
     assert_bitwise_equal(terms, [float(composed_nce(Tensor(a), Tensor(b), inv_tau).values),
                                  float(composed_nce(Tensor(b), Tensor(a), inv_tau).values)])
 
 
-def _fused_pair(a, b, inv_tau):
-    return ovo_nce([a, b], inv_tau)[0]
+def _fused_pair(a, b, log_tau):
+    return ovo_nce([a, b], log_tau)[0]
 
 
-def _composed_pair(a, b, inv_tau):
+def _composed_pair(a, b, log_tau):
+    inv_tau = exp(neg(log_tau))
     return add(composed_nce(a, b, inv_tau), composed_nce(b, a, inv_tau))
 
 
 def _grads(loss, a, b, inv_tau):
+    # the loss takes log tau = -log(1/tau)
     tensors = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
-               Tensor(inv_tau, requires_grad=True)]
+               Tensor(-np.log(inv_tau), requires_grad=True)]
     mul(loss(*tensors), 0.37).backward()
     return [t.grad for t in tensors]
 
@@ -101,14 +107,14 @@ def test_cosine_nce_gradient_check():
 
 def test_cosine_nce_skips_parents_without_gradient():
     a, b = _rand_set(2, 4, 3, seed=18)
-    ta, tb, inv_tau = Tensor(a, requires_grad=True), Tensor(b), Tensor(1.5)
-    _fused_pair(ta, tb, inv_tau).backward()
-    assert ta.grad is not None and tb.grad is None and inv_tau.grad is None
+    ta, tb, log_tau = Tensor(a, requires_grad=True), Tensor(b), Tensor(-0.4)
+    _fused_pair(ta, tb, log_tau).backward()
+    assert ta.grad is not None and tb.grad is None and log_tau.grad is None
 
 
-@pytest.mark.parametrize("k, nodes", [(2, 3), (3, 4), (5, 4)])
+@pytest.mark.parametrize("k, nodes", [(2, 1), (3, 1), (5, 1)])
 def test_loss_graph_size(k, nodes):
-    # the contrastive op 1 + 1/tau 2, and softmax(lambda) 1 for K >= 3
+    # the contrastive op takes log tau and the lambda logits as they are
     emb = [Tensor(m, requires_grad=True) for m in _rand_set(k, 64, 8, seed=19)]
     loss = loss_for_combination(emb, Temperature(), LambdaWeights(k))
     assert _backward_nodes(loss) == nodes
@@ -187,7 +193,7 @@ def test_ovo_k2_reduces_to_infonce():
     a, b = _rand_set(2, 6, 4, seed=5)
     tau = Temperature(0.8)
     emb = [Tensor(a), Tensor(b)]
-    ovo_total, ovo_terms = ovo_nce(emb, tau.inverse())
+    ovo_total, ovo_terms = ovo_nce(emb, tau.log_tau)
     nce_total, nce_terms = infonce_pair_loss(Tensor(a), Tensor(b), tau)
     assert abs(float(ovo_total.values) - float(nce_total.values)) <= 1e-12
     for ot, nt in zip(ovo_terms, nce_terms):
@@ -198,7 +204,7 @@ def test_ovo_matches_bruteforce_oracle():
     mats = _rand_set(3, 4, 5, seed=6)
     tau = Temperature(0.6)
     emb = [Tensor(m) for m in mats]
-    total, terms = ovo_nce(emb, tau.inverse())
+    total, terms = ovo_nce(emb, tau.log_tau)
     o_total, o_terms = _oracle_ovo(mats, 0.6)
     assert float(total.values) == pytest.approx(o_total, abs=1e-10)
     for t, ot in zip(terms, o_terms):
@@ -209,10 +215,10 @@ def test_ovo_modality_permutation_permutes_terms():
     mats = _rand_set(4, 5, 3, seed=7)
     tau = Temperature()
     emb = [Tensor(m) for m in mats]
-    _, terms = ovo_nce(emb, tau.inverse())
+    _, terms = ovo_nce(emb, tau.log_tau)
     order = [2, 0, 3, 1]
     emb2 = [Tensor(mats[i]) for i in order]
-    _, terms2 = ovo_nce(emb2, tau.inverse())
+    _, terms2 = ovo_nce(emb2, tau.log_tau)
     for pos, i in enumerate(order):
         assert terms2[pos].item() == pytest.approx(terms[i].item(), abs=1e-12)
 
@@ -224,7 +230,7 @@ def test_weighted_ovo_uniform_lambda_scales_by_one_over_k():
     mats = _rand_set(3, 4, 4, seed=8)
     tau = Temperature()
     emb = [Tensor(m) for m in mats]
-    plain, _ = ovo_nce(emb, tau.inverse())
+    plain, _ = ovo_nce(emb, tau.log_tau)
     lam = LambdaWeights(3)  # zero logits -> uniform weights
     weighted, _ = weighted_ovo_loss(emb, tau, lam)
     assert float(weighted.values) == pytest.approx(float(plain.values) / 3.0, abs=1e-12)
@@ -286,8 +292,11 @@ def test_weighted_ovo_names_a_degenerate_row(case):
 
 
 def test_lambda_values_equal_the_graph_softmax():
+    # the loss weights its terms by the lambda that a checkpoint stores
     lam = LambdaWeights(5, initial_logits=[0.3, -1.2, 0.0, 2.5, -0.4])
-    assert_bitwise_equal(lam.values(), lam.lambdas().values)
+    total, terms = weighted_ovo_loss([Tensor(m) for m in _rand_set(5, 6, 4, seed=22)],
+                                     Temperature(0.6), lam)
+    assert_bitwise_equal(total.values, functools.reduce(operator.add, lam.values() * terms))
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +305,7 @@ def test_lambda_values_equal_the_graph_softmax():
 def test_similarity_matrix_values():
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
     b = np.array([[3.0, 0.0], [1.0, 1.0]])
-    s = similarity_matrix(Tensor(a), Tensor(b), Temperature(0.5).inverse()).values
+    s = similarity_matrix(Tensor(a), Tensor(b), Tensor(2.0)).values
     expected = np.array([[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]]) / 0.5
     np.testing.assert_allclose(s, expected, atol=1e-12)
 
