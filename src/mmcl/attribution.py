@@ -36,7 +36,11 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
         raise ContractError(f"integrated gradients needs 2 <= steps <= {MAX_IG_STEPS}, got {steps}")
 
     alphas = np.arange(1, steps + 1)[:, None] / steps
-    t = Tensor(np.vstack([baseline + alphas * (x - baseline), x, baseline]), requires_grad=True)
+    points = np.empty((steps + 2, x.size))  # the path points, then x, then the baseline
+    path = np.multiply(alphas, x - baseline, out=points[:steps])
+    np.add(baseline, path, out=path)
+    points[steps], points[steps + 1] = x, baseline
+    t = Tensor(points, requires_grad=True)
     out = model_fn(t)
     if out.shape != (steps + 2,):
         raise ContractError(f"attributed model output must have shape ({steps + 2},), "
@@ -59,17 +63,19 @@ def modality_aggregate(report, layout):
     `layout` is an ordered list of (modality_name, start, stop) slices that
     must partition the feature axis."""
     f = report.per_feature.size
-    covered = np.zeros(f, dtype=bool)
+    taken = []
     for name, start, stop in layout:
         if start < 0 or stop > f or start >= stop:
             raise ContractError(f"bad slice for {name!r}: [{start}, {stop})")
-        if covered[start:stop].any():
+        if any(start < hi and lo < stop for lo, hi in taken):
             raise ContractError(f"slice for {name!r} overlaps another modality")
-        covered[start:stop] = True
-    if not covered.all():
+        taken.append((start, stop))
+    # disjoint slices inside [0, f) cover it exactly when their lengths add up to f
+    if sum(hi - lo for lo, hi in taken) != f:
         raise ContractError("layout does not cover the whole feature axis")
+    magnitude = np.abs(report.per_feature)
     with np.errstate(over="ignore"):
-        raw = np.array([np.abs(report.per_feature[start:stop]).sum() for _, start, stop in layout])
+        raw = np.array([magnitude[start:stop].sum() for start, stop in taken])
         total = raw.sum()
     if not np.isfinite(total):
         raise DegenerateInputError("attributions are not finite: the model overflows")

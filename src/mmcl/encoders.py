@@ -125,10 +125,11 @@ def lstm_sequence(params, xs, lams=None):
             dpre *= d_all[t]
             if t:
                 dh, dc_next = dpre @ wh.values.T, dc * f
-        dx_all = np.matmul(dpre_all, wx.values.T)
-        for x, dx in zip(reversed(xs), dx_all[::-1]):
-            if x.requires_grad:
-                x._accumulate(dx)
+        if any(x.requires_grad for x in xs):  # a data sequence needs no input gradient
+            dx_all = np.matmul(dpre_all, wx.values.T)
+            for x, dx in zip(reversed(xs), dx_all[::-1]):
+                if x.requires_grad:
+                    x._accumulate(dx)
         wx._accumulate(np.matmul(x_all.transpose(0, 2, 1), dpre_all)[::-1].sum(axis=0))
         wh._accumulate(np.matmul(h_all[:-1].transpose(0, 2, 1), dpre_all)[::-1].sum(axis=0))
         b._accumulate(dpre_all.sum(axis=1)[::-1].sum(axis=0))

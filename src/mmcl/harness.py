@@ -659,7 +659,8 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     averaged over test samples. `config` names the run the checkpoint must
     come from: a concatenation regime, the same modality subset and order,
     seed and pool fraction. The model and its test rows are rebuilt from the
-    checkpoint's own config."""
+    checkpoint's own config. Attributions that are zero for every sample
+    raise DegenerateInputError: the model's output does not depend on its input."""
     concatenation = ("frozen_finetune", "supervised_baseline")
     _check_checkpoint(checkpoint, config, "attribution", concatenation)
     if config.regime not in concatenation:
@@ -671,6 +672,8 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     if not is_int(target_label) or not 0 <= target_label < head.num_labels:
         raise ContractError(f"target_label {target_label!r} outside [0, {head.num_labels})")
     _load_into(params, checkpoint.params)
+    for p in params:  # a constant model: each IG backward pass differentiates only its input
+        p.requires_grad = False
 
     _, _, _, test_idx = finetune_splits(cohort, config)
     test_idx = test_idx[:max_samples]
@@ -683,7 +686,12 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     n = config.embedding_dim
     layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]
     totals = np.zeros(len(layout))
+    depends = False
     for row in features:
         report = integrated_gradients(model_fn, row, steps=steps)
+        depends = depends or bool(report.per_feature.any())
         totals += modality_aggregate(report, layout)
+    if not depends:
+        raise DegenerateInputError("every integrated-gradients attribution is zero: the model's "
+                                   "output does not depend on its input (a saturated model)")
     return totals / totals.sum()

@@ -172,14 +172,18 @@ def test_modality_aggregate_rejects_non_finite_attributions(bad):
 
 def test_modality_aggregate_layout_must_partition():
     report = _report([1.0, 2.0, 3.0])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="layout does not cover the whole feature axis"):
         modality_aggregate(report, [("a", 0, 2)])  # gap
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="slice for 'b' overlaps another modality"):
         modality_aggregate(report, [("a", 0, 2), ("b", 1, 3)])  # overlap
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"bad slice for 'a': \[0, 0\)"):
         modality_aggregate(report, [("a", 0, 0), ("b", 0, 3)])  # empty slice
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"bad slice for 'a': \[0, 4\)"):
         modality_aggregate(report, [("a", 0, 4)])  # out of range
+    with pytest.raises(ContractError, match=r"bad slice for 'a': \[-1, 2\)"):
+        modality_aggregate(report, [("a", -1, 2), ("b", 2, 3)])  # negative start
+    with pytest.raises(ContractError, match="slice for 'c' overlaps another modality"):
+        modality_aggregate(report, [("a", 1, 2), ("b", 2, 3), ("c", 0, 3)])  # encloses others
 
 
 # --------------------------------------------------------------------------

@@ -1094,6 +1094,29 @@ def test_exit_code_4_on_a_checkpoint_whose_pool_fraction_is_outside_0_1(cohort_o
     assert "io error: CorruptFileError" in err and "pool_fraction" in err
 
 
+def test_exit_code_2_on_attribute_of_a_saturated_model(tmp_path, capsys):
+    # one entry of text_a.w1 at 1e308 saturates the head's tanh for every
+    # test sample; attribute used to write exactly uniform scores with exit 0
+    cohort, pre, run = (str(tmp_path / "c.npz"), str(tmp_path / "pre.npz"),
+                        tmp_path / "frozen")
+    common = ["--cohort", cohort, "--modalities", "text_a,text_b,series", "--batch-size", "16"]
+    assert main(["generate", "--num-patients", "120", "--seed", "0", "--out", cohort]) == 0
+    assert main(["pretrain", *common, "--max-epochs", "2", "--out", pre]) == 0
+    ckpt = Checkpoint.load(pre)
+    ckpt.params["text_a.w1"].flat[0] = 1e308
+    ckpt.save(pre)
+    assert main(["finetune", *common, "--regime", "frozen_finetune", "--checkpoint", pre,
+                 "--max-epochs", "3", "--out", str(run)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "attr.json"
+    assert main(_attribute(cohort, str(run / "model.npz"), str(out))) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "configuration error: DegenerateInputError" in err
+    assert "does not depend on its input" in err
+    assert not out.exists()
+
+
 _ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]) | st.floats(-3.0, 3.0)
 
 

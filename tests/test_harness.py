@@ -1102,6 +1102,47 @@ def test_modality_attribution_one_ig_call_per_test_sample(small_cohort, attribut
     assert calls == [(3 * cfg.embedding_dim,)] * min(max_samples, test_size)
 
 
+def test_modality_attribution_leaves_no_parameter_gradient(small_cohort, attribution_run,
+                                                          monkeypatch):
+    # the attributed model is constant: each IG backward pass differentiates
+    # its input only, so no parameter's gradient is computed or summed
+    cfg, ckpt = attribution_run
+    built = []
+    build = harness.build_model
+
+    def captured(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_model", captured)
+    harness.modality_attribution(cfg, small_cohort, ckpt, steps=8, max_samples=4)
+    (_, _, _, params), = built
+    assert params
+    assert [p.name for p in params if p.grad is not None] == []
+
+
+@pytest.fixture(scope="module")
+def text_series_pretrain(small_cohort):
+    pre, _ = pretrain(_cfg(["text_a", "text_b", "series"], "contrastive_pretrain", max_epochs=2),
+                      small_cohort)
+    return pre
+
+
+@pytest.mark.parametrize("name", ["text_a.w1", "series.w_proj", "text_a.b1"])
+def test_modality_attribution_of_a_saturated_model_raises(small_cohort, text_series_pretrain,
+                                                          name):
+    # one huge encoder weight saturates the head's tanh for every test
+    # sample, so every input gradient is 0; this used to return exactly
+    # uniform scores
+    params = {k: v.copy() for k, v in text_series_pretrain.params.items()}
+    params[name].flat[0] = 1e308
+    cfg = _cfg(["text_a", "text_b", "series"], "frozen_finetune")
+    model, _, _ = finetune(cfg, small_cohort,
+                           dataclasses.replace(text_series_pretrain, params=params))
+    with pytest.raises(DegenerateInputError, match="does not depend on its input"):
+        harness.modality_attribution(cfg, small_cohort, model, steps=8)
+
+
 @pytest.fixture(scope="module")
 def wrong_kind_checkpoints(small_cohort):
     """Checkpoints that must not load into a text_a,text_b attribution run at
