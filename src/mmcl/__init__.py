@@ -2,12 +2,12 @@
 objectives, modality-gated LSTM fusion, and a sweep harness over synthetic
 multimodal cohorts."""
 
-from .autodiff import Parameter, Tensor, grad_check
+from .autodiff import Parameter, Tensor
 from .errors import (ConfigurationError, ContractError, DegenerateInputError,
                      DimensionError, DivergenceError)
 
 __all__ = [
-    "Parameter", "Tensor", "grad_check",
+    "Parameter", "Tensor",
     "ConfigurationError", "ContractError", "DegenerateInputError",
     "DimensionError", "DivergenceError",
 ]

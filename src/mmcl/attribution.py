@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import MAX_IG_STEPS, ContractError, DegenerateInputError
+from .errors import MAX_IG_STEPS, ContractError, DegenerateInputError, is_int
 from .metrics import midranks
 
 
@@ -18,16 +18,17 @@ class AttributionReport:
     output_at_baseline: float
 
 
-def integrated_gradients(model_fn, x, baseline=None, steps=256):
-    """Path-integral attribution from baseline to x.
+def integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
+    """Path-integral attribution of logit `target` from baseline to x.
 
-    `model_fn` maps a Tensor of shape (S, f) to a Tensor of shape (S,), each
-    output depending only on its own row (one logit per row). The `steps`
+    `model_fn` maps a Tensor of shape (S, f) to a Tensor of logits of shape
+    (S, L), each row depending only on its own input row. The `steps`
     right-endpoint path points, then x, then the baseline go through it as
-    one (steps + 2) x f batch, so one forward and one backward pass serve the
-    whole Riemann sum; memory grows as (steps + 2) * f per call. The
-    completeness residual |sum(attributions) - (f(x) - f(baseline))| is
-    recorded."""
+    one (steps + 2) x f batch. One backward pass, seeded with 1 in column
+    `target` of every row and 0 elsewhere, serves the whole Riemann sum;
+    memory grows as (steps + 2) * f per call. f(x) and f(baseline) are read
+    from that column, and the completeness residual
+    |sum(attributions) - (f(x) - f(baseline))| is recorded."""
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
     if x.shape != baseline.shape or x.ndim != 1:
@@ -42,14 +43,18 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256):
     points[steps], points[steps + 1] = x, baseline
     t = Tensor(points, requires_grad=True)
     out = model_fn(t)
-    if out.shape != (steps + 2,):
-        raise ContractError(f"attributed model output must have shape ({steps + 2},), "
-                            f"one logit per row; got {out.shape}")
-    out.sum().backward()
+    if out.ndim != 2 or out.shape[0] != steps + 2:
+        raise ContractError(f"attributed model output must have shape ({steps + 2}, L), "
+                            f"one row of logits per input row; got {out.shape}")
+    if not is_int(target) or not 0 <= target < out.shape[1]:
+        raise ContractError(f"target {target!r} outside [0, {out.shape[1]})")
+    seed = np.zeros(out.shape)
+    seed[:, target] = 1.0
+    out.backward(seed)
     # an output that never reads its input leaves no gradient: all zeros
     grad = np.zeros_like(t.values) if t.grad is None else t.grad
     per_feature = (x - baseline) * grad[:steps].sum(axis=0) / steps
-    f_x, f_b = float(out.values[-2]), float(out.values[-1])
+    f_x, f_b = float(out.values[-2, target]), float(out.values[-1, target])
     residual = abs(per_feature.sum() - (f_x - f_b))
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)
 

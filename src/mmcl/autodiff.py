@@ -74,35 +74,20 @@ class Tensor:
 
         return Tensor._result(out_values, (a,), backward)
 
-    def __getitem__(self, index):
-        """Copy of the indexed entries; backward scatters into zeros."""
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.values)
-                np.add.at(full, index, g)
-                a._accumulate(full)
-
-        return Tensor._result(np.array(a.values[index]), (a,), backward)
-
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self):
-        """The sum of every entry, as a 0-d tensor."""
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.full_like(a.values, g))
-
-        return Tensor._result(a.values.sum(), (a,), backward)
-
     # -- backward pass ------------------------------------------------------
 
-    def backward(self):
-        if self.values.size != 1:
-            raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
+    def backward(self, grad=None):
+        """Run every closure of the graph behind this tensor, last node first,
+        with `grad` as this tensor's upstream gradient, as
+        `torch.autograd.backward` does. `grad` must have this tensor's shape;
+        without it the tensor must be a scalar, and its gradient is 1."""
+        if grad is None:
+            if self.values.size != 1:
+                raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
+            grad = np.ones_like(self.values)
+        elif np.shape(grad) != self.shape:
+            raise ContractError(f"upstream gradient of shape {np.shape(grad)} "
+                                f"for a tensor of shape {self.shape}")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -118,7 +103,7 @@ class Tensor:
             for p in node._parents:  # a leaf has nothing to run: its parent's closure fills it
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.values))
+        self._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -250,31 +235,3 @@ class Parameter(Tensor):
     def __init__(self, name, values):
         super().__init__(values, requires_grad=True)
         self.name = name
-
-
-def grad_check(f, inputs, h=1e-5):
-    """Max relative error between analytic gradients of scalar `f` and
-    central finite differences over every coordinate of `inputs`."""
-    if isinstance(inputs, Tensor):
-        inputs = [inputs]
-    for x in inputs:
-        x.requires_grad = True
-        x.zero_grad()
-    out = f()
-    out.backward()
-    analytic = [np.array(x.grad, copy=True) for x in inputs]
-    worst = 0.0
-    for x, ga in zip(inputs, analytic):
-        flat = x.values.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f().values)
-            flat[i] = orig - h
-            fm = float(f().values)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            a = ga.ravel()[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

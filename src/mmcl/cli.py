@@ -207,7 +207,11 @@ def main(argv=None):
         "sweep": _cmd_sweep, "attribute": _cmd_attribute, "report": _cmd_report,
     }
     try:
-        handlers[args.verb](args)
+        # an overflow or a NaN from finite numbers (say a loaded weight of
+        # 1e308) ends the run here; `generate` and `modality_aggregate` catch
+        # their own overflows and report them as typed errors
+        with np.errstate(over="raise", invalid="raise"):
+            handlers[args.verb](args)
     except OSError as exc:  # first: a CorruptFileError is also a ContractError
         print(f"io error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
@@ -217,6 +221,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"numerical divergence: {exc} "
               f"(last finite loss {exc.last_finite_loss}, epoch {exc.epoch})", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numerical divergence: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Parameter, Tensor, affine
-from .errors import DegenerateInputError, DimensionError
+from .errors import ContractError, DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
 
@@ -66,7 +66,10 @@ def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
 
 def lstm_sequence(params, xs, lams=None):
     """Final H of an LSTM unrolled from a zero state over the T step batches
-    `xs` (each N x d, Tensors or arrays), as a single graph node.
+    `xs`, as a single graph node. `xs` is a sequence of N x d Tensors (the
+    modality embeddings of the mLSTM, which take gradients) or of data
+    arrays, such as a T x N x d array (the sequence encoder's data, which
+    take none).
 
     With `lams` (T constant weights, numbers), step t's candidate write i*g
     is scaled by lams[t]: the modality-gated LSTM. The weights are not
@@ -154,8 +157,13 @@ class LSTMEncoder:
         return list(self.cell.values()) + [self.w_proj, self.b_proj]
 
     def forward(self, batch):
-        """Final embedding of an N x T x d batch; step t is `batch[:, t, :]`."""
-        x = Tensor._lift(batch)
+        """Final embedding of an N x T x d data array. `lstm_sequence` reads
+        its T step views `batch[:, t, :]` through one axis swap, with no graph
+        node per step. The data take no gradient, so a Tensor, whose gradient
+        would be dropped, is refused."""
+        if isinstance(batch, Tensor):
+            raise ContractError(f"{self.name}: sequence batch must be a data array, not a Tensor")
+        x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"{self.name}: sequence batch must be N x T x d, got {x.shape}")
         n, steps, dim = x.shape
@@ -164,7 +172,7 @@ class LSTMEncoder:
         if dim != self.input_dim:
             raise DimensionError(
                 f"{self.name}: expected per-step dim {self.input_dim}, got {dim}")
-        h = lstm_sequence(self.cell, [x[:, t, :] for t in range(steps)])
+        h = lstm_sequence(self.cell, np.swapaxes(x, 0, 1))
         return affine(h, self.w_proj, self.b_proj)
 
 

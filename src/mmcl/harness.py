@@ -654,12 +654,12 @@ def load_rows(path):
 
 
 def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, target_label=0):
-    """Per-modality integrated-gradients scores of a trained concatenation
-    model, attributed over the classifier's concatenated-embedding input and
-    averaged over test samples. `config` names the run the checkpoint must
-    come from: a concatenation regime, the same modality subset and order,
-    seed and pool fraction. The model and its test rows are rebuilt from the
-    checkpoint's own config. Attributions that are zero for every sample
+    """Per-modality integrated-gradients scores of logit `target_label` of a
+    trained concatenation model, attributed over the classifier's
+    concatenated-embedding input and averaged over test samples. `config`
+    names the run the checkpoint must come from: a concatenation regime, the
+    same modality subset and order, seed and pool fraction. The model and its
+    test rows are rebuilt from the checkpoint's own config. Attributions that are zero for every sample
     raise DegenerateInputError: the model's output does not depend on its input."""
     concatenation = ("frozen_finetune", "supervised_baseline")
     _check_checkpoint(checkpoint, config, "attribution", concatenation)
@@ -680,15 +680,12 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     features = fuse(encode_batch(
         encoders, cohort.observations, test_idx, config.modality_subset)).values
 
-    def model_fn(x):
-        return head.forward(x)[:, target_label]
-
     n = config.embedding_dim
     layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]
     totals = np.zeros(len(layout))
     depends = False
     for row in features:
-        report = integrated_gradients(model_fn, row, steps=steps)
+        report = integrated_gradients(head.forward, row, steps=steps, target=target_label)
         depends = depends or bool(report.per_feature.any())
         totals += modality_aggregate(report, layout)
     if not depends:

@@ -1,6 +1,8 @@
-"""Elementary Tensor ops, each a graph node with its own backward pass.
+"""Elementary Tensor ops, each a graph node with its own backward pass, and
+the finite-difference gradient check.
 
-The library runs only fused nodes (`autodiff.affine`, `autodiff.ovo_nce`,
+The library builds its graphs from six nodes only (`autodiff.affine`,
+`autodiff.concat`, `autodiff.ovo_nce`, `Tensor.tanh`,
 `encoders.lstm_sequence`, `fusion._sigmoid_ce`), so these ops live beside
 the tests: the composed oracles build the references for the fused nodes
 from them, and the gradient checks compose small graphs with them. Each
@@ -140,25 +142,38 @@ def softplus(x):
     return Tensor._result(out_values, (x,), backward)
 
 
-def axis_sum(x, axis, keepdims=False):
-    """The sum along one axis, e.g. the row sums at axis 1; `Tensor.sum`
-    sums every entry."""
+def axis_sum(x, axis=None, keepdims=False):
+    """The sum along one axis, e.g. the row sums at axis 1, or of every entry
+    as a 0-d tensor without `axis`."""
     x = Tensor._lift(x)
 
     def backward(g):
         if x.requires_grad:
-            g = g if keepdims else np.expand_dims(g, axis)
+            g = g if keepdims or axis is None else np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(g, x.shape).copy())
 
     return Tensor._result(x.values.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
+def getitem(x, index):
+    """Copy of the indexed entries of `x`; backward scatters into zeros, adding
+    where an index repeats an entry."""
+    x = Tensor._lift(x)
+
+    def backward(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.values)
+            np.add.at(full, index, g)
+            x._accumulate(full)
+
+    return Tensor._result(np.array(x.values[index]), (x,), backward)
+
+
 def mean(x, axis=None):
     """The sum times 1/n, n the number of entries averaged."""
     x = Tensor._lift(x)
-    if axis is None:
-        return mul(x.sum(), 1.0 / x.values.size)
-    return mul(axis_sum(x, axis), 1.0 / x.shape[axis])
+    n = x.values.size if axis is None else x.shape[axis]
+    return mul(axis_sum(x, axis), 1.0 / n)
 
 
 def logsumexp_rows(s):
@@ -193,3 +208,31 @@ def gradient_step(params, loss, lr):
     loss().backward()
     for p in params:
         p.values -= lr * p.grad
+
+
+def grad_check(f, inputs, h=1e-5):
+    """Max relative error between analytic gradients of scalar `f` and
+    central finite differences over every coordinate of `inputs`."""
+    if isinstance(inputs, Tensor):
+        inputs = [inputs]
+    for x in inputs:
+        x.requires_grad = True
+        x.zero_grad()
+    out = f()
+    out.backward()
+    analytic = [np.array(x.grad, copy=True) for x in inputs]
+    worst = 0.0
+    for x, ga in zip(inputs, analytic):
+        flat = x.values.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = float(f().values)
+            flat[i] = orig - h
+            fm = float(f().values)
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * h)
+            a = ga.ravel()[i]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst

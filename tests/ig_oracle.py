@@ -7,18 +7,21 @@ import numpy as np
 from mmcl.attribution import AttributionReport
 from mmcl.autodiff import Tensor
 
+from elementary_ops import getitem
 
-def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256):
+
+def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
     """Same report as `integrated_gradients`, from the same row-wise
-    `model_fn` ((S, f) -> (S,)) called on one-row batches."""
+    `model_fn` ((S, f) -> (S, L)) called on one-row batches; logit `target`
+    of each is taken as a scalar and differentiated on its own."""
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
 
     def scalar_output(point):
         t = Tensor(point[None, :], requires_grad=True)
         out = model_fn(t)
-        assert out.shape == (1,)
-        return t, out
+        assert out.ndim == 2 and out.shape[0] == 1
+        return t, getitem(out, (0, target))
 
     grad_sum = np.zeros_like(x)
     for s in range(1, steps + 1):
@@ -30,6 +33,6 @@ def per_point_integrated_gradients(model_fn, x, baseline=None, steps=256):
 
     _, out_x = scalar_output(x)
     _, out_b = scalar_output(baseline)
-    f_x, f_b = float(out_x.values[0]), float(out_b.values[0])
+    f_x, f_b = float(out_x.values), float(out_b.values)
     residual = abs(per_feature.sum() - (f_x - f_b))
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)

@@ -7,7 +7,7 @@ import numpy as np
 from mmcl.autodiff import Tensor
 from mmcl.encoders import LSTM_GATES
 
-from elementary_ops import add, matmul, mul, sigmoid
+from elementary_ops import add, getitem, matmul, mul, sigmoid
 
 
 def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
@@ -15,7 +15,8 @@ def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
     by it, as in the modality-gated LSTM; without it this is the plain LSTM."""
     pre = add(add(matmul(x_t, params["wx"]), matmul(h_prev, params["wh"])), params["b"])
     hid = pre.shape[1] // len(LSTM_GATES)
-    i, f, g, o = (pre[:, k * hid:(k + 1) * hid] for k in range(len(LSTM_GATES)))
+    i, f, g, o = (getitem(pre, (slice(None), slice(k * hid, (k + 1) * hid)))
+                  for k in range(len(LSTM_GATES)))
     i, f, g, o = sigmoid(i), sigmoid(f), g.tanh(), sigmoid(o)
     write = mul(i, g) if lam is None else mul(mul(i, g), lam)
     c = add(mul(f, c_prev), write)

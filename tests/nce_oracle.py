@@ -8,8 +8,8 @@ backward."""
 
 import numpy as np
 
-from elementary_ops import (add, axis_sum, divide, exp, logsumexp_rows, matmul, mean, mul, neg,
-                            softmax, sqrt, sub, transpose)
+from elementary_ops import (add, axis_sum, divide, exp, getitem, logsumexp_rows, matmul, mean,
+                            mul, neg, softmax, sqrt, sub, transpose)
 
 
 def row_normalize(x):
@@ -26,7 +26,7 @@ def composed_nce(a, b, inv_tau):
     """Mean over k of -log softmax_m(cos(a_k, b_m) * inv_tau) at m = k."""
     s = similarity_matrix(a, b, inv_tau)
     k = np.arange(s.shape[0])
-    return mean(sub(logsumexp_rows(s), s[k, k]))
+    return mean(sub(logsumexp_rows(s), getitem(s, (k, k))))
 
 
 def left_sum(tensors):
@@ -51,5 +51,6 @@ def composed_ovo(embeddings, log_tau, logits=None):
     weights = None if logits is None else softmax(logits)
     terms = [composed_nce(e, others_mean(embeddings, i), inv_tau)
              for i, e in enumerate(embeddings)]
-    scaled = terms if weights is None else [mul(weights[i], t) for i, t in enumerate(terms)]
+    scaled = (terms if weights is None
+              else [mul(getitem(weights, i), t) for i, t in enumerate(terms)])
     return left_sum(scaled), np.array([float(t.values) for t in terms])

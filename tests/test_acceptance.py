@@ -9,7 +9,7 @@ import pytest
 
 from mmcl import harness, kernels
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
-from mmcl.autodiff import Tensor, grad_check, ovo_nce
+from mmcl.autodiff import Tensor, ovo_nce
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
@@ -18,7 +18,7 @@ from mmcl.losses import LambdaWeights, Temperature, infonce_pair_loss, weighted_
 from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import Adam
 
-from elementary_ops import axis_sum, gradient_step, mul
+from elementary_ops import axis_sum, grad_check, gradient_step, mul
 from lstm_oracle import composed_unroll
 
 ROSTER = ["text_a", "text_b", "image", "demo", "series"]
@@ -99,7 +99,7 @@ def test_criterion_02_gradient_fidelity():
     steps = [Tensor(rng.standard_normal((2, 2))) for _ in range(3)]
 
     def mlstm_loss():
-        return lstm_sequence(params, steps, [0.5, 0.3, 0.2]).sum()
+        return axis_sum(lstm_sequence(params, steps, [0.5, 0.3, 0.2]))
 
     errs["mlstm"] = grad_check(mlstm_loss, steps + list(params.values()), h=1e-5)
 
@@ -269,18 +269,15 @@ def test_criterion_08_ig_completeness():
         gradient_step(head.parameters(), lambda: weighted_bce(head.forward(x_train), y_train),
                       0.02)
 
-    def model_fn(t):
-        return head.forward(t)[:, 0]
-
     x = rng.standard_normal(4)
-    res_256 = integrated_gradients(model_fn, x, steps=256).completeness_residual
-    res_512 = integrated_gradients(model_fn, x, steps=512).completeness_residual
-    res_8 = integrated_gradients(model_fn, x, steps=8).completeness_residual
+    res_256 = integrated_gradients(head.forward, x, steps=256).completeness_residual
+    res_512 = integrated_gradients(head.forward, x, steps=512).completeness_residual
+    res_8 = integrated_gradients(head.forward, x, steps=8).completeness_residual
 
     w = np.array([2.0, -1.0, 0.5])
     xl = np.array([1.0, 3.0, -2.0])
     wt = Tensor(w)
-    lin = integrated_gradients(lambda t: axis_sum(mul(t, wt), 1), xl, steps=4)
+    lin = integrated_gradients(lambda t: axis_sum(mul(t, wt), 1, keepdims=True), xl, steps=4)
     lin_gap = float(np.abs(lin.per_feature - w * xl).max())
 
     _verdict(8, res_256 < 1e-3 and res_512 < res_8 and lin_gap <= 1e-12,

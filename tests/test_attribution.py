@@ -3,7 +3,7 @@ import pytest
 
 from mmcl.attribution import (AttributionReport, integrated_gradients,
                               modality_aggregate, spearman_rank_correlation)
-from mmcl.autodiff import Tensor
+from mmcl.autodiff import Tensor, concat
 from mmcl.errors import MAX_IG_STEPS, ContractError, DegenerateInputError
 from mmcl.fusion import ClassifierHead, weighted_bce
 
@@ -11,9 +11,14 @@ from ig_oracle import per_point_integrated_gradients
 from elementary_ops import add, axis_sum, gradient_step, mul, sigmoid
 
 
+def _row_sums(t):
+    """The (S, 1) column of row sums: one logit per row."""
+    return axis_sum(t, 1, keepdims=True)
+
+
 def _linear_model(w):
     w = Tensor(np.asarray(w, float))
-    return lambda t: axis_sum(mul(t, w), 1)
+    return lambda t: _row_sums(mul(t, w))
 
 
 # --------------------------------------------------------------------------
@@ -29,7 +34,7 @@ def test_linear_model_is_exact():
 
 
 def test_constant_model_gives_zero():
-    report = integrated_gradients(lambda t: add(axis_sum(mul(t, np.zeros(3)), 1), 5.0),
+    report = integrated_gradients(lambda t: add(_row_sums(mul(t, np.zeros(3))), 5.0),
                                   np.array([1.0, 2.0, 3.0]), steps=8)
     np.testing.assert_allclose(report.per_feature, np.zeros(3), atol=1e-12)
     assert report.output_at_input == pytest.approx(5.0)
@@ -38,7 +43,8 @@ def test_constant_model_gives_zero():
 
 def test_input_independent_model_gives_zero():
     # the output never touches the input, so no gradient reaches it
-    report = integrated_gradients(lambda t: Tensor(np.ones(t.shape[0])), np.ones(3), steps=4)
+    report = integrated_gradients(lambda t: Tensor(np.ones((t.shape[0], 1))), np.ones(3),
+                                  steps=4)
     np.testing.assert_array_equal(report.per_feature, np.zeros(3))
     assert report.completeness_residual == 0.0
     assert report.output_at_input == report.output_at_baseline == 1.0
@@ -55,7 +61,7 @@ def test_nonzero_baseline():
 def test_completeness_residual_shrinks_with_steps():
     # nonlinear model: the Riemann sum error must fall as steps grow
     def model(t):
-        return axis_sum(mul(t.tanh(), t.tanh()), 1)
+        return _row_sums(mul(t.tanh(), t.tanh()))
 
     x = np.array([1.5, -2.0, 0.7])
     residuals = [integrated_gradients(model, x, steps=s).completeness_residual
@@ -66,7 +72,7 @@ def test_completeness_residual_shrinks_with_steps():
 
 def test_completeness_holds_approximately():
     def model(t):
-        return axis_sum(mul(sigmoid(t), np.array([1.0, -2.0, 0.5, 3.0])), 1)
+        return _row_sums(mul(sigmoid(t), np.array([1.0, -2.0, 0.5, 3.0])))
 
     x = np.array([0.4, -1.2, 2.0, 0.1])
     report = integrated_gradients(model, x, steps=512)
@@ -84,12 +90,16 @@ def test_ig_input_validation():
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0, 1.0]), np.array([1.0, 2.0]),
                              baseline=np.array([0.0]))
-    with pytest.raises(ContractError):  # (S, f): one output per feature
-        integrated_gradients(lambda t: mul(t, np.ones(2)), np.array([1.0, 2.0]))
-    with pytest.raises(ContractError):  # (S, 1): a column, not one logit per row
-        integrated_gradients(lambda t: axis_sum(t, 1, keepdims=True), np.array([1.0, 2.0]))
-    with pytest.raises(ContractError):  # scalar: the rows summed away
-        integrated_gradients(lambda t: t.sum(), np.array([1.0, 2.0]))
+    with pytest.raises(ContractError, match=r"\(258, L\)"):  # (S,): a vector, not (S, L)
+        integrated_gradients(lambda t: axis_sum(t, 1), np.array([1.0, 2.0]))
+    with pytest.raises(ContractError, match=r"\(258, L\)"):  # scalar: everything summed away
+        integrated_gradients(lambda t: axis_sum(t), np.array([1.0, 2.0]))
+    with pytest.raises(ContractError, match=r"\(258, L\)"):  # (1, f): the rows summed away
+        integrated_gradients(lambda t: axis_sum(t, 0, keepdims=True), np.array([1.0, 2.0]))
+    for target in (2, -1, 1.0, True, None):  # L = 2 logits per row
+        with pytest.raises(ContractError, match=r"outside \[0, 2\)"):
+            integrated_gradients(lambda t: mul(t, np.ones(2)), np.array([1.0, 2.0]),
+                                 target=target)
 
 
 def test_ig_calls_model_once():
@@ -97,7 +107,7 @@ def test_ig_calls_model_once():
 
     def model(t):
         calls.append(t.shape)
-        return axis_sum(mul(t, t), 1)
+        return _row_sums(mul(t, t))
 
     integrated_gradients(model, np.array([1.0, -2.0, 0.5]), steps=16)
     assert calls == [(18, 3)]
@@ -111,34 +121,53 @@ def _trained_head():
     for _ in range(30):
         gradient_step(head.parameters(), lambda: weighted_bce(head.forward(x_train), y_train),
                       0.05)
-    return lambda t: head.forward(t)[:, 0]
+    return head.forward, 0
+
+
+def _three_logit_head():
+    return ClassifierHead(4, [6], 3, np.random.default_rng(8)).forward, 2
 
 
 def _tanh_model():
-    return lambda t: axis_sum(mul(t.tanh(), t.tanh()), 1)
+    return lambda t: _row_sums(mul(t.tanh(), t.tanh())), 0
 
 
 def _sigmoid_model():
     w = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-    return lambda t: axis_sum(mul(sigmoid(t), w), 1)
+    return lambda t: _row_sums(mul(sigmoid(t), w)), 0
 
 
-@pytest.mark.parametrize("make_model", [_trained_head, _tanh_model, _sigmoid_model],
-                         ids=["trained_head", "tanh", "sigmoid"])
+@pytest.mark.parametrize("make_model",
+                         [_trained_head, _three_logit_head, _tanh_model, _sigmoid_model],
+                         ids=["trained_head", "three_logit_head", "tanh", "sigmoid"])
 @pytest.mark.parametrize("steps", [2, 64, 256])
 def test_batched_ig_matches_per_point_loop(make_model, steps):
-    model = make_model()
+    model, target = make_model()
     rng = np.random.default_rng(steps)
     x = rng.standard_normal(4)
     baseline = 0.3 * rng.standard_normal(4)
-    got = integrated_gradients(model, x, baseline=baseline, steps=steps)
-    want = per_point_integrated_gradients(model, x, baseline=baseline, steps=steps)
+    got = integrated_gradients(model, x, baseline=baseline, steps=steps, target=target)
+    want = per_point_integrated_gradients(model, x, baseline=baseline, steps=steps,
+                                          target=target)
     np.testing.assert_allclose(got.per_feature, want.per_feature, rtol=0, atol=1e-13)
     assert got.output_at_input == pytest.approx(want.output_at_input, rel=0, abs=1e-13)
     assert got.output_at_baseline == pytest.approx(want.output_at_baseline, rel=0, abs=1e-13)
     assert got.completeness_residual == pytest.approx(want.completeness_residual,
                                                       rel=0, abs=1e-13)
     np.testing.assert_array_equal(got.baseline, baseline)
+
+
+def test_ig_of_one_column_is_bitwise_ig_of_a_model_of_that_column():
+    # the seed's zero column sends zeros through the other logit's branch
+    (sigmoid_column, _), (tanh_column, _) = _sigmoid_model(), _tanh_model()
+    rng = np.random.default_rng(5)
+    x, baseline = rng.standard_normal(4), 0.3 * rng.standard_normal(4)
+    got = integrated_gradients(lambda t: concat([sigmoid_column(t), tanh_column(t)]), x,
+                               baseline=baseline, steps=64, target=1)
+    want = integrated_gradients(tanh_column, x, baseline=baseline, steps=64)
+    np.testing.assert_array_equal(got.per_feature, want.per_feature, strict=True)
+    assert (got.completeness_residual, got.output_at_input, got.output_at_baseline) == (
+        want.completeness_residual, want.output_at_input, want.output_at_baseline)
 
 
 # --------------------------------------------------------------------------

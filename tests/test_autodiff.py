@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mmcl import kernels
-from mmcl.autodiff import Parameter, Tensor, affine, concat, grad_check, ovo_nce
+from mmcl.autodiff import Parameter, Tensor, affine, concat, ovo_nce
 from mmcl.errors import ContractError, DimensionError
 from mmcl.optim import Adam
 
 from adam_oracle import LoopAdam
-from elementary_ops import (add, divide, exp, logsumexp_rows, matmul, mean, mul, neg, sigmoid,
-                            softmax, softplus, sqrt, sub, transpose)
+from elementary_ops import (add, axis_sum, divide, exp, getitem, grad_check, logsumexp_rows, matmul,
+                            mean, mul, neg, sigmoid, softmax, softplus, sqrt, sub, transpose)
 
 
 def _matmul(a, w):
@@ -58,7 +58,7 @@ UNARY = {"sigmoid": sigmoid, "tanh": Tensor.tanh, "exp": exp, "neg": neg, "softp
 def test_unary_gradients(op):
     rng = np.random.default_rng(2)
     x = Tensor(np.abs(rng.standard_normal((2, 3))) + 0.5)
-    err = grad_check(lambda: UNARY[op](x).sum(), x)
+    err = grad_check(lambda: axis_sum(UNARY[op](x)), x)
     assert err < 1e-6
 
 
@@ -70,7 +70,7 @@ def test_binary_gradients(op):
     rng = np.random.default_rng(1)
     a = Tensor(rng.standard_normal((3, 3)))
     b = Tensor(np.abs(rng.standard_normal((3, 3))) + 0.5)
-    err = grad_check(lambda: mul(BINARY[op](a, b), BINARY[op](a, b)).sum(), [a, b])
+    err = grad_check(lambda: axis_sum(mul(BINARY[op](a, b), BINARY[op](a, b))), [a, b])
     assert err < 1e-6
 
 
@@ -101,19 +101,19 @@ def test_softmax_gradient():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal(5))
     w = rng.standard_normal(5)
-    err = grad_check(lambda: mul(softmax(x), w).sum(), x)
+    err = grad_check(lambda: axis_sum(mul(softmax(x), w)), x)
     assert err < 1e-6
 
 
 def test_backward_sum_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    x.sum().backward()
+    axis_sum(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
-    mul(x, x).sum().backward()
+    axis_sum(mul(x, x)).backward()
     np.testing.assert_allclose(x.grad, [6.0])
 
 
@@ -121,6 +121,32 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
         x.tanh().backward()
+
+
+def _ones_seed_graph():
+    """A leaf, a parameter and the 4 x 3 output of a small graph over them."""
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w = Parameter("w", rng.standard_normal((5, 3)))
+    return x, w, affine(x, w, Tensor(np.zeros(3))).tanh()
+
+
+def test_backward_with_an_all_ones_seed_is_bitwise_the_summed_output():
+    x, w, out = _ones_seed_graph()
+    out.backward(np.ones(out.shape))
+    seeded = x.grad.copy(), w.grad.copy()
+    x, w, out = _ones_seed_graph()
+    axis_sum(out).backward()
+    for got, want in zip(seeded, (x.grad, w.grad)):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 3, 1), ()])
+def test_backward_rejects_a_seed_of_another_shape(shape):
+    x, w, out = _ones_seed_graph()
+    with pytest.raises(ContractError, match=r"upstream gradient of shape .* \(4, 3\)"):
+        out.backward(np.ones(shape))
+    assert x.grad is None and w.grad is None
 
 
 def test_backward_composite_graph_matches_finite_differences():
@@ -138,9 +164,9 @@ def test_backward_composite_graph_matches_finite_differences():
 
 def test_backward_accumulates_until_reset():
     x = Tensor([2.0], requires_grad=True)
-    x.sum().backward()
+    axis_sum(x).backward()
     first = x.grad
-    x.sum().backward()
+    axis_sum(x).backward()
     np.testing.assert_array_equal(x.grad, [2.0])  # two passes accumulate
     assert x.grad is first  # in place, after the first write
     x.zero_grad()
@@ -158,7 +184,7 @@ def test_first_gradient_takes_the_layout_of_values():
     c = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     f = Tensor(np.asfortranarray(rng.standard_normal((3, 4))), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)))
-    add(matmul(c, w).sum(), matmul(f, w).sum()).backward()
+    add(axis_sum(matmul(c, w)), axis_sum(matmul(f, w))).backward()
     for node in (c, f):
         assert _layout(node.grad) == _layout(np.zeros_like(node.values))
     assert _layout(f.grad) == (False, True)
@@ -168,44 +194,44 @@ def test_first_gradient_does_not_alias_the_upstream_gradient():
     # add's backward passes the upstream gradient itself on
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     y = add(x, np.zeros((2, 3)))
-    mul(y, np.arange(6.0).reshape(2, 3)).sum().backward()
+    axis_sum(mul(y, np.arange(6.0).reshape(2, 3))).backward()
     y.grad[:] = 99.0
     np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3))
 
 
 def test_negative_zero_first_gradient_becomes_positive_zero():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    mul(x, -0.0).sum().backward()
+    axis_sum(mul(x, -0.0)).backward()
     assert not np.signbit(x.grad).any()
 
 
 def test_shared_parameter_accumulates_across_terms():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = add(x.sum(), mul(x, x).sum())
+    loss = add(axis_sum(x), axis_sum(mul(x, x)))
     loss.backward()
     np.testing.assert_allclose(x.grad, [3.0, 5.0])
 
 
 def test_grad_check_linear_is_exact():
     x = Tensor(np.random.default_rng(7).standard_normal(4))
-    assert grad_check(lambda: x.sum(), x) < 1e-10
+    assert grad_check(lambda: axis_sum(x), x) < 1e-10
 
 
 @pytest.mark.parametrize("index", [(1, 2), (np.arange(3), np.arange(3)), ([0, 0, 2], [1, 1, 3])],
                          ids=["scalar", "diagonal", "repeated"])
 def test_getitem_gradient(index):
     x = Tensor(np.random.default_rng(10).standard_normal((3, 4)))
-    assert grad_check(lambda: mul(x[index], x[index]).sum(), x) < 1e-6
+    assert grad_check(lambda: axis_sum(mul(getitem(x, index), getitem(x, index))), x) < 1e-6
 
 
 def test_getitem_returns_copy():
     x = Tensor(np.arange(4.0).reshape(2, 2))
     k = np.arange(2)
-    diag = x[k, k]
+    diag = getitem(x, (k, k))
     np.testing.assert_array_equal(diag.values, [0.0, 3.0])
     diag.values[0] = 9.0
     assert x.values[0, 0] == 0.0
-    assert x[1, 0].values.shape == ()
+    assert getitem(x, (1, 0)).values.shape == ()
 
 
 def test_concat_round_trip_and_gradient():
@@ -214,7 +240,7 @@ def test_concat_round_trip_and_gradient():
     out = concat(parts)
     assert out.shape == (3, 7)
     np.testing.assert_array_equal(out.values[:, 2:6], parts[1].values)
-    err = grad_check(lambda: mul(concat(parts), concat(parts)).sum(), parts)
+    err = grad_check(lambda: axis_sum(mul(concat(parts), concat(parts))), parts)
     assert err < 1e-6
 
 
@@ -223,7 +249,7 @@ def test_broadcast_gradients():
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((1, 4)))
     c = Tensor(rng.standard_normal(()))
-    assert grad_check(lambda: mul(add(a, b), c).sum(), [a, b, c]) < 1e-6
+    assert grad_check(lambda: axis_sum(mul(add(a, b), c)), [a, b, c]) < 1e-6
 
 
 def test_forward_outputs_finite_on_finite_inputs():
@@ -238,7 +264,7 @@ def test_primitive_gradients_on_gaussian_inputs():
     for _ in range(5):
         x = Tensor(rng.standard_normal((2, 3)))
         y = Tensor(rng.standard_normal((2, 3)))
-        assert grad_check(lambda: softplus(sub(mul(x, y), mul(x, exp(neg(mul(y, y)))))).sum(),
+        assert grad_check(lambda: axis_sum(softplus(sub(mul(x, y), mul(x, exp(neg(mul(y, y))))))),
                           [x, y]) < 1e-5
 
 
@@ -249,14 +275,14 @@ def test_adam_descends_quadratic():
     for _ in range(500):
         opt.zero_grad()
         diff = sub(p, target)
-        mul(diff, diff).sum().backward()
+        axis_sum(mul(diff, diff)).backward()
         opt.step()
     np.testing.assert_allclose(p.values, [1.0, 2.0], atol=1e-3)
 
 
 def test_optimizer_zero_grad():
     p = Parameter("w", np.ones(2))
-    p.sum().backward()
+    axis_sum(p).backward()
     assert p.grad is not None
     Adam([p]).zero_grad()
     assert p.grad is None
@@ -278,7 +304,7 @@ def test_parameter_defines_its_own_init():
 def test_adam_moments_belong_to_the_optimizer():
     def quadratic_step(opt, p):
         opt.zero_grad()
-        mul(p, p).sum().backward()
+        axis_sum(mul(p, p)).backward()
         opt.step()
 
     p = Parameter("w", np.array([5.0, -3.0]))
@@ -366,14 +392,14 @@ def test_flat_adam_on_a_training_graph_is_bitwise_the_loop():
     def loss(params):
         w, b, s, u, c = params
         h = mul(add(matmul(x, w), b).tanh(), exp(s))
-        return add(mean(mul(h, h)), mul(mul(u, u).sum(), c.sum()))
+        return add(mean(mul(h, h)), mul(axis_sum(mul(u, u)), axis_sum(c)))
 
     opt, oracle = Adam(flat), LoopAdam(loop)
     for _ in range(5):
         for o, params in ((opt, flat), (oracle, loop)):
             for p in params:
                 p.zero_grad()
-            loss([params[0], params[1], params[2], params[3].sum(), params[4]]).backward()
+            loss([params[0], params[1], params[2], axis_sum(params[3]), params[4]]).backward()
             o.step()
         _assert_adam_matches_oracle(opt, oracle)
 
@@ -397,7 +423,7 @@ def test_two_adams_over_one_parameter_both_move_it():
     trail = [p.values.copy()]
     for opt in (first, second, first, second):
         opt.zero_grad()
-        add(mul(p, p).sum(), mul(q, q).sum()).backward()
+        add(axis_sum(mul(p, p)), axis_sum(mul(q, q))).backward()
         opt.step()
         trail.append(p.values.copy())
     assert all(np.all(np.abs(b) < np.abs(a)) for a, b in zip(trail, trail[1:]))

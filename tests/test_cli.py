@@ -5,7 +5,6 @@ import io
 import json
 import os
 import shutil
-import warnings
 import zipfile
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mmcl import cli, harness
 from mmcl.autodiff import Tensor
 from mmcl.cli import main
-from mmcl.cohort import load_cohort, write_archive
+from mmcl.cohort import load_cohort, save_cohort, write_archive
 from mmcl.errors import MAX_IG_STEPS, MAX_PATIENTS, MAX_SEEDS, MAX_WIDTH
 from mmcl.harness import Checkpoint, RunConfig
 
@@ -1120,15 +1119,57 @@ def test_exit_code_2_on_attribute_of_a_saturated_model(tmp_path, capsys):
 _ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]) | st.floats(-3.0, 3.0)
 
 
+@pytest.mark.parametrize("named", ["series.wx", "text_a.w0"])
+def test_exit_code_3_on_a_frozen_finetune_that_overflows(cohort_of_60, trained_pair, tmp_path,
+                                                         capsys, named):
+    # one first-layer weight of 1e308 overflows the encoder's matmul; the run
+    # used to warn, then exit 0 with a test AUROC computed from inf activations
+    ckpt = Checkpoint.load(trained_pair["contrastive_pretrain"])
+    ckpt.params[named][0, 0] = 1e308
+    path, run = str(tmp_path / "huge.npz"), tmp_path / "run"
+    ckpt.save(path)
+    assert main(_frozen_finetune(cohort_of_60, path, str(run))) == 3
+    captured = capsys.readouterr()
+    assert "AUROC" not in captured.out
+    assert captured.err.splitlines() == [
+        "numerical divergence: FloatingPointError: overflow encountered in matmul"]
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+@pytest.mark.parametrize("modality", ["series", "text_a"])
+def test_a_cohort_with_a_huge_observation_runs_or_exits_3(cohort_of_60, tmp_path, modality, value):
+    # the encoders' tanh and gates saturate on it; an overflow anywhere in
+    # training, evaluation or attribution must end the run with exit 3
+    cohort = load_cohort(cohort_of_60)
+    cohort.observations[modality].flat[0] = value
+    path, pre, sup = str(tmp_path / "c.npz"), str(tmp_path / "pre.npz"), tmp_path / "sup"
+    save_cohort(cohort, path)
+    run = ["--cohort", path, "--modalities", SMALL_COHORT_SUBSET, "--max-epochs", "2",
+           "--batch-size", "16"]
+    for argv, written in [
+            (["pretrain", *run, "--out", pre], pre),
+            (_frozen_finetune(path, pre, str(tmp_path / "frozen")), tmp_path / "frozen"),
+            (["finetune", *run, "--regime", "supervised_baseline", "--out", str(sup)], sup),
+            (_attribute(path, str(sup / "model.npz"), str(tmp_path / "a.json")),
+             tmp_path / "a.json")]:
+        rc, err = _run_quietly(argv)
+        assert "Traceback" not in err
+        if rc == 3:
+            assert err.startswith("numerical divergence: ") and not os.path.exists(written)
+            return
+        assert rc == 0, err
+    assert np.isfinite(list(json.loads((tmp_path / "a.json").read_text()).values())).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(regime=st.sampled_from(["contrastive_pretrain", "supervised_baseline"]), data=st.data())
 def test_every_checkpoint_that_loads_runs_or_exits_cleanly(cohort_of_60, trained_pair, config_dir,
                                                            regime, data):
     # one parameter entry of a saved checkpoint set to NaN, +-inf, +-1e308 or
     # a normal value; a pretrain checkpoint is fine-tuned frozen and that
-    # model attributed, a supervised one attributed. numpy reports overflow
-    # as a RuntimeWarning, which a CLI run prints and goes on from; the
-    # suite's error filter would raise it instead, so it is ignored here
+    # model attributed, a supervised one attributed. An overflow ends the
+    # run with exit 3, so no RuntimeWarning reaches the suite's error filter
     ckpt = Checkpoint.load(trained_pair[regime])
     name = data.draw(st.sampled_from(sorted(ckpt.params)))
     entry = data.draw(_ENTRY)
@@ -1137,16 +1178,14 @@ def test_every_checkpoint_that_loads_runs_or_exits_cleanly(cohort_of_60, trained
     ckpt.save(path)
     shutil.rmtree(run, ignore_errors=True)
     model = path
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if regime == "contrastive_pretrain":
-            rc, err = _run_quietly(_frozen_finetune(cohort_of_60, path, str(run)))
-            model = str(run / "model.npz")
-        if regime == "supervised_baseline" or rc == 0:
-            out = config_dir / "edited_attr.json"
-            out.unlink(missing_ok=True)
-            rc, err = _run_quietly(_attribute(cohort_of_60, model, str(out)))
-            if rc == 0:
-                assert np.isfinite(list(json.loads(out.read_text()).values())).all()
+    if regime == "contrastive_pretrain":
+        rc, err = _run_quietly(_frozen_finetune(cohort_of_60, path, str(run)))
+        model = str(run / "model.npz")
+    if regime == "supervised_baseline" or rc == 0:
+        out = config_dir / "edited_attr.json"
+        out.unlink(missing_ok=True)
+        rc, err = _run_quietly(_attribute(cohort_of_60, model, str(out)))
+        if rc == 0:
+            assert np.isfinite(list(json.loads(out.read_text()).values())).all()
     assert "Traceback" not in err
     assert rc == 4 if not np.isfinite(entry) else rc in (0, 2, 3), err

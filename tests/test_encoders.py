@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, grad_check
+from mmcl.autodiff import Tensor
 from mmcl.encoders import (LSTM_GATES, LSTMEncoder, MLPEncoder, build_encoder, lstm_sequence,
                            make_lstm_params)
-from mmcl.errors import DegenerateInputError, DimensionError
+from mmcl.errors import ContractError, DegenerateInputError, DimensionError
 
-from elementary_ops import add, matmul, mul
+from elementary_ops import add, axis_sum, grad_check, matmul, mul
 from lstm_oracle import composed_unroll
 
 
@@ -58,7 +58,7 @@ def test_mlp_gradients():
     enc = _mlp()
     x = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
     tensors = enc.parameters() + [x]
-    assert grad_check(lambda: mul(enc.forward(x), enc.forward(x)).sum(), tensors) < 1e-5
+    assert grad_check(lambda: axis_sum(mul(enc.forward(x), enc.forward(x))), tensors) < 1e-5
 
 
 def test_mlp_batch_permutation_equivariant():
@@ -169,14 +169,16 @@ def test_lstm_step_forward_bitwise_equals_composed_oracle(lam):
 
 
 def test_lstm_step_gradients_on_every_input():
-    # the gate weights are constants: they scale the write but take no gradient
+    # Tensor steps, as the mLSTM passes its embeddings, take the gradient
+    # through every later step; the gate weights are constants: they scale
+    # the write but take no gradient
     params, xs = _random_sequence(11)
     xs = [Tensor(x) for x in xs]
     lams = [0.6, 0.2, 0.9, 0.4]
     weight = np.random.default_rng(12).standard_normal((3, 5))
 
     def loss():
-        return mul(lstm_sequence(params, xs, lams), weight).sum()
+        return axis_sum(mul(lstm_sequence(params, xs, lams), weight))
 
     inputs = xs + list(params.values())
     assert grad_check(loss, inputs, h=1e-5) < 1e-5
@@ -194,7 +196,7 @@ def test_lstm_step_gradients_bitwise_equal_composed_oracle():
     def grads(unroll):
         for t in inputs:
             t.zero_grad()
-        mul(unroll(params, xs, lams), weight).sum().backward()
+        axis_sum(mul(unroll(params, xs, lams), weight)).backward()
         return [t.grad.copy() for t in inputs]
 
     for got, want in zip(grads(lstm_sequence), grads(composed_unroll)):
@@ -229,11 +231,20 @@ def test_lstm_encoder_rejects_2d_input():
 
 
 def test_lstm_encoder_gradients_through_time():
+    # the observations are data and take no gradient; every parameter does
     enc = _lstm()
-    x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3)))
-    tensors = enc.parameters() + [x]
-    assert grad_check(lambda: mul(enc.forward(x), enc.forward(x)).sum(),
-                      tensors, h=1e-5) < 1e-4
+    data = np.random.default_rng(1).standard_normal((2, 3, 3))
+    assert grad_check(lambda: axis_sum(mul(enc.forward(data), enc.forward(data))),
+                      enc.parameters(), h=1e-5) < 1e-4
+
+
+def test_lstm_encoder_refuses_a_tensor():
+    # the encoder would drop the input's gradient, so it takes data only
+    enc = _lstm()
+    for requires_grad in (True, False):
+        x = Tensor(np.zeros((2, 3, 3)), requires_grad=requires_grad)
+        with pytest.raises(ContractError, match="data array, not a Tensor"):
+            enc.forward(x)
 
 
 def test_lstm_encoder_bitwise_equals_composed_unroll():

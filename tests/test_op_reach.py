@@ -1,22 +1,19 @@
-"""Every public op of the autodiff core, and every public method of the
-optimizer, runs in production. The library differentiates through its own
-fused nodes, and an op that no training, fine-tuning or attribution run
-reaches belongs beside the tests (`elementary_ops.py`), not in
-`mmcl.autodiff`; an optimizer path that no run takes is not kept at all.
-Calls are matched by code object, so a function imported under another name
-still counts."""
+"""Every public op of the autodiff core, and every public function and
+method of the optimizer, the encoders, the fusion layer and the losses, runs
+in production. The library differentiates through its own fused nodes, and
+an op that no training, fine-tuning or attribution run reaches belongs
+beside the tests (`elementary_ops.py`), not in `mmcl.autodiff`; a path that
+no run takes is not kept at all. Calls are matched by code object, so a
+function imported under another name still counts."""
 
 import inspect
 import sys
 
 import pytest
 
-from mmcl import autodiff, optim
+from mmcl import autodiff, encoders, fusion, losses, optim
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.harness import RunConfig, finetune, modality_attribution, pretrain
-
-# the public finite-difference check behind the gradient tests; no run calls it
-NOT_RUN_IN_PRODUCTION = {"grad_check"}
 
 
 def _public_ops(module):
@@ -24,7 +21,7 @@ def _public_ops(module):
     and each public method, operator or property of its classes."""
     ops = {}
     for name, obj in vars(module).items():
-        if name.startswith("_") or name in NOT_RUN_IN_PRODUCTION:
+        if name.startswith("_"):
             continue
         if inspect.isfunction(obj) and obj.__module__ == module.__name__:
             ops[obj.__code__] = name
@@ -41,19 +38,20 @@ def _public_ops(module):
 
 def _production_runs():
     """Tiny runs of every verb that trains or reads a model: pretrain at
-    K = 2 (InfoNCE) and K = 3 (weighted OvO), each fine-tuning regime, and
-    integrated gradients."""
+    K = 2 (InfoNCE) and K = 3 (weighted OvO), each fine-tuning regime, a
+    multilabel fine-tune, and integrated gradients."""
     cohort = generate(default_five_modality_spec(120, seed=0))
     pair, triple = ["text_a", "text_b"], ["text_a", "image", "series"]
 
-    def cfg(subset, regime):
-        return RunConfig(subset, regime, max_epochs=1, batch_size=16, seed=0)
+    def cfg(subset, regime, task="binary"):
+        return RunConfig(subset, regime, task=task, max_epochs=1, batch_size=16, seed=0)
 
     pretrain(cfg(pair, "contrastive_pretrain"), cohort)
     pre, _ = pretrain(cfg(triple, "contrastive_pretrain"), cohort)
     finetune(cfg(triple, "frozen_finetune"), cohort, pre)
     finetune(cfg(triple, "mlstm"), cohort, pre)
     supervised, _, _ = finetune(cfg(triple, "supervised_baseline"), cohort)
+    finetune(cfg(pair, "supervised_baseline", "multilabel"), cohort)
     modality_attribution(cfg(triple, "supervised_baseline"), cohort, supervised, steps=4,
                          max_samples=2)
 
@@ -83,4 +81,11 @@ def test_every_public_autodiff_op_runs_in_production(reached):
 
 def test_every_public_optim_method_runs_in_production(reached):
     ops = _public_ops(optim)
+    assert sorted(ops[code] for code in ops.keys() - reached) == []
+
+
+@pytest.mark.parametrize("module", [encoders, fusion, losses],
+                         ids=lambda module: module.__name__.rsplit(".", 1)[1])
+def test_every_public_model_function_runs_in_production(reached, module):
+    ops = _public_ops(module)
     assert sorted(ops[code] for code in ops.keys() - reached) == []
