@@ -156,13 +156,20 @@ def ovo_nce(embeddings, log_tau, logits=None):
     mean; the total adds lambda_0 t_0 + lambda_1 t_1 + ... left to right. The
     backward pass runs the closed-form InfoNCE gradient of each term, routed
     back through both row norms and the mean, and through the exp and the
-    softmax to log_tau and the logits. A zero-norm row raises DegenerateInputError."""
+    softmax to log_tau and the logits. Batches of more than one shape raise
+    DimensionError, logits of another shape than (K,) ContractError, and a
+    zero-norm row DegenerateInputError."""
     embeddings = [Tensor._lift(e) for e in embeddings]
     log_tau = Tensor._lift(log_tau)
     logits = None if logits is None else Tensor._lift(logits)
     k = len(embeddings)
     if k < 2:
         raise ContractError(f"contrastive loss needs at least 2 modalities, got {k}")
+    shapes = {e.shape for e in embeddings}
+    if len(shapes) != 1:
+        raise DimensionError(f"embedding shapes disagree: {sorted(shapes)}")
+    if logits is not None and logits.shape != (k,):
+        raise ContractError(f"lambda logits of shape {logits.shape} for K={k} modalities")
     inv_tau = np.exp(-log_tau.values)
     lam = None if logits is None else kernels.softmax(logits.values)
     share = 1.0 / (k - 1)

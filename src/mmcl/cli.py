@@ -15,8 +15,8 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from . import harness
-from .errors import (MAX_SEEDS, ConfigurationError, ContractError, DegenerateInputError,
-                     DimensionError, DivergenceError)
+from .errors import (MAX_SEEDS, STRICT_FLOATS, ConfigurationError, ContractError,
+                     DegenerateInputError, DimensionError, DivergenceError)
 
 
 def _parse_seeds(text):
@@ -207,11 +207,7 @@ def main(argv=None):
         "sweep": _cmd_sweep, "attribute": _cmd_attribute, "report": _cmd_report,
     }
     try:
-        # an overflow or a NaN from finite numbers (say a loaded weight of
-        # 1e308) ends the run here; `generate` and `modality_aggregate` catch
-        # their own overflows and report them as typed errors
-        with np.errstate(over="raise", invalid="raise"):
-            handlers[args.verb](args)
+        STRICT_FLOATS(handlers[args.verb])(args)  # an overflow ends the run with exit 3
     except OSError as exc:  # first: a CorruptFileError is also a ContractError
         print(f"io error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -53,7 +53,7 @@ class MLPEncoder(_MLP):
 def make_lstm_params(rng, input_dim, hidden_dim, name="lstm"):
     """Packed weights of one LSTM cell: `wx` (d x 4h), `wh` (h x 4h) and `b`
     (4h), each holding the gate column blocks in LSTM_GATES order."""
-    # drawn one gate block at a time so a seed gives the same initial gate
+    # drawn one gate block at a time so a seed gives the same starting gate
     # weights whatever the packing
     wx, wh = [], []
     for _ in LSTM_GATES:

@@ -1,10 +1,20 @@
-"""Shared exception types, numerical guard constants, size limits and the
-type tests that configurations and cohort specs apply to their fields."""
+"""Shared exception types, numerical guard constants, the floating-point
+policy, size limits and the type tests that configurations and cohort specs
+apply to their fields."""
 
 import numbers
 
+import numpy as np
+
 # Guard used for vector norms everywhere in the package.
 EPS = 1e-12
+
+# The floating-point policy: an overflow, or a NaN made from finite numbers
+# (say a loaded weight of 1e308), raises FloatingPointError instead of
+# warning. The harness entry points and every CLI verb run under it as a
+# decorator (an errstate object enters a `with` block once only); a local
+# `np.errstate(over="ignore")` that reports its own typed error opts out.
+STRICT_FLOATS = np.errstate(over="raise", invalid="raise")
 
 # Upper bounds on sizes, each checked where its value enters the program
 MAX_WIDTH = 1024  # embedding, hidden, head and latent widths

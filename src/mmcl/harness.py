@@ -12,13 +12,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import cohort as cohort_mod
+from . import kernels
 from .attribution import integrated_gradients, modality_aggregate
+from .autodiff import Parameter
 from .encoders import build_encoder, make_lstm_params
-from .errors import (MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
-                     DegenerateInputError, DivergenceError, is_int, is_real)
+from .errors import (MAX_WIDTH, STRICT_FLOATS, ConfigurationError, ContractError,
+                     CorruptFileError, DegenerateInputError, DivergenceError, is_int, is_real)
 from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                      multilabel_ce, weighted_bce)
-from .losses import LambdaWeights, Temperature, loss_for_combination
+from .losses import infonce_pair_loss, weighted_ovo_loss
 from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
 from .optim import Adam
 
@@ -261,18 +263,20 @@ def _train(config, opt, rows, rng, batch_loss, what, min_rows=1):
 # contrastive pre-training
 
 
+@STRICT_FLOATS
 def pretrain(config, cohort):
-    """Train encoders + temperature (+ lambda for K >= 3) on the pre-training
-    pool. Returns (Checkpoint, per-epoch loss history)."""
+    """Train encoders + log temperature (+ lambda logits for K >= 3) on the
+    pre-training pool, from tau = 1 and uniform lambda. Returns (Checkpoint,
+    per-epoch loss history)."""
     if config.regime != "contrastive_pretrain":
         raise ConfigurationError("pretrain requires regime=contrastive_pretrain")
     k = len(config.modality_subset)
     rng = np.random.default_rng(config.seed)
     encoders = build_encoders(cohort, config, rng)
-    tau = Temperature()
-    lam = LambdaWeights(k) if k >= 3 else None
+    log_tau = Parameter("log_tau", np.array(0.0))
+    logits = Parameter("lambda_logits", np.zeros(k)) if k >= 3 else None
 
-    params = _collect_params(encoders) + tau.parameters() + ([] if lam is None else lam.parameters())
+    params = _collect_params(encoders) + [log_tau] + ([] if logits is None else [logits])
     opt = Adam(params, config.learning_rate)
 
     pool, _ = cohort_mod.pretrain_pool(cohort, seed=config.seed,
@@ -284,18 +288,24 @@ def pretrain(config, cohort):
 
     def batch_loss(idx):
         embeddings = encode_batch(encoders, cohort.observations, idx, config.modality_subset)
-        return loss_for_combination(embeddings, tau, lam)
+        if logits is None:
+            total, _ = infonce_pair_loss(*embeddings, log_tau)
+        else:
+            total, _ = weighted_ovo_loss(embeddings, log_tau, logits)
+        return total
 
     # a batch of 1 is skipped: a single sample has no in-batch negatives
     history = [float(np.mean(losses)) for _, losses in
                _train(config, opt, pool, rng, batch_loss, "contrastive", min_rows=2)]
 
     ckpt = Checkpoint(config=replace(config), params=_snapshot(params),
-                      lambdas=None if lam is None else lam.values(), tau=tau.tau,
-                      epoch=config.max_epochs, best_metric=history[-1])
+                      lambdas=None if logits is None else kernels.softmax(logits.values),
+                      tau=float(np.exp(log_tau.values)), epoch=config.max_epochs,
+                      best_metric=history[-1])
     return ckpt, history
 
 
+@STRICT_FLOATS
 def pool_alignment_accuracy(cohort, checkpoint):
     """Top-5 alignment accuracy of the checkpoint's embeddings on its run's pool patients."""
     config = checkpoint.config
@@ -372,13 +382,13 @@ def _resolve_lambdas(config, checkpoint, k):
     return lambdas / total
 
 
-def _check_checkpoint(checkpoint, config, reader, regimes=None):
+def _check_checkpoint(checkpoint, config, reader, regimes):
     """Reject a checkpoint that holds another model than `reader` expects:
-    one trained in a regime outside `regimes` (when given), on another
-    modality subset or order, or on other patients: the seed and the pool
-    fraction decide the pretraining pool and the test split."""
+    one trained in a regime outside `regimes`, on another modality subset or
+    order, or on other patients: the seed and the pool fraction decide the
+    pretraining pool and the test split."""
     trained = checkpoint.config
-    if regimes is not None and trained.regime not in regimes:
+    if trained.regime not in regimes:
         raise ConfigurationError(f"{reader} reads a {' or '.join(regimes)} checkpoint, "
                                  f"got one of regime {trained.regime!r}")
     if trained.modality_subset != config.modality_subset:
@@ -404,6 +414,7 @@ def _reads_checkpoint(config):
     return config.regime == "frozen_finetune" or learned
 
 
+@STRICT_FLOATS
 def finetune(config, cohort, checkpoint=None):
     """Train a downstream model per regime with early stopping on validation
     AUROC. Returns (Checkpoint, MetricsRecord, info): the best-epoch weights,
@@ -414,8 +425,7 @@ def finetune(config, cohort, checkpoint=None):
         if checkpoint is None:
             raise ConfigurationError(f"this {config.regime} run reads a contrastive checkpoint "
                                      f"(frozen encoders or learned lambdas); none was given")
-        _check_checkpoint(checkpoint, config, config.regime,
-                          ("contrastive_pretrain",) if config.regime == "frozen_finetune" else None)
+        _check_checkpoint(checkpoint, config, config.regime, ("contrastive_pretrain",))
 
     k = len(config.modality_subset)
     lambdas = _resolve_lambdas(config, checkpoint, k) if config.regime == "mlstm" else None
@@ -653,6 +663,7 @@ def load_rows(path):
 # attribution over the classifier input
 
 
+@STRICT_FLOATS
 def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, target_label=0):
     """Per-modality integrated-gradients scores of logit `target_label` of a
     trained concatenation model, attributed over the classifier's

@@ -21,7 +21,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        ends = list(itertools.accumulate((p.values.size for p in self.params), initial=0))
+        ends = [0, *itertools.accumulate(p.values.size for p in self.params)]
         self.slices = list(zip(ends, ends[1:]))
         self.m = np.zeros(ends[-1])
         self.v = np.zeros(ends[-1])

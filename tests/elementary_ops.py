@@ -8,12 +8,12 @@ the tests: the composed oracles build the references for the fused nodes
 from them, and the gradient checks compose small graphs with them. Each
 takes Tensors or array-likes, and each rounds as the numpy expression it
 names. A plain gradient-descent step trains the small models of the tests
-that need one."""
+that need one, and `log_temperature` makes the contrastive losses' log tau."""
 
 import numpy as np
 
 from mmcl import kernels
-from mmcl.autodiff import Tensor
+from mmcl.autodiff import Parameter, Tensor
 
 
 def _unbroadcast(grad, shape):
@@ -199,6 +199,12 @@ def softmax(x):
             x._accumulate((g - np.dot(g, out_values)) * out_values)
 
     return Tensor._result(out_values, (x,), backward)
+
+
+def log_temperature(tau=1.0):
+    """A trainable log temperature at `tau`: the Parameter that the
+    contrastive losses take and `harness.pretrain` holds (from tau = 1)."""
+    return Parameter("log_tau", np.log(tau))
 
 
 def gradient_step(params, loss, lr):

@@ -9,16 +9,16 @@ import pytest
 
 from mmcl import harness, kernels
 from mmcl.attribution import integrated_gradients, spearman_rank_correlation
-from mmcl.autodiff import Tensor, ovo_nce
+from mmcl.autodiff import Parameter, Tensor, ovo_nce
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import ClassifierHead, mlstm_forward, multilabel_ce, weighted_bce
 from mmcl.harness import RunConfig, finetune, pretrain, sweep
-from mmcl.losses import LambdaWeights, Temperature, infonce_pair_loss, weighted_ovo_loss
+from mmcl.losses import infonce_pair_loss, weighted_ovo_loss
 from mmcl.metrics import auprc, auroc, top5_alignment_accuracy
 from mmcl.optim import Adam
 
-from elementary_ops import axis_sum, grad_check, gradient_step, mul
+from elementary_ops import axis_sum, grad_check, gradient_step, log_temperature, mul
 from lstm_oracle import composed_unroll
 
 ROSTER = ["text_a", "text_b", "image", "demo", "series"]
@@ -67,9 +67,9 @@ def test_criterion_01_ovo_reduces_to_infonce():
         n, d = cases[trial % len(cases)]
         a = Tensor(rng.standard_normal((n, d)))
         b = Tensor(rng.standard_normal((n, d)))
-        tau = Temperature(float(rng.uniform(0.2, 2.0)))
-        _, ovo_terms = ovo_nce([a, b], tau.log_tau)
-        _, nce_terms = infonce_pair_loss(a, b, tau)
+        log_tau = log_temperature(float(rng.uniform(0.2, 2.0)))
+        _, ovo_terms = ovo_nce([a, b], log_tau)
+        _, nce_terms = infonce_pair_loss(a, b, log_tau)
         for ot, nt in zip(ovo_terms, nce_terms):
             worst = max(worst, abs(ot.item() - nt.item()))
     elapsed = time.perf_counter() - start
@@ -84,16 +84,16 @@ def test_criterion_02_gradient_fidelity():
     errs = {}
 
     a, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
-    tau = Temperature(0.5)
-    errs["infonce"] = grad_check(lambda: infonce_pair_loss(a, b, tau)[0],
-                                 [a, b, tau.log_tau], h=1e-5)
+    log_tau = log_temperature(0.5)
+    errs["infonce"] = grad_check(lambda: infonce_pair_loss(a, b, log_tau)[0],
+                                 [a, b, log_tau], h=1e-5)
 
     mats = [Tensor(rng.standard_normal((3, 4))) for _ in range(3)]
-    tau2 = Temperature(0.7)
-    lam2 = LambdaWeights(3, initial_logits=[0.3, -0.2, 0.1])
+    log_tau2 = log_temperature(0.7)
+    logits2 = Parameter("lambda_logits", [0.3, -0.2, 0.1])
     errs["weighted_ovo"] = grad_check(
-        lambda: weighted_ovo_loss(mats, tau2, lam2)[0],
-        mats + [tau2.log_tau, lam2.logits], h=1e-5)
+        lambda: weighted_ovo_loss(mats, log_tau2, logits2)[0],
+        mats + [log_tau2, logits2], h=1e-5)
 
     params = make_lstm_params(rng, 2, 3)
     steps = [Tensor(rng.standard_normal((2, 2))) for _ in range(3)]

@@ -149,7 +149,8 @@ def test_exit_code_2_on_bad_config(cohort_file, tmp_path, capsys):
 def test_exit_code_3_on_divergence(cohort_file, tmp_path, capsys, monkeypatch):
     # a contrastive loss that is non-finite from the first batch; a cohort
     # with a non-finite observation no longer loads (exit 4, tested below)
-    monkeypatch.setattr(harness, "loss_for_combination", lambda *args: Tensor(np.nan))
+    monkeypatch.setattr(harness, "infonce_pair_loss",
+                        lambda *args: (Tensor(np.nan), np.full(2, np.nan)))
     rc = main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
                "--max-epochs", "1", "--batch-size", "16",
                "--out", str(tmp_path / "x.npz")])

@@ -204,16 +204,19 @@ def test_pretrain_rejects_no_batch_of_two(small_cohort, kwargs):
 
 def _nan_on_call(monkeypatch, name, n):
     """Make `harness.<name>` return a NaN loss on its n-th call; returns the
-    list the values of the earlier calls are appended to."""
+    list the values of the earlier calls are appended to. A contrastive
+    entry point returns (loss, terms); its terms pass through."""
     original = getattr(harness, name)
     finite = []
 
     def patched(*args, **kwargs):
-        loss = original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        loss, terms = out if isinstance(out, tuple) else (out, None)
         if len(finite) == n - 1:
-            return mul(loss, float("nan"))
-        finite.append(float(loss.values))
-        return loss
+            loss = mul(loss, float("nan"))
+        else:
+            finite.append(float(loss.values))
+        return loss if terms is None else (loss, terms)
 
     monkeypatch.setattr(harness, name, patched)
     return finite
@@ -226,7 +229,7 @@ def _batches_per_epoch(rows, batch_size, min_rows):
 
 @pytest.mark.parametrize("epoch,batch", [(0, 1), (1, 2)], ids=["first_batch", "later_epoch"])
 @pytest.mark.parametrize("regime,patched,message,min_rows", [
-    ("contrastive_pretrain", "loss_for_combination", "contrastive loss diverged", 2),
+    ("contrastive_pretrain", "weighted_ovo_loss", "contrastive loss diverged", 2),
     ("supervised_baseline", "weighted_bce", "fine-tuning loss diverged", 1)],
     ids=["pretrain", "finetune"])
 def test_divergence_reports_epoch_and_last_finite_loss(small_cohort, monkeypatch, regime,
@@ -465,6 +468,16 @@ def test_mlstm_with_literal_lambdas(small_cohort):
     ckpt, record, _ = finetune(cfg, small_cohort)
     assert np.isfinite(record.auroc)
     np.testing.assert_allclose(ckpt.lambdas, [0.5, 0.3, 0.2])
+
+
+def test_mlstm_learned_lambdas_refuse_the_literal_lambdas_of_an_mlstm(small_cohort):
+    # an mLSTM's model.npz stores the literal weights it was given; a
+    # learned-lambda run used to read them as learned
+    literal, _, _ = finetune(_cfg(ALL[:3], "mlstm", max_epochs=1,
+                                  lambda_source="literal:[0.8, 0.1, 0.1]"), small_cohort)
+    with pytest.raises(ConfigurationError, match="mlstm reads a contrastive_pretrain checkpoint, "
+                                                 "got one of regime 'mlstm'"):
+        finetune(_cfg(ALL[:3], "mlstm", max_epochs=1), small_cohort, literal)
 
 
 def test_mlstm_learned_lambdas_require_checkpoint(small_cohort):
@@ -1141,6 +1154,59 @@ def test_modality_attribution_of_a_saturated_model_raises(small_cohort, text_ser
                            dataclasses.replace(text_series_pretrain, params=params))
     with pytest.raises(DegenerateInputError, match="does not depend on its input"):
         harness.modality_attribution(cfg, small_cohort, model, steps=8)
+
+
+# --------------------------------------------------------------------------
+# floating-point policy: an overflow raises for a library caller, as in the CLI
+
+@pytest.fixture(scope="module")
+def overflowing_cohort():
+    """A cohort whose every text_a row is 1e308 times the signs of the
+    first-layer weight column of the seed-0 text_a encoder with the largest
+    absolute sum (2.27): that unit's pre-activation overflows."""
+    cohort = generate(default_five_modality_spec(120, seed=0))
+    cfg = _cfg(["text_a", "text_b", "series"], "contrastive_pretrain", max_epochs=1)
+    w0 = harness.build_encoders(cohort, cfg, np.random.default_rng(0))["text_a"].layers[0][0]
+    column = np.abs(w0.values).sum(axis=0).argmax()
+    cohort.observations["text_a"][:] = 1e308 * np.sign(w0.values[:, column])
+    return cohort
+
+
+def test_pretrain_raises_on_an_overflow(overflowing_cohort):
+    # the run used to warn and return a checkpoint trained on inf activations
+    cfg = _cfg(["text_a", "text_b", "series"], "contrastive_pretrain", max_epochs=1)
+    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+        pretrain(cfg, overflowing_cohort)
+
+
+def test_sweep_records_an_overflow_in_the_cell_status(overflowing_cohort):
+    base = _cfg(["text_a", "text_b", "series"], "contrastive_pretrain", max_epochs=1)
+    rows = sweep(base, overflowing_cohort, [base.modality_subset],
+                 ["contrastive_pretrain", "frozen_finetune"], [0]).rows
+    assert [r.status for r in rows] == [
+        "error: FloatingPointError: overflow encountered in matmul"] * 2
+
+
+def _with_huge_weight(checkpoint, name):
+    params = {k: v.copy() for k, v in checkpoint.params.items()}
+    params[name][0, 0] = 1e308
+    return dataclasses.replace(checkpoint, params=params)
+
+
+def test_frozen_finetune_raises_on_an_overflowing_checkpoint(small_cohort,
+                                                             text_series_pretrain):
+    # the run used to warn and return a test AUROC computed from inf activations
+    cfg = _cfg(["text_a", "text_b", "series"], "frozen_finetune", max_epochs=1)
+    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+        finetune(cfg, small_cohort, _with_huge_weight(text_series_pretrain, "series.wx"))
+
+
+def test_modality_attribution_raises_on_an_overflowing_checkpoint(small_cohort):
+    cfg = _cfg(["text_a", "text_b", "series"], "supervised_baseline", max_epochs=1)
+    model, _, _ = finetune(cfg, small_cohort)
+    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+        harness.modality_attribution(cfg, small_cohort, _with_huge_weight(model, "series.wx"),
+                                     steps=4)
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,13 @@ import operator
 import numpy as np
 import pytest
 
-from mmcl.autodiff import Tensor, ovo_nce
+from mmcl import harness, kernels
+from mmcl.autodiff import Parameter, Tensor, ovo_nce
+from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.errors import ContractError, DegenerateInputError, DimensionError
-from mmcl.losses import (LambdaWeights, Temperature, infonce_pair_loss, loss_for_combination,
-                         weighted_ovo_loss)
+from mmcl.losses import infonce_pair_loss, weighted_ovo_loss
 
-from elementary_ops import add, exp, grad_check, gradient_step, mul, neg
+from elementary_ops import add, exp, grad_check, gradient_step, log_temperature, mul, neg
 from kernel_oracle import assert_bitwise_equal
 from nce_oracle import composed_nce, others_mean, similarity_matrix
 
@@ -46,6 +47,11 @@ def _rand_set(k, n, d, seed):
     return [rng.standard_normal((n, d)) for _ in range(k)]
 
 
+def _logits(values):
+    """Trainable lambda logits, as `harness.pretrain` holds them."""
+    return Parameter("lambda_logits", values)
+
+
 def _backward_nodes(loss):
     """Number of graph nodes with a backward closure reachable from `loss`."""
     seen, stack, count = set(), [loss], 0
@@ -66,7 +72,7 @@ def _backward_nodes(loss):
 @pytest.mark.parametrize("n, d, tau", [(1, 3, 1.0), (6, 4, 0.7), (64, 8, 0.05), (5, 4, 1e-3)])
 def test_cosine_nce_forward_bitwise_equals_composed_oracle(n, d, tau):
     a, b = _rand_set(2, n, d, seed=n)
-    log_tau = Temperature(tau).log_tau
+    log_tau = log_temperature(tau)
     inv_tau = exp(neg(log_tau))
     _, terms = ovo_nce([Tensor(a), Tensor(b)], log_tau)
     assert_bitwise_equal(terms, [float(composed_nce(Tensor(a), Tensor(b), inv_tau).values),
@@ -116,7 +122,10 @@ def test_cosine_nce_skips_parents_without_gradient():
 def test_loss_graph_size(k, nodes):
     # the contrastive op takes log tau and the lambda logits as they are
     emb = [Tensor(m, requires_grad=True) for m in _rand_set(k, 64, 8, seed=19)]
-    loss = loss_for_combination(emb, Temperature(), LambdaWeights(k))
+    if k == 2:
+        loss, _ = infonce_pair_loss(*emb, log_temperature())
+    else:
+        loss, _ = weighted_ovo_loss(emb, log_temperature(), _logits(np.zeros(k)))
     assert _backward_nodes(loss) == nodes
 
 
@@ -124,19 +133,17 @@ def test_loss_graph_size(k, nodes):
 # pairwise InfoNCE
 
 def test_infonce_single_sample_is_zero():
-    tau = Temperature()
     a = Tensor([[1.0, 2.0]])
     b = Tensor([[0.5, -1.0]])
-    total, terms = infonce_pair_loss(a, b, tau)
+    total, terms = infonce_pair_loss(a, b, log_temperature())
     assert float(total.values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_infonce_orthogonal_pair_closed_form():
     # identical orthonormal embeddings: matched cos = 1, mismatched = 0,
     # so each directional term is -log(e / (e + 1))
-    tau = Temperature(1.0)
     e = Tensor(np.eye(2))
-    total, terms = infonce_pair_loss(e, Tensor(np.eye(2)), tau)
+    total, terms = infonce_pair_loss(e, Tensor(np.eye(2)), log_temperature(1.0))
     expected = -np.log(np.e / (np.e + 1.0))
     assert expected == pytest.approx(0.31326, abs=5e-6)
     for t in terms:
@@ -146,8 +153,7 @@ def test_infonce_orthogonal_pair_closed_form():
 
 def test_infonce_matches_oracle():
     a, b = _rand_set(2, 6, 4, seed=0)
-    tau = Temperature(0.7)
-    total, terms = infonce_pair_loss(Tensor(a), Tensor(b), tau)
+    total, terms = infonce_pair_loss(Tensor(a), Tensor(b), log_temperature(0.7))
     assert terms[0].item() == pytest.approx(_oracle_directional(a, b, 0.7), abs=1e-10)
     assert terms[1].item() == pytest.approx(_oracle_directional(b, a, 0.7), abs=1e-10)
     assert float(total.values) == pytest.approx(terms[0].item() + terms[1].item(), abs=1e-12)
@@ -155,27 +161,25 @@ def test_infonce_matches_oracle():
 
 def test_infonce_nonnegative_and_batch_permutation_invariant():
     a, b = _rand_set(2, 8, 5, seed=1)
-    tau = Temperature()
-    total, _ = infonce_pair_loss(Tensor(a), Tensor(b), tau)
+    log_tau = log_temperature()
+    total, _ = infonce_pair_loss(Tensor(a), Tensor(b), log_tau)
     assert float(total.values) >= 0.0
     perm = np.random.default_rng(2).permutation(8)
-    permuted, _ = infonce_pair_loss(Tensor(a[perm]), Tensor(b[perm]), tau)
+    permuted, _ = infonce_pair_loss(Tensor(a[perm]), Tensor(b[perm]), log_tau)
     assert float(permuted.values) == pytest.approx(float(total.values), abs=1e-12)
 
 
 def test_infonce_small_tau_stays_finite():
     a, b = _rand_set(2, 5, 4, seed=3)
-    tau = Temperature(1e-3)
-    total, _ = infonce_pair_loss(Tensor(a), Tensor(b), tau)
+    total, _ = infonce_pair_loss(Tensor(a), Tensor(b), log_temperature(1e-3))
     assert np.isfinite(float(total.values))
 
 
 def test_infonce_gradients():
     a, b = _rand_set(2, 4, 3, seed=4)
     ta, tb = Tensor(a), Tensor(b)
-    tau = Temperature(0.5)
-    err = grad_check(lambda: infonce_pair_loss(ta, tb, tau)[0],
-                     [ta, tb, tau.log_tau])
+    log_tau = log_temperature(0.5)
+    err = grad_check(lambda: infonce_pair_loss(ta, tb, log_tau)[0], [ta, tb, log_tau])
     assert err < 1e-5
 
 
@@ -191,10 +195,10 @@ def test_others_mean_hand_case():
 
 def test_ovo_k2_reduces_to_infonce():
     a, b = _rand_set(2, 6, 4, seed=5)
-    tau = Temperature(0.8)
+    log_tau = log_temperature(0.8)
     emb = [Tensor(a), Tensor(b)]
-    ovo_total, ovo_terms = ovo_nce(emb, tau.log_tau)
-    nce_total, nce_terms = infonce_pair_loss(Tensor(a), Tensor(b), tau)
+    ovo_total, ovo_terms = ovo_nce(emb, log_tau)
+    nce_total, nce_terms = infonce_pair_loss(Tensor(a), Tensor(b), log_tau)
     assert abs(float(ovo_total.values) - float(nce_total.values)) <= 1e-12
     for ot, nt in zip(ovo_terms, nce_terms):
         assert abs(ot.item() - nt.item()) <= 1e-12
@@ -202,9 +206,8 @@ def test_ovo_k2_reduces_to_infonce():
 
 def test_ovo_matches_bruteforce_oracle():
     mats = _rand_set(3, 4, 5, seed=6)
-    tau = Temperature(0.6)
     emb = [Tensor(m) for m in mats]
-    total, terms = ovo_nce(emb, tau.log_tau)
+    total, terms = ovo_nce(emb, log_temperature(0.6))
     o_total, o_terms = _oracle_ovo(mats, 0.6)
     assert float(total.values) == pytest.approx(o_total, abs=1e-10)
     for t, ot in zip(terms, o_terms):
@@ -213,12 +216,11 @@ def test_ovo_matches_bruteforce_oracle():
 
 def test_ovo_modality_permutation_permutes_terms():
     mats = _rand_set(4, 5, 3, seed=7)
-    tau = Temperature()
     emb = [Tensor(m) for m in mats]
-    _, terms = ovo_nce(emb, tau.log_tau)
+    _, terms = ovo_nce(emb, log_temperature())
     order = [2, 0, 3, 1]
     emb2 = [Tensor(mats[i]) for i in order]
-    _, terms2 = ovo_nce(emb2, tau.log_tau)
+    _, terms2 = ovo_nce(emb2, log_temperature())
     for pos, i in enumerate(order):
         assert terms2[pos].item() == pytest.approx(terms[i].item(), abs=1e-12)
 
@@ -228,11 +230,10 @@ def test_ovo_modality_permutation_permutes_terms():
 
 def test_weighted_ovo_uniform_lambda_scales_by_one_over_k():
     mats = _rand_set(3, 4, 4, seed=8)
-    tau = Temperature()
+    log_tau = log_temperature()
     emb = [Tensor(m) for m in mats]
-    plain, _ = ovo_nce(emb, tau.log_tau)
-    lam = LambdaWeights(3)  # zero logits -> uniform weights
-    weighted, _ = weighted_ovo_loss(emb, tau, lam)
+    plain, _ = ovo_nce(emb, log_tau)
+    weighted, _ = weighted_ovo_loss(emb, log_tau, _logits(np.zeros(3)))  # uniform weights
     assert float(weighted.values) == pytest.approx(float(plain.values) / 3.0, abs=1e-12)
 
 
@@ -240,11 +241,10 @@ def test_weighted_ovo_literal_weights_match_manual_sum():
     lambdas = np.array([0.297, 0.245, 0.187, 0.172, 0.100])
     lambdas = lambdas / lambdas.sum()
     mats = _rand_set(5, 4, 3, seed=9)
-    tau = Temperature(0.5)
     emb = [Tensor(m) for m in mats]
-    lam = LambdaWeights(5, initial_logits=np.log(lambdas))
-    np.testing.assert_allclose(lam.values(), lambdas, atol=1e-12)
-    weighted, _ = weighted_ovo_loss(emb, tau, lam)
+    logits = _logits(np.log(lambdas))
+    np.testing.assert_allclose(kernels.softmax(logits.values), lambdas, atol=1e-12)
+    weighted, _ = weighted_ovo_loss(emb, log_temperature(0.5), logits)
     _, o_terms = _oracle_ovo(mats, 0.5)
     assert float(weighted.values) == pytest.approx(float(np.dot(lambdas, o_terms)), abs=1e-10)
 
@@ -252,32 +252,29 @@ def test_weighted_ovo_literal_weights_match_manual_sum():
 def test_weighted_ovo_joint_gradients():
     mats = _rand_set(3, 3, 3, seed=10)
     tensors = [Tensor(m) for m in mats]
-    tau = Temperature(0.7)
-    lam = LambdaWeights(3, initial_logits=[0.3, -0.2, 0.1])
-    err = grad_check(lambda: weighted_ovo_loss(tensors, tau, lam)[0],
-                     tensors + [tau.log_tau, lam.logits])
+    log_tau, logits = log_temperature(0.7), _logits([0.3, -0.2, 0.1])
+    err = grad_check(lambda: weighted_ovo_loss(tensors, log_tau, logits)[0],
+                     tensors + [log_tau, logits])
     assert err < 1e-5
 
 
 def test_lambda_simplex_preserved_after_optimizer_step():
     mats = _rand_set(3, 4, 3, seed=11)
-    tau = Temperature()
-    lam = LambdaWeights(3)
+    log_tau, logits = log_temperature(), _logits(np.zeros(3))
     emb = [Tensor(m) for m in mats]
     for _ in range(5):
-        gradient_step(lam.parameters() + tau.parameters(),
-                      lambda: weighted_ovo_loss(emb, tau, lam)[0], 0.5)
-    vals = lam.values()
+        gradient_step([logits, log_tau], lambda: weighted_ovo_loss(emb, log_tau, logits)[0], 0.5)
+    vals = kernels.softmax(logits.values)
     assert vals.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(vals > 0.0)
-    assert tau.tau > 0.0
+    assert np.exp(log_tau.values) > 0.0
 
 
 def test_lambda_length_mismatch():
     mats = _rand_set(3, 4, 3, seed=12)
     emb = [Tensor(m) for m in mats]
-    with pytest.raises(ContractError):
-        weighted_ovo_loss(emb, Temperature(), LambdaWeights(4))
+    with pytest.raises(ContractError, match=r"lambda logits of shape \(4,\) for K=3"):
+        weighted_ovo_loss(emb, log_temperature(), _logits(np.zeros(4)))
 
 
 @pytest.mark.parametrize("case", ["zero_embedding_row", "others_cancel"])
@@ -288,19 +285,21 @@ def test_weighted_ovo_names_a_degenerate_row(case):
     else:  # the mean of modalities 1 and 2, contrasted with modality 0
         mats[2][2] = -mats[1][2]
     with pytest.raises(DegenerateInputError, match="zero-norm row at index 2"):
-        weighted_ovo_loss([Tensor(m) for m in mats], Temperature(), LambdaWeights(3))
+        weighted_ovo_loss([Tensor(m) for m in mats], log_temperature(), _logits(np.zeros(3)))
 
 
 def test_lambda_values_equal_the_graph_softmax():
-    # the loss weights its terms by the lambda that a checkpoint stores
-    lam = LambdaWeights(5, initial_logits=[0.3, -1.2, 0.0, 2.5, -0.4])
+    # the loss weights its terms by the lambda that a checkpoint stores,
+    # `kernels.softmax` of the logits
+    logits = _logits([0.3, -1.2, 0.0, 2.5, -0.4])
     total, terms = weighted_ovo_loss([Tensor(m) for m in _rand_set(5, 6, 4, seed=22)],
-                                     Temperature(0.6), lam)
-    assert_bitwise_equal(total.values, functools.reduce(operator.add, lam.values() * terms))
+                                     log_temperature(0.6), logits)
+    lambdas = kernels.softmax(logits.values)
+    assert_bitwise_equal(total.values, functools.reduce(operator.add, lambdas * terms))
 
 
 # --------------------------------------------------------------------------
-# the oracle's similarity matrix + dispatch
+# the oracle's similarity matrix
 
 def test_similarity_matrix_values():
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -310,53 +309,102 @@ def test_similarity_matrix_values():
     np.testing.assert_allclose(s, expected, atol=1e-12)
 
 
+# --------------------------------------------------------------------------
+# the checks of the loss node, which every entry point runs
+
+
 def test_dispatch_rejects_one_modality():
     with pytest.raises(ContractError, match="at least 2 modalities, got 1"):
-        loss_for_combination([Tensor(np.eye(2))], Temperature(), LambdaWeights(1))
+        ovo_nce([Tensor(np.eye(2))], log_temperature())
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_dispatch_rejects_a_shape_mismatch(k):
     mats = [Tensor(np.ones((2, 3)))] * (k - 1) + [Tensor(np.ones((3, 3)))]
+    logits = None if k == 2 else _logits(np.zeros(k))
     with pytest.raises(DimensionError, match="shapes disagree"):
-        loss_for_combination(mats, Temperature(), LambdaWeights(k))
+        ovo_nce(mats, log_temperature(), logits)
 
 
 def test_dispatch_rejects_a_lambda_of_the_wrong_length():
     mats = _rand_set(3, 5, 4, seed=16)
-    with pytest.raises(ContractError, match="lambda length 4 != K=3"):
-        loss_for_combination([Tensor(m) for m in mats], Temperature(), LambdaWeights(4))
+    with pytest.raises(ContractError, match=r"lambda logits of shape \(4,\) for K=3"):
+        ovo_nce([Tensor(m) for m in mats], log_temperature(), _logits(np.zeros(4)))
 
 
-def test_dispatch_k2_is_infonce():
-    a, b = _rand_set(2, 5, 4, seed=13)
-    tau = Temperature()
-    emb = [Tensor(a), Tensor(b)]
-    got = loss_for_combination(emb, tau, lam=LambdaWeights(2))
-    want, _ = infonce_pair_loss(Tensor(a), Tensor(b), tau)
-    assert float(got.values) == pytest.approx(float(want.values), abs=1e-12)
+def test_ovo_nce_rejects_one_logit_for_three_modalities():
+    # one logit used to broadcast to the unweighted sum in the forward pass
+    # and fail in the backward pass with an IndexError
+    mats = _rand_set(3, 5, 4, seed=23)
+    with pytest.raises(ContractError, match=r"lambda logits of shape \(1,\) for K=3"):
+        ovo_nce([Tensor(m) for m in mats], log_temperature(), _logits([0.0]))
 
 
-def test_dispatch_k3_is_weighted_ovo():
-    mats = _rand_set(3, 5, 4, seed=14)
-    tau = Temperature()
-    lam = LambdaWeights(3, initial_logits=[0.5, 0.0, -0.5])
-    emb = [Tensor(m) for m in mats]
-    got = loss_for_combination(emb, tau, lam)
-    want, _ = weighted_ovo_loss(emb, tau, lam)
-    assert float(got.values) == pytest.approx(float(want.values), abs=1e-12)
-
-
-def test_dispatch_k3_requires_lambdas():
-    mats = _rand_set(3, 5, 4, seed=15)
-    emb = [Tensor(m) for m in mats]
-    with pytest.raises(ContractError):
-        loss_for_combination(emb, Temperature(), lam=None)
+@pytest.mark.parametrize("second", [(5, 4), (4, 6)], ids=["rows_4_and_5", "widths_4_and_6"])
+def test_ovo_nce_rejects_batches_of_unequal_shape(second):
+    # these used to fail inside numpy with a plain ValueError
+    rng = np.random.default_rng(24)
+    mats = [Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal(second))]
+    with pytest.raises(DimensionError, match="embedding shapes disagree"):
+        ovo_nce(mats, log_temperature())
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_dispatch_names_a_zero_norm_row(k):
     mats = _rand_set(k, 5, 4, seed=20)
     mats[-1][3] = 0.0
+    emb = [Tensor(m) for m in mats]
     with pytest.raises(DegenerateInputError, match="zero-norm row at index 3"):
-        loss_for_combination([Tensor(m) for m in mats], Temperature(), LambdaWeights(k))
+        if k == 2:
+            infonce_pair_loss(*emb, log_temperature())
+        else:
+            weighted_ovo_loss(emb, log_temperature(), _logits(np.zeros(k)))
+
+
+# --------------------------------------------------------------------------
+# pretrain dispatches each batch to InfoNCE at K = 2, to weighted OvO above
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return generate(default_five_modality_spec(60, seed=0))
+
+
+def _pretrain_calls(monkeypatch, cohort, k):
+    """The arguments of every contrastive entry-point call of a one-epoch
+    pretrain of the first k modalities, by entry point."""
+    calls = {"infonce_pair_loss": [], "weighted_ovo_loss": []}
+    for name, args in calls.items():
+        def recorded(*call_args, _fn=getattr(harness, name), _args=args):
+            _args.append(call_args)
+            return _fn(*call_args)
+
+        monkeypatch.setattr(harness, name, recorded)
+    subset = ["text_a", "text_b", "image", "demo", "series"][:k]
+    harness.pretrain(harness.RunConfig(subset, "contrastive_pretrain", max_epochs=1,
+                                       batch_size=8), cohort)
+    return calls
+
+
+def test_dispatch_k2_is_infonce(monkeypatch, cohort):
+    calls = _pretrain_calls(monkeypatch, cohort, 2)
+    assert calls["infonce_pair_loss"] and not calls["weighted_ovo_loss"]
+    for a, b, log_tau in calls["infonce_pair_loss"]:
+        assert a.shape == b.shape and log_tau.name == "log_tau"
+
+
+def test_dispatch_k3_is_weighted_ovo(monkeypatch, cohort):
+    calls = _pretrain_calls(monkeypatch, cohort, 3)
+    assert calls["weighted_ovo_loss"] and not calls["infonce_pair_loss"]
+    for embeddings, log_tau, _ in calls["weighted_ovo_loss"]:
+        assert len(embeddings) == 3 and log_tau.name == "log_tau"
+
+
+def test_dispatch_k3_requires_lambdas(monkeypatch, cohort):
+    # every K = 3 batch is weighted by the run's one vector of lambda logits
+    calls = _pretrain_calls(monkeypatch, cohort, 3)["weighted_ovo_loss"]
+    logits = {id(args[2]): args[2] for args in calls}
+    assert len(logits) == 1
+    (logits,) = logits.values()
+    assert isinstance(logits, Parameter) and logits.name == "lambda_logits"
+    assert logits.shape == (3,)
