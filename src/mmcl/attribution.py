@@ -59,32 +59,23 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)
 
 
-def modality_aggregate(report, layout):
+def modality_aggregate(report, k):
     """Collapse per-feature attributions to one nonnegative score per
-    modality: sum of absolute values within each slice, normalized to a
-    probability vector. All-zero attributions give uniform scores; a NaN,
-    an infinity or a sum that overflows raises DegenerateInputError.
-
-    `layout` is an ordered list of (modality_name, start, stop) slices that
-    must partition the feature axis."""
+    modality: the feature axis splits into `k` equal consecutive blocks, one
+    per modality in order, and each score is the sum of absolute values in
+    its block, normalized to a probability vector. All-zero attributions give
+    uniform scores; a NaN, an infinity or a sum that overflows raises
+    DegenerateInputError. A `k` that does not divide the feature count
+    raises ContractError."""
     f = report.per_feature.size
-    taken = []
-    for name, start, stop in layout:
-        if start < 0 or stop > f or start >= stop:
-            raise ContractError(f"bad slice for {name!r}: [{start}, {stop})")
-        if any(start < hi and lo < stop for lo, hi in taken):
-            raise ContractError(f"slice for {name!r} overlaps another modality")
-        taken.append((start, stop))
-    # disjoint slices inside [0, f) cover it exactly when their lengths add up to f
-    if sum(hi - lo for lo, hi in taken) != f:
-        raise ContractError("layout does not cover the whole feature axis")
-    magnitude = np.abs(report.per_feature)
+    if not (is_int(k) and k >= 1 and f % k == 0):
+        raise ContractError(f"{f} features do not split into {k!r} equal modality blocks")
     with np.errstate(over="ignore"):
-        raw = np.array([magnitude[start:stop].sum() for start, stop in taken])
+        raw = np.abs(report.per_feature).reshape(k, -1).sum(axis=1)
         total = raw.sum()
     if not np.isfinite(total):
         raise DegenerateInputError("attributions are not finite: the model overflows")
-    return raw / total if total > 0 else np.full(len(layout), 1.0 / len(layout))
+    return raw / total if total > 0 else np.full(k, 1.0 / k)
 
 
 def spearman_rank_correlation(a, b):

@@ -154,8 +154,8 @@ def _cmd_finetune(args):
     cohort = cohort_mod.load_cohort(args.cohort)
     config = _config_from_args(args, args.modalities.split(","), args.regime)
     checkpoint = None
-    if config.checkpoint_path:
-        checkpoint = harness.Checkpoint.load(config.checkpoint_path)
+    if args.checkpoint_path:
+        checkpoint = harness.Checkpoint.load(args.checkpoint_path)
     ckpt, record, info = harness.finetune(config, cohort, checkpoint)
     os.makedirs(args.out, exist_ok=True)
     ckpt.save(os.path.join(args.out, "model.npz"))

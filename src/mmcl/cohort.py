@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
                      is_int, is_real)
 
-FORMAT_VERSION = "mmcl-cohort v3"
+FORMAT_VERSION = "mmcl-cohort v4"
 
 
 def _require_ints(spec, names, owner):
@@ -42,7 +42,6 @@ class ModalitySpec:
     seq_len: int = 0
     signal_fraction: float = 1.0
     noise_sigma: float = 0.1
-    mixing_seed: int = None
 
     def __post_init__(self):
         _require_ints(self, ("obs_dim", "seq_len"), f"modality {self.name!r}")
@@ -93,6 +92,22 @@ class CohortSpec:
         names = [m.name for m in self.modalities]
         if len(set(names)) != len(names):
             raise ContractError("duplicate modality names")
+        for name in ("group_axes", "group_separability"):
+            if not isinstance(getattr(self, name), dict):
+                raise ContractError(f"{name} must map axis names to values, "
+                                    f"got {getattr(self, name)!r}")
+        for axis, num_cats in self.group_axes.items():
+            if not (is_int(num_cats) and 1 <= num_cats <= MAX_PATIENTS):
+                raise ContractError(f"group axis {axis!r} needs an integer number of categories "
+                                    f"in [1, {MAX_PATIENTS}], got {num_cats!r}")
+        for axis, offsets in self.group_separability.items():
+            if axis not in self.group_axes:
+                raise ContractError(f"group_separability names axis {axis!r}, "
+                                    f"which group_axes does not")
+            if not (isinstance(offsets, (list, tuple)) and len(offsets) == self.group_axes[axis]
+                    and all(is_real(o) and 0.0 <= o <= sys.float_info.max for o in offsets)):
+                raise ContractError(f"group axis {axis!r} needs one finite offset >= 0 for each "
+                                    f"of its {self.group_axes[axis]} categories, got {offsets!r}")
 
 
 @dataclass
@@ -102,7 +117,6 @@ class SyntheticCohort:
     binary_labels: np.ndarray
     multilabels: np.ndarray  # N x L in {0, 1}
     groups: dict  # axis -> array of string tags
-    latents: np.ndarray  # oracle use only, never fed to models
 
     @property
     def num_patients(self):
@@ -132,18 +146,14 @@ def generate(spec):
     observations = {}
     for mod in spec.modalities:
         name_tag = int(hashlib.sha256(mod.name.encode()).hexdigest()[:8], 16)
-        mix_rng = np.random.default_rng(
-            mod.mixing_seed if mod.mixing_seed is not None else spec.seed + name_tag)
+        mix_rng = np.random.default_rng(spec.seed + name_tag)
         flat = mod.flat_dim
         sf = mod.signal_fraction
-        if sf > 0:
-            # unit-variance latent mixture per observation dim; signal_fraction
-            # is the share of that variance exposed, the rest is private noise
-            mixing = mix_rng.standard_normal((d, flat))
-            mixing /= np.linalg.norm(mixing, axis=0, keepdims=True)
-            obs = np.sqrt(sf) * (z @ mixing) + np.sqrt(1.0 - sf) * rng.standard_normal((n, flat))
-        else:
-            obs = rng.standard_normal((n, flat))
+        # unit-variance latent mixture per observation dim; signal_fraction
+        # is the share of that variance exposed, the rest is private noise
+        mixing = mix_rng.standard_normal((d, flat))
+        mixing /= np.linalg.norm(mixing, axis=0, keepdims=True)
+        obs = np.sqrt(sf) * (z @ mixing) + np.sqrt(1.0 - sf) * rng.standard_normal((n, flat))
         with np.errstate(over="ignore"):  # a huge sigma overflows; reported below
             obs = obs + mod.noise_sigma * rng.standard_normal((n, flat))
         if not np.isfinite(obs).all():
@@ -153,20 +163,17 @@ def generate(spec):
             obs = obs.reshape(n, mod.seq_len, mod.obs_dim)
         observations[mod.name] = obs
 
-    groups = {}
-    for axis, num_cats in spec.group_axes.items():
-        cats = rng.integers(0, num_cats, size=n)
-        groups[axis] = np.array([f"{axis}{c}" for c in cats])
+    codes = {axis: rng.integers(0, num_cats, size=n) for axis, num_cats in spec.group_axes.items()}
+    groups = {axis: np.array([f"{axis}{c}" for c in cats]) for axis, cats in codes.items()}
 
     # binary label: threshold a fixed latent projection at the sparsity quantile
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
     margin = z @ w
     for axis, offsets in spec.group_separability.items():
-        cats = np.array([int(tag[len(axis):]) for tag in groups[axis]])
-        offsets = np.asarray(offsets, dtype=np.float64)
         # unobserved per-patient noise scaled per group: larger offset, less separable
-        margin = margin + offsets[cats] * rng.standard_normal(n)
+        noise_scale = np.asarray(offsets, dtype=np.float64)[codes[axis]]
+        margin = margin + noise_scale * rng.standard_normal(n)
     threshold = np.quantile(margin, 1.0 - spec.binary_label_sparsity)
     binary_labels = (margin > threshold).astype(np.int64)
 
@@ -178,7 +185,7 @@ def generate(spec):
         ml_margin = z @ wl
         multilabels[:, l] = (ml_margin > np.quantile(ml_margin, 1.0 - rate)).astype(np.int64)
 
-    return SyntheticCohort(spec, observations, binary_labels, multilabels, groups, z)
+    return SyntheticCohort(spec, observations, binary_labels, multilabels, groups)
 
 
 def _stratified_partition(labels, fractions, rng):
@@ -257,8 +264,7 @@ def save_cohort(cohort, path):
         "spec": np.array(json.dumps(asdict(cohort.spec), sort_keys=True)),
         **{f"modality:{name}": obs for name, obs in cohort.observations.items()},
         "binary_labels": cohort.binary_labels, "multilabels": cohort.multilabels,
-        **{f"group:{axis}": tags for axis, tags in cohort.groups.items()},
-        "latents": cohort.latents})
+        **{f"group:{axis}": tags for axis, tags in cohort.groups.items()}})
 
 
 def load_cohort(path):
@@ -300,8 +306,7 @@ def _parse_cohort(data):
         for mod in spec.modalities}
     groups = {axis: section(f"group:{axis}", (n,), str) for axis in spec.group_axes}
     return SyntheticCohort(spec, observations, labels("binary_labels", (n,)),
-                           labels("multilabels", (n, spec.num_multilabels)), groups,
-                           section("latents", (n, spec.latent_dim), np.float64))
+                           labels("multilabels", (n, spec.num_multilabels)), groups)
 
 
 def default_five_modality_spec(num_patients, seed=0, latent_dim=8,

@@ -49,7 +49,6 @@ _FIELD_KINDS = (
     (f"an integer in [1, {MAX_WIDTH}]", _is_width, ("embedding_dim", "mlstm_hidden")),
     ("a real number", is_real, ("learning_rate", "pool_fraction")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "lambda_source")),
-    ("a string or null", lambda v: v is None or isinstance(v, str), ("checkpoint_path",)),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
      ("modality_subset",)),
     (f"a list of integers in [1, {MAX_WIDTH}]", lambda v: _is_list_of(v, _is_width),
@@ -73,7 +72,6 @@ class RunConfig:
     head_hidden: list = field(default_factory=lambda: [16])
     mlstm_hidden: int = 16
     pool_fraction: float = 0.5
-    checkpoint_path: str = None
 
     def __post_init__(self):
         for kind, holds, names in _FIELD_KINDS:
@@ -126,13 +124,11 @@ class Checkpoint:
     params: dict  # name -> array
     lambdas: np.ndarray
     tau: float
-    epoch: int
-    best_metric: float
 
     def save(self, path):
         meta = {"config": asdict(self.config),
                 "lambdas": None if self.lambdas is None else self.lambdas.tolist(),
-                "tau": self.tau, "epoch": self.epoch, "best_metric": self.best_metric}
+                "tau": self.tau}
         arrays = {f"param:{name}": arr for name, arr in self.params.items()}
         cohort_mod.write_archive(path, {"__meta__": np.array(json.dumps(meta)), **arrays})
 
@@ -140,21 +136,22 @@ class Checkpoint:
     def load(cls, path):
         """Read a checkpoint written by `save`. A file that cannot be opened
         raises its OSError; one that is not a readable archive, or has bad
-        metadata (a config that RunConfig rejects, a tau or best metric that
-        is not a real number, an epoch that is not an integer, lambdas that
-        are not a list of real numbers) or a parameter that is not float64 or
-        holds a NaN or infinity, raises CorruptFileError. A config's retired
-        `lambda_entropy_coef` and `optimizer` keys are ignored; tau may be NaN,
-        as a fine-tuned model stores it."""
+        metadata (a config that RunConfig rejects, a tau that is not a real
+        number, lambdas that are not a list of real numbers) or a parameter
+        that is not float64 or holds a NaN or infinity, raises
+        CorruptFileError. The retired keys of older files are ignored: the
+        config's `lambda_entropy_coef`, `optimizer` and `checkpoint_path`, and
+        `epoch` and `best_metric`. tau may be NaN, as a fine-tuned model
+        stores it."""
         def parse(data):
             meta = json.loads(str(data["__meta__"]))
             params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
             config = meta["config"]
             if isinstance(config, dict):  # older files carry retired settings
-                for retired in ("lambda_entropy_coef", "optimizer"):
+                for retired in ("lambda_entropy_coef", "optimizer", "checkpoint_path"):
                     config.pop(retired, None)
             config, lam = RunConfig(**config), meta["lambdas"]
-            for name, holds in (("tau", is_real), ("best_metric", is_real), ("epoch", is_int),
+            for name, holds in (("tau", is_real),
                                 ("lambdas", lambda v: v is None or _is_list_of(v, is_real))):
                 if not holds(meta[name]):
                     raise TypeError(f"{name} {meta[name]!r} has the wrong type")
@@ -164,7 +161,7 @@ class Checkpoint:
                 if not np.isfinite(values).all():
                     raise ValueError(f"parameter {name!r} holds a non-finite value")
             return cls(config, params, None if lam is None else np.asarray(lam, dtype=np.float64),
-                       meta["tau"], meta["epoch"], meta["best_metric"])
+                       meta["tau"])
         return cohort_mod.read_archive(path, parse)
 
 
@@ -300,8 +297,7 @@ def pretrain(config, cohort):
 
     ckpt = Checkpoint(config=replace(config), params=_snapshot(params),
                       lambdas=None if logits is None else kernels.softmax(logits.values),
-                      tau=float(np.exp(log_tau.values)), epoch=config.max_epochs,
-                      best_metric=history[-1])
+                      tau=float(np.exp(log_tau.values)))
     return ckpt, history
 
 
@@ -484,7 +480,7 @@ def finetune(config, cohort, checkpoint=None):
     record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
 
     ckpt = Checkpoint(config=replace(config), params=_snapshot(model_params), lambdas=lambdas,
-                      tau=float("nan"), epoch=best_epoch, best_metric=best_metric)
+                      tau=float("nan"))
     return ckpt, record, {"epochs_run": epochs_run, "best_epoch": best_epoch}
 
 
@@ -691,14 +687,13 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     features = fuse(encode_batch(
         encoders, cohort.observations, test_idx, config.modality_subset)).values
 
-    n = config.embedding_dim
-    layout = [(name, i * n, (i + 1) * n) for i, name in enumerate(config.modality_subset)]
-    totals = np.zeros(len(layout))
+    k = len(config.modality_subset)
+    totals = np.zeros(k)
     depends = False
     for row in features:
         report = integrated_gradients(head.forward, row, steps=steps, target=target_label)
         depends = depends or bool(report.per_feature.any())
-        totals += modality_aggregate(report, layout)
+        totals += modality_aggregate(report, k)
     if not depends:
         raise DegenerateInputError("every integrated-gradients attribution is zero: the model's "
                                    "output does not depend on its input (a saturated model)")

@@ -11,6 +11,7 @@ Conventions (documented deviations from raw summation):
 """
 
 from .autodiff import ovo_nce
+from .errors import ContractError
 
 
 def infonce_pair_loss(a, b, log_tau):
@@ -24,5 +25,7 @@ def weighted_ovo_loss(embeddings, log_tau, logits):
     """OvO of K >= 2 row-aligned batches with each modality term scaled by
     its weight lambda = softmax(logits). Gradients flow to the embeddings,
     log tau and the logits jointly. Returns (total, the unweighted
-    per-modality terms)."""
+    per-modality terms). Logits of None raise ContractError."""
+    if logits is None:
+        raise ContractError("weighted OvO needs lambda logits, got None")
     return ovo_nce(embeddings, log_tau, logits)

@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import ContractError
 
+# the moment decay rates and the denominator guard of Kingma & Ba (2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adaptive first/second-moment method with bias correction. The moments
@@ -14,12 +17,9 @@ class Adam:
     `params` order. `p.values` stays the parameter's own array, so a second
     optimizer over the same parameter moves it too."""
 
-    def __init__(self, params, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-2):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         ends = [0, *itertools.accumulate(p.values.size for p in self.params)]
         self.slices = list(zip(ends, ends[1:]))
@@ -38,7 +38,7 @@ class Adam:
 
     def step(self):
         """Advance `m` and `v` by the gradients, flattened into `_grad`, and
-        subtract `lr * m_hat / (sqrt(v_hat) + eps)` from the values. Each
+        subtract `lr * m_hat / (sqrt(v_hat) + EPS)` from the values. Each
         in-place op is an elementwise op of the textbook expressions, in their
         order, so every value rounds as they do. A parameter without a
         gradient raises ContractError before `t`, the moments or any value
@@ -47,21 +47,20 @@ class Adam:
             if p.grad is None:
                 raise ContractError(f"Adam step: parameter {p.name!r} has no gradient")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         g, m, v, delta = self._grad, self.m, self.v, self._delta
         np.concatenate([p.grad.ravel() for p in self.params], out=g)
-        m *= b1
-        np.multiply(g, 1 - b1, out=delta)
+        m *= BETA1
+        np.multiply(g, 1 - BETA1, out=delta)
         m += delta
         np.multiply(g, g, out=delta)
-        delta *= 1 - b2
-        v *= b2
+        delta *= 1 - BETA2
+        v *= BETA2
         v += delta
-        np.divide(m, 1 - b1**self.t, out=delta)
+        np.divide(m, 1 - BETA1**self.t, out=delta)
         delta *= self.lr
-        denom = np.divide(v, 1 - b2**self.t, out=g)  # the gradient is spent
+        denom = np.divide(v, 1 - BETA2**self.t, out=g)  # the gradient is spent
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         delta /= denom
         for p, param_delta in zip(self.params, self._param_deltas):
             p.values -= param_delta

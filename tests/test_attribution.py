@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmcl.attribution import (AttributionReport, integrated_gradients,
                               modality_aggregate, spearman_rank_correlation)
@@ -9,6 +10,7 @@ from mmcl.fusion import ClassifierHead, weighted_bce
 
 from ig_oracle import per_point_integrated_gradients
 from elementary_ops import add, axis_sum, gradient_step, mul, sigmoid
+from kernel_oracle import assert_bitwise_equal
 
 
 def _row_sums(t):
@@ -180,15 +182,14 @@ def _report(per_feature):
 
 def test_modality_aggregate_sums_abs_and_normalizes():
     report = _report([1.0, -2.0, 0.0, 3.0])
-    scores = modality_aggregate(report, [("a", 0, 2), ("b", 2, 4)])
+    scores = modality_aggregate(report, 2)
     np.testing.assert_allclose(scores, [3 / 6, 3 / 6])
     report2 = _report([1.0, 1.0, 4.0, 0.0])
-    np.testing.assert_array_equal(modality_aggregate(report2, [("a", 0, 2), ("b", 2, 4)]),
-                                  [2 / 6, 4 / 6])
+    np.testing.assert_array_equal(modality_aggregate(report2, 2), [2 / 6, 4 / 6])
 
 
 def test_modality_aggregate_all_zero_falls_back_to_uniform():
-    scores = modality_aggregate(_report([0.0, 0.0, 0.0]), [("a", 0, 1), ("b", 1, 3)])
+    scores = modality_aggregate(_report([0.0, 0.0, 0.0, 0.0]), 2)
     np.testing.assert_allclose(scores, [0.5, 0.5])
 
 
@@ -196,23 +197,22 @@ def test_modality_aggregate_all_zero_falls_back_to_uniform():
 def test_modality_aggregate_rejects_non_finite_attributions(bad):
     # NaN used to fall through `total > 0` to uniform scores
     with pytest.raises(DegenerateInputError, match="not finite"):
-        modality_aggregate(_report([1.0, bad, bad]), [("a", 0, 1), ("b", 1, 3)])
+        modality_aggregate(_report([1.0, 2.0, bad, bad]), 2)
 
 
-def test_modality_aggregate_layout_must_partition():
-    report = _report([1.0, 2.0, 3.0])
-    with pytest.raises(ContractError, match="layout does not cover the whole feature axis"):
-        modality_aggregate(report, [("a", 0, 2)])  # gap
-    with pytest.raises(ContractError, match="slice for 'b' overlaps another modality"):
-        modality_aggregate(report, [("a", 0, 2), ("b", 1, 3)])  # overlap
-    with pytest.raises(ContractError, match=r"bad slice for 'a': \[0, 0\)"):
-        modality_aggregate(report, [("a", 0, 0), ("b", 0, 3)])  # empty slice
-    with pytest.raises(ContractError, match=r"bad slice for 'a': \[0, 4\)"):
-        modality_aggregate(report, [("a", 0, 4)])  # out of range
-    with pytest.raises(ContractError, match=r"bad slice for 'a': \[-1, 2\)"):
-        modality_aggregate(report, [("a", -1, 2), ("b", 2, 3)])  # negative start
-    with pytest.raises(ContractError, match="slice for 'c' overlaps another modality"):
-        modality_aggregate(report, [("a", 1, 2), ("b", 2, 3), ("c", 0, 3)])  # encloses others
+@pytest.mark.parametrize("k", [2, 4, 0, -3, 1.5, True])
+def test_modality_aggregate_rejects_a_k_that_does_not_split_the_features(k):
+    with pytest.raises(ContractError, match=f"3 features do not split into {k!r} equal"):
+        modality_aggregate(_report([1.0, 2.0, 3.0]), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 5), width=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_modality_aggregate_is_bitwise_the_sums_of_its_blocks(k, width, seed):
+    per_feature = np.random.default_rng(seed).standard_normal(k * width) * 10.0
+    magnitude = np.abs(per_feature)
+    raw = np.array([magnitude[i * width:(i + 1) * width].sum() for i in range(k)])
+    assert_bitwise_equal(modality_aggregate(_report(per_feature), k), raw / raw.sum())
 
 
 # --------------------------------------------------------------------------

@@ -240,8 +240,8 @@ def _write_empty_checkpoint(path):
 
 
 def _write_truncated_checkpoint(path):
-    Checkpoint(RunConfig(["a", "b"], "contrastive_pretrain"), {"w": np.arange(64.0)}, None, 1.0,
-               0, 0.0).save(path)
+    Checkpoint(RunConfig(["a", "b"], "contrastive_pretrain"), {"w": np.arange(64.0)}, None,
+               1.0).save(path)
     with open(path, "rb") as fh:
         head = fh.read()[:100]
     with open(path, "wb") as fh:
@@ -291,20 +291,26 @@ def _nan_in_text_a(members):
 
 
 def _tampered_row(raw, path):
-    # one byte of the latents, which their member's CRC-32 covers
-    at = raw.index(_members(raw)["latents"].tobytes())
+    # one byte of the series, which its member's CRC-32 covers
+    at = raw.index(_members(raw)["modality:series"].tobytes())
     with open(path, "wb") as fh:
         fh.write(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
 
 
+def _as_v3(members):
+    # the format tag and the `latents` member of a v3 file
+    members.update({"format": np.array("mmcl-cohort v3"),
+                    "latents": np.zeros((members["binary_labels"].size, 8))})
+
+
 @pytest.mark.parametrize("corrupt", [
-    _resealed(lambda members: members.pop("latents")),
+    _resealed(lambda members: members.pop("modality:series")),
     _resealed(lambda members: members.update({"modality:text_a": np.array([["nan?"]])})),
     _tampered_row, _written("not a cohort\n"),
     _written("# mmcl-cohort v2\n# sha256=" + "0" * 64 + "\n# spec={}\n"),
-    _resealed(_nan_in_text_a)],
-    ids=["no_latents", "non_numeric_cell", "tampered_row", "foreign", "v2_text",
-         "nan_observation"])
+    _resealed(_nan_in_text_a), _resealed(_as_v3)],
+    ids=["no_series", "non_numeric_cell", "tampered_row", "foreign", "v2_text",
+         "nan_observation", "v3_archive"])
 def test_exit_code_4_on_malformed_cohort(cohort_file, tmp_path, capsys, corrupt):
     path = str(tmp_path / "bad.txt")
     with open(cohort_file, "rb") as fh:
@@ -357,6 +363,24 @@ def test_exit_code_4_on_cohort_spec_with_a_non_integer_size(cohort_file, tmp_pat
     assert rc == 4
     err = capsys.readouterr().err
     assert "io error: CorruptFileError" in err and path in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    _spec_field("group_separability", lambda _: {"gender": [0.0]}),
+    _spec_field("group_axes", lambda axes: {**axes, "gender": 0})],
+    ids=["one_offset_for_two_genders", "zero_genders"])
+def test_exit_code_4_on_cohort_spec_with_bad_group_settings(cohort_file, tmp_path, capsys,
+                                                           corrupt):
+    # such a spec used to load, and crash the next `generate` of it
+    path = str(tmp_path / "bad.npz")
+    with open(cohort_file, "rb") as fh:
+        corrupt(fh.read(), path)
+    rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,text_b",
+               "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err and "'gender'" in err
     assert "Traceback" not in err
 
 
@@ -416,10 +440,12 @@ def test_exit_code_4_on_frozen_finetune_of_a_float_patient_count(cohort_file, tm
                                   '{"lambda_entropy_coef": NaN}',
                                   '{"lambda_entropy_coef": Infinity}',
                                   '{"lambda_entropy_coef": 0.5}',
-                                  '{"output_dir": "out"}'],
+                                  '{"output_dir": "out"}',
+                                  '{"checkpoint_path": "ckpt.npz"}'],
                          ids=["unknown_field", "bad_json", "unknown_optimizer", "not_an_object",
                               "wrong_type", "negative_entropy_coef", "nan_entropy_coef",
-                              "infinite_entropy_coef", "retired_entropy_coef", "output_dir"])
+                              "infinite_entropy_coef", "retired_entropy_coef", "output_dir",
+                              "retired_checkpoint_path"])
 def test_exit_code_2_on_bad_config_file(cohort_file, tmp_path, capsys, body):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -472,10 +498,8 @@ def test_exit_code_4_on_checkpoint_with_an_ill_typed_subset(cohort_file, tmp_pat
     assert "io error: CorruptFileError" in err and ckpt_path in err
 
 
-@pytest.mark.parametrize("key, value", [("lambdas", [[0.5], [0.3], [0.2]]), ("tau", "x"),
-                                        ("epoch", [1]), ("best_metric", "0.5")],
-                         ids=["lambdas_nested", "tau_a_string", "epoch_a_list",
-                              "best_metric_a_string"])
+@pytest.mark.parametrize("key, value", [("lambdas", [[0.5], [0.3], [0.2]]), ("tau", "x")],
+                         ids=["lambdas_nested", "tau_a_string"])
 def test_exit_code_4_on_checkpoint_with_ill_typed_metadata(cohort_file, tmp_path, capsys, key,
                                                            value):
     ckpt_path = str(tmp_path / "ckpt.npz")
@@ -849,7 +873,7 @@ def test_every_run_flag_reaches_the_config():
     config = cli._config_from_args(args, ["text_a", "text_b"], "mlstm")
     for flag, (_, value) in RUN_FLAGS.items():
         assert getattr(config, dests[flag]) == value, flag
-    assert config.checkpoint_path == "ckpt.npz"
+    assert args.checkpoint_path == "ckpt.npz"
     assert config.modality_subset == ["text_a", "text_b"] and config.regime == "mlstm"
 
 
@@ -908,11 +932,13 @@ _IN_KIND = {
     "head_hidden": _SIZES,
     "mlstm_hidden": _WIDTH,
     "pool_fraction": st.floats(-0.5, 1.5),
-    "checkpoint_path": st.none() | st.text(max_size=6),
     "modality_subset": st.lists(st.text(max_size=6), max_size=3),
     "regime": st.text(max_size=6),
 }
-assert set(_IN_KIND) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_the_config_fuzz_draws_every_run_config_field():
+    assert set(_IN_KIND) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 @st.composite

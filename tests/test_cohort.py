@@ -41,7 +41,6 @@ def test_generation_bitwise_deterministic():
     b = generate(_spec(seed=3))
     np.testing.assert_array_equal(a.binary_labels, b.binary_labels)
     np.testing.assert_array_equal(a.multilabels, b.multilabels)
-    np.testing.assert_array_equal(a.latents, b.latents)
     for name in a.observations:
         np.testing.assert_array_equal(a.observations[name], b.observations[name])
     for axis in a.groups:
@@ -97,6 +96,35 @@ def test_spec_validation():
         ModalitySpec("x", "static_vector", 0)
     with pytest.raises(ContractError, match="num_multilabels"):
         CohortSpec(10, 4, two, num_multilabels=0)
+
+
+# the default roster's axes: gender 2, ethnicity 5 and age 8 categories
+@pytest.mark.parametrize("axes, separability, named", [
+    (None, {"gender": [0.0]}, "'gender'"), (None, {"gender": [0.0, 1.0, 2.0]}, "'gender'"),
+    (None, {"nosuch": [0.0, 1.0]}, "'nosuch'"), (None, {"gender": [np.nan, 0.0]}, "'gender'"),
+    (None, {"gender": [0.0, np.inf]}, "'gender'"), (None, {"gender": [-1.0, 0.0]}, "'gender'"),
+    (None, {"gender": [True, 0.0]}, "'gender'"), (None, {"gender": 2.5}, "'gender'"),
+    (None, [0.0, 1.0], "group_separability"), ({"gender": 0}, None, "'gender'"),
+    ({"gender": 2.0}, None, "'gender'"), ({"gender": True}, None, "'gender'"),
+    ({"gender": MAX_PATIENTS + 1}, None, "'gender'"), (["gender"], None, "group_axes")],
+    ids=["one_offset_for_two", "three_offsets_for_two", "unknown_axis", "nan_offset",
+         "infinite_offset", "negative_offset", "bool_offset", "offset_not_a_list",
+         "separability_not_a_dict", "zero_categories", "float_categories", "bool_categories",
+         "too_many_categories", "axes_not_a_dict"])
+def test_spec_rejects_group_settings_that_generate_cannot_draw(axes, separability, named):
+    # these used to raise IndexError, KeyError or numpy's ValueError in
+    # `generate`, or draw a cohort without positive labels (a NaN offset)
+    with pytest.raises(ContractError, match=named):
+        generate(_spec(50, group_axes=axes, group_separability=separability))
+
+
+def test_group_separability_generates_saves_and_loads(tmp_path):
+    spec = _spec(200, seed=2, group_separability={"gender": [0.0, 2.0], "age": [0.5] * 8})
+    cohort = generate(spec)
+    assert not np.array_equal(cohort.binary_labels, generate(_spec(200, seed=2)).binary_labels)
+    path = tmp_path / "cohort.npz"
+    save_cohort(cohort, path)
+    _assert_same_cohort(load_cohort(path), cohort)
 
 
 # --------------------------------------------------------------------------
@@ -190,8 +218,7 @@ def _assert_same_cohort(loaded, cohort):
     assert loaded.spec == cohort.spec
     assert set(loaded.observations) == set(cohort.observations)
     assert set(loaded.groups) == set(cohort.groups)
-    pairs = [(loaded.binary_labels, cohort.binary_labels), (loaded.multilabels, cohort.multilabels),
-             (loaded.latents, cohort.latents)]
+    pairs = [(loaded.binary_labels, cohort.binary_labels), (loaded.multilabels, cohort.multilabels)]
     pairs += [(loaded.observations[name], obs) for name, obs in cohort.observations.items()]
     pairs += [(loaded.groups[axis], tags) for axis, tags in cohort.groups.items()]
     for got, want in pairs:
@@ -241,8 +268,8 @@ def _tamper_spec_line(raw):
 
 
 def _tamper_checksum_line(raw):
-    # the CRC-32 field of the central directory record of `latents`
-    record = raw.rindex(b"latents.npy") - 46
+    # the CRC-32 field of the central directory record of `modality:series`
+    record = raw.rindex(b"modality:series.npy") - 46
     assert raw[record:record + 4] == b"PK\x01\x02"
     return _flip(raw, record + 16)
 
@@ -314,31 +341,59 @@ def _set_first(value):
 
 @pytest.mark.parametrize("edit", [
     _replace("modality:text_a", lambda v: v[1:]), _replace("modality:series", lambda v: v[1:]),
-    _replace("multilabels", lambda v: v[1:]), _replace("latents", lambda v: v[1:]),
+    _replace("multilabels", lambda v: v[1:]), _replace("modality:image", lambda v: v[1:]),
     _replace("binary_labels", lambda v: np.append(v, 1)),
     _replace("group:age", lambda v: np.append(v, "age1")),
     _replace("binary_labels", _set_first(2)), _replace("multilabels", _set_first(np.nan)),
     _replace("spec", lambda v: np.array("[" * 5000 + "]" * 5000)),  # deeper than json allows
     _replace("modality:series", lambda v: v.reshape(v.shape[0], -1)),
     _replace("modality:text_a", lambda v: v.astype(np.float32)),
-    _replace("latents", lambda v: v.astype(">f8")),
+    _replace("modality:series", lambda v: v.astype(">f8")),
     _replace("binary_labels", lambda v: v.astype(np.float64)),
     _replace("group:age", lambda v: np.arange(v.size)),
     _replace("format", lambda v: np.array("mmcl-cohort v2")),
-    _delete("latents"), _delete("group:gender"), _delete("spec"),
+    _delete("modality:series"), _delete("group:gender"), _delete("spec"),
     _replace("modality:text_a", _set_first(np.nan)),
-    _replace("modality:series", _set_first(np.inf)), _replace("latents", _set_first(-np.inf))],
-    ids=["observation_row", "sequence_row", "multilabel_row", "latent_row", "extra_label",
+    _replace("modality:series", _set_first(np.inf)),
+    _replace("modality:image", _set_first(-np.inf))],
+    ids=["observation_row", "sequence_row", "multilabel_row", "image_row", "extra_label",
          "extra_group_tag", "label_2", "multilabel_nan", "deep_spec", "flat_sequence",
-         "float32_observations", "big_endian_latents", "float_labels", "integer_group_tags",
-         "v2_format", "missing_latents", "missing_group_axis", "missing_spec",
-         "observation_nan", "sequence_inf", "latent_minus_inf"])
+         "float32_observations", "big_endian_series", "float_labels", "integer_group_tags",
+         "v2_format", "missing_series", "missing_group_axis", "missing_spec",
+         "observation_nan", "sequence_inf", "image_minus_inf"])
 def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, seed_cohort, edit):
     path = tmp_path / "cohort.npz"
     _resealed(path, seed_cohort[1], edit)
     with pytest.raises(CorruptFileError) as info:
         load_cohort(path)
     assert str(path) in str(info.value)
+
+
+def _as_v3(members):
+    """A v4 archive's members rewritten as format v3 wrote them: with the
+    latents and a `mixing_seed` of null in each modality's spec."""
+    spec = json.loads(str(members["spec"]))
+    for mod in spec["modalities"]:
+        mod["mixing_seed"] = None
+    members.update({"format": np.array("mmcl-cohort v3"), "spec": np.array(json.dumps(spec)),
+                    "latents": np.zeros((spec["num_patients"], spec["latent_dim"]))})
+
+
+def test_load_refuses_a_v3_cohort_naming_both_formats(tmp_path, seed_cohort):
+    path = tmp_path / "v3.npz"
+    _resealed(path, seed_cohort[1], _as_v3)
+    with pytest.raises(CorruptFileError, match="'mmcl-cohort v3', not 'mmcl-cohort v4'"):
+        load_cohort(path)
+
+
+def test_saved_cohort_holds_only_the_v4_members(tmp_path, seed_cohort):
+    members = _members(seed_cohort[1])
+    assert str(members["format"]) == "mmcl-cohort v4"
+    assert sorted(members) == sorted(
+        ["format", "spec", "binary_labels", "multilabels"]
+        + [f"modality:{name}" for name in ("text_a", "text_b", "image", "demo", "series")]
+        + [f"group:{axis}" for axis in ("gender", "ethnicity", "age")])
+    assert all("mixing_seed" not in mod for mod in json.loads(str(members["spec"]))["modalities"])
 
 
 def _with_unbalanced_npy_header(raw, member):
@@ -359,7 +414,7 @@ def _with_unbalanced_npy_header(raw, member):
 @pytest.mark.parametrize("artifact", ["cohort", "checkpoint"])
 def test_load_rejects_an_npy_header_that_does_not_parse(tmp_path, seed_cohort, seed_checkpoint,
                                                         artifact):
-    raw, member, load = ((seed_cohort[1], "latents", load_cohort) if artifact == "cohort"
+    raw, member, load = ((seed_cohort[1], "modality:series", load_cohort) if artifact == "cohort"
                          else (seed_checkpoint[1], "param:enc.w0", Checkpoint.load))
     path = tmp_path / "unbalanced.npz"
     path.write_bytes(_with_unbalanced_npy_header(raw, member))
@@ -436,7 +491,6 @@ def _consistent(cohort):
                           (cohort.multilabels, (n, spec.num_multilabels))):
         assert labels.shape == shape and labels.dtype == np.int64
         assert np.isin(labels, (0, 1)).all()
-    assert cohort.latents.shape == (n, spec.latent_dim) and cohort.latents.dtype == np.float64
     assert set(cohort.groups) == set(spec.group_axes)
     assert all(tags.shape == (n,) and tags.dtype.kind == "U" for tags in cohort.groups.values())
 
@@ -508,8 +562,7 @@ def test_load_cohort_keeps_integer_spec_fields_ints(fuzz_dir, seed_cohort, data)
 # loads what was saved or raises CorruptFileError
 
 def _assert_same_checkpoint(loaded, ckpt):
-    assert (loaded.config, loaded.tau, loaded.epoch, loaded.best_metric) == (
-        ckpt.config, ckpt.tau, ckpt.epoch, ckpt.best_metric)
+    assert (loaded.config, loaded.tau) == (ckpt.config, ckpt.tau)
     np.testing.assert_array_equal(loaded.lambdas, ckpt.lambdas)
     assert set(loaded.params) == set(ckpt.params)
     for name, values in ckpt.params.items():
@@ -523,7 +576,7 @@ def seed_checkpoint(fuzz_dir):
     path = fuzz_dir / "seed_ckpt.npz"
     ckpt = Checkpoint(RunConfig(["text_a", "text_b"], "contrastive_pretrain"),
                       {"enc.w0": np.arange(6.0).reshape(2, 3), "tau": np.ones(1)},
-                      np.array([0.25, 0.75]), 0.5, 2, 1.25)
+                      np.array([0.25, 0.75]), 0.5)
     ckpt.save(path)
     return ckpt, path.read_bytes()
 

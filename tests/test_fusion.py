@@ -36,7 +36,7 @@ def _resolve(lambdas, source="checkpoint"):
         config = RunConfig(ROSTER[:k], "mlstm", lambda_source=f"literal:{list(lambdas)}")
         return _resolve_lambdas(config, None, k)
     checkpoint = Checkpoint(RunConfig(ROSTER[:k], "contrastive_pretrain"), {},
-                            np.asarray(lambdas, dtype=np.float64), 1.0, 0, 0.0)
+                            np.asarray(lambdas, dtype=np.float64), 1.0)
     return _resolve_lambdas(RunConfig(ROSTER[:k], "mlstm"), checkpoint, k)
 
 

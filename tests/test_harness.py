@@ -11,7 +11,7 @@ from mmcl.autodiff import Tensor
 from mmcl.cohort import default_five_modality_spec, generate
 from mmcl.encoders import LSTMEncoder, MLPEncoder
 from mmcl.errors import (ConfigurationError, ContractError, CorruptFileError, DegenerateInputError,
-                         DivergenceError, MAX_WIDTH, is_int, is_real)
+                         DivergenceError, MAX_WIDTH, is_real)
 from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, weighted_bce
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
@@ -101,7 +101,7 @@ WRONG_TYPES = [
     ("encoder_hidden", 16), ("encoder_hidden", [16, "8"]), ("encoder_hidden", []),
     ("head_hidden", [0]), ("head_hidden", [True]), ("modality_subset", "text_a,text_b"),
     ("modality_subset", ["text_a", 2]), ("regime", ["mlstm"]), ("task", None),
-    ("lambda_source", 3), ("checkpoint_path", 1)]
+    ("lambda_source", 3)]
 
 
 @pytest.mark.parametrize("field,value", WRONG_TYPES)
@@ -180,12 +180,6 @@ def test_pretrain_reproducible(small_cohort):
         np.testing.assert_array_equal(a.params[name], b.params[name])
 
 
-def test_pretrain_best_metric_is_last_epoch_loss(small_cohort):
-    ckpt, history = pretrain(_cfg(ALL[:2], "contrastive_pretrain", max_epochs=1), small_cohort)
-    assert len(history) == 1
-    assert ckpt.best_metric == history[-1]
-
-
 def test_pretrain_rejects_wrong_regime(small_cohort):
     with pytest.raises(ConfigurationError):
         pretrain(_cfg(ALL[:2], "mlstm"), small_cohort)
@@ -260,7 +254,6 @@ def test_checkpoint_round_trip(tmp_path, small_cohort):
     loaded = Checkpoint.load(path)
     assert loaded.config.seed == ckpt.config.seed
     assert loaded.tau == ckpt.tau
-    assert loaded.epoch == ckpt.epoch
     assert loaded.config.modality_subset == ckpt.config.modality_subset
     np.testing.assert_array_equal(loaded.lambdas, ckpt.lambdas)
     assert set(loaded.params) == set(ckpt.params)
@@ -270,13 +263,15 @@ def test_checkpoint_round_trip(tmp_path, small_cohort):
 
 def test_checkpoint_of_the_retired_optimizer_setting_loads_and_finetunes(tmp_path,
                                                                          small_cohort):
-    pre, _ = pretrain(_cfg(ALL[:3], "contrastive_pretrain", max_epochs=1), small_cohort)
+    # a file of an older format, with the retired settings and metadata
+    pre, history = pretrain(_cfg(ALL[:3], "contrastive_pretrain", max_epochs=1), small_cohort)
     path = tmp_path / "sgd.npz"
     pre.save(path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["__meta__"]))
-    meta["config"]["optimizer"] = "sgd"
+    meta["config"].update(optimizer="sgd", checkpoint_path=str(path))
+    meta.update(epoch=1, best_metric=history[-1])
     arrays["__meta__"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
     loaded = Checkpoint.load(path)
@@ -511,8 +506,7 @@ def test_mlstm_literal_lambda_length_checked(small_cohort):
     ([0.5, 0.5, np.nan], ContractError, "finite and nonnegative")],
     ids=["wrong_length", "off_simplex", "nan"])
 def test_mlstm_checkpoint_lambdas_checked(small_cohort, lambdas, error, message):
-    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, np.array(lambdas), 1.0, 0,
-                            0.0)
+    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, np.array(lambdas), 1.0)
     with pytest.raises(error, match=message):
         finetune(_cfg(ALL[:3], "mlstm"), small_cohort, checkpoint)
 
@@ -521,7 +515,7 @@ def test_mlstm_runs_on_normalized_checkpoint_lambdas(small_cohort):
     # a checkpoint's weights within rounding of the simplex are divided by
     # their sum once, and the run uses and stores the result
     stored = np.array([0.5 + 2e-7, 0.3, 0.2])
-    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, stored, 1.0, 0, 0.0)
+    checkpoint = Checkpoint(_cfg(ALL[:3], "contrastive_pretrain"), {}, stored, 1.0)
     ckpt, record, _ = finetune(_cfg(ALL[:3], "mlstm", max_epochs=1), small_cohort, checkpoint)
     assert_bitwise_equal(ckpt.lambdas, stored / stored.sum())
     assert np.isfinite(record.auroc)
@@ -570,7 +564,7 @@ def _assert_same_training(got_runs, want_runs):
         if want.lambdas is not None:
             assert_bitwise_equal(got.lambdas, want.lambdas)
         # a fine-tune checkpoint stores tau as NaN
-        assert_bitwise_equal([got.tau, got.best_metric], [want.tau, want.best_metric])
+        assert_bitwise_equal(got.tau, want.tau)
     assert got_runs[1] == want_runs[1]
     for got, want in zip(got_runs[2], want_runs[2]):
         assert (got.auroc, got.auprc) == (want.auroc, want.auprc)
@@ -916,7 +910,7 @@ def test_emit_then_load_rows_round_trips(fuzz_dir, rows):
 
 # with the two keys that older files also carry, "seed" and "modality_subset"
 _SEED_META = {"config": dataclasses.asdict(RunConfig(["text_a", "text_b"], "contrastive_pretrain")),
-              "seed": 0, "lambdas": [0.25, 0.75], "tau": 0.5, "epoch": 2, "best_metric": 1.25,
+              "seed": 0, "lambdas": [0.25, 0.75], "tau": 0.5,
               "modality_subset": ["text_a", "text_b"]}
 
 
@@ -925,7 +919,7 @@ def _checkpoint_bytes(fuzz_dir, meta=None, params=None):
     its `param:` arrays."""
     path = fuzz_dir / "seed_ckpt.npz"
     Checkpoint(RunConfig(**_SEED_META["config"]), {"enc.w0": np.arange(6.0).reshape(2, 3)},
-               np.array(_SEED_META["lambdas"]), 0.5, 2, 1.25).save(path)
+               np.array(_SEED_META["lambdas"]), 0.5).save(path)
     if meta is not None or params is not None:
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -944,15 +938,13 @@ def _subset(value):
     (_subset(5), None), (_subset(["text_a", 2]), None),
     (_subset("text_a"), None), ({}, {"enc.w0": np.array(["0.5", "x"])}),
     ({}, {"enc.w0": np.arange(3)}), ({"config": ["regime"]}, None),
-    ({"tau": "x"}, None), ({"tau": True}, None), ({"best_metric": [1.25]}, None),
-    ({"epoch": [1]}, None), ({"epoch": 2.0}, None), ({"lambdas": [[0.25], [0.75]]}, None),
+    ({"tau": "x"}, None), ({"tau": True}, None), ({"lambdas": [[0.25], [0.75]]}, None),
     ({"lambdas": ["0.25", 0.75]}, None), ({"lambdas": 0.5}, None),
     ({}, {"enc.w0": np.array([0.5, np.nan])}), ({}, {"enc.w0": np.array([[np.inf, 0.5]])}),
     ({}, {"enc.w0": np.array(-np.inf)}),
     ({"config": {**_SEED_META["config"], "pool_fraction": 1.5}}, None)],
     ids=["subset_not_a_list", "subset_entry_not_a_name", "subset_a_string", "param_of_strings",
-         "param_of_ints", "config_not_an_object", "tau_a_string", "tau_a_bool",
-         "best_metric_a_list", "epoch_a_list", "epoch_a_float", "lambdas_nested",
+         "param_of_ints", "config_not_an_object", "tau_a_string", "tau_a_bool", "lambdas_nested",
          "lambdas_of_strings", "lambdas_a_number", "param_nan", "param_inf", "param_minus_inf",
          "pool_fraction_over_1"])
 def test_checkpoint_load_rejects_ill_typed_contents(fuzz_dir, meta, params):
@@ -1008,12 +1000,17 @@ def test_checkpoint_load_rejects_deeply_nested_metadata(fuzz_dir):
 
 
 def test_checkpoint_load_reads_the_older_format(fuzz_dir):
-    # older files repeat the seed and the subset outside the config, and keep
-    # the retired `lambda_entropy_coef` (0 by default) and `optimizer` in it
+    # older files repeat the seed and the subset outside the config, keep the
+    # retired `lambda_entropy_coef` (0 by default), `optimizer` and
+    # `checkpoint_path` in it, and store the retired `epoch` and `best_metric`
     path = fuzz_dir / "older.npz"
-    config = {**_SEED_META["config"], "lambda_entropy_coef": 0.0, "optimizer": "sgd"}
-    path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps({**_SEED_META, "config": config})))
-    assert Checkpoint.load(path).config == RunConfig(**_SEED_META["config"])
+    config = {**_SEED_META["config"], "lambda_entropy_coef": 0.0, "optimizer": "sgd",
+              "checkpoint_path": None}
+    older = {**_SEED_META, "config": config, "epoch": 2, "best_metric": 1.25}
+    path.write_bytes(_checkpoint_bytes(fuzz_dir, json.dumps(older)))
+    loaded = Checkpoint.load(path)
+    assert loaded.config == RunConfig(**_SEED_META["config"])
+    assert loaded.tau == _SEED_META["tau"] and loaded.lambdas.tolist() == _SEED_META["lambdas"]
 
 
 def test_checkpoint_load_keeps_a_missing_file_an_os_error(tmp_path):
@@ -1056,8 +1053,7 @@ def test_checkpoint_load_loads_or_raises_corrupt_file_error(fuzz_dir, data):
     else:
         assert isinstance(ckpt.config, RunConfig)
         assert all(isinstance(m, str) for m in ckpt.config.modality_subset)
-        assert all(is_real(v) for v in (ckpt.tau, ckpt.best_metric))
-        assert is_int(ckpt.epoch)
+        assert is_real(ckpt.tau)
         assert ckpt.lambdas is None or (ckpt.lambdas.ndim == 1
                                         and ckpt.lambdas.dtype == np.float64)
         assert all(p.dtype == np.float64 for p in ckpt.params.values())

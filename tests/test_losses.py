@@ -270,6 +270,14 @@ def test_lambda_simplex_preserved_after_optimizer_step():
     assert np.exp(log_tau.values) > 0.0
 
 
+def test_weighted_ovo_loss_requires_logits():
+    # without logits it returned the unweighted One-vs-Others sum, K times
+    # the loss with uniform lambda, and no error
+    emb = [Tensor(m) for m in _rand_set(3, 5, 4, seed=24)]
+    with pytest.raises(ContractError, match="weighted OvO needs lambda logits"):
+        weighted_ovo_loss(emb, log_temperature(), None)
+
+
 def test_lambda_length_mismatch():
     mats = _rand_set(3, 4, 3, seed=12)
     emb = [Tensor(m) for m in mats]
