@@ -33,7 +33,7 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=np.float64)
     if x.shape != baseline.shape or x.ndim != 1:
         raise ContractError(f"input {x.shape} and baseline {baseline.shape} must be matching vectors")
-    if not 2 <= steps <= MAX_IG_STEPS:
+    if not (is_int(steps) and 2 <= steps <= MAX_IG_STEPS):
         raise ContractError(f"integrated gradients needs 2 <= steps <= {MAX_IG_STEPS}, got {steps}")
 
     alphas = np.arange(1, steps + 1)[:, None] / steps

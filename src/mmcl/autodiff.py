@@ -145,7 +145,7 @@ def _through_norm(d_hat, x_hat, r):
 def ovo_nce(embeddings, log_tau, logits=None):
     """One-vs-Others InfoNCE of K >= 2 row-aligned N x n batches as one graph
     node: the sum over i of lambda_i * NCE(e_i, mean of the other batches),
-    lambda = softmax(logits) (a K-vector), or the plain sum without `logits`.
+    lambda = softmax(logits) (a K-vector), or all ones (the plain sum) without `logits`.
     NCE(a, b) is the mean over k of -log softmax_m(cos(a_k, b_m) / tau) at
     m = k. Returns (loss, the K unweighted term values).
 
@@ -171,7 +171,7 @@ def ovo_nce(embeddings, log_tau, logits=None):
     if logits is not None and logits.shape != (k,):
         raise ContractError(f"lambda logits of shape {logits.shape} for K={k} modalities")
     inv_tau = np.exp(-log_tau.values)
-    lam = None if logits is None else kernels.softmax(logits.values)
+    lam = np.ones(k) if logits is None else kernels.softmax(logits.values)
     share = 1.0 / (k - 1)
     n = embeddings[0].shape[0]
     diag = np.arange(n)
@@ -188,14 +188,14 @@ def ovo_nce(embeddings, log_tau, logits=None):
         lse = kernels.logsumexp_rows(s)
         terms[i] = (lse + (-s[diag, diag])).sum() * scale
         saved.append((a_hat, r_a, b_hat, r_b, cos, s, lse))
-    loss = functools.reduce(operator.add, terms if lam is None else lam * terms)
+    loss = functools.reduce(operator.add, lam * terms)
 
     def backward(g):
         grads, d_inv = [None] * k, 0.0
         for i, (a_hat, r_a, b_hat, r_b, cos, s, lse) in enumerate(saved):
             ds = np.exp(s - lse[:, None])  # row softmax of s
             ds[diag, diag] -= 1.0
-            ds *= (g if lam is None else g * lam[i]) * scale
+            ds *= (g * lam[i]) * scale
             d_inv = d_inv + (ds * cos).sum()
             dcos = ds * inv_tau
             d_own = _through_norm(dcos @ b_hat, a_hat, r_a)

@@ -160,8 +160,8 @@ def _cmd_finetune(args):
     os.makedirs(args.out, exist_ok=True)
     ckpt.save(os.path.join(args.out, "model.npz"))
     with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-        json.dump({"auroc": record.auroc, "auprc": record.auprc, "seed": record.seed,
-                   "task": record.task, **info}, fh, indent=2)
+        json.dump({"auroc": record.auroc, "auprc": record.auprc, "seed": config.seed,
+                   "task": config.task, **info}, fh, indent=2)
     print(f"{args.regime}: test AUROC {record.auroc:.4f}, AUPRC {record.auprc:.4f} "
           f"(best epoch {info['best_epoch']})")
 

@@ -330,6 +330,6 @@ def default_five_modality_spec(num_patients, seed=0, latent_dim=8,
     return CohortSpec(
         num_patients=num_patients, latent_dim=latent_dim, modalities=modalities,
         binary_label_sparsity=binary_label_sparsity,
-        group_axes=group_axes or {"gender": 2, "ethnicity": 5, "age": 8},
-        group_separability=group_separability or {},
+        group_axes={"gender": 2, "ethnicity": 5, "age": 8} if group_axes is None else group_axes,
+        group_separability={} if group_separability is None else group_separability,
         seed=seed)

@@ -340,12 +340,9 @@ def _targets(cohort, config, indices):
     return cohort.multilabels[indices].astype(np.float64)
 
 
-def _metrics_from_scores(scores, targets, task):
-    """(AUROC, AUPRC); multilabel metrics are macro means over the labels
-    with both classes present."""
-    if task == "binary":
-        labels = targets.reshape(-1).astype(int)
-        return auroc(scores.reshape(-1), labels), auprc(scores.reshape(-1), labels)
+def _metrics_from_scores(scores, targets):
+    """(AUROC, AUPRC), macro means over the label columns with both classes
+    present; a binary task is one column."""
     rocs, prcs = [], []
     for l in range(targets.shape[1]):
         labels = targets[:, l].astype(int)
@@ -354,7 +351,7 @@ def _metrics_from_scores(scores, targets, task):
         rocs.append(auroc(scores[:, l], labels))
         prcs.append(auprc(scores[:, l], labels))
     if not rocs:
-        raise ConfigurationError("no label with both classes present in evaluation split")
+        raise DegenerateInputError("no label with both classes present in evaluation split")
     return float(np.mean(rocs)), float(np.mean(prcs))
 
 
@@ -459,8 +456,7 @@ def finetune(config, cohort, checkpoint=None):
         return multilabel_ce(logits, targets)
 
     def evaluate(indices):  # (AUROC, AUPRC)
-        return _metrics_from_scores(
-            forward(indices).values, _targets(cohort, config, indices), config.task)
+        return _metrics_from_scores(forward(indices).values, _targets(cohort, config, indices))
 
     best_metric, best_epoch, stall = -np.inf, -1, 0
     best_snapshot = _snapshot(trained)
@@ -477,7 +473,7 @@ def finetune(config, cohort, checkpoint=None):
 
     _load_into(trained, best_snapshot)
     test_auroc, test_auprc = evaluate(test_idx)
-    record = MetricsRecord(task=config.task, auroc=test_auroc, auprc=test_auprc, seed=config.seed)
+    record = MetricsRecord(auroc=test_auroc, auprc=test_auprc)
 
     ckpt = Checkpoint(config=replace(config), params=_snapshot(model_params), lambdas=lambdas,
                       tau=float("nan"))

@@ -10,10 +10,8 @@ from .errors import ContractError, DegenerateInputError, EPS
 
 @dataclass
 class MetricsRecord:
-    task: str
     auroc: float
     auprc: float
-    seed: int
 
 
 def _as_arrays(scores, labels):
@@ -24,18 +22,19 @@ def _as_arrays(scores, labels):
     return scores, labels
 
 
+def _run_ends(xs):
+    """One past the last index of each run of equal values in the sorted 1-D
+    array `xs`; a NaN equals nothing, so each NaN is a run of its own."""
+    return np.append(np.flatnonzero(xs[1:] != xs[:-1]) + 1, xs.size)
+
+
 def midranks(x):
     """1-based ranks of a 1-D array; tied values share the mean of their ranks."""
     order = np.argsort(x, kind="stable")
+    ends = _run_ends(x[order])
+    starts = np.append(0, ends[:-1])
     ranks = np.empty(x.size, dtype=np.float64)
-    xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -60,21 +59,10 @@ def auprc(scores, labels):
     if n_pos == 0:
         raise DegenerateInputError("AUPRC needs at least one positive")
     order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        group_tp = int((y[i:j + 1] == 1).sum())
-        tp += group_tp
-        fp += (j - i + 1) - group_tp
-        if group_tp:
-            ap += (group_tp / n_pos) * (tp / (tp + fp))
-        i = j + 1
-    return ap
+    ends = _run_ends(scores[order])  # rows ranked at or above each distinct score
+    tp = np.cumsum(labels[order] == 1)[ends - 1]
+    # cumsum adds the terms left to right; np.sum's pairwise order rounds differently
+    return float(np.cumsum((np.diff(tp, prepend=0) / n_pos) * (tp / ends))[-1])
 
 
 def groupwise(metric_fn, scores, labels, groups):

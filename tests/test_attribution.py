@@ -87,8 +87,9 @@ def test_completeness_holds_approximately():
 def test_ig_input_validation():
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0]), np.array([1.0]), steps=1)
-    with pytest.raises(ContractError, match="steps"):
-        integrated_gradients(_linear_model([1.0]), np.array([1.0]), steps=MAX_IG_STEPS + 1)
+    for steps in (MAX_IG_STEPS + 1, 2.5, 4.0):  # a float used to raise numpy's TypeError
+        with pytest.raises(ContractError, match="steps"):
+            integrated_gradients(_linear_model([1.0]), np.array([1.0]), steps=steps)
     with pytest.raises(ContractError):
         integrated_gradients(_linear_model([1.0, 1.0]), np.array([1.0, 2.0]),
                              baseline=np.array([0.0]))

@@ -72,6 +72,15 @@ def test_finetune_happy_path(cohort_file, tmp_path):
     assert os.path.exists(os.path.join(out, "model.npz"))
 
 
+def test_finetune_metrics_name_the_run_seed_and_task(cohort_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                 "--regime", "supervised_baseline", "--task", "multilabel", "--seed", "3",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["seed"], metrics["task"]) == (3, "multilabel")
+
+
 def test_sweep_and_report(cohort_file, tmp_path):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--cohort", cohort_file,

@@ -127,6 +127,19 @@ def test_group_separability_generates_saves_and_loads(tmp_path):
     _assert_same_cohort(load_cohort(path), cohort)
 
 
+def test_empty_group_axes_give_a_cohort_without_groups(tmp_path):
+    # an empty dict used to count as missing and bring back the three default axes
+    spec = _spec(50, group_axes={})
+    assert spec.group_axes == {}
+    cohort = generate(spec)
+    assert cohort.groups == {}
+    path = tmp_path / "cohort.npz"
+    save_cohort(cohort, path)
+    with zipfile.ZipFile(path) as zf:
+        assert not [name for name in zf.namelist() if name.startswith("group:")]
+    _assert_same_cohort(load_cohort(path), cohort)
+
+
 # --------------------------------------------------------------------------
 # planted signal
 

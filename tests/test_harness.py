@@ -16,6 +16,7 @@ from mmcl.fusion import ClassifierHead, class_weights_from_counts, concat_fuse, 
 from mmcl.harness import (Checkpoint, RunConfig, SweepResult, SweepRow,
                           enumerate_subsets, finetune, finetune_splits,
                           load_rows, pretrain, sweep)
+from mmcl.metrics import auprc, auroc
 from mmcl.optim import Adam
 
 from ce_oracle import composed_sigmoid_ce
@@ -356,8 +357,8 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
             encoders, cohort.observations, idx, config.modality_subset)))
 
     def metrics(idx):
-        return harness._metrics_from_scores(
-            forward(idx).values, harness._targets(cohort, config, idx), "binary")
+        return harness._metrics_from_scores(forward(idx).values,
+                                            harness._targets(cohort, config, idx))
 
     best, best_epoch, best_snapshot, stall = -np.inf, -1, harness._snapshot(params), 0
     for epoch in range(config.max_epochs):
@@ -657,18 +658,21 @@ def test_training_batch_graph_node_budget(small_cohort, monkeypatch, regime, nod
 
 def test_multilabel_task_runs(small_cohort):
     cfg = _cfg(ALL[:2], "supervised_baseline", task="multilabel", max_epochs=2)
-    _, record, _ = finetune(cfg, small_cohort)
+    ckpt, record, _ = finetune(cfg, small_cohort)
     assert np.isfinite(record.auroc)
-    assert record.task == "multilabel"
+    assert ckpt.params["head.b1"].shape == (small_cohort.spec.num_multilabels,)
 
 
-def test_metrics_from_scores_multilabel_skips_single_class():
-    scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.3]])
-    targets = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])  # label 1 degenerate
-    roc, prc = harness._metrics_from_scores(scores, targets, "multilabel")
-    assert roc == pytest.approx(1.0)
-    with pytest.raises(ConfigurationError):
-        harness._metrics_from_scores(scores, np.ones((3, 2)), "multilabel")
+def test_metrics_from_scores_averages_the_two_class_columns():
+    # a binary task is the one-column case; a column of one class is skipped
+    scores = np.array([[0.9, 0.1], [0.2, 0.2], [0.4, 0.3], [0.1, 0.6]])
+    targets = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+    column = (auroc(scores[:, 0], [1, 0, 1, 0]), auprc(scores[:, 0], [1, 0, 1, 0]))
+    assert harness._metrics_from_scores(scores[:, :1], targets[:, :1]) == column
+    assert harness._metrics_from_scores(scores, targets) == column
+    for width in (1, 2):
+        with pytest.raises(DegenerateInputError, match="no label with both classes"):
+            harness._metrics_from_scores(scores[:, :width], np.ones((4, width)))
 
 
 # --------------------------------------------------------------------------

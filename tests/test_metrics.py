@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mmcl.errors import ContractError, DegenerateInputError
-from mmcl.metrics import auprc, auroc, groupwise, top5_alignment_accuracy
+from mmcl.metrics import auprc, auroc, groupwise, midranks, top5_alignment_accuracy
 
 
 # --------------------------------------------------------------------------
@@ -36,6 +37,26 @@ def _oracle_auprc(scores, labels):
     return ap
 
 
+# tie-heavy scored samples: a few values, signed zeros and infinities, so
+# that most draws hold runs of equal scores
+_SCORE = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, np.inf]) | st.floats(-3.0, 3.0)
+_SAMPLES = st.lists(st.tuples(_SCORE, st.integers(0, 1)), min_size=2, max_size=30)
+
+
+def _unzip(samples):
+    scores, labels = zip(*samples)
+    return np.array(scores), np.array(labels)
+
+
+def _assert_same_bits(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+def test_midranks_rank_each_nan_apart_after_the_numbers():
+    ranks = midranks(np.array([np.nan, 1.0, np.nan, 1.0]))
+    np.testing.assert_array_equal(ranks, [3.0, 1.5, 4.0, 1.5])
+
+
 # --------------------------------------------------------------------------
 # AUROC
 
@@ -57,15 +78,12 @@ def test_auroc_all_tied_is_half():
     assert auroc(np.ones(6), np.array([1, 0, 1, 0, 1, 0])) == pytest.approx(0.5)
 
 
-def test_auroc_matches_pair_enumeration_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(4, 30))
-        scores = np.round(rng.standard_normal(n), 1)  # coarse grid forces ties
-        labels = rng.integers(0, 2, size=n)
-        if labels.min() == labels.max():
-            continue
-        assert auroc(scores, labels) == pytest.approx(_oracle_auroc(scores, labels), abs=1e-12)
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES)
+def test_auroc_matches_pair_enumeration_oracle(samples):
+    scores, labels = _unzip(samples)
+    assume(labels.min() != labels.max())
+    _assert_same_bits(auroc(scores, labels), _oracle_auroc(scores, labels))
 
 
 def test_auroc_monotone_transform_invariant():
@@ -102,15 +120,12 @@ def test_auprc_all_tied_equals_prevalence():
     assert auprc(np.ones(4), labels) == pytest.approx(0.25)
 
 
-def test_auprc_matches_threshold_sweep_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(4, 30))
-        scores = np.round(rng.standard_normal(n), 1)
-        labels = rng.integers(0, 2, size=n)
-        if (labels == 1).sum() == 0:
-            continue
-        assert auprc(scores, labels) == pytest.approx(_oracle_auprc(scores, labels), abs=1e-12)
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES)
+def test_auprc_matches_threshold_sweep_oracle(samples):
+    scores, labels = _unzip(samples)
+    assume(labels.max() == 1)
+    _assert_same_bits(auprc(scores, labels), _oracle_auprc(scores, labels))
 
 
 def test_auprc_monotone_transform_invariant():
