@@ -38,7 +38,8 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
 
     alphas = np.arange(1, steps + 1)[:, None] / steps
     points = np.empty((steps + 2, x.size))  # the path points, then x, then the baseline
-    path = np.multiply(alphas, x - baseline, out=points[:steps])
+    delta = x - baseline
+    path = np.multiply(alphas, delta, out=points[:steps])
     np.add(baseline, path, out=path)
     points[steps], points[steps + 1] = x, baseline
     t = Tensor(points, requires_grad=True)
@@ -53,29 +54,35 @@ def integrated_gradients(model_fn, x, baseline=None, steps=256, target=0):
     out.backward(seed)
     # an output that never reads its input leaves no gradient: all zeros
     grad = np.zeros_like(t.values) if t.grad is None else t.grad
-    per_feature = (x - baseline) * grad[:steps].sum(axis=0) / steps
+    per_feature = delta * grad[:steps].sum(axis=0) / steps
     f_x, f_b = float(out.values[-2, target]), float(out.values[-1, target])
     residual = abs(per_feature.sum() - (f_x - f_b))
     return AttributionReport(per_feature, baseline, residual, f_x, f_b)
 
 
-def modality_aggregate(report, k):
+def modality_aggregate(per_feature, k):
     """Collapse per-feature attributions to one nonnegative score per
-    modality: the feature axis splits into `k` equal consecutive blocks, one
-    per modality in order, and each score is the sum of absolute values in
-    its block, normalized to a probability vector. All-zero attributions give
-    uniform scores; a NaN, an infinity or a sum that overflows raises
-    DegenerateInputError. A `k` that does not divide the feature count
-    raises ContractError."""
-    f = report.per_feature.size
+    modality. `per_feature` is one sample's attribution vector of f features,
+    or an S x f stack of S samples' vectors, each row aggregated on its own:
+    the feature axis splits into `k` equal consecutive blocks, one per
+    modality in order, and each score is the sum of absolute values in its
+    block, normalized to a probability vector. A row of all-zero
+    attributions gives uniform scores; a NaN, an infinity or a sum that
+    overflows in any row raises DegenerateInputError. Input of another rank,
+    or a `k` that does not divide f, raises ContractError."""
+    per_feature = np.asarray(per_feature, dtype=np.float64)
+    if per_feature.ndim not in (1, 2):
+        raise ContractError(f"attributions must be a vector or an S x f stack, "
+                            f"got shape {per_feature.shape}")
+    f = per_feature.shape[-1]
     if not (is_int(k) and k >= 1 and f % k == 0):
         raise ContractError(f"{f} features do not split into {k!r} equal modality blocks")
     with np.errstate(over="ignore"):
-        raw = np.abs(report.per_feature).reshape(k, -1).sum(axis=1)
-        total = raw.sum()
-    if not np.isfinite(total):
+        raw = np.abs(per_feature).reshape(*per_feature.shape[:-1], k, -1).sum(axis=-1)
+        total = raw.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
         raise DegenerateInputError("attributions are not finite: the model overflows")
-    return raw / total if total > 0 else np.full(k, 1.0 / k)
+    return np.divide(raw, total, out=np.full(raw.shape, 1.0 / k), where=total > 0)
 
 
 def spearman_rank_correlation(a, b):

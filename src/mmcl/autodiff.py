@@ -62,18 +62,6 @@ class Tensor:
     def _lift(x):
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    # -- unary ops ----------------------------------------------------------
-
-    def tanh(self):
-        a = self
-        out_values = np.tanh(a.values)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * (1.0 - out_values * out_values))
-
-        return Tensor._result(out_values, (a,), backward)
-
     # -- backward pass ------------------------------------------------------
 
     def backward(self, grad=None):
@@ -216,24 +204,51 @@ def ovo_nce(embeddings, log_tau, logits=None):
     return Tensor._result(loss, parents, backward), terms
 
 
-def affine(x, w, b):
-    """x @ w + b as one graph node: an N x d batch times a d x m weight plus
-    an m-vector bias, rounded as the matmul and the broadcast add would."""
+def dense(x, layers):
+    """An affine + tanh stack as one graph node: for each (w, b) of `layers`
+    in order, x @ w + b, with tanh between layers and none after the last.
+    `x` is an N x d batch, each w a 2-D weight and each b its bias vector.
+
+    The forward pass runs the matmul, the broadcast add and `np.tanh` of
+    each layer in order, as the composed ops would. The backward pass walks
+    the layers last to first with no intermediate gradient buffer; each
+    weight, bias and input gradient rounds as the composed ops' would, and
+    only the gradients that some parameter or the input requires are
+    computed: with constant parameters, the input's gradient alone."""
+    if not layers:
+        raise ContractError("a dense stack needs at least one layer")
     x = Tensor._lift(x)
-    if x.ndim != 2 or w.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {x.shape} x {w.shape}")
+    ins = [x.values]  # the input of each layer: x, then each tanh output
+    for li, (w, b) in enumerate(layers):
+        h = ins[-1]
+        if h.ndim != 2 or w.ndim != 2:
+            raise DimensionError(f"matmul needs 2-D operands, got {h.shape} and {w.shape}")
+        if h.shape[1] != w.shape[0]:
+            raise DimensionError(f"matmul inner dimensions disagree: {h.shape} x {w.shape}")
+        out = h @ w.values + b.values
+        if li < len(layers) - 1:
+            ins.append(np.tanh(out))
+    # below[li]: whether layer li's input needs its gradient
+    below = [x.requires_grad]
+    for w, b in layers[:-1]:
+        below.append(below[-1] or w.requires_grad or b.requires_grad)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.values.T)
-        if w.requires_grad:
-            w._accumulate(x.values.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+        for li in reversed(range(len(layers))):
+            (w, b), h = layers[li], ins[li]
+            if w.requires_grad:
+                w._accumulate(h.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+            if not below[li]:
+                return
+            g = g @ w.values.T
+            if li:
+                g = g * (1.0 - h * h)  # through the tanh whose output is h
+        x._accumulate(g)
 
-    return Tensor._result(x.values @ w.values + b.values, (x, w, b), backward)
+    parents = (x,) + tuple(p for layer in layers for p in layer)
+    return Tensor._result(out, parents, backward)
 
 
 class Parameter(Tensor):

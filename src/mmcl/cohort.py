@@ -190,17 +190,17 @@ def generate(spec):
 
 def _stratified_partition(labels, fractions, rng):
     """Disjoint patient-level partition stratified on a binary label."""
-    parts = [[] for _ in fractions]
+    parts = [[] for _ in fractions]  # each part's slice of each class
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         bounds = np.floor(np.cumsum(fractions) * idx.size + 0.5).astype(int)
         bounds[-1] = idx.size
         start = 0
-        for p, stop in enumerate(bounds):
-            parts[p].extend(idx[start:stop].tolist())
+        for part, stop in zip(parts, bounds):
+            part.append(idx[start:stop])
             start = stop
-    return [np.sort(np.array(p, dtype=np.int64)) for p in parts]
+    return [np.sort(np.concatenate(part)).astype(np.int64, copy=False) for part in parts]
 
 
 def pretrain_pool(cohort, seed=0, pool_fraction=0.5):

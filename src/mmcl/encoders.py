@@ -4,7 +4,7 @@ sequences, all projecting into a shared n-dimensional embedding space."""
 import numpy as np
 
 from . import kernels
-from .autodiff import Parameter, Tensor, affine
+from .autodiff import Parameter, Tensor, dense
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -16,8 +16,9 @@ def _init_weight(rng, fan_in, shape):
 
 
 class _MLP:
-    """Affine + tanh stack over `dims`, with no tanh after the last layer.
-    Subclasses name the input width they check in `forward`."""
+    """Affine + tanh stack over `dims`, with no tanh after the last layer,
+    run as one `autodiff.dense` node. Subclasses name the input width they
+    check in `forward`."""
 
     def __init__(self, dims, rng, name):
         self.name = name
@@ -32,11 +33,7 @@ class _MLP:
         x = Tensor._lift(batch)
         if x.shape[1] != width:
             raise DimensionError(f"{self.name}: expected {what} {width}, got {x.shape[1]}")
-        for li, (w, b) in enumerate(self.layers):
-            x = affine(x, w, b)
-            if li < len(self.layers) - 1:
-                x = x.tanh()
-        return x
+        return dense(x, self.layers)
 
 
 class MLPEncoder(_MLP):
@@ -173,7 +170,7 @@ class LSTMEncoder:
             raise DimensionError(
                 f"{self.name}: expected per-step dim {self.input_dim}, got {dim}")
         h = lstm_sequence(self.cell, np.swapaxes(x, 0, 1))
-        return affine(h, self.w_proj, self.b_proj)
+        return dense(h, [(self.w_proj, self.b_proj)])
 
 
 def build_encoder(kind, input_dim, hidden_dims, embedding_dim, rng, name):

@@ -340,19 +340,16 @@ def _targets(cohort, config, indices):
     return cohort.multilabels[indices].astype(np.float64)
 
 
-def _metrics_from_scores(scores, targets):
-    """(AUROC, AUPRC), macro means over the label columns with both classes
-    present; a binary task is one column."""
-    rocs, prcs = [], []
-    for l in range(targets.shape[1]):
-        labels = targets[:, l].astype(int)
-        if labels.min() == labels.max():
-            continue
-        rocs.append(auroc(scores[:, l], labels))
-        prcs.append(auprc(scores[:, l], labels))
-    if not rocs:
+def _metrics_from_scores(scores, targets, *metrics):
+    """The macro mean of each of `metrics` (AUROC and AUPRC when none are
+    named) over the label columns with both classes present; a binary task
+    is one column."""
+    metrics = metrics or (auroc, auprc)
+    two_class = np.flatnonzero(targets.min(axis=0) != targets.max(axis=0))
+    if not two_class.size:
         raise DegenerateInputError("no label with both classes present in evaluation split")
-    return float(np.mean(rocs)), float(np.mean(prcs))
+    return tuple(float(np.mean([metric(scores[:, l], targets[:, l]) for l in two_class]))
+                 for metric in metrics)
 
 
 def _resolve_lambdas(config, checkpoint, k):
@@ -455,14 +452,15 @@ def finetune(config, cohort, checkpoint=None):
             return weighted_bce(logits, targets, class_weights)
         return multilabel_ce(logits, targets)
 
-    def evaluate(indices):  # (AUROC, AUPRC)
-        return _metrics_from_scores(forward(indices).values, _targets(cohort, config, indices))
+    def evaluate(indices, *metrics):
+        return _metrics_from_scores(forward(indices).values, _targets(cohort, config, indices),
+                                    *metrics)
 
     best_metric, best_epoch, stall = -np.inf, -1, 0
     best_snapshot = _snapshot(trained)
     for epoch, _ in _train(config, opt, train_idx, rng, batch_loss, "fine-tuning"):
         epochs_run = epoch + 1
-        val_auroc, _ = evaluate(val_idx)
+        (val_auroc,) = evaluate(val_idx, auroc)  # early stopping reads AUROC alone
         if val_auroc > best_metric:
             best_metric, best_epoch, stall = val_auroc, epoch, 0
             best_snapshot = _snapshot(trained)
@@ -683,14 +681,12 @@ def modality_attribution(config, cohort, checkpoint, steps=256, max_samples=32, 
     features = fuse(encode_batch(
         encoders, cohort.observations, test_idx, config.modality_subset)).values
 
-    k = len(config.modality_subset)
-    totals = np.zeros(k)
-    depends = False
-    for row in features:
-        report = integrated_gradients(head.forward, row, steps=steps, target=target_label)
-        depends = depends or bool(report.per_feature.any())
-        totals += modality_aggregate(report, k)
-    if not depends:
+    per_feature = np.stack([
+        integrated_gradients(head.forward, row, steps=steps, target=target_label).per_feature
+        for row in features])
+    if not per_feature.any():
         raise DegenerateInputError("every integrated-gradients attribution is zero: the model's "
                                    "output does not depend on its input (a saturated model)")
+    # cumsum adds the samples' shares first to last; sum(axis=0) may not
+    totals = np.cumsum(modality_aggregate(per_feature, len(config.modality_subset)), axis=0)[-1]
     return totals / totals.sum()

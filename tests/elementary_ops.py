@@ -1,9 +1,9 @@
 """Elementary Tensor ops, each a graph node with its own backward pass, and
 the finite-difference gradient check.
 
-The library builds its graphs from six nodes only (`autodiff.affine`,
-`autodiff.concat`, `autodiff.ovo_nce`, `Tensor.tanh`,
-`encoders.lstm_sequence`, `fusion._sigmoid_ce`), so these ops live beside
+The library builds its graphs from five nodes only (`autodiff.concat`,
+`autodiff.dense`, `autodiff.ovo_nce`, `encoders.lstm_sequence`,
+`fusion._sigmoid_ce`), so these ops live beside
 the tests: the composed oracles build the references for the fused nodes
 from them, and the gradient checks compose small graphs with them. Each
 takes Tensors or array-likes, and each rounds as the numpy expression it
@@ -14,6 +14,7 @@ import numpy as np
 
 from mmcl import kernels
 from mmcl.autodiff import Parameter, Tensor
+from mmcl.errors import DimensionError
 
 
 def _unbroadcast(grad, shape):
@@ -76,6 +77,27 @@ def matmul(a, b):
     return Tensor._result(a.values @ b.values, (a, b), backward)
 
 
+def affine(x, w, b):
+    """x @ w + b: an N x d batch times a d x m weight plus an m-vector bias,
+    rounded as the matmul and the broadcast add would; the layer that
+    `autodiff.dense` stacks."""
+    x = Tensor._lift(x)
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"matmul needs 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"matmul inner dimensions disagree: {x.shape} x {w.shape}")
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.values.T)
+        if w.requires_grad:
+            w._accumulate(x.values.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return Tensor._result(x.values @ w.values + b.values, (x, w, b), backward)
+
+
 def divide(a, b):
     a, b = Tensor._lift(a), Tensor._lift(b)
 
@@ -105,6 +127,17 @@ def sqrt(x):
     def backward(g):
         if x.requires_grad:
             x._accumulate(g * 0.5 / out_values)
+
+    return Tensor._result(out_values, (x,), backward)
+
+
+def tanh(x):
+    x = Tensor._lift(x)
+    out_values = np.tanh(x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (1.0 - out_values * out_values))
 
     return Tensor._result(out_values, (x,), backward)
 

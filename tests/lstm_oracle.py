@@ -7,7 +7,7 @@ import numpy as np
 from mmcl.autodiff import Tensor
 from mmcl.encoders import LSTM_GATES
 
-from elementary_ops import add, getitem, matmul, mul, sigmoid
+from elementary_ops import add, getitem, matmul, mul, sigmoid, tanh
 
 
 def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
@@ -17,10 +17,10 @@ def composed_lstm_step(params, x_t, c_prev, h_prev, lam=None):
     hid = pre.shape[1] // len(LSTM_GATES)
     i, f, g, o = (getitem(pre, (slice(None), slice(k * hid, (k + 1) * hid)))
                   for k in range(len(LSTM_GATES)))
-    i, f, g, o = sigmoid(i), sigmoid(f), g.tanh(), sigmoid(o)
+    i, f, g, o = sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
     write = mul(i, g) if lam is None else mul(mul(i, g), lam)
     c = add(mul(f, c_prev), write)
-    return c, mul(o, c.tanh())
+    return c, mul(o, tanh(c))
 
 
 def composed_unroll(params, steps, lambdas=None):

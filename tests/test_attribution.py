@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmcl.attribution import (AttributionReport, integrated_gradients,
-                              modality_aggregate, spearman_rank_correlation)
+from mmcl.attribution import integrated_gradients, modality_aggregate, spearman_rank_correlation
 from mmcl.autodiff import Tensor, concat
 from mmcl.errors import MAX_IG_STEPS, ContractError, DegenerateInputError
 from mmcl.fusion import ClassifierHead, weighted_bce
 
 from ig_oracle import per_point_integrated_gradients
-from elementary_ops import add, axis_sum, gradient_step, mul, sigmoid
+from elementary_ops import add, axis_sum, gradient_step, mul, sigmoid, tanh
 from kernel_oracle import assert_bitwise_equal
 
 
@@ -63,7 +62,7 @@ def test_nonzero_baseline():
 def test_completeness_residual_shrinks_with_steps():
     # nonlinear model: the Riemann sum error must fall as steps grow
     def model(t):
-        return _row_sums(mul(t.tanh(), t.tanh()))
+        return _row_sums(mul(tanh(t), tanh(t)))
 
     x = np.array([1.5, -2.0, 0.7])
     residuals = [integrated_gradients(model, x, steps=s).completeness_residual
@@ -132,7 +131,7 @@ def _three_logit_head():
 
 
 def _tanh_model():
-    return lambda t: _row_sums(mul(t.tanh(), t.tanh())), 0
+    return lambda t: _row_sums(mul(tanh(t), tanh(t))), 0
 
 
 def _sigmoid_model():
@@ -176,21 +175,15 @@ def test_ig_of_one_column_is_bitwise_ig_of_a_model_of_that_column():
 # --------------------------------------------------------------------------
 # modality aggregation
 
-def _report(per_feature):
-    return AttributionReport(np.asarray(per_feature, float), np.zeros(len(per_feature)),
-                             0.0, 0.0, 0.0)
-
-
 def test_modality_aggregate_sums_abs_and_normalizes():
-    report = _report([1.0, -2.0, 0.0, 3.0])
-    scores = modality_aggregate(report, 2)
+    scores = modality_aggregate(np.array([1.0, -2.0, 0.0, 3.0]), 2)
     np.testing.assert_allclose(scores, [3 / 6, 3 / 6])
-    report2 = _report([1.0, 1.0, 4.0, 0.0])
-    np.testing.assert_array_equal(modality_aggregate(report2, 2), [2 / 6, 4 / 6])
+    np.testing.assert_array_equal(modality_aggregate(np.array([1.0, 1.0, 4.0, 0.0]), 2),
+                                  [2 / 6, 4 / 6])
 
 
 def test_modality_aggregate_all_zero_falls_back_to_uniform():
-    scores = modality_aggregate(_report([0.0, 0.0, 0.0, 0.0]), 2)
+    scores = modality_aggregate(np.zeros(4), 2)
     np.testing.assert_allclose(scores, [0.5, 0.5])
 
 
@@ -198,13 +191,13 @@ def test_modality_aggregate_all_zero_falls_back_to_uniform():
 def test_modality_aggregate_rejects_non_finite_attributions(bad):
     # NaN used to fall through `total > 0` to uniform scores
     with pytest.raises(DegenerateInputError, match="not finite"):
-        modality_aggregate(_report([1.0, 2.0, bad, bad]), 2)
+        modality_aggregate(np.array([1.0, 2.0, bad, bad]), 2)
 
 
 @pytest.mark.parametrize("k", [2, 4, 0, -3, 1.5, True])
 def test_modality_aggregate_rejects_a_k_that_does_not_split_the_features(k):
     with pytest.raises(ContractError, match=f"3 features do not split into {k!r} equal"):
-        modality_aggregate(_report([1.0, 2.0, 3.0]), k)
+        modality_aggregate(np.array([1.0, 2.0, 3.0]), k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,7 +206,39 @@ def test_modality_aggregate_is_bitwise_the_sums_of_its_blocks(k, width, seed):
     per_feature = np.random.default_rng(seed).standard_normal(k * width) * 10.0
     magnitude = np.abs(per_feature)
     raw = np.array([magnitude[i * width:(i + 1) * width].sum() for i in range(k)])
-    assert_bitwise_equal(modality_aggregate(_report(per_feature), k), raw / raw.sum())
+    assert_bitwise_equal(modality_aggregate(per_feature, k), raw / raw.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.integers(1, 6), k=st.integers(1, 5), width=st.integers(1, 9),
+       zero_rows=st.sets(st.integers(0, 5)), seed=st.integers(0, 2**32 - 1))
+def test_stacked_modality_aggregate_is_bitwise_each_row_on_its_own(samples, k, width,
+                                                                   zero_rows, seed):
+    stack = np.random.default_rng(seed).standard_normal((samples, k * width)) * 10.0
+    stack[[r for r in zero_rows if r < samples]] = 0.0  # these rows fall back to uniform
+    got = modality_aggregate(stack, k)
+    assert_bitwise_equal(got, np.stack([modality_aggregate(row, k) for row in stack]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "sum_overflows"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_stacked_modality_aggregate_rejects_one_non_finite_row(bad, row):
+    stack = np.ones((3, 4))
+    stack[row, 2:] = bad
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        modality_aggregate(stack, 2)
+
+
+@pytest.mark.parametrize("k", [2, 4, 0, 1.5, True])
+def test_stacked_modality_aggregate_rejects_a_k_that_does_not_split_the_features(k):
+    with pytest.raises(ContractError, match=f"3 features do not split into {k!r} equal"):
+        modality_aggregate(np.ones((4, 3)), k)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_modality_aggregate_rejects_attributions_of_another_rank(shape):
+    with pytest.raises(ContractError, match="a vector or an S x f stack"):
+        modality_aggregate(np.ones(shape), 2)
 
 
 # --------------------------------------------------------------------------

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from mmcl import kernels
-from mmcl.autodiff import Parameter, Tensor, affine, concat, ovo_nce
+from mmcl.autodiff import Parameter, Tensor, concat, dense, ovo_nce
 from mmcl.errors import ContractError, DimensionError
 from mmcl.optim import Adam
 
 from adam_oracle import LoopAdam
-from elementary_ops import (add, axis_sum, divide, exp, getitem, grad_check, logsumexp_rows, matmul,
-                            mean, mul, neg, sigmoid, softmax, softplus, sqrt, sub, transpose)
+from elementary_ops import (add, affine, axis_sum, divide, exp, getitem, grad_check, logsumexp_rows,
+                            matmul, mean, mul, neg, sigmoid, softmax, softplus, sqrt, sub, tanh,
+                            transpose)
 
 
 def _matmul(a, w):
-    """a @ w through `affine` with a zero bias."""
-    return affine(Tensor(a), Tensor(w), Tensor(np.zeros(np.shape(w)[1])))
+    """a @ w through a one-layer `dense` stack with a zero bias."""
+    return dense(Tensor(a), [(Tensor(w), Tensor(np.zeros(np.shape(w)[1])))])
 
 
 def test_matmul_identity():
@@ -42,15 +43,29 @@ def test_affine_raises_the_shape_errors_of_matmul(x_shape, w_shape, message):
         affine(x, w, b)
 
 
+@pytest.mark.parametrize("x_shape, w_shapes, message", [
+    ((2, 3), [(2, 3)], "inner dimensions disagree"), ((3,), [(3, 2)], "needs 2-D operands"),
+    ((2, 3), [(3, 4), (3, 2)], r"\(2, 4\) x \(3, 2\)"), ((2, 3), [(3, 4), (4,)], "2-D operands")])
+def test_dense_raises_the_shape_errors_of_matmul(x_shape, w_shapes, message):
+    layers = [(Tensor(np.zeros(shape)), Tensor(np.zeros(shape[-1]))) for shape in w_shapes]
+    with pytest.raises(DimensionError, match=message):
+        dense(Tensor(np.zeros(x_shape)), layers)
+
+
+def test_dense_refuses_an_empty_stack():
+    with pytest.raises(ContractError, match="at least one layer"):
+        dense(Tensor(np.zeros((2, 3))), [])
+
+
 def test_elementwise_analytic_points():
     assert kernels.sigmoid(np.array(0.0)) == 0.5
-    assert float(Tensor(0.0).tanh().values) == 0.0
+    assert float(tanh(Tensor(0.0)).values) == 0.0
     assert float(exp(Tensor(0.0)).values) == 1.0
 
 
 # the library's own unary ops, and the elementary ops the composed oracles
 # build from (the library fuses those away)
-UNARY = {"sigmoid": sigmoid, "tanh": Tensor.tanh, "exp": exp, "neg": neg, "softplus": softplus,
+UNARY = {"sigmoid": sigmoid, "tanh": tanh, "exp": exp, "neg": neg, "softplus": softplus,
          "sqrt": sqrt, "mean": mean, "transpose": transpose, "logsumexp_rows": logsumexp_rows}
 
 
@@ -120,7 +135,7 @@ def test_backward_square():
 def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
-        x.tanh().backward()
+        tanh(x).backward()
 
 
 def _ones_seed_graph():
@@ -128,7 +143,7 @@ def _ones_seed_graph():
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     w = Parameter("w", rng.standard_normal((5, 3)))
-    return x, w, affine(x, w, Tensor(np.zeros(3))).tanh()
+    return x, w, tanh(affine(x, w, Tensor(np.zeros(3))))
 
 
 def test_backward_with_an_all_ones_seed_is_bitwise_the_summed_output():
@@ -156,7 +171,7 @@ def test_backward_composite_graph_matches_finite_differences():
     b = Tensor(rng.standard_normal(2))
 
     def f():
-        h = affine(x, w, b).tanh()
+        h = tanh(affine(x, w, b))
         return add(mean(mul(softplus(h), exp(h))), ovo_nce([matmul(x, w), h], Tensor(-0.7))[0])
 
     assert grad_check(f, [x, w, b], h=1e-5) < 1e-5
@@ -255,7 +270,7 @@ def test_broadcast_gradients():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(11)
     x = Tensor(rng.uniform(-10, 10, size=(5, 5)))
-    for out in (x.tanh(), softplus(x), exp(x)):
+    for out in (tanh(x), softplus(x), exp(x)):
         assert np.all(np.isfinite(out.values))
 
 
@@ -391,7 +406,7 @@ def test_flat_adam_on_a_training_graph_is_bitwise_the_loop():
 
     def loss(params):
         w, b, s, u, c = params
-        h = mul(add(matmul(x, w), b).tanh(), exp(s))
+        h = mul(tanh(add(matmul(x, w), b)), exp(s))
         return add(mean(mul(h, h)), mul(axis_sum(mul(u, u)), axis_sum(c)))
 
     opt, oracle = Adam(flat), LoopAdam(loop)

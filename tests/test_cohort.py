@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmcl
+from mmcl import cohort as cohort_mod
 from mmcl.cohort import (CohortSpec, ModalitySpec, default_five_modality_spec,
                          generate, load_cohort, pretrain_pool, save_cohort, write_archive)
 from mmcl.errors import MAX_PATIENTS, MAX_WIDTH, ContractError, CorruptFileError
 from mmcl.harness import Checkpoint, RunConfig, finetune_splits
 from mmcl.metrics import auroc
+
+from partition_oracle import list_stratified_partition
 
 
 def _spec(n=200, seed=0, **kwargs):
@@ -222,6 +225,20 @@ def test_pretrain_pool_disjoint_and_stratified():
     assert abs(cohort.binary_labels[pool].mean() - overall) < 0.05
     with pytest.raises(ContractError):
         pretrain_pool(cohort, pool_fraction=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 1), max_size=60),
+       fractions=st.sampled_from([(0.5, 0.5), (0.3, 0.7), (0.8, 0.1, 0.1), (0.25, 0.25, 0.5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stratified_partition_is_the_list_built_partition(labels, fractions, seed):
+    labels = np.array(labels, dtype=np.int64)
+    got = cohort_mod._stratified_partition(labels, fractions, np.random.default_rng(seed))
+    want = list_stratified_partition(labels, fractions, np.random.default_rng(seed))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.flags.c_contiguous
+        np.testing.assert_array_equal(g, w, strict=True)
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Properties of the fused graph ops against their composed oracles, over
-random shapes and values: `autodiff.ovo_nce`, `autodiff.affine`,
+random shapes and values: `autodiff.ovo_nce`, `autodiff.dense`,
 `encoders.lstm_sequence` and `fusion._sigmoid_ce`."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mmcl.autodiff import Tensor, affine, ovo_nce
+from mmcl.autodiff import Tensor, dense, ovo_nce
 from mmcl.encoders import lstm_sequence, make_lstm_params
 from mmcl.fusion import _sigmoid_ce
 
 from ce_oracle import composed_sigmoid_ce
-from elementary_ops import add, axis_sum, matmul, mul
+from elementary_ops import affine, axis_sum, mul, tanh
 from kernel_oracle import assert_bitwise_equal
 from lstm_oracle import composed_unroll
 from nce_oracle import composed_ovo
@@ -62,20 +62,44 @@ def test_ovo_nce_matches_the_composed_oracle(k, n, width, tau, weighting, seed):
     _assert_close(fused, oracle, 1e-12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 8), d=st.integers(1, 8), m=st.integers(1, 8), seed=SEEDS)
-def test_affine_is_bitwise_the_matmul_and_add(n, d, m, seed):
+@settings(max_examples=200, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4), n=st.integers(1, 6),
+       needs=st.lists(st.booleans(), min_size=7, max_size=7), seed=SEEDS)
+def test_dense_matches_the_composed_affine_and_tanh(widths, n, needs, seed):
+    # 1-3 layers; `needs` says which of the input and the parameters take a
+    # gradient. The composed ops write each intermediate gradient through
+    # `_accumulate`'s + 0.0 and the fused node writes none, so the two can
+    # differ only in the sign of an exact zero, which `np.array_equal` takes
+    # as equal.
     rng = np.random.default_rng(seed)
-    inputs = [Tensor(rng.standard_normal(shape)) for shape in ((n, d), (d, m), (m,))]
-    x, w, b = inputs
+    x = Tensor(rng.standard_normal((n, widths[0])))
+    layers = [(Tensor(rng.standard_normal((din, dout))), Tensor(rng.standard_normal(dout)))
+              for din, dout in zip(widths[:-1], widths[1:])]
+    inputs = [x] + [p for layer in layers for p in layer]
+    for t, need in zip(inputs, needs):
+        t.requires_grad = need
 
     def composed():
-        return add(matmul(x, w), b)
+        h = x
+        for li, (w, b) in enumerate(layers):
+            h = affine(h, w, b)
+            if li < len(layers) - 1:
+                h = tanh(h)
+        return h
 
-    assert_bitwise_equal(affine(x, w, b).values, composed().values)
-    for got, want in zip(_grads(lambda: affine(x, w, b), inputs, seed),
-                         _grads(composed, inputs, seed)):
-        assert_bitwise_equal(got, want)
+    def grads(out):
+        for t in inputs:
+            t.zero_grad()
+        weight = np.random.default_rng(seed).standard_normal(out.shape)
+        axis_sum(mul(out, weight)).backward()
+        return [None if t.grad is None else t.grad.copy() for t in inputs]
+
+    assert_bitwise_equal(dense(x, layers).values, composed().values)
+    got, want = grads(dense(x, layers)), grads(composed())
+    assert [g is None for g in got] == [w is None for w in want] == [not t.requires_grad
+                                                                     for t in inputs]
+    for g, w in zip(got, want):
+        assert g is None or np.array_equal(g, w)
 
 
 @settings(max_examples=150, deadline=None)

@@ -633,13 +633,14 @@ def test_pretrain_k5_stays_within_1e10_of_the_composed_nce_oracle(small_cohort, 
     assert max(drift) <= 1e-10
 
 
-@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 15),
-                                           ("supervised_baseline", 19)])
+@pytest.mark.parametrize("regime, nodes", [("contrastive_pretrain", 7),
+                                           ("supervised_baseline", 9)])
 def test_training_batch_graph_node_budget(small_cohort, monkeypatch, regime, nodes):
-    # every K = 5 encoder: an MLP is 2 affine + 1 tanh (x 4), the series LSTM
-    # 1 sequence + 1 affine. Pretrain adds the contrastive op 1, which takes
-    # log tau and the lambda logits as they are; the supervised baseline adds
-    # concat 1, the head's 2 affine + 1 tanh and the weighted_bce node 1
+    # every K = 5 encoder: an MLP is 1 dense stack (x 4), the series LSTM
+    # 1 sequence + 1 dense projection. Pretrain adds the contrastive op 1,
+    # which takes log tau and the lambda logits as they are; the supervised
+    # baseline adds concat 1, the head's dense stack 1 and the weighted_bce
+    # node 1
     counts = []
     backward = Tensor.backward
 
@@ -1113,6 +1114,33 @@ def test_modality_attribution_one_ig_call_per_test_sample(small_cohort, attribut
     harness.modality_attribution(cfg, small_cohort, ckpt, steps=4, max_samples=max_samples)
     test_size = finetune_splits(small_cohort, cfg)[3].size
     assert calls == [(3 * cfg.embedding_dim,)] * min(max_samples, test_size)
+
+
+def test_modality_attribution_sums_one_share_vector_per_ig_call(small_cohort, attribution_run,
+                                                             monkeypatch):
+    # one `harness.integrated_gradients` call per test sample, and the scores
+    # are the normalized sum of each report's modality shares (|attribution|
+    # summed over each modality's block, normalized, uniform when all zero);
+    # the first sample is attributed at its all-zero baseline, so its
+    # attributions are all zero and its shares fall back to uniform
+    cfg, ckpt = attribution_run
+    reports = []
+    ig = harness.integrated_gradients
+
+    def zero_first(model_fn, x, **kwargs):
+        reports.append(ig(model_fn, x if reports else np.zeros_like(x), **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "integrated_gradients", zero_first)
+    scores = harness.modality_attribution(cfg, small_cohort, ckpt, steps=8, max_samples=5)
+    assert len(reports) == min(5, finetune_splits(small_cohort, cfg)[3].size) > 1
+    assert not reports[0].per_feature.any() and all(r.per_feature.any() for r in reports[1:])
+    k = len(cfg.modality_subset)
+    totals = np.zeros(k)
+    for r in reports:
+        raw = np.abs(r.per_feature).reshape(k, -1).sum(axis=1)
+        totals += raw / raw.sum() if raw.sum() > 0 else np.full(k, 1.0 / k)
+    assert_bitwise_equal(scores, totals / totals.sum())
 
 
 def test_modality_attribution_leaves_no_parameter_gradient(small_cohort, attribution_run,
