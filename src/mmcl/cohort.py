@@ -53,8 +53,9 @@ class ModalitySpec:
                                 f"number >= 0, got {self.noise_sigma!r}")
         if self.kind not in ("static_vector", "sequence"):
             raise ContractError(f"unknown modality kind {self.kind!r}")
-        if not 0.0 <= self.signal_fraction <= 1.0:
-            raise ContractError("signal_fraction must lie in [0, 1]")
+        if not (is_real(self.signal_fraction) and 0.0 <= self.signal_fraction <= 1.0):
+            raise ContractError(f"signal_fraction of modality {self.name!r} must be a number in "
+                                f"[0, 1], got {self.signal_fraction!r}")
         if self.kind == "sequence" and self.seq_len < 1:
             raise ContractError("sequence modalities need seq_len >= 1")
 
@@ -81,14 +82,19 @@ class CohortSpec:
             raise ContractError(f"num_patients {self.num_patients} outside [1, {MAX_PATIENTS}]")
         if self.num_multilabels < 1:
             raise ContractError(f"num_multilabels must be >= 1, got {self.num_multilabels}")
+        if not (isinstance(self.modalities, list)
+                and all(isinstance(m, ModalitySpec) for m in self.modalities)):
+            raise ContractError("modalities must be a list of ModalitySpec, "
+                                f"got {self.modalities!r}")
         if len(self.modalities) < 2:
             raise ContractError("need at least 2 modalities")
         if not 1 <= self.latent_dim <= MAX_WIDTH:
             raise ContractError(f"latent_dim {self.latent_dim} outside [1, {MAX_WIDTH}]")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.binary_label_sparsity < 1.0:
-            raise ContractError("binary_label_sparsity must lie strictly in (0, 1)")
+        if not (is_real(self.binary_label_sparsity) and 0.0 < self.binary_label_sparsity < 1.0):
+            raise ContractError("binary_label_sparsity must be a number strictly in (0, 1), "
+                                f"got {self.binary_label_sparsity!r}")
         names = [m.name for m in self.modalities]
         if len(set(names)) != len(names):
             raise ContractError("duplicate modality names")

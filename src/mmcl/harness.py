@@ -3,6 +3,7 @@ pre-training, the three fine-tuning regimes, early stopping, multi-seed
 sweeps, and artifact persistence."""
 
 import csv
+import functools
 import itertools
 import json
 import os
@@ -212,8 +213,7 @@ def build_model(config, cohort, rng, lambdas=None):
 
         def fuse(embeddings):
             return mlstm_forward(cell, embeddings, lambdas)
-    num_labels = 1 if config.task == "binary" else cohort.multilabels.shape[1]
-    head = ClassifierHead(width, config.head_hidden, num_labels, rng)
+    head = ClassifierHead(width, config.head_hidden, _labels(cohort, config).shape[1], rng)
     return encoders, fuse, head, _collect_params(encoders) + fusion_params + head.parameters()
 
 
@@ -334,10 +334,12 @@ def finetune_splits(cohort, config):
     return pool, rest[tr], rest[va], rest[te]
 
 
-def _targets(cohort, config, indices):
+def _labels(cohort, config):
+    """The task's 0/1 label matrix, one row per patient: a binary task is
+    one column."""
     if config.task == "binary":
-        return cohort.binary_labels[indices].astype(np.float64).reshape(-1, 1)
-    return cohort.multilabels[indices].astype(np.float64)
+        return cohort.binary_labels[:, None]
+    return cohort.multilabels
 
 
 def _metrics_from_scores(scores, targets, *metrics):
@@ -352,16 +354,17 @@ def _metrics_from_scores(scores, targets, *metrics):
                  for metric in metrics)
 
 
-def _resolve_lambdas(config, checkpoint, k):
-    """The mLSTM's k modality weights, from the `literal:` source or the
-    checkpoint: checked to lie on the simplex once per run, then divided by
-    their sum to absorb serialization rounding."""
+def _resolve_lambdas(config, checkpoint):
+    """The mLSTM's weights, one per modality of the subset, from the
+    `literal:` source or the checkpoint: checked to lie on the simplex once
+    per run, then divided by their sum to absorb serialization rounding."""
     lambdas = config.literal_lambdas()
     if lambdas is None:
         if checkpoint.lambdas is None:
             raise ConfigurationError(
                 "lambda_source=learned requires a contrastive checkpoint with lambdas")
         lambdas = np.asarray(checkpoint.lambdas, dtype=np.float64)
+    k = len(config.modality_subset)
     if lambdas.shape != (k,):
         raise ConfigurationError(f"lambdas must have length {k}, got {lambdas.tolist()}")
     if not (np.isfinite(lambdas).all() and (lambdas >= 0.0).all()):
@@ -417,17 +420,16 @@ def finetune(config, cohort, checkpoint=None):
                                      f"(frozen encoders or learned lambdas); none was given")
         _check_checkpoint(checkpoint, config, config.regime, ("contrastive_pretrain",))
 
-    k = len(config.modality_subset)
-    lambdas = _resolve_lambdas(config, checkpoint, k) if config.regime == "mlstm" else None
+    lambdas = _resolve_lambdas(config, checkpoint) if config.regime == "mlstm" else None
     rng = np.random.default_rng(config.seed)
     encoders, fuse, head, model_params = build_model(config, cohort, rng, lambdas)
     _, train_idx, val_idx, test_idx = finetune_splits(cohort, config)
-    train_targets = _targets(cohort, config, train_idx)
-
-    class_weights = (1.0, 1.0)
+    labels = _labels(cohort, config).astype(np.float64)
+    loss = multilabel_ce
     if config.task == "binary":
-        n_pos = int(train_targets.sum())
-        class_weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
+        n_pos = int(labels[train_idx].sum())
+        weights = class_weights_from_counts(n_pos, train_idx.size - n_pos)
+        loss = functools.partial(weighted_bce, class_weights=weights)
 
     def encode(indices):
         return fuse(encode_batch(encoders, cohort.observations, indices, config.modality_subset))
@@ -447,27 +449,21 @@ def finetune(config, cohort, checkpoint=None):
         return head.forward(encode(indices))
 
     def batch_loss(idx):
-        logits, targets = forward(idx), _targets(cohort, config, idx)
-        if config.task == "binary":
-            return weighted_bce(logits, targets, class_weights)
-        return multilabel_ce(logits, targets)
+        return loss(forward(idx), labels[idx])
 
     def evaluate(indices, *metrics):
-        return _metrics_from_scores(forward(indices).values, _targets(cohort, config, indices),
-                                    *metrics)
+        return _metrics_from_scores(forward(indices).values, labels[indices], *metrics)
 
-    best_metric, best_epoch, stall = -np.inf, -1, 0
+    best_metric, best_epoch = -np.inf, -1
     best_snapshot = _snapshot(trained)
     for epoch, _ in _train(config, opt, train_idx, rng, batch_loss, "fine-tuning"):
         epochs_run = epoch + 1
         (val_auroc,) = evaluate(val_idx, auroc)  # early stopping reads AUROC alone
         if val_auroc > best_metric:
-            best_metric, best_epoch, stall = val_auroc, epoch, 0
+            best_metric, best_epoch = val_auroc, epoch
             best_snapshot = _snapshot(trained)
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
     _load_into(trained, best_snapshot)
     test_auroc, test_auprc = evaluate(test_idx)
@@ -638,6 +634,9 @@ def load_rows(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
+            missing = [name for name in ROW_FIELDS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no column {', '.join(missing)}")
             for rec in reader:
                 if None in rec or None in rec.values():  # extra cells / missing cells
                     raise ValueError(f"line {reader.line_num}: a missing or extra cell")

@@ -375,6 +375,19 @@ def test_exit_code_4_on_cohort_spec_with_a_non_integer_size(cohort_file, tmp_pat
     assert "Traceback" not in err
 
 
+def test_exit_code_4_on_cohort_spec_with_a_bool_signal_fraction(cohort_file, tmp_path, capsys):
+    # JSON `true` is a bool, not the signal fraction 1
+    path = str(tmp_path / "bad.npz")
+    with open(cohort_file, "rb") as fh:
+        _spec_field("signal_fraction", lambda _: True, "text_a")(fh.read(), path)
+    rc = main(["pretrain", "--cohort", path, "--modalities", "text_a,text_b",
+               "--max-epochs", "1", "--out", str(tmp_path / "x.npz")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "io error: CorruptFileError" in err and path in err and "signal_fraction" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("corrupt", [
     _spec_field("group_separability", lambda _: {"gender": [0.0]}),
     _spec_field("group_axes", lambda axes: {**axes, "gender": 0})],
@@ -617,15 +630,18 @@ def test_exit_code_2_on_wrong_typed_config_field(cohort_file, tmp_path, capsys, 
 
 
 def test_exit_code_4_on_rows_csv_without_sweep_columns(tmp_path, capsys):
-    path = str(tmp_path / "rows.csv")
-    with open(path, "w") as fh:
-        fh.write("a,b\n1,2\n")
-    out = str(tmp_path / "report")
-    rc = main(["report", "--rows", path, "--out", out])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert "io error: CorruptFileError" in err and path in err
-    assert not os.path.exists(out)
+    # the header alone decides: with no data row, a foreign header or an
+    # empty file is not an empty sweep
+    for name, text in (("row", "a,b\n1,2\n"), ("header_only", "a,b\n"), ("empty", "")):
+        path = str(tmp_path / f"{name}.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = str(tmp_path / f"report_{name}")
+        rc = main(["report", "--rows", path, "--out", out])
+        assert rc == 4, name
+        err = capsys.readouterr().err
+        assert "io error: CorruptFileError" in err and path in err
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("cells", ["text_a+text_b,contrastive_pretrain,binary,0,,,0.5,1.25,0.01",

@@ -99,6 +99,16 @@ def test_spec_validation():
         ModalitySpec("x", "static_vector", 0)
     with pytest.raises(ContractError, match="num_multilabels"):
         CohortSpec(10, 4, two, num_multilabels=0)
+    # a bool is not a number, and a string is not a number or a roster
+    for value in (True, "0.5", None):
+        with pytest.raises(ContractError, match="signal_fraction"):
+            ModalitySpec("x", "static_vector", 4, signal_fraction=value)
+    for value in (False, "0.3", None):
+        with pytest.raises(ContractError, match="binary_label_sparsity"):
+            CohortSpec(10, 4, two, binary_label_sparsity=value)
+    for value in ("ab", [{"name": "a"}, {"name": "b"}], two[0], None):
+        with pytest.raises(ContractError, match="modalities"):
+            CohortSpec(10, 4, value)
 
 
 # the default roster's axes: gender 2, ethnicity 5 and age 8 categories

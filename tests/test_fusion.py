@@ -34,10 +34,10 @@ def _resolve(lambdas, source="checkpoint"):
     k = len(lambdas)
     if source == "literal":
         config = RunConfig(ROSTER[:k], "mlstm", lambda_source=f"literal:{list(lambdas)}")
-        return _resolve_lambdas(config, None, k)
+        return _resolve_lambdas(config, None)
     checkpoint = Checkpoint(RunConfig(ROSTER[:k], "contrastive_pretrain"), {},
                             np.asarray(lambdas, dtype=np.float64), 1.0)
-    return _resolve_lambdas(RunConfig(ROSTER[:k], "mlstm"), checkpoint, k)
+    return _resolve_lambdas(RunConfig(ROSTER[:k], "mlstm"), checkpoint)
 
 
 # --------------------------------------------------------------------------

@@ -344,7 +344,11 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
     encoders = harness.build_encoders(cohort, config, rng)
     harness._load_into(harness._collect_params(encoders), checkpoint.params)
     _, train_idx, val_idx, test_idx = finetune_splits(cohort, config)
-    train_targets = harness._targets(cohort, config, train_idx)
+
+    def targets(idx):
+        return cohort.binary_labels[idx].astype(np.float64).reshape(-1, 1)
+
+    train_targets = targets(train_idx)
     n_pos = int(train_targets.sum())
     weights = class_weights_from_counts(n_pos, train_targets.size - n_pos)
     head = ClassifierHead(config.embedding_dim * len(config.modality_subset),
@@ -357,15 +361,14 @@ def _frozen_finetune_oracle(config, cohort, checkpoint):
             encoders, cohort.observations, idx, config.modality_subset)))
 
     def metrics(idx):
-        return harness._metrics_from_scores(forward(idx).values,
-                                            harness._targets(cohort, config, idx))
+        return harness._metrics_from_scores(forward(idx).values, targets(idx))
 
     best, best_epoch, best_snapshot, stall = -np.inf, -1, harness._snapshot(params), 0
     for epoch in range(config.max_epochs):
         perm = train_idx[rng.permutation(train_idx.size)]
         for start in range(0, perm.size, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss = weighted_bce(forward(idx), harness._targets(cohort, config, idx), weights)
+            loss = weighted_bce(forward(idx), targets(idx), weights)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -536,6 +539,34 @@ def test_early_stop_bounded_by_patience(small_cohort):
     _, _, info = finetune(cfg, small_cohort)
     if info["epochs_run"] < cfg.max_epochs:
         assert info["epochs_run"] == info["best_epoch"] + 1 + cfg.patience
+
+
+def _reference_early_stop(script, patience):
+    """(epochs_run, best_epoch) when the validation AUROC of epoch e is
+    script[e]: stop after `patience` epochs in a row (at least 1) without a
+    new best."""
+    best, best_epoch, stall = -np.inf, -1, 0
+    for epoch, value in enumerate(script):
+        if value > best:
+            best, best_epoch, stall = value, epoch, 0
+        else:
+            stall += 1
+            if stall >= max(patience, 1):
+                return epoch + 1, best_epoch
+    return len(script), best_epoch
+
+
+@settings(max_examples=30, deadline=None)
+@given(script=st.lists(st.sampled_from([0.5, 0.6, 0.7]), min_size=1, max_size=7),
+       patience=st.integers(0, 3))
+def test_early_stopping_follows_the_reference_rule(small_cohort, script, patience):
+    # each validation AUROC is the next value of the script; the test split's, 0.5
+    values = iter(script)
+    cfg = _cfg(ALL[:2], "supervised_baseline", max_epochs=len(script), patience=patience)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "auroc", lambda scores, labels: next(values, 0.5))
+        _, _, info = finetune(cfg, small_cohort)
+    assert (info["epochs_run"], info["best_epoch"]) == _reference_early_stop(script, patience)
 
 
 def test_finetune_reproducible(small_cohort):
