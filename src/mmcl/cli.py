@@ -101,8 +101,7 @@ def build_parser():
     f = sub.add_parser("finetune", help="downstream training")
     f.add_argument("--cohort", required=True)
     f.add_argument("--modalities", required=True)
-    f.add_argument("--regime", required=True,
-                   choices=["frozen_finetune", "supervised_baseline", "mlstm"])
+    f.add_argument("--regime", required=True, choices=harness.FINETUNE_REGIMES)
     f.add_argument("--checkpoint", dest="checkpoint_path")
     f.add_argument("--out", required=True, help="output directory")
     _add_run_flags(f)

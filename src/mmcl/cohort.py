@@ -20,18 +20,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError, CorruptFileError,
-                     is_int, is_real)
+                     check_fields, is_int, is_int_in, is_real)
 
 FORMAT_VERSION = "mmcl-cohort v4"
 
-
-def _require_ints(spec, names, owner):
-    """Raise ContractError unless each named field of `spec` holds an integer
-    (not a bool, nor a float that equals one)."""
-    for name in names:
-        value = getattr(spec, name)
-        if not is_int(value):
-            raise ContractError(f"{name} of {owner} must be an integer, got {value!r}")
+_MODALITY_RULES = (
+    ("a string", lambda v: isinstance(v, str), ("name",)),
+    (f"an integer in [1, {MAX_WIDTH}]", is_int_in(1, MAX_WIDTH), ("obs_dim",)),
+    (f"an integer in [0, {MAX_WIDTH}]", is_int_in(0, MAX_WIDTH), ("seq_len",)),
+    ("a number in [0, 1]", lambda v: is_real(v) and 0.0 <= v <= 1.0, ("signal_fraction",)),
+    ("a finite number >= 0", lambda v: is_real(v) and 0.0 <= v <= sys.float_info.max,
+     ("noise_sigma",)),
+)
 
 
 @dataclass
@@ -44,24 +44,32 @@ class ModalitySpec:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
-        _require_ints(self, ("obs_dim", "seq_len"), f"modality {self.name!r}")
-        if self.obs_dim < 1:
-            raise ContractError(f"obs_dim of modality {self.name!r} must be >= 1, "
-                                f"got {self.obs_dim}")
-        if not (is_real(self.noise_sigma) and 0.0 <= self.noise_sigma <= sys.float_info.max):
-            raise ContractError(f"noise_sigma of modality {self.name!r} must be a finite "
-                                f"number >= 0, got {self.noise_sigma!r}")
+        check_fields(self, _MODALITY_RULES, ContractError, f" of modality {self.name!r}")
         if self.kind not in ("static_vector", "sequence"):
             raise ContractError(f"unknown modality kind {self.kind!r}")
-        if not (is_real(self.signal_fraction) and 0.0 <= self.signal_fraction <= 1.0):
-            raise ContractError(f"signal_fraction of modality {self.name!r} must be a number in "
-                                f"[0, 1], got {self.signal_fraction!r}")
         if self.kind == "sequence" and self.seq_len < 1:
             raise ContractError("sequence modalities need seq_len >= 1")
+        if self.flat_dim > MAX_WIDTH:  # the width `generate` draws
+            raise ContractError(f"obs_dim x seq_len of modality {self.name!r} must be at most "
+                                f"{MAX_WIDTH}, got {self.obs_dim} x {self.seq_len}")
 
     @property
     def flat_dim(self):
         return self.obs_dim * self.seq_len if self.kind == "sequence" else self.obs_dim
+
+
+_COHORT_RULES = (
+    (f"an integer in [1, {MAX_PATIENTS}]", is_int_in(1, MAX_PATIENTS), ("num_patients",)),
+    (f"an integer in [1, {MAX_WIDTH}]", is_int_in(1, MAX_WIDTH), ("latent_dim", "num_multilabels")),
+    ("an integer >= 0", is_int_in(0), ("seed",)),
+    ("a list of ModalitySpec",
+     lambda v: isinstance(v, list) and all(isinstance(m, ModalitySpec) for m in v),
+     ("modalities",)),
+    ("a number strictly in (0, 1)", lambda v: is_real(v) and 0.0 < v < 1.0,
+     ("binary_label_sparsity",)),
+    ("a dict of axis names to values", lambda v: isinstance(v, dict),
+     ("group_axes", "group_separability")),
+)
 
 
 @dataclass
@@ -76,32 +84,12 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, ("num_patients", "latent_dim", "num_multilabels", "seed"),
-                      "the cohort spec")
-        if not 1 <= self.num_patients <= MAX_PATIENTS:
-            raise ContractError(f"num_patients {self.num_patients} outside [1, {MAX_PATIENTS}]")
-        if self.num_multilabels < 1:
-            raise ContractError(f"num_multilabels must be >= 1, got {self.num_multilabels}")
-        if not (isinstance(self.modalities, list)
-                and all(isinstance(m, ModalitySpec) for m in self.modalities)):
-            raise ContractError("modalities must be a list of ModalitySpec, "
-                                f"got {self.modalities!r}")
+        check_fields(self, _COHORT_RULES, ContractError, " of the cohort spec")
         if len(self.modalities) < 2:
             raise ContractError("need at least 2 modalities")
-        if not 1 <= self.latent_dim <= MAX_WIDTH:
-            raise ContractError(f"latent_dim {self.latent_dim} outside [1, {MAX_WIDTH}]")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if not (is_real(self.binary_label_sparsity) and 0.0 < self.binary_label_sparsity < 1.0):
-            raise ContractError("binary_label_sparsity must be a number strictly in (0, 1), "
-                                f"got {self.binary_label_sparsity!r}")
         names = [m.name for m in self.modalities]
         if len(set(names)) != len(names):
             raise ContractError("duplicate modality names")
-        for name in ("group_axes", "group_separability"):
-            if not isinstance(getattr(self, name), dict):
-                raise ContractError(f"{name} must map axis names to values, "
-                                    f"got {getattr(self, name)!r}")
         for axis, num_cats in self.group_axes.items():
             if not (is_int(num_cats) and 1 <= num_cats <= MAX_PATIENTS):
                 raise ContractError(f"group axis {axis!r} needs an integer number of categories "
@@ -144,7 +132,8 @@ def spec_from_dict(d):
 
 def generate(spec):
     """Generate a cohort; bitwise deterministic given the spec (incl. seed). A
-    noise_sigma so large that an observation overflows raises ContractError."""
+    noise_sigma or group offset so large that an observation or a label
+    margin overflows raises ContractError."""
     rng = np.random.default_rng(spec.seed)
     n, d = spec.num_patients, spec.latent_dim
     z = rng.standard_normal((n, d))
@@ -179,7 +168,11 @@ def generate(spec):
     for axis, offsets in spec.group_separability.items():
         # unobserved per-patient noise scaled per group: larger offset, less separable
         noise_scale = np.asarray(offsets, dtype=np.float64)[codes[axis]]
-        margin = margin + noise_scale * rng.standard_normal(n)
+        with np.errstate(over="ignore"):  # a huge offset overflows; reported below
+            margin = margin + noise_scale * rng.standard_normal(n)
+        if not np.isfinite(margin).all():
+            raise ContractError(f"group axis {axis!r} drew a label margin that is not finite; "
+                                f"its offsets {offsets!r} are too large")
     threshold = np.quantile(margin, 1.0 - spec.binary_label_sparsity)
     binary_labels = (margin > threshold).astype(np.int64)
 

@@ -1,6 +1,6 @@
 """Shared exception types, numerical guard constants, the floating-point
-policy, size limits and the type tests that configurations and cohort specs
-apply to their fields."""
+policy, size limits, and `check_fields`: the one checker of the kind and
+range of every field of a run configuration and of a cohort spec."""
 
 import numbers
 
@@ -17,7 +17,7 @@ EPS = 1e-12
 STRICT_FLOATS = np.errstate(over="raise", invalid="raise")
 
 # Upper bounds on sizes, each checked where its value enters the program
-MAX_WIDTH = 1024  # embedding, hidden, head and latent widths
+MAX_WIDTH = 1024  # embedding, hidden, head, latent, observation and label widths
 MAX_PATIENTS = 100_000  # patients in a generated cohort
 MAX_IG_STEPS = 10_000  # integrated-gradients path points per sample
 MAX_SEEDS = 1_000  # seeds in one sweep
@@ -30,6 +30,20 @@ def is_int(value):
 
 def is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int_in(lo, hi=float("inf")):
+    return lambda value: is_int(value) and lo <= value <= hi
+
+
+def check_fields(obj, rules, error, owner=""):
+    """Raise `error("<field><owner> must be <what>, got <value>")` for the first
+    field of `obj` that fails its row of `rules`, a table of (what, test, field names)."""
+    for what, holds, names in rules:
+        for name in names:
+            value = getattr(obj, name)
+            if not holds(value):
+                raise error(f"{name}{owner} must be {what}, got {value!r}")
 
 
 class DimensionError(ValueError):

@@ -18,7 +18,8 @@ from .attribution import integrated_gradients, modality_aggregate
 from .autodiff import Parameter
 from .encoders import build_encoder, make_lstm_params
 from .errors import (MAX_WIDTH, STRICT_FLOATS, ConfigurationError, ContractError,
-                     CorruptFileError, DegenerateInputError, DivergenceError, is_int, is_real)
+                     CorruptFileError, DegenerateInputError, DivergenceError, check_fields,
+                     is_int, is_int_in, is_real)
 from .fusion import (ClassifierHead, class_weights_from_counts, concat_fuse, mlstm_forward,
                      multilabel_ce, weighted_bce)
 from .losses import infonce_pair_loss, weighted_ovo_loss
@@ -26,11 +27,8 @@ from .metrics import MetricsRecord, auprc, auroc, top5_alignment_accuracy
 from .optim import Adam
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
+FINETUNE_REGIMES = REGIMES[1:]  # every regime but contrastive_pretrain
 ALIGNMENT_PATIENTS = 100  # pool patients scored by `pool_alignment_accuracy`
-
-
-def _is_width(value):
-    return is_int(value) and 1 <= value <= MAX_WIDTH
 
 
 def _is_list_of(value, is_item):
@@ -44,16 +42,20 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-# every RunConfig field by the kind of value it must hold
-_FIELD_KINDS = (
-    ("an integer", is_int, ("batch_size", "max_epochs", "patience", "seed")),
-    (f"an integer in [1, {MAX_WIDTH}]", _is_width, ("embedding_dim", "mlstm_hidden")),
-    ("a real number", is_real, ("learning_rate", "pool_fraction")),
+# every RunConfig field by the value it must hold
+_WIDTH = is_int_in(1, MAX_WIDTH)
+_FIELD_RULES = (
+    ("an integer >= 1", is_int_in(1), ("batch_size", "max_epochs")),
+    ("an integer >= 0", is_int_in(0), ("patience", "seed")),
+    (f"an integer in [1, {MAX_WIDTH}]", _WIDTH, ("embedding_dim", "mlstm_hidden")),
+    ("a real number in (0, 1)", lambda v: is_real(v) and 0.0 < v < 1.0,
+     ("learning_rate", "pool_fraction")),
     ("a string", lambda v: isinstance(v, str), ("regime", "task", "lambda_source")),
     ("a list of strings", lambda v: _is_list_of(v, lambda item: isinstance(item, str)),
      ("modality_subset",)),
-    (f"a list of integers in [1, {MAX_WIDTH}]", lambda v: _is_list_of(v, _is_width),
-     ("encoder_hidden", "head_hidden")),
+    (f"a nonempty list of integers in [1, {MAX_WIDTH}]",
+     lambda v: _is_list_of(v, _WIDTH) and len(v) > 0, ("encoder_hidden",)),
+    (f"a list of integers in [1, {MAX_WIDTH}]", lambda v: _is_list_of(v, _WIDTH), ("head_hidden",)),
 )
 
 
@@ -75,24 +77,13 @@ class RunConfig:
     pool_fraction: float = 0.5
 
     def __post_init__(self):
-        for kind, holds, names in _FIELD_KINDS:
-            for name in names:
-                value = getattr(self, name)
-                if not holds(value):
-                    raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
-                setattr(self, name, _plain(value))
-        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.encoder_hidden:
-            raise ConfigurationError("encoder_hidden must name at least one layer")
+        check_fields(self, _FIELD_RULES, ConfigurationError)
+        for f in fields(self):
+            setattr(self, f.name, _plain(getattr(self, f.name)))
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.task not in ("binary", "multilabel"):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        for name in ("learning_rate", "pool_fraction"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
         if len(set(self.modality_subset)) != len(self.modality_subset):
@@ -412,7 +403,7 @@ def finetune(config, cohort, checkpoint=None):
     """Train a downstream model per regime with early stopping on validation
     AUROC. Returns (Checkpoint, MetricsRecord, info): the best-epoch weights,
     their test metrics, and `info` = {"epochs_run", "best_epoch"}."""
-    if config.regime not in ("frozen_finetune", "supervised_baseline", "mlstm"):
+    if config.regime not in FINETUNE_REGIMES:
         raise ConfigurationError(f"finetune cannot run regime {config.regime!r}")
     if _reads_checkpoint(config):
         if checkpoint is None:

@@ -196,18 +196,6 @@ def test_exit_code_2_on_cohort_too_small_to_evaluate(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def supervised_checkpoint(tmp_path_factory):
-    """A supervised_baseline model of text_a and text_b, trained on 120 patients."""
-    root = tmp_path_factory.mktemp("supervised120")
-    cohort, run = str(root / "c.npz"), str(root / "run")
-    assert main(["generate", "--num-patients", "120", "--seed", "0", "--out", cohort]) == 0
-    assert main(["finetune", "--cohort", cohort, "--modalities", "text_a,text_b",
-                 "--regime", "supervised_baseline", "--max-epochs", "1", "--batch-size", "16",
-                 "--out", run]) == 0
-    return os.path.join(run, "model.npz")
-
-
-@pytest.fixture(scope="module")
 def cohort_of_8(tmp_path_factory):
     # its splits: 5 pool, 3 train, 0 validation and 0 test patients
     path = str(tmp_path_factory.mktemp("data8") / "c.npz")

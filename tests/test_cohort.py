@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pathlib
@@ -97,6 +98,7 @@ def test_spec_validation():
         CohortSpec(10, MAX_WIDTH + 1, two)
     with pytest.raises(ContractError, match="obs_dim"):
         ModalitySpec("x", "static_vector", 0)
+    assert ModalitySpec("x", "sequence", 32, seq_len=32).flat_dim == MAX_WIDTH  # the widest
     with pytest.raises(ContractError, match="num_multilabels"):
         CohortSpec(10, 4, two, num_multilabels=0)
     # a bool is not a number, and a string is not a number or a roster
@@ -109,6 +111,22 @@ def test_spec_validation():
     for value in ("ab", [{"name": "a"}, {"name": "b"}], two[0], None):
         with pytest.raises(ContractError, match="modalities"):
             CohortSpec(10, 4, value)
+    # a name that is not a string used to fail in `generate`, on its encode()
+    for value in (5, None):
+        with pytest.raises(ContractError, match="name"):
+            CohortSpec(20, 4, [ModalitySpec(value, "static_vector", 4), two[1]])
+
+
+@pytest.mark.parametrize("kind, obs_dim, seq_len, named", [
+    ("static_vector", MAX_WIDTH + 1, 0, "obs_dim"), ("static_vector", 2**40, 0, "obs_dim"),
+    ("sequence", 4, 2**40, "seq_len"), ("sequence", MAX_WIDTH, MAX_WIDTH, "seq_len"),
+    ("sequence", 33, 32, "seq_len")],
+    ids=["static_over_by_one", "static_2_40", "sequence_2_40", "sequence_1024_squared",
+         "sequence_1056"])
+def test_spec_rejects_an_observation_wider_than_max_width(kind, obs_dim, seq_len, named):
+    # these passed the spec and failed in `generate` with a MemoryError
+    with pytest.raises(ContractError, match=named):
+        ModalitySpec("b", kind, obs_dim, seq_len=seq_len)
 
 
 # the default roster's axes: gender 2, ethnicity 5 and age 8 categories
@@ -119,16 +137,86 @@ def test_spec_validation():
     (None, {"gender": [True, 0.0]}, "'gender'"), (None, {"gender": 2.5}, "'gender'"),
     (None, [0.0, 1.0], "group_separability"), ({"gender": 0}, None, "'gender'"),
     ({"gender": 2.0}, None, "'gender'"), ({"gender": True}, None, "'gender'"),
-    ({"gender": MAX_PATIENTS + 1}, None, "'gender'"), (["gender"], None, "group_axes")],
+    ({"gender": MAX_PATIENTS + 1}, None, "'gender'"), (["gender"], None, "group_axes"),
+    (None, {"gender": [0.0, 1e308]}, "'gender'")],
     ids=["one_offset_for_two", "three_offsets_for_two", "unknown_axis", "nan_offset",
          "infinite_offset", "negative_offset", "bool_offset", "offset_not_a_list",
          "separability_not_a_dict", "zero_categories", "float_categories", "bool_categories",
-         "too_many_categories", "axes_not_a_dict"])
+         "too_many_categories", "axes_not_a_dict", "overflowing_offset"])
 def test_spec_rejects_group_settings_that_generate_cannot_draw(axes, separability, named):
     # these used to raise IndexError, KeyError or numpy's ValueError in
-    # `generate`, or draw a cohort without positive labels (a NaN offset)
+    # `generate`, draw a cohort without positive labels (a NaN offset), or
+    # overflow the label margin (an offset of 1e308)
     with pytest.raises(ContractError, match=named):
         generate(_spec(50, group_axes=axes, group_separability=separability))
+
+
+# spec fuzzing, like test_cli's config fuzz: fields of their kind or of any
+# JSON value. A size is small, or over its limit, so that no accepted spec
+# allocates much.
+_ANY_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
+                         | st.text(max_size=6),
+                         lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                         max_leaves=6)
+_SIZE = st.integers(-2, 8) | st.sampled_from([MAX_WIDTH + 1, 2**62])
+_MODALITY_IN_KIND = {
+    "name": st.text(max_size=3),
+    "kind": st.sampled_from(["static_vector", "sequence", "audio"]),
+    "obs_dim": _SIZE,
+    "seq_len": _SIZE,
+    "signal_fraction": st.floats(-0.5, 1.5),
+    "noise_sigma": st.floats(-1.0, 2.0) | st.sampled_from([1e308, np.inf, np.nan]),
+}
+_AXIS = st.sampled_from(["gender", "age"])
+_COHORT_IN_KIND = {
+    "num_patients": st.integers(-2, 40) | st.sampled_from([MAX_PATIENTS + 1, 2**62]),
+    "latent_dim": _SIZE,
+    "binary_label_sparsity": st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 5e-324]),
+    "num_multilabels": _SIZE,
+    "group_axes": st.dictionaries(_AXIS, _SIZE, max_size=2),
+    "group_separability": st.dictionaries(
+        _AXIS, st.lists(st.floats(-1.0, 3.0) | st.just(1e308), max_size=3), max_size=2),
+    "seed": st.integers(-2, 2**70),
+}
+
+
+def test_the_spec_fuzz_draws_every_spec_field():
+    assert set(_MODALITY_IN_KIND) == {f.name for f in dataclasses.fields(ModalitySpec)}
+    assert {*_COHORT_IN_KIND, "modalities"} == {f.name for f in dataclasses.fields(CohortSpec)}
+
+
+@st.composite
+def _spec_or_none(draw, cls, in_kind, **base):
+    """`cls` of the `base` fields, up to three fields drawn in their kind and
+    maybe one of any JSON value; None if `cls` raises ContractError."""
+    fields = dict(base)
+    for name in draw(st.lists(st.sampled_from(sorted(in_kind)), max_size=3, unique=True)):
+        fields[name] = draw(in_kind[name])
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))] = draw(_ANY_JSON)
+    try:
+        return cls(**fields)
+    except ContractError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_a_spec_constructs_and_generates_or_raises_contract_error(data):
+    modalities = [data.draw(_spec_or_none(ModalitySpec, _MODALITY_IN_KIND, name=f"m{i}",
+                                          kind="static_vector", obs_dim=3))
+                  for i in range(data.draw(st.integers(2, 3)))]
+    spec = data.draw(_spec_or_none(CohortSpec, _COHORT_IN_KIND, num_patients=20, latent_dim=4,
+                                   modalities=[m for m in modalities if m is not None]))
+    if spec is None:
+        return
+    assert spec.num_patients <= 40
+    try:
+        cohort = generate(spec)
+    except ContractError:
+        return
+    assert set(cohort.observations) == {m.name for m in spec.modalities}
 
 
 def test_group_separability_generates_saves_and_loads(tmp_path):
@@ -375,6 +463,16 @@ def _delete(name):
     return edit
 
 
+def _rename_modality(index, name):
+    """Rename a modality in the spec and its observations member alike."""
+    def edit(members):
+        spec = json.loads(str(members["spec"]))
+        old, spec["modalities"][index]["name"] = spec["modalities"][index]["name"], name
+        members["spec"] = np.array(json.dumps(spec))
+        members[f"modality:{name}"] = members.pop(f"modality:{old}")
+    return edit
+
+
 def _set_first(value):
     return lambda values: np.where(np.arange(values.size).reshape(values.shape) == 0, value, values)
 
@@ -395,12 +493,13 @@ def _set_first(value):
     _delete("modality:series"), _delete("group:gender"), _delete("spec"),
     _replace("modality:text_a", _set_first(np.nan)),
     _replace("modality:series", _set_first(np.inf)),
-    _replace("modality:image", _set_first(-np.inf))],
+    _replace("modality:image", _set_first(-np.inf)),
+    _rename_modality(0, 5)],
     ids=["observation_row", "sequence_row", "multilabel_row", "image_row", "extra_label",
          "extra_group_tag", "label_2", "multilabel_nan", "deep_spec", "flat_sequence",
          "float32_observations", "big_endian_series", "float_labels", "integer_group_tags",
          "v2_format", "missing_series", "missing_group_axis", "missing_spec",
-         "observation_nan", "sequence_inf", "image_minus_inf"])
+         "observation_nan", "sequence_inf", "image_minus_inf", "integer_name"])
 def test_load_rejects_a_resealed_file_that_disagrees_with_its_spec(tmp_path, seed_cohort, edit):
     path = tmp_path / "cohort.npz"
     _resealed(path, seed_cohort[1], edit)
