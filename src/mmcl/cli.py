@@ -68,7 +68,7 @@ def _config_from_args(args, modality_subset, regime):
 
 def _add_run_flags(p):
     p.add_argument("--config", help="JSON file of RunConfig fields")
-    p.add_argument("--task", choices=["binary", "multilabel"])
+    p.add_argument("--task", choices=harness.TASKS)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
@@ -145,8 +145,7 @@ def _cmd_pretrain(args):
     ckpt.save(args.out)
     print(f"pretrained {len(config.modality_subset)} modalities; "
           f"final loss {history[-1]:.6f}; checkpoint at {args.out}")
-    if ckpt.lambdas is not None:
-        print("lambdas:", np.array2string(ckpt.lambdas, precision=4))
+    print("lambdas:", np.array2string(ckpt.lambdas, precision=4))
 
 
 def _cmd_finetune(args):

@@ -25,7 +25,8 @@ from .errors import (MAX_PATIENTS, MAX_WIDTH, ConfigurationError, ContractError,
 FORMAT_VERSION = "mmcl-cohort v4"
 
 _MODALITY_RULES = (
-    ("a string", lambda v: isinstance(v, str), ("name",)),
+    ("a string UTF-8 can encode",
+     lambda v: isinstance(v, str) and v.encode(errors="replace").decode() == v, ("name",)),
     (f"an integer in [1, {MAX_WIDTH}]", is_int_in(1, MAX_WIDTH), ("obs_dim",)),
     (f"an integer in [0, {MAX_WIDTH}]", is_int_in(0, MAX_WIDTH), ("seq_len",)),
     ("a number in [0, 1]", lambda v: is_real(v) and 0.0 <= v <= 1.0, ("signal_fraction",)),

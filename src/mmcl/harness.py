@@ -28,6 +28,7 @@ from .optim import Adam
 
 REGIMES = ("contrastive_pretrain", "frozen_finetune", "supervised_baseline", "mlstm")
 FINETUNE_REGIMES = REGIMES[1:]  # every regime but contrastive_pretrain
+TASKS = ("binary", "multilabel")
 ALIGNMENT_PATIENTS = 100  # pool patients scored by `pool_alignment_accuracy`
 
 
@@ -82,7 +83,7 @@ class RunConfig:
             setattr(self, f.name, _plain(getattr(self, f.name)))
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
-        if self.task not in ("binary", "multilabel"):
+        if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
         if len(self.modality_subset) < 2:
             raise ConfigurationError("need at least 2 modalities")
@@ -255,7 +256,8 @@ def _train(config, opt, rows, rng, batch_loss, what, min_rows=1):
 def pretrain(config, cohort):
     """Train encoders + log temperature (+ lambda logits for K >= 3) on the
     pre-training pool, from tau = 1 and uniform lambda. Returns (Checkpoint,
-    per-epoch loss history)."""
+    per-epoch loss history); the checkpoint's lambda is uniform for K = 2,
+    the weighting of the symmetric pair loss."""
     if config.regime != "contrastive_pretrain":
         raise ConfigurationError("pretrain requires regime=contrastive_pretrain")
     k = len(config.modality_subset)
@@ -287,7 +289,7 @@ def pretrain(config, cohort):
                _train(config, opt, pool, rng, batch_loss, "contrastive", min_rows=2)]
 
     ckpt = Checkpoint(config=replace(config), params=_snapshot(params),
-                      lambdas=None if logits is None else kernels.softmax(logits.values),
+                      lambdas=kernels.softmax(np.zeros(k) if logits is None else logits.values),
                       tau=float(np.exp(log_tau.values)))
     return ckpt, history
 
@@ -387,15 +389,9 @@ def _check_checkpoint(checkpoint, config, reader, regimes):
 
 def _reads_checkpoint(config):
     """Whether a fine-tuning run reads a contrastive checkpoint: the frozen
-    regime loads its encoders, a learned-lambda mLSTM its lambdas. Only a
-    pretrain of 3 or more modalities learns lambdas, so a learned-lambda
-    mLSTM of 2 raises ConfigurationError, before any pretrain runs for it."""
-    learned = config.regime == "mlstm" and config.lambda_source == "learned"
-    if learned and len(config.modality_subset) < 3:
-        raise ConfigurationError(
-            "lambda_source=learned needs a pretrain of 3 or more modalities; a 2-modality "
-            "pretrain uses pairwise InfoNCE and learns no lambdas (use lambda_source=literal:)")
-    return config.regime == "frozen_finetune" or learned
+    regime loads its encoders, a learned-lambda mLSTM of any K its lambdas."""
+    return config.regime == "frozen_finetune" or (config.regime == "mlstm"
+                                                  and config.lambda_source == "learned")
 
 
 @STRICT_FLOATS
@@ -519,43 +515,33 @@ class SweepResult:
         return out
 
 
-def _pretrained(config, cohort, pretrains):
-    """(Checkpoint, history) of the contrastive pretrain for the config's
-    subset and seed, run only if `pretrains` does not hold it yet. Only a
-    success is stored, so a failed pretrain fails again in every cell. The
-    cells sharing a result only read it."""
-    key = (tuple(config.modality_subset), config.seed)
-    if key not in pretrains:
-        pretrains[key] = pretrain(replace(config, regime="contrastive_pretrain"), cohort)
-    return pretrains[key]
-
-
-def run_cell(base, cohort, subset, regime, seed, pretrains):
-    """One sweep row. `pretrains` maps (subset, seed) to pretrain results
-    that cells of the same sweep share; the base config is the rest of the key."""
-    config = replace(base, modality_subset=list(subset), regime=regime, seed=seed)
+def run_cell(config, cohort, pretrained):
+    """The sweep row of `config`. `pretrained(seed)` returns the (Checkpoint,
+    history) of the contrastive pretrain of the config's subset at `seed`,
+    which the cells that read it share and leave unchanged."""
     t0 = time.perf_counter()
-    if regime == "contrastive_pretrain":
-        ckpt, history = _pretrained(config, cohort, pretrains)
+    subset = "+".join(config.modality_subset)
+    if config.regime == "contrastive_pretrain":
+        ckpt, history = pretrained(config.seed)
         alignment = pool_alignment_accuracy(cohort, ckpt)
-        return SweepRow("+".join(subset), regime, config.task, seed, alignment_top5=alignment,
+        return SweepRow(subset, config.regime, config.task, config.seed, alignment_top5=alignment,
                         final_loss=history[-1], wall_time_s=time.perf_counter() - t0)
-    checkpoint = None
-    if _reads_checkpoint(config):
-        checkpoint, _ = _pretrained(config, cohort, pretrains)
+    checkpoint = pretrained(config.seed)[0] if _reads_checkpoint(config) else None
     _, record, _ = finetune(config, cohort, checkpoint)
-    return SweepRow("+".join(subset), regime, config.task, seed, auroc=record.auroc,
+    return SweepRow(subset, config.regime, config.task, config.seed, auroc=record.auroc,
                     auprc=record.auprc, wall_time_s=time.perf_counter() - t0)
 
 
 def sweep(base, cohort, subsets, regimes, seeds):
     """Cartesian product of (subset, regime, seed); per-cell failures are
-    recorded without aborting the sweep. The cells of one subset and seed
-    share one pretrain, kept until the sweep moves on to the next subset.
-    An empty axis, or an entry repeated on one (a subset only with its
-    modalities in the same order), an unknown regime, or a subset that is
-    not 2 or more distinct modalities of the cohort raises ConfigurationError
-    before any cell runs."""
+    recorded without aborting the sweep. Each (subset, regime) config is
+    built once, while the axes are checked. The cells of one subset and seed
+    share one pretrain, run when the first cell reads it and kept until the
+    sweep moves on to the next subset; a failed pretrain is not kept, so it
+    fails again in every cell that reads it. An empty axis, or an entry
+    repeated on one (a subset only with its modalities in the same order),
+    an unknown regime, or a subset that is not 2 or more distinct modalities
+    of the cohort raises ConfigurationError before any cell runs."""
     if not subsets or not regimes or not seeds:
         raise ConfigurationError("sweep axes must be nonempty")
     for name, axis in (("subsets", [tuple(s) for s in subsets]), ("regimes", regimes),
@@ -563,20 +549,23 @@ def sweep(base, cohort, subsets, regimes, seeds):
         repeated = [entry for entry in dict.fromkeys(axis) if axis.count(entry) > 1]
         if repeated:
             raise ConfigurationError(f"sweep {name} repeat {repeated}; list each once")
+    grid = []  # each subset's configs, one per regime, with the base seed
     for subset in subsets:
-        for regime in regimes:  # each cell's config but its seed
-            replace(base, modality_subset=list(subset), regime=regime)
+        grid.append([replace(base, modality_subset=list(subset), regime=regime)
+                     for regime in regimes])
         for name in subset:
             cohort.modality(name)
     rows = []
-    for subset in subsets:
-        pretrains = {}
-        for regime in regimes:
+    for configs in grid:
+        pretrained = functools.cache(lambda seed, config=configs[0]: pretrain(
+            replace(config, regime="contrastive_pretrain", seed=seed), cohort))
+        for config in configs:
             for seed in seeds:
                 try:
-                    rows.append(run_cell(base, cohort, subset, regime, seed, pretrains))
+                    rows.append(run_cell(replace(config, seed=seed), cohort, pretrained))
                 except Exception as exc:  # sweep isolation
-                    rows.append(SweepRow("+".join(subset), regime, base.task, seed,
+                    rows.append(SweepRow("+".join(config.modality_subset), config.regime,
+                                         base.task, seed,
                                          status=f"error: {type(exc).__name__}: {exc}"))
     return SweepResult(rows)
 

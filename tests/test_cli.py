@@ -581,6 +581,24 @@ def test_exit_code_2_on_mlstm_checkpoint_of_another_subset(cohort_file, tmp_path
     assert not os.path.exists(out)
 
 
+def test_exit_code_2_on_learned_mlstm_of_a_checkpoint_without_lambdas(cohort_file, tmp_path,
+                                                                       capsys):
+    # a 2-modality pretrain stores uniform lambdas; older ones stored null
+    ckpt_path = str(tmp_path / "ckpt.npz")
+    assert main(["pretrain", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+                 "--max-epochs", "1", "--batch-size", "16", "--out", ckpt_path]) == 0
+    assert "lambdas: [0.5 0.5]" in capsys.readouterr().out
+    dataclasses.replace(Checkpoint.load(ckpt_path), lambdas=None).save(ckpt_path)
+    out = str(tmp_path / "run")
+    rc = main(["finetune", "--cohort", cohort_file, "--modalities", "text_a,text_b",
+               "--regime", "mlstm", "--checkpoint", ckpt_path, "--max-epochs", "1",
+               "--batch-size", "16", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "requires a contrastive checkpoint with lambdas" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("args", [["pretrain", "--max-epochs", "0"],
                                   ["finetune", "--max-epochs", "0"],
                                   ["finetune", "--patience", "-1"],

@@ -111,8 +111,9 @@ def test_spec_validation():
     for value in ("ab", [{"name": "a"}, {"name": "b"}], two[0], None):
         with pytest.raises(ContractError, match="modalities"):
             CohortSpec(10, 4, value)
-    # a name that is not a string used to fail in `generate`, on its encode()
-    for value in (5, None):
+    # a name that is not a string UTF-8 can encode used to fail in `generate`,
+    # on its encode()
+    for value in (5, None, "\ud800"):
         with pytest.raises(ContractError, match="name"):
             CohortSpec(20, 4, [ModalitySpec(value, "static_vector", 4), two[1]])
 

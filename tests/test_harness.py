@@ -149,10 +149,11 @@ def test_literal_lambdas_parse():
 # --------------------------------------------------------------------------
 # pre-training
 
-def test_pretrain_two_modalities_no_lambdas(small_cohort):
+def test_pretrain_two_modalities_stores_uniform_lambdas(small_cohort):
+    # the pair objective weighs its two directional terms equally
     cfg = _cfg(ALL[:2], "contrastive_pretrain")
     ckpt, history = pretrain(cfg, small_cohort)
-    assert ckpt.lambdas is None
+    assert ckpt.lambdas.tolist() == [0.5, 0.5]
     assert ckpt.tau > 0
     assert len(history) == cfg.max_epochs
     assert all(np.isfinite(history))
@@ -260,6 +261,13 @@ def test_checkpoint_round_trip(tmp_path, small_cohort):
     assert set(loaded.params) == set(ckpt.params)
     for name in ckpt.params:
         np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
+
+
+def test_checkpoint_of_two_modalities_round_trips_its_lambdas(tmp_path, small_cohort):
+    ckpt, _ = pretrain(_cfg(ALL[:2], "contrastive_pretrain", max_epochs=1), small_cohort)
+    ckpt.save(tmp_path / "ckpt.npz")
+    loaded = Checkpoint.load(tmp_path / "ckpt.npz")
+    assert loaded.lambdas.dtype == np.float64 and loaded.lambdas.tolist() == [0.5, 0.5]
 
 
 def test_checkpoint_of_the_retired_optimizer_setting_loads_and_finetunes(tmp_path,
@@ -484,18 +492,18 @@ def test_mlstm_learned_lambdas_require_checkpoint(small_cohort):
         finetune(_cfg(ALL[:3], "mlstm", lambda_source="learned"), small_cohort, None)
 
 
-def test_mlstm_learned_lambdas_of_two_modalities_are_rejected_before_any_pretrain(
-        small_cohort, monkeypatch):
-    # a 2-modality pretrain learns no lambdas: finetune names that cause, not
-    # the missing checkpoint, and a sweep runs no pretrain for such a cell
-    with pytest.raises(ConfigurationError, match="2-modality pretrain .* learns no lambdas"):
-        finetune(_cfg(ALL[:2], "mlstm"), small_cohort, None)
-    keys = _count_pretrains(monkeypatch)
-    rows = sweep(_cfg(ALL, "mlstm", max_epochs=1), small_cohort, [ALL[:2], ALL[:3]],
-                 ["mlstm"], [0]).rows
-    assert rows[0].status.startswith("error: ConfigurationError: lambda_source=learned needs")
-    assert rows[1].status == "ok"
-    assert keys == [(tuple(ALL[:3]), 0)]
+def test_mlstm_learned_lambdas_of_two_modalities_match_uniform_literal_lambdas(small_cohort):
+    # a 2-modality pretrain stores lambda = [0.5, 0.5], so the learned-lambda
+    # mLSTM of 2 is the run with those weights given literally
+    pre, _ = pretrain(_cfg(ALL[:2], "contrastive_pretrain", max_epochs=1), small_cohort)
+    learned, learned_record, learned_info = finetune(_cfg(ALL[:2], "mlstm"), small_cohort, pre)
+    literal, literal_record, literal_info = finetune(
+        _cfg(ALL[:2], "mlstm", lambda_source="literal:[0.5, 0.5]"), small_cohort)
+    assert learned.params.keys() == literal.params.keys()
+    for name in learned.params:
+        assert_bitwise_equal(learned.params[name], literal.params[name])
+    assert_bitwise_equal(learned.lambdas, literal.lambdas)
+    assert learned_record == literal_record and learned_info == literal_info
 
 
 def test_mlstm_literal_lambda_length_checked(small_cohort):
@@ -725,13 +733,12 @@ def test_sweep_counts_and_aggregates(small_cohort):
 
 
 def test_sweep_isolates_cell_failures(small_cohort):
-    # a learned-lambda mLSTM needs K >= 3: its cell fails
-    base = _cfg(ALL, "contrastive_pretrain", max_epochs=1)
+    # three literal weights cannot gate an mLSTM of 2: its cell fails
+    base = _cfg(ALL, "contrastive_pretrain", max_epochs=1, lambda_source="literal:[0.5, 0.3, 0.2]")
     result = sweep(base, small_cohort, [ALL[:2]], ["mlstm", "contrastive_pretrain"], [0])
     statuses = [r.status for r in result.rows]
-    assert statuses[0] == ("error: ConfigurationError: lambda_source=learned needs a pretrain "
-                           "of 3 or more modalities; a 2-modality pretrain uses pairwise "
-                           "InfoNCE and learns no lambdas (use lambda_source=literal:)")
+    assert statuses[0] == ("error: ConfigurationError: lambdas must have length 2, "
+                           "got [0.5, 0.3, 0.2]")
     assert statuses[1] == "ok"
     # failed cells are excluded from aggregation
     assert len(result.aggregates()) == 1
@@ -788,8 +795,7 @@ def test_sweep_pretrains_once_per_subset_and_seed(small_cohort, monkeypatch):
     rows = sweep(base, small_cohort, subsets, SWEEP_REGIMES, [0, 1]).rows
     assert sorted(keys) == sorted((tuple(s), seed) for s in subsets for seed in (0, 1))
     assert len(rows) == 12
-    # the learned-lambda mLSTM on 2 modalities fails after its pretrain
-    assert [r.status.startswith("error: ConfigurationError") for r in rows].count(True) == 2
+    assert [r.status for r in rows] == ["ok"] * 12
     np.testing.assert_equal(_row_fields(rows), _row_fields(
         _one_cell_sweeps(base, small_cohort, subsets, SWEEP_REGIMES, [0, 1])))
 
