@@ -115,19 +115,16 @@ def concat(tensors):
     return Tensor._result(values, tensors, backward)
 
 
-def _unit_rows(x):
-    """(x scaled to unit rows, the N x 1 row norms); a zero row is an error."""
-    r = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    bad = np.nonzero(r <= EPS)[0]
-    if bad.size:
-        raise DegenerateInputError(f"zero-norm row at index {int(bad[0])}")
-    return x / r, r
-
-
-def _through_norm(d_hat, x_hat, r):
-    """Gradient to x of a gradient to x_hat = x / r: drop the radial part of
-    d_hat, then divide by r."""
-    return (d_hat - x_hat * (d_hat * x_hat).sum(axis=1, keepdims=True)) / r
+@functools.cache
+def _ovo_tables(k):
+    """Read-only index tables of the stacked One-vs-Others pass over K
+    batches: others[i], the batches but i in order, and route[j, i], the row
+    of the 2K stack (batches, then others' means) through which term i
+    reaches batch j."""
+    others = np.array([[j for j in range(k) if j != i] for i in range(k)])
+    route = np.where(np.eye(k, dtype=bool), np.arange(k), np.arange(k, 2 * k))
+    others.flags.writeable = route.flags.writeable = False
+    return others, route
 
 
 def ovo_nce(embeddings, log_tau, logits=None):
@@ -137,16 +134,20 @@ def ovo_nce(embeddings, log_tau, logits=None):
     NCE(a, b) is the mean over k of -log softmax_m(cos(a_k, b_m) / tau) at
     m = k. Returns (loss, the K unweighted term values).
 
-    The forward pass rounds as the composed ops would: 1/tau = exp(-log_tau)
-    and lambda = `kernels.softmax(logits)`; the others' mean is their
-    left-to-right sum times 1/(K-1); each term normalizes rows, takes
-    a_hat b_hat^T, scales it, takes a row log-sum-exp, the diagonal and the
-    mean; the total adds lambda_0 t_0 + lambda_1 t_1 + ... left to right. The
-    backward pass runs the closed-form InfoNCE gradient of each term, routed
-    back through both row norms and the mean, and through the exp and the
-    softmax to log_tau and the logits. Batches of more than one shape raise
-    DimensionError, logits of another shape than (K,) ContractError, and a
-    zero-norm row DegenerateInputError."""
+    Both passes run on the K batches and their K others' means stacked as
+    one 2K x N x n array, and round as the composed ops of each term would:
+    1/tau = exp(-log_tau) and lambda = `kernels.softmax(logits)`; the
+    others' mean is their left-to-right sum times 1/(K-1); the rows are
+    normalized, one batched matmul gives the K matrices a_hat b_hat^T, which
+    are scaled, and a row log-sum-exp, the diagonal and a per-term mean give
+    the terms; the total adds lambda_0 t_0 + lambda_1 t_1 + ... left to
+    right. The backward pass runs the closed-form InfoNCE gradient of every
+    term at once, routed back through the row norms and the means, and
+    through the exp and the softmax to log_tau and the logits; each batch's
+    gradient sums its part of each term in term order. Batches that are not
+    2-D or of more than one shape raise DimensionError, an empty batch and a
+    zero-norm row DegenerateInputError, and logits of another shape than
+    (K,) or a log_tau that is not a scalar ContractError."""
     embeddings = [Tensor._lift(e) for e in embeddings]
     log_tau = Tensor._lift(log_tau)
     logits = None if logits is None else Tensor._lift(logits)
@@ -156,44 +157,71 @@ def ovo_nce(embeddings, log_tau, logits=None):
     shapes = {e.shape for e in embeddings}
     if len(shapes) != 1:
         raise DimensionError(f"embedding shapes disagree: {sorted(shapes)}")
+    shape = embeddings[0].shape
+    if len(shape) != 2:
+        raise DimensionError(f"embedding batches must be N x n, got shape {shape}")
+    n = shape[0]
+    if n == 0:
+        raise DegenerateInputError("empty embedding batch")
+    if log_tau.shape != ():
+        raise ContractError(f"log tau must be a scalar, got shape {log_tau.shape}")
     if logits is not None and logits.shape != (k,):
         raise ContractError(f"lambda logits of shape {logits.shape} for K={k} modalities")
     inv_tau = np.exp(-log_tau.values)
     lam = np.ones(k) if logits is None else kernels.softmax(logits.values)
     share = 1.0 / (k - 1)
-    n = embeddings[0].shape[0]
     diag = np.arange(n)
     scale = 1.0 / n
-    terms = np.empty(k)
-    saved = []
-    for i, e in enumerate(embeddings):
-        others = functools.reduce(operator.add,
-                                  [o.values for j, o in enumerate(embeddings) if j != i])
-        a_hat, r_a = _unit_rows(e.values)
-        b_hat, r_b = _unit_rows(others * share)
-        cos = a_hat @ b_hat.T
-        s = cos * inv_tau
-        lse = kernels.logsumexp_rows(s)
-        terms[i] = (lse + (-s[diag, diag])).sum() * scale
-        saved.append((a_hat, r_a, b_hat, r_b, cos, s, lse))
+    others, route = _ovo_tables(k)
+    # rows 0..K-1 of u: the batches; row K + i: the others' mean of term i
+    u = np.empty((2 * k, *shape))
+    np.stack([e.values for e in embeddings], out=u[:k])
+    mean = u[k:]
+    mean[...] = u[others[:, 0]]
+    for c in range(1, k - 1):
+        mean += u[others[:, c]]
+    mean *= share
+    r = np.sqrt((u * u).sum(axis=2, keepdims=True))
+    # the first zero row term by term, own batch before the others' mean
+    bad = np.flatnonzero((r <= EPS).reshape(2, k, n).transpose(1, 0, 2))
+    if bad.size:
+        raise DegenerateInputError(f"zero-norm row at index {int(bad[0] % n)}")
+    u /= r
+    a_hat, b_hat = u[:k], u[k:]
+    # the K cosine matrices, scaled to s in place; the backward pass computes
+    # them again, so that no K x N x N array lives between the passes
+    s = np.matmul(a_hat, b_hat.transpose(0, 2, 1))
+    s *= inv_tau
+    s_diag = s[:, diag, diag]
+    m = s.max(axis=2)
+    s -= m[:, :, None]
+    lse = m + np.log(np.exp(s, out=s).sum(axis=2))  # s is spent
+    terms = (lse + (-s_diag)).sum(axis=1) * scale
     loss = functools.reduce(operator.add, lam * terms)
 
     def backward(g):
-        grads, d_inv = [None] * k, 0.0
-        for i, (a_hat, r_a, b_hat, r_b, cos, s, lse) in enumerate(saved):
-            ds = np.exp(s - lse[:, None])  # row softmax of s
-            ds[diag, diag] -= 1.0
-            ds *= (g * lam[i]) * scale
-            d_inv = d_inv + (ds * cos).sum()
-            dcos = ds * inv_tau
-            d_own = _through_norm(dcos @ b_hat, a_hat, r_a)
-            d_mean = _through_norm(dcos.T @ a_hat, b_hat, r_b) * share
-            for j in range(k):
-                d = d_own if j == i else d_mean
-                grads[j] = d if grads[j] is None else grads[j] + d
-        for e, d in zip(embeddings, grads):
+        cos = np.matmul(a_hat, b_hat.transpose(0, 2, 1))
+        ds = np.multiply(cos, inv_tau)  # s again
+        ds -= lse[:, :, None]
+        np.exp(ds, out=ds)  # row softmax of s
+        ds[:, diag, diag] -= 1.0
+        ds *= ((g * lam) * scale)[:, None, None]
+        parts = np.multiply(ds, cos, out=cos).reshape(k, -1).sum(axis=1)
+        d_inv = functools.reduce(operator.add, parts, 0.0)
+        dcos = np.multiply(ds, inv_tau, out=ds)
+        d = np.empty_like(u)
+        np.matmul(dcos, b_hat, out=d[:k])
+        np.matmul(dcos.transpose(0, 2, 1), a_hat, out=d[k:])
+        # through each row norm: drop the radial part, then divide by the norm
+        d -= u * (d * u).sum(axis=2, keepdims=True)
+        d /= r
+        d[k:] *= share
+        grads = d[route[:, 0]] + d[route[:, 1]]
+        for c in range(2, k):
+            grads += d[route[:, c]]
+        for e, grad in zip(embeddings, grads):
             if e.requires_grad:
-                e._accumulate(d)
+                e._accumulate(grad)
         if log_tau.requires_grad:
             log_tau._accumulate(-(d_inv * inv_tau))
         if logits is not None and logits.requires_grad:

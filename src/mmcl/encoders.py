@@ -71,7 +71,8 @@ def lstm_sequence(params, xs, lams=None):
     With `lams` (T constant weights, numbers), step t's candidate write i*g
     is scaled by lams[t]: the modality-gated LSTM. The weights are not
     trained through the gate, so they get no gradient. Without them this is
-    the plain LSTM.
+    the plain LSTM. No steps, or `lams` of another length than `xs`, raise
+    ContractError.
 
     The forward pass projects every step's input with one stacked matmul,
     then runs each step as pre = x_t@wx + h@wh + b, C = f*C_prev + (i*g)*lam,
@@ -83,7 +84,12 @@ def lstm_sequence(params, xs, lams=None):
     wx, wh, b = params["wx"], params["wh"], params["b"]
     hid = wh.shape[0]
     xs = [Tensor._lift(x) for x in xs]
-    steps, n = len(xs), xs[0].shape[0]
+    steps = len(xs)
+    if not steps:
+        raise ContractError("an LSTM needs at least one step")
+    if lams is not None and len(lams) != steps:
+        raise ContractError(f"{steps} steps but {len(lams)} step weights")
+    n = xs[0].shape[0]
     x_all = np.stack([x.values for x in xs])
     xw = np.matmul(x_all, wx.values)
     # row t of h_all and c_all is the state before step t; s_all[t] ends as

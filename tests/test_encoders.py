@@ -206,6 +206,23 @@ def test_lstm_step_gradients_bitwise_equal_composed_oracle():
 # --------------------------------------------------------------------------
 # LSTM encoder
 
+@pytest.mark.parametrize("xs", [[], np.zeros((0, 2, 3))], ids=["list", "array"])
+def test_lstm_sequence_rejects_no_steps(xs):
+    # this used to fail with an IndexError
+    params = make_lstm_params(np.random.default_rng(0), 3, 4)
+    with pytest.raises(ContractError, match="at least one step"):
+        lstm_sequence(params, xs)
+
+
+@pytest.mark.parametrize("lams", [[0.5], [0.5, 0.3, 0.2]], ids=["short", "long"])
+def test_lstm_sequence_rejects_lams_of_another_length(lams):
+    # a short list used to fail with an IndexError, and a long one had its
+    # extra weights ignored
+    params = make_lstm_params(np.random.default_rng(0), 3, 4)
+    with pytest.raises(ContractError, match=f"2 steps but {len(lams)} step weights"):
+        lstm_sequence(params, [np.ones((2, 3))] * 2, lams)
+
+
 def test_lstm_encoder_output_shape():
     enc = _lstm()
     batch = np.random.default_rng(1).standard_normal((6, 4, 3))

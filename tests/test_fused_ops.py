@@ -1,8 +1,10 @@
 """Properties of the fused graph ops against their composed oracles, over
 random shapes and values: `autodiff.ovo_nce`, `autodiff.dense`,
-`encoders.lstm_sequence` and `fusion._sigmoid_ce`."""
+`encoders.lstm_sequence` and `fusion._sigmoid_ce`; `ovo_nce` also against
+a loop over its terms, and each op's backward pass run twice."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmcl import kernels
@@ -14,7 +16,7 @@ from ce_oracle import composed_sigmoid_ce
 from elementary_ops import affine, axis_sum, mul, tanh
 from kernel_oracle import assert_bitwise_equal
 from lstm_oracle import composed_unroll
-from nce_oracle import composed_ovo
+from nce_oracle import composed_ovo, per_term_ovo
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -54,11 +56,23 @@ def _log_tau_parts_scale(embeddings, tau, lam, c):
     return total / (n * tau)
 
 
+def _at_workload_shapes(test):
+    """`test` also run at the shapes of the benchmark's `pretrain` (K = 5,
+    N = 64) and `sweep` (K = 2 and 3, N = 16 and 14), past the draws' N <= 12:
+    whether a batched matmul rounds as its 2-D slices do depends on the BLAS
+    kernel chosen for each shape."""
+    for seed, (k, n) in enumerate([(5, 64), (2, 16), (2, 14), (3, 16), (3, 14)], start=3):
+        test = example(k=k, n=n, width=8, tau=1.0, weighting="none" if k == 2 else "logits",
+                       seed=seed)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 5), n=st.integers(1, 12), width=st.integers(2, 8),
        tau=st.floats(0.5, 5.0), weighting=st.sampled_from(["none", "logits", "peaked"]),
        seed=SEEDS)
 @example(k=2, n=7, width=7, tau=3.8092108885439506, weighting="logits", seed=2)
+@_at_workload_shapes
 def test_ovo_nce_matches_the_composed_oracle(k, n, width, tau, weighting, seed):
     # width >= 2: at width 1 every cosine is +-1 and the true gradient is 0,
     # so both sides hold only rounding noise. A small tau saturates the row
@@ -87,6 +101,36 @@ def test_ovo_nce_matches_the_composed_oracle(k, n, width, tau, weighting, seed):
     c = np.random.default_rng(seed).standard_normal(())  # the upstream weight of `_grads`
     scale = _log_tau_parts_scale(embeddings, tau, lam, c)
     assert abs(fused[k] - oracle[k]) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), n=st.integers(1, 12), width=st.integers(1, 8),
+       tau=st.floats(0.02, 50.0), weighting=st.sampled_from(["none", "logits", "peaked"]),
+       seed=SEEDS)
+@_at_workload_shapes
+def test_ovo_nce_is_bitwise_a_loop_over_its_terms(k, n, width, tau, weighting, seed):
+    # the stacked pass rounds as the per-term loop: loss, terms and every
+    # gradient, with no tolerance; a first gradient write turns -0.0 into +0.0
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal((n, width)) for _ in range(k)]
+    logits = {"none": None, "logits": rng.standard_normal(k),
+              "peaked": 30.0 * np.eye(k)[rng.integers(k)]}[weighting]
+    g = rng.standard_normal(())
+    embeddings = [Tensor(v, requires_grad=True) for v in values]
+    log_tau = Tensor(np.log(tau), requires_grad=True)
+    logit_leaf = None if logits is None else Tensor(logits, requires_grad=True)
+    loss, terms = ovo_nce(embeddings, log_tau, logit_leaf)
+    loss.backward(g)
+
+    want_loss, want_terms, want_grads, want_log_tau, want_logits = per_term_ovo(
+        values, np.log(tau), logits, g)
+    assert_bitwise_equal(loss.values, want_loss)
+    assert_bitwise_equal(terms, want_terms)
+    for e, want in zip(embeddings, want_grads):
+        assert_bitwise_equal(e.grad, want + 0.0)
+    assert_bitwise_equal(log_tau.grad, want_log_tau + 0.0)
+    if logits is not None:
+        assert_bitwise_equal(logit_leaf.grad, want_logits + 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,3 +207,49 @@ def test_sigmoid_ce_is_bitwise_the_composed_ops(n, labels, weighted, seed):
     for got, want in zip(_grads(lambda: _sigmoid_ce(z, y, w), [z], seed),
                          _grads(lambda: composed_sigmoid_ce(z, y, w), [z], seed)):
         assert_bitwise_equal(got, want)
+
+
+def _leaf(values):
+    return Tensor(values, requires_grad=True)
+
+
+def _ovo_nce_node(rng):
+    embeddings = [_leaf(rng.standard_normal((64, 8))) for _ in range(5)]
+    log_tau, logits = _leaf(np.log(0.7)), _leaf(rng.standard_normal(5))
+    return ovo_nce(embeddings, log_tau, logits)[0], embeddings + [log_tau, logits]
+
+
+def _dense_node(rng):
+    x = _leaf(rng.standard_normal((6, 4)))
+    layers = [(_leaf(rng.standard_normal((4, 5))), _leaf(rng.standard_normal(5))),
+              (_leaf(rng.standard_normal((5, 3))), _leaf(rng.standard_normal(3)))]
+    return dense(x, layers), [x] + [p for layer in layers for p in layer]
+
+
+def _lstm_sequence_node(rng):
+    params = make_lstm_params(rng, 3, 4)
+    params["b"].values[...] = rng.standard_normal(16)
+    xs = [_leaf(rng.standard_normal((5, 3))) for _ in range(4)]
+    return lstm_sequence(params, xs, [0.4, 0.3, 0.2, 0.1]), list(params.values()) + xs
+
+
+def _sigmoid_ce_node(rng):
+    z = _leaf(rng.standard_normal((6, 3)) * 4.0)
+    y = rng.integers(0, 2, size=(6, 3)).astype(np.float64)
+    return _sigmoid_ce(z, y, rng.uniform(0.5, 3.0, size=(6, 3))), [z]
+
+
+@pytest.mark.parametrize("node", [_ovo_nce_node, _dense_node, _lstm_sequence_node,
+                                  _sigmoid_ce_node],
+                         ids=["ovo_nce", "dense", "lstm_sequence", "sigmoid_ce"])
+def test_backward_closure_run_twice_adds_its_gradient_twice(node):
+    # a closure that wrote over a buffer it saved in the forward pass would
+    # route another gradient the second time
+    rng = np.random.default_rng(11)
+    out, leaves = node(rng)
+    g = rng.standard_normal(out.shape)
+    out._backward(g)
+    first = [t.grad.copy() for t in leaves]
+    out._backward(g)
+    for t, grad in zip(leaves, first):
+        assert_bitwise_equal(t.grad, 2.0 * grad)

@@ -3,11 +3,12 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmcl import harness, kernels
 from mmcl.autodiff import Parameter, Tensor, ovo_nce
 from mmcl.cohort import default_five_modality_spec, generate
-from mmcl.errors import ContractError, DegenerateInputError, DimensionError
+from mmcl.errors import EPS, STRICT_FLOATS, ContractError, DegenerateInputError, DimensionError
 from mmcl.losses import infonce_pair_loss, weighted_ovo_loss
 
 from elementary_ops import add, exp, grad_check, gradient_step, log_temperature, mul, neg
@@ -367,6 +368,78 @@ def test_dispatch_names_a_zero_norm_row(k):
             infonce_pair_loss(*emb, log_temperature())
         else:
             weighted_ovo_loss(emb, log_temperature(), _logits(np.zeros(k)))
+
+
+def test_ovo_nce_rejects_an_empty_batch():
+    # 1.0 / N used to raise a bare ZeroDivisionError
+    with pytest.raises(DegenerateInputError, match="empty embedding batch"):
+        ovo_nce([Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4)))], log_temperature())
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1d", "3d"])
+def test_ovo_nce_rejects_batches_that_are_not_2d(shape):
+    # these used to fail inside numpy with an AxisError or a ValueError
+    rng = np.random.default_rng(25)
+    mats = [Tensor(rng.standard_normal(shape)) for _ in range(3)]
+    with pytest.raises(DimensionError, match="embedding batches must be N x n"):
+        ovo_nce(mats, log_temperature())
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,)], ids=["three_values", "one_value"])
+def test_ovo_nce_rejects_a_log_tau_that_is_not_a_scalar(shape):
+    # three values used to fail in a numpy broadcast, and one value gave a
+    # log-tau gradient of shape (1,)
+    mats = [Tensor(m) for m in _rand_set(2, 5, 4, seed=26)]
+    with pytest.raises(ContractError, match="log tau must be a scalar"):
+        ovo_nce(mats, Parameter("log_tau", np.zeros(shape)))
+
+
+def _first_zero_norm_row(mats):
+    """The row a per-term loop names first: term by term, the term's own
+    batch before its others' mean (their left-to-right sum times 1/(K-1))."""
+    k = len(mats)
+    for i, own in enumerate(mats):
+        mean = functools.reduce(operator.add, [m for j, m in enumerate(mats) if j != i])
+        for batch in (own, mean * (1.0 / (k - 1))):
+            rows = np.flatnonzero(np.sqrt((batch * batch).sum(axis=1)) <= EPS)
+            if rows.size:
+                return int(rows[0])
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), n=st.integers(1, 10), width=st.integers(1, 6),
+       plants=st.lists(st.tuples(st.sampled_from(["zero", "cancel"]), st.integers(0, 4),
+                                 st.integers(0, 9)), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+# a zero mean of term 0 (row 3) before a zero row of batch 2 (row 5), and a
+# zero row of batch 0 (row 4) before a zero mean of term 0 (row 1)
+@example(k=3, n=6, width=4, plants=[("zero", 2, 5), ("cancel", 0, 3)], seed=0)
+@example(k=3, n=6, width=4, plants=[("zero", 0, 4), ("cancel", 0, 1)], seed=0)
+def test_ovo_nce_names_the_zero_norm_row_a_per_term_loop_meets_first(k, n, width, plants,
+                                                                      seed):
+    # "zero" zeroes one row of a batch; "cancel" sets one row of the last of
+    # term i's others to minus the sum of the rest, so that the others' mean
+    # of term i is zero there. Run under the floating-point policy, a
+    # division before the check would end in a FloatingPointError (0/0).
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, width)) for _ in range(k)]
+    for kind, term, row in plants:
+        term, row = term % k, row % n
+        if kind == "zero":
+            mats[term][row] = 0.0
+        else:
+            others = [mats[j] for j in range(k) if j != term]
+            others[-1][row] = -functools.reduce(operator.add, [m[row] for m in others[:-1]],
+                                                np.zeros(width))
+    want = _first_zero_norm_row(mats)
+    strict_ovo_nce = STRICT_FLOATS(ovo_nce)
+    if want is None:
+        loss, _ = strict_ovo_nce([Tensor(m) for m in mats], log_temperature())
+        assert np.isfinite(loss.values)
+    else:
+        with pytest.raises(DegenerateInputError, match=f"zero-norm row at index {want}$"):
+            strict_ovo_nce([Tensor(m) for m in mats], log_temperature())
 
 
 # --------------------------------------------------------------------------
